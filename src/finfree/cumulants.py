@@ -5,13 +5,17 @@ The degree-d cumulant transform sends normalized coefficients to
     kappa_n = (-d)^(n-1)/(n-1)! * sum over partitions pi of [n] of
               atilde_pi * mu(pi, 1_n),        atilde_pi = prod_V atilde_|V|,
 
-for n = 1..d, linearizing the additive convolution.  Because atilde_pi
-depends only on block sizes, the sum is grouped by size profile, which keeps
-large-d experiments cheap; the ungrouped path is kept for cross-checking.
+for n = 1..d, linearizing the additive convolution.  The partition sum is
+block-multiplicative, so it is n! times the z^n coefficient of the log of
+sum_j atilde_j z^j / j! (see ``series``), and the transform is
+
+    kappa_n = (-d)^(n-1) * n * [z^n] log sum_j atilde_j z^j / j!.
+
+The literal sum over P(n) is kept as the cross-checking path.  The inverse
+is the matching series exp.
 
 The sum cancels to O(d^-(n-1)) against O(1) terms for the exponential
-families, so mpf inputs are accumulated with ``csum`` (single rounding) and
-callers should budget roughly (n-1)*log10(d) + 15 digits.
+families, so callers should budget roughly (n-1)*log10(d) + 15 digits.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import mpmath as mp
 from .partitions import (
     DEFAULT_PARTITION_CAP,
     SetPartition,
-    enumerate_by_type,
     enumerate_partitions,
     enumerate_refinements,
     join_all,
@@ -34,7 +37,8 @@ from .partitions import (
     mobius_top,
 )
 from .polycalc import MonicPoly, _work, boxtimes, from_normalized, normalized_coeffs
-from .scalars import DEFAULT_DIGITS, EXACT, MPF, common_kind, csum, falling
+from .scalars import DEFAULT_DIGITS, EXACT, MPF, common_kind, csum, falling, promote_ints
+from .series import PowerSeries
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,7 @@ def cumulants_from_atilde(d: int, atilde: Sequence, n_max: int,
                           digits: int = DEFAULT_DIGITS, grouped: bool = True) -> list:
     """kappa_1..kappa_n_max from atilde_0..atilde_n_max (or longer).
 
-    ``grouped=True`` sums over block-size profiles with multiplicities;
+    ``grouped=True`` takes the series log of the atilde generating function;
     ``grouped=False`` enumerates P(n) literally (cross-check path).
     """
     if n_max > d:
@@ -73,33 +77,23 @@ def cumulants_from_atilde(d: int, atilde: Sequence, n_max: int,
     if atilde[0] != 1:
         raise ValueError("atilde_0 must be 1")
     kind = common_kind(atilde[: n_max + 1], "cumulants_from_atilde")
-    out = []
     with _work(kind, digits):
-        for n in range(1, n_max + 1):
-            terms = []
-            if grouped:
-                for t, mult in enumerate_by_type(n):
-                    term = mult * _mu_top_sign(t.num_blocks)
-                    for size, cnt in enumerate(t.counts, start=1):
-                        for _ in range(cnt):
-                            term = term * atilde[size]
-                    terms.append(term)
-            else:
-                for pi in enumerate_partitions(n):
-                    term = mobius_top(pi)
-                    for b in pi.blocks:
-                        term = term * atilde[len(b)]
-                    terms.append(term)
-            s = csum(terms, digits=digits)
-            if kind == EXACT:
-                out.append(Fraction((-d) ** (n - 1), math.factorial(n - 1)) * s)
-            else:
-                out.append(s * (-d) ** (n - 1) / math.factorial(n - 1))
-    return out
+        atilde = promote_ints(atilde[: n_max + 1], kind)
+        if grouped:
+            log = PowerSeries.egf(atilde).log()
+            return [(-d) ** (n - 1) * n * log.coeff(n) for n in range(1, n_max + 1)]
+        return [(-d) ** (n - 1) * _literal_partition_sum(atilde, n, digits)
+                / math.factorial(n - 1) for n in range(1, n_max + 1)]
 
 
-def _mu_top_sign(r: int) -> int:
-    return (-1) ** (r - 1) * math.factorial(r - 1)
+def _literal_partition_sum(atilde: Sequence, n: int, digits: int):
+    terms = []
+    for pi in enumerate_partitions(n):
+        term = mobius_top(pi)
+        for b in pi.blocks:
+            term = term * atilde[len(b)]
+        terms.append(term)
+    return csum(terms, digits=digits)
 
 
 def finite_cumulants(p: MonicPoly, digits: int = DEFAULT_DIGITS) -> CumulantVector:
@@ -114,36 +108,26 @@ def atilde_from_cumulants(d: int, kappas: Sequence, n_max: int,
     """Inverse transform: atilde_1..atilde_n_max from kappa_1..kappa_n_max.
 
     atilde_n = sum over sigma in P(n) of d^(|sigma|-n) mu(0_n, sigma)
-    kappa_sigma, grouped by size profile.
+    kappa_sigma, evaluated as the series exp
+    n! [z^n] exp sum_s (-1)^(s-1) kappa_s z^s / (s d^(s-1)).
     """
     if len(kappas) < n_max:
         raise ValueError("need kappa up to n_max")
     kind = common_kind(list(kappas[:n_max]), "atilde_from_cumulants")
-    out = []
     with _work(kind, digits):
-        for n in range(1, n_max + 1):
-            terms = []
-            for t, mult in enumerate_by_type(n):
-                r = t.num_blocks
-                if kind == EXACT:
-                    term = mult * Fraction(1, d ** (n - r))
-                else:
-                    term = mult * mp.mpf(d) ** (r - n) if kind == MPF else mult * float(d) ** (r - n)
-                for size, cnt in enumerate(t.counts, start=1):
-                    blk = _mu_top_sign(size) * kappas[size - 1]
-                    for _ in range(cnt):
-                        term = term * blk
-                terms.append(term)
-            out.append(csum(terms, digits=digits))
-    return out
+        kappas = promote_ints(kappas[:n_max], kind)
+        # an exact 0 constant term makes exp start from an exact 1, which
+        # every kind absorbs (a kind's own zero would need a complex exp)
+        u = PowerSeries((Fraction(0),) + tuple(
+            (-1) ** (s - 1) * k / (s * d ** (s - 1)) for s, k in enumerate(kappas, start=1)))
+        g = u.exp()
+        return [g.coeff(n) * math.factorial(n) for n in range(1, n_max + 1)]
 
 
 def coeffs_from_cumulants(kv: CumulantVector, digits: int = DEFAULT_DIGITS) -> MonicPoly:
     """Rebuild the coefficient polynomial; exact inverse of finite_cumulants."""
-    kind = common_kind(kv.values, "coeffs_from_cumulants")
     at = atilde_from_cumulants(kv.d, kv.values, kv.d, digits=digits)
-    one = Fraction(1) if kind == EXACT else (mp.mpf(1) if kind == MPF else 1.0)
-    return from_normalized([one] + at, digits=digits)
+    return from_normalized([1] + at, digits=digits)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +251,7 @@ def hermite_unitary(d: int, t, digits: int = DEFAULT_DIGITS) -> MonicPoly:
     """Unitary Hermite polynomial; roots on the unit circle, coefficients real."""
     if d < 1 or t < 0:
         raise ValueError("need d >= 1 and t >= 0")
-    with mp.workdps(digits):
-        at = [hermite_unitary_atilde(d, t, k, digits) for k in range(d + 1)]
-        at[0] = mp.mpf(1)
+    at = [hermite_unitary_atilde(d, t, k, digits) for k in range(d + 1)]
     return from_normalized(at, digits=digits)
 
 
@@ -283,9 +265,7 @@ def exp_poly(d: int, t, digits: int = DEFAULT_DIGITS) -> MonicPoly:
     """The multiplicative-CLT limit polynomial at degree d, parameter t."""
     if d < 1 or t < 0:
         raise ValueError("need d >= 1 and t >= 0")
-    with mp.workdps(digits):
-        at = [exp_poly_atilde(d, t, k, digits) for k in range(d + 1)]
-        at[0] = mp.mpf(1)
+    at = [exp_poly_atilde(d, t, k, digits) for k in range(d + 1)]
     return from_normalized(at, digits=digits)
 
 
@@ -301,25 +281,3 @@ def laguerre_unitary(d: int, m: int) -> MonicPoly:
     at = [laguerre_unitary_atilde(d, m, k) for k in range(d + 1)]
     return from_normalized(at)
 
-
-_SPECIAL = {
-    "laguerre_hat": lambda d, lam=1, digits=DEFAULT_DIGITS: laguerre_hat(d, _as_param(lam), digits),
-    "hermite_unitary": lambda d, t=1, digits=DEFAULT_DIGITS: hermite_unitary(d, t, digits),
-    "exp_poly": lambda d, t=1, digits=DEFAULT_DIGITS: exp_poly(d, t, digits),
-    "laguerre_unitary": lambda d, m=1, digits=DEFAULT_DIGITS: laguerre_unitary(d, int(m)),
-}
-
-
-def _as_param(v):
-    if isinstance(v, float) and not v.is_integer():
-        return Fraction(v).limit_denominator(10 ** 12)
-    if isinstance(v, float):
-        return int(v)
-    return v
-
-
-def special_poly(kind: str, d: int, **params) -> MonicPoly:
-    """Dispatcher for the named special families (CLI entry point)."""
-    if kind not in _SPECIAL:
-        raise ValueError(f"unknown special polynomial {kind!r}; pick one of {sorted(_SPECIAL)}")
-    return _SPECIAL[kind](d, **params)

@@ -38,6 +38,7 @@ from .freelimits import (
     sy_limit_zero,
 )
 from .polycalc import MonicPoly, normalized_coeffs, poly_from_json
+from .scalars import to_mpf
 
 KINDS = ("sy", "multclt", "lln", "uclt", "fms", "hermite", "laguerre")
 SY_REGIMES = ("t", "zero")
@@ -223,8 +224,8 @@ class ResultTable:
 
 def _make_row(kind, d, m, t, n, value, reference, digits) -> Row:
     with mp.workdps(digits):
-        v = value if isinstance(value, (mp.mpf, mp.mpc)) else _to_mpf(value, digits)
-        ref = reference if isinstance(reference, (mp.mpf, mp.mpc)) else _to_mpf(reference, digits)
+        v = value if isinstance(value, (mp.mpf, mp.mpc)) else to_mpf(value, digits)
+        ref = reference if isinstance(reference, (mp.mpf, mp.mpc)) else to_mpf(reference, digits)
         err = abs(v - ref)
         rel = err / abs(ref) if ref != 0 else None
         if isinstance(v, mp.mpc):
@@ -232,13 +233,6 @@ def _make_row(kind, d, m, t, n, value, reference, digits) -> Row:
         if isinstance(ref, mp.mpc):
             ref = ref.real
     return Row(kind, d, m, t, n, v, ref, err, rel)
-
-
-def _to_mpf(v, digits):
-    with mp.workdps(digits):
-        if isinstance(v, Fraction):
-            return mp.mpf(v.numerator) / v.denominator
-        return mp.mpf(v)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +339,9 @@ def _run_sy(cfg: ExperimentConfig, table: ResultTable) -> None:
                 else:
                     value = kappas[n - 1] / mp.mpf(m) ** (n - 1)
             if cfg.regime == "t":
-                ref = sy_limit_t(n, _to_mpf(ratio, digits), _to_mpf(k2, digits), digits=digits)
+                ref = sy_limit_t(n, to_mpf(ratio, digits), to_mpf(k2, digits), digits=digits)
             else:
-                ref = sy_limit_zero(n, _to_mpf(k2, digits), digits=digits)
+                ref = sy_limit_zero(n, to_mpf(k2, digits), digits=digits)
             table.rows.append(
                 _make_row("sy", d, m, float(ratio), n, value, ref, digits)
             )
@@ -364,11 +358,9 @@ def _run_kappa_family(cfg: ExperimentConfig, table: ResultTable) -> None:
             m = None
             if kind == "fms":
                 at = [exp_poly_atilde(d, t, k, digits) for k in range(cfg.n_max + 1)]
-                at[0] = mp.mpf(1)
                 refs = [lambda_cumulant(n, t, digits) for n in range(1, cfg.n_max + 1)]
             elif kind == "hermite":
                 at = [hermite_unitary_atilde(d, t, k, digits) for k in range(cfg.n_max + 1)]
-                at[0] = mp.mpf(1)
                 refs = [sigma_cumulant(n, t, digits) for n in range(1, cfg.n_max + 1)]
             else:  # laguerre
                 m = round(t * d)

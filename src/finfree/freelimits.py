@@ -10,8 +10,12 @@ Cumulant/moment sequences of the four limit laws:
 plus the fixed-ratio partition-sum limit (``sy_limit_t``) and its vanishing-
 ratio limit (``sy_limit_zero``).  The independent route to the same numbers
 is Lagrange inversion: kappa_n = [z^(n-1)] S(z)^(-n) / n applied to the
-known S-transforms, implemented on truncated power series at 50-digit
-default precision.
+known S-transforms, at 50-digit default precision.
+
+All of it runs on the truncated power series of ``series``: the fixed-ratio
+partition sum is a series log, and moments come from cumulants through the
+functional equation M(z) = 1 + sum_n kappa_n (z M(z))^n instead of a sum over
+non-crossing partitions.
 
 A flagged discrepancy: one worked example elsewhere lists the fixed-ratio
 family with the opposite sign of t, i.e. (e^t - 1)/t instead of
@@ -24,140 +28,24 @@ decaying form implemented here; the mirrored family is intentionally NOT
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
 
-from .errors import CapExceededError
-from .partitions import (
-    DEFAULT_PARTITION_CAP,
-    enumerate_by_type,
-    enumerate_noncrossing,
-)
-from .scalars import DEFAULT_DIGITS, binom
-
-NC_CAP = 10
-
-
-# ---------------------------------------------------------------------------
-# truncated power series
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PowerSeries:
-    """Truncated Taylor series c_0 + c_1 z + ... + c_N z^N.
-
-    Arithmetic truncates at the common order.  Coefficients may be mpf (the
-    default in this module) or exact rationals; they are never mixed.
-    """
-
-    coeffs: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def constant(cls, c, order: int) -> "PowerSeries":
-        return cls((c,) + (c * 0,) * order)
-
-    def coeff(self, j: int):
-        return self.coeffs[j] if j <= self.order else self.coeffs[0] * 0
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(tuple(self.coeff(j) + other.coeff(j) for j in range(n + 1)))
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(tuple(self.coeff(j) - other.coeff(j) for j in range(n + 1)))
-
-    def scale(self, c) -> "PowerSeries":
-        return PowerSeries(tuple(c * a for a in self.coeffs))
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        zero = self.coeffs[0] * 0
-        out = [zero] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeff(j)
-                if b != 0:
-                    out[i + j] += a * b
-        return PowerSeries(tuple(out))
-
-    def inverse(self) -> "PowerSeries":
-        """Reciprocal series; requires a nonzero constant term."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ValueError("series inverse needs a unit constant term")
-        n = self.order
-        inv = [1 / c0 if not isinstance(c0, Fraction) else Fraction(1) / c0]
-        for j in range(1, n + 1):
-            acc = inv[0] * 0
-            for i in range(1, j + 1):
-                acc += self.coeff(i) * inv[j - i]
-            inv.append(-acc / c0)
-        return PowerSeries(tuple(inv))
-
-    def pow_int(self, m: int) -> "PowerSeries":
-        if m < 0:
-            return self.inverse().pow_int(-m)
-        out = PowerSeries.constant(self.coeffs[0] ** 0, self.order)
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base if m > 1 else base
-            m >>= 1
-        return out
-
-    def exp(self) -> "PowerSeries":
-        """exp of the series; the constant term goes through the scalar exp."""
-        c0 = self.coeffs[0]
-        n = self.order
-        if isinstance(c0, Fraction):
-            if c0 != 0:
-                raise ValueError("exact series exp needs zero constant term")
-            head = Fraction(1)
-        else:
-            head = mp.exp(c0) if isinstance(c0, mp.mpf) else math.exp(c0)
-        # g' = u' g with g_0 = exp(u_0):  g_j = (1/j) sum_{i=1..j} i u_i g_{j-i}
-        g = [head]
-        for j in range(1, n + 1):
-            acc = g[0] * 0
-            for i in range(1, j + 1):
-                acc += i * self.coeff(i) * g[j - i]
-            g.append(acc / j)
-        return PowerSeries(tuple(g))
-
-    def derivative(self) -> "PowerSeries":
-        if self.order == 0:
-            return PowerSeries((self.coeffs[0] * 0,))
-        return PowerSeries(tuple((j + 1) * c for j, c in enumerate(self.coeffs[1:])))
+from .scalars import DEFAULT_DIGITS, binom, to_mpf
+from .series import PowerSeries
 
 
 # ---------------------------------------------------------------------------
 # closed-form cumulant and moment sequences
 # ---------------------------------------------------------------------------
 
-def _mpf(x, digits):
-    with mp.workdps(digits):
-        if isinstance(x, Fraction):
-            return mp.mpf(x.numerator) / x.denominator
-        return mp.mpf(x)
-
-
 def eta_cumulant(n: int, alpha, digits: int = DEFAULT_DIGITS):
     """kappa_n = (alpha n)^(n-1) / n!."""
     if n < 1 or alpha < 0:
         raise ValueError("need n >= 1 and alpha >= 0")
     with mp.workdps(digits):
-        a = _mpf(alpha, digits)
+        a = to_mpf(alpha, digits)
         return (a * n) ** (n - 1) / math.factorial(n)
 
 
@@ -166,7 +54,7 @@ def lambda_cumulant(n: int, t, digits: int = DEFAULT_DIGITS):
     if n < 1 or t < 0:
         raise ValueError("need n >= 1 and t >= 0")
     with mp.workdps(digits):
-        tt = _mpf(t, digits)
+        tt = to_mpf(t, digits)
         return mp.exp(n * tt / 2) * (n * tt) ** (n - 1) / math.factorial(n)
 
 
@@ -175,7 +63,7 @@ def sigma_cumulant(n: int, t, digits: int = DEFAULT_DIGITS):
     if n < 1 or t < 0:
         raise ValueError("need n >= 1 and t >= 0")
     with mp.workdps(digits):
-        tt = _mpf(t, digits)
+        tt = to_mpf(t, digits)
         return mp.exp(-n * tt / 2) * (-n * tt) ** (n - 1) / math.factorial(n)
 
 
@@ -184,7 +72,7 @@ def lambda_moment(n: int, t, digits: int = DEFAULT_DIGITS):
     if n < 1 or t < 0:
         raise ValueError("need n >= 1 and t >= 0")
     with mp.workdps(digits):
-        tt = _mpf(t, digits)
+        tt = to_mpf(t, digits)
         total = mp.mpf(0)
         for k in range(n):
             total += mp.mpf(n) ** (k - 1) / math.factorial(k) * binom(n, k + 1) * tt ** k
@@ -199,7 +87,7 @@ def pi_cumulant(n: int, t, digits: int = DEFAULT_DIGITS):
     if n < 1 or not t > 0:
         raise ValueError("need n >= 1 and t > 0")
     with mp.workdps(digits):
-        tt = _mpf(t, digits)
+        tt = to_mpf(t, digits)
         if n == 1:
             return mp.exp(-2 * tt)
         total = mp.mpf(0)
@@ -208,28 +96,20 @@ def pi_cumulant(n: int, t, digits: int = DEFAULT_DIGITS):
         return (-1) ** (n - 1) * mp.mpf(2) ** n * mp.exp(-2 * n * tt) * total
 
 
-def sy_limit_t(n: int, t, kappa2=1, digits: int = DEFAULT_DIGITS,
-               cap: int = DEFAULT_PARTITION_CAP):
+def sy_limit_t(n: int, t, kappa2=1, digits: int = DEFAULT_DIGITS):
     """Fixed-ratio limit of the scaled power-sequence cumulants.
 
     (-1)^(n-1) / (t^(n-1) (n-1)!) * sum over partitions pi of [n] of
-    exp(-t sum_V C(|V|,2) kappa2) * mu(pi, 1_n), grouped by size profile.
+    exp(-t sum_V C(|V|,2) kappa2) * mu(pi, 1_n).  The block weight is
+    multiplicative, so the sum is n! [z^n] log sum_j exp(-t C(j,2) kappa2) z^j/j!.
     """
     if n < 1 or not t > 0:
         raise ValueError("need n >= 1 and t > 0")
-    if n > cap:
-        raise CapExceededError("partition sum", n, cap)
     with mp.workdps(digits):
-        tt = _mpf(t, digits)
-        k2 = _mpf(kappa2, digits)
-        terms = []
-        for typ, mult in enumerate_by_type(n):
-            r = typ.num_blocks
-            pairs = sum(c * binom(s, 2) for s, c in enumerate(typ.counts, start=1))
-            mu = (-1) ** (r - 1) * math.factorial(r - 1)
-            terms.append(mult * mu * mp.exp(-tt * pairs * k2))
-        total = mp.fsum(terms)
-        return (-1) ** (n - 1) / (tt ** (n - 1) * math.factorial(n - 1)) * total
+        tt = to_mpf(t, digits)
+        k2 = to_mpf(kappa2, digits)
+        log = PowerSeries.egf([mp.exp(-tt * binom(j, 2) * k2) for j in range(n + 1)]).log()
+        return (-1) ** (n - 1) * n * log.coeff(n) / tt ** (n - 1)
 
 
 def sy_limit_zero(n: int, kappa2=1, digits: int = DEFAULT_DIGITS):
@@ -237,7 +117,7 @@ def sy_limit_zero(n: int, kappa2=1, digits: int = DEFAULT_DIGITS):
     if n < 1:
         raise ValueError("need n >= 1")
     with mp.workdps(digits):
-        k2 = _mpf(kappa2, digits)
+        k2 = to_mpf(kappa2, digits)
         return (k2 * n) ** (n - 1) / math.factorial(n)
 
 
@@ -262,7 +142,7 @@ def s_transform_series(kind: str, N: int, t=None,
     with mp.workdps(digits):
         if kind == "identity":
             return PowerSeries.constant(mp.mpf(1), N)
-        tt = _mpf(t, digits)
+        tt = to_mpf(t, digits)
         if kind == "lambda":
             u = PowerSeries(tuple([-tt / 2, -tt] + [mp.mpf(0)] * (N - 1)))
         elif kind == "sigma":
@@ -293,22 +173,25 @@ def lagrange_cumulants(S: PowerSeries, N: int, digits: int = DEFAULT_DIGITS) -> 
     return out
 
 
-def nc_moments_from_cumulants(kappas: Sequence, N: int, cap: int = NC_CAP,
+def nc_moments_from_cumulants(kappas: Sequence, N: int,
                               digits: int = DEFAULT_DIGITS) -> list:
-    """Moments from cumulants by summing over non-crossing partitions."""
+    """Moments m_1..m_N from free cumulants.
+
+    The moment series M(z) = 1 + sum m_n z^n solves M = 1 + sum_n kappa_n (z M)^n,
+    the non-crossing moment-cumulant formula in generating-function form
+    (Nica-Speicher, Lect. 10).  Each fixed-point sweep fixes one more
+    coefficient, so N sweeps from M = 1 give m_1..m_N.
+    """
     if N > len(kappas):
         raise ValueError("need kappa_1..kappa_N")
-    if N > cap:
-        raise CapExceededError("non-crossing moment sum", N, cap)
-    out = []
     with mp.workdps(digits):
-        for n in range(1, N + 1):
-            total = None
-            for sigma in enumerate_noncrossing(n, cap=max(cap, n)):
-                term = None
-                for b in sigma.blocks:
-                    v = kappas[len(b) - 1]
-                    term = v if term is None else term * v
-                total = term if total is None else total + term
-            out.append(total)
-    return out
+        one = PowerSeries.constant(kappas[0] ** 0, N)
+        m = one
+        for _ in range(N):
+            zm = PowerSeries((m.coeffs[0] * 0,) + m.coeffs[:N])
+            # sum_n kappa_n w^n = w (kappa_1 + w (kappa_2 + ...)) at w = z M
+            r = PowerSeries.constant(kappas[N - 1], N)
+            for k in reversed(kappas[: N - 1]):
+                r = PowerSeries.constant(k, N) + zm * r
+            m = one + zm * r
+    return list(m.coeffs[1:])

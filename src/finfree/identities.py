@@ -30,6 +30,7 @@ from .partitions import (
     mobius_top,
 )
 from .scalars import binom
+from .series import PowerSeries
 
 
 class NoClosedForm:
@@ -200,25 +201,12 @@ def s_mobius_route(fs: Sequence[ZeroConstPoly], n: int,
         raise ValueError("need at least one polynomial")
     total = Fraction(0)
     for sigma in enumerate_partitions(k, cap=cap):
-        prod = [Fraction(1)]  # z-polynomial, constant first
+        prod = PowerSeries.constant(Fraction(1), n)
         for block in sigma.blocks:
-            factor = [Fraction(0)] + r_poly_coeffs([fs[i - 1] for i in block])
-            prod = _poly_mul(prod, factor, n)
-        if n < len(prod):
-            total += mobius_top(sigma) * prod[n]
+            r = [Fraction(0)] + r_poly_coeffs([fs[i - 1] for i in block]) + [Fraction(0)] * n
+            prod = prod * PowerSeries(tuple(r[: n + 1]))
+        total += mobius_top(sigma) * prod.coeff(n)
     return total * math.factorial(n)
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction], keep: int) -> list[Fraction]:
-    out = [Fraction(0)] * min(len(a) + len(b) - 1, keep + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > keep:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > keep:
-                break
-            out[i + j] += ai * bj
-    return out
 
 
 def s_closed_form(fs: Sequence[ZeroConstPoly], n: int):

@@ -95,12 +95,6 @@ class SetPartition:
                 out[x] = i
         return out
 
-    def partition_type(self) -> "IntegerPartitionType":
-        counts = [0] * self.n
-        for b in self.blocks:
-            counts[len(b) - 1] += 1
-        return IntegerPartitionType(self.n, tuple(counts))
-
     def __repr__(self) -> str:
         body = "|".join(",".join(str(x) for x in b) for b in self.blocks)
         return f"SetPartition({self.n}: {body})"
@@ -159,31 +153,6 @@ class OrderedPartition:
         return SetPartition(self.n, self.blocks)
 
 
-@dataclass(frozen=True)
-class IntegerPartitionType:
-    """Block-size profile of a partition of [n]: counts[i-1] blocks of size i."""
-
-    n: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.counts) != self.n or any(c < 0 for c in self.counts):
-            raise ValueError("counts must be a length-n vector of nonnegative ints")
-        if sum((i + 1) * c for i, c in enumerate(self.counts)) != self.n:
-            raise ValueError("block sizes do not sum to n")
-
-    @property
-    def num_blocks(self) -> int:
-        return sum(self.counts)
-
-    def multiplicity(self) -> int:
-        """Number of set partitions of [n] with this size profile."""
-        denom = 1
-        for i, c in enumerate(self.counts, start=1):
-            denom *= math.factorial(c) * math.factorial(i) ** c
-        return math.factorial(self.n) // denom
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -221,30 +190,6 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[S
             yield from rec(i + 1, max(mx, label))
 
     yield from rec(1, 0)
-
-
-def enumerate_by_type(n: int) -> Iterator[tuple[IntegerPartitionType, int]]:
-    """Block-size profiles of partitions of [n] with their multiplicities.
-
-    Multiplicities sum to Bell(n); used to group partition sums whose terms
-    depend only on block sizes.
-    """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-
-    counts = [0] * n
-
-    def rec(remaining: int, max_size: int) -> Iterator[tuple[IntegerPartitionType, int]]:
-        if remaining == 0:
-            t = IntegerPartitionType(n, tuple(counts))
-            yield t, t.multiplicity()
-            return
-        for size in range(min(remaining, max_size), 0, -1):
-            counts[size - 1] += 1
-            yield from rec(remaining - size, size)
-            counts[size - 1] -= 1
-
-    yield from rec(n, n)
 
 
 def is_noncrossing(pi: SetPartition) -> bool:
@@ -328,15 +273,7 @@ def _check_same_ground(pi: SetPartition, sigma: SetPartition) -> None:
 def join(pi: SetPartition, sigma: SetPartition) -> SetPartition:
     """Least upper bound in the refinement order (connectivity closure)."""
     _check_same_ground(pi, sigma)
-    uf = _UnionFind(pi.n)
-    for part in (pi, sigma):
-        for b in part.blocks:
-            for x in b[1:]:
-                uf.union(b[0], x)
-    groups: dict[int, list[int]] = {}
-    for x in range(1, pi.n + 1):
-        groups.setdefault(uf.find(x), []).append(x)
-    return SetPartition(pi.n, list(groups.values()))
+    return join_all([pi, sigma], pi.n)
 
 
 def join_all(parts: Sequence[SetPartition], n: int) -> SetPartition:

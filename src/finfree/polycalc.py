@@ -25,7 +25,7 @@ from typing import Sequence
 import mpmath as mp
 
 from .errors import RootConvergenceError
-from .scalars import DEFAULT_DIGITS, EXACT, FLOAT64, MPF, binom, common_kind, kind_of
+from .scalars import DEFAULT_DIGITS, EXACT, FLOAT64, MPF, binom, common_kind, kind_of, promote_ints
 
 _ROOT_MAX_ITER = 200
 
@@ -190,15 +190,10 @@ def normalized_coeffs(p: MonicPoly, digits: int = DEFAULT_DIGITS) -> tuple:
     coeffs = p.coefficients(digits=digits)
     d = p.degree
     kind = common_kind(coeffs, "normalized_coeffs")
-    out = []
     with _work(kind, digits):
-        for i, a in enumerate(coeffs):
-            sign = -1 if i % 2 else 1
-            if kind == EXACT:
-                out.append(Fraction(sign, binom(d, i)) * a)
-            else:
-                out.append(sign * a / binom(d, i))
-    return tuple(out)
+        # the monic 1 is an int; promoted, atilde_0 takes the coefficients' kind
+        coeffs = promote_ints(coeffs, kind)
+        return tuple((-1) ** i * a / binom(d, i) for i, a in enumerate(coeffs))
 
 
 def from_normalized(atilde: Sequence, digits: int = DEFAULT_DIGITS) -> MonicPoly:

@@ -8,7 +8,7 @@ Three scalar kinds are used throughout the package:
 * ``FLOAT64`` - machine floats, for root finding and quick numerics.
 
 Kinds are never mixed silently: ``common_kind`` refuses heterogeneous
-inputs, and promotion happens only through the explicit ``to_*`` helpers.
+inputs, and promotion happens only through ``promote_ints`` and ``to_mpf``.
 """
 
 from __future__ import annotations
@@ -56,17 +56,10 @@ def common_kind(values: Iterable, where: str) -> str:
     return kinds.pop()
 
 
-def to_exact(x) -> Fraction:
-    """Explicit promotion to an exact rational (floats convert by exact binary value)."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, mp.mpf):
-        return Fraction(int(x.man), 1) * Fraction(2) ** int(x.exp)
-    raise TypeError(f"cannot promote {type(x).__name__} to exact rational")
+def promote_ints(values: Iterable, kind: str) -> list:
+    """Ints recast in ``kind``: an int divided by an int is a binary64 float."""
+    to = {EXACT: Fraction, MPF: mp.mpf}.get(kind, float)
+    return [to(v) if isinstance(v, int) else v for v in values]
 
 
 def to_mpf(x, digits: int = DEFAULT_DIGITS):
@@ -74,10 +67,6 @@ def to_mpf(x, digits: int = DEFAULT_DIGITS):
         if isinstance(x, Fraction):
             return mp.mpf(x.numerator) / x.denominator
         return mp.mpf(x)
-
-
-def to_float(x) -> float:
-    return float(x)
 
 
 def binom(n: int, k: int) -> int:

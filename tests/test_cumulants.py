@@ -16,7 +16,6 @@ from finfree.cumulants import (
     hermite_unitary,
     laguerre_hat,
     laguerre_unitary,
-    special_poly,
 )
 from finfree.polycalc import (
     MonicPoly,
@@ -211,11 +210,18 @@ class TestSpecialFamilies:
             for k in range(d + 1):
                 assert abs(at[k] - mp.exp(mp.mpf(t) * k * (d - k) / (2 * d))) < mp.mpf("1e-45")
 
-    def test_dispatcher(self):
-        p = special_poly("laguerre_hat", 3, lam=2)
-        assert finite_cumulants(p).values == (2, 2, 2)
-        with pytest.raises(ValueError):
-            special_poly("nope", 3)
+    def test_mpf_families_keep_one_scalar_kind(self):
+        # atilde_0 of an mpf polynomial is mpf 1, not the float 1.0 that
+        # common_kind refuses next to mpf entries
+        p = hermite_unitary(6, 1)
+        at = normalized_coeffs(p)
+        assert all(isinstance(a, mp.mpf) for a in at)
+        assert finite_cumulants(p).values == tuple(cumulants_from_atilde(6, at, 6))
+        e, h = exp_poly(50, 1), hermite_unitary(50, 0.5)
+        ks = [cumulants_from_atilde(50, normalized_coeffs(q), 4) for q in (boxplus(e, h), e, h)]
+        with mp.workdps(50):
+            for n in range(4):
+                assert abs(ks[0][n] - ks[1][n] - ks[2][n]) < mp.mpf("1e-35") * abs(ks[0][n])
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from finfree.errors import CapExceededError
 from finfree.freelimits import (
     PowerSeries,
     eta_cumulant,
@@ -19,6 +19,7 @@ from finfree.freelimits import (
     sy_limit_zero,
 )
 from finfree.identities import faa_di_bruno_exp
+from finfree.partitions import enumerate_noncrossing, enumerate_partitions, mobius_top
 
 from .oracles import catalan_oracle
 
@@ -52,6 +53,12 @@ class TestPowerSeries:
         a = PowerSeries((Fraction(1), Fraction(1), Fraction(0)))
         assert a.pow_int(3).coeffs == (1, 3, 3)
         assert a.pow_int(-1).coeffs == a.inverse().coeffs
+
+    def test_log_inverts_exp(self):
+        u = PowerSeries((Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5), Fraction(1, 7)))
+        assert u.exp().log() == u
+        with pytest.raises(ValueError):
+            PowerSeries((Fraction(2), Fraction(1))).log()
 
     def test_derivative(self):
         a = PowerSeries((Fraction(5), Fraction(1), Fraction(2)))
@@ -144,6 +151,21 @@ class TestSYLimits:
             b = sy_limit_zero(n, 1)
             assert abs(a - b) <= 1e-2 * abs(b)
 
+    def test_matches_literal_partition_sum(self):
+        for t, k2 in ((0.25, 1), (1, 1), (3, 2), (Fraction(1, 3), Fraction(5, 2))):
+            with mp.workdps(50):
+                tt = _t(Fraction(t))
+                kk = _t(Fraction(k2))
+            for n in range(1, 9):
+                with mp.workdps(50):
+                    total = mp.fsum(
+                        mobius_top(pi)
+                        * mp.exp(-tt * kk * sum(math.comb(len(b), 2) for b in pi.blocks))
+                        for pi in enumerate_partitions(n))
+                    ref = (-1) ** (n - 1) * total / (tt ** (n - 1) * math.factorial(n - 1))
+                got = sy_limit_t(n, t, k2, digits=50)
+                assert abs(got - ref) <= mp.mpf("1e-35") * max(1, abs(ref))
+
     def test_kappa2_scaling(self):
         # kappa2 enters the n=2 value only through t*kappa2
         a = sy_limit_t(2, 0.5, 2)
@@ -207,12 +229,13 @@ class TestNCMoments:
             assert close(m, 1, "1e-45")
 
     def test_semicircle_catalans(self):
-        ks = [mp.mpf(0), mp.mpf(1)] + [mp.mpf(0)] * 6
-        ms = nc_moments_from_cumulants(ks, 8)
-        for k in range(1, 5):
-            assert close(ms[2 * k - 1], catalan_oracle(k), "1e-40")
-        for k in range(4):
-            assert close(ms[2 * k], 0, "1e-45")
+        for N in (8, 20):
+            ks = [mp.mpf(0), mp.mpf(1)] + [mp.mpf(0)] * (N - 2)
+            ms = nc_moments_from_cumulants(ks, N)
+            for k in range(1, N // 2 + 1):
+                assert close(ms[2 * k - 1], catalan_oracle(k), "1e-40")
+            for k in range(N // 2):
+                assert close(ms[2 * k], 0, "1e-45")
 
     def test_lambda_moments_match_display(self):
         for t in (0.1, 1, 2):
@@ -222,9 +245,16 @@ class TestNCMoments:
                 ref = lambda_moment(n, t)
                 assert abs(ms[n - 1] - ref) <= mp.mpf("1e-25") * max(1, abs(ref))
 
-    def test_cap(self):
-        with pytest.raises(CapExceededError):
-            nc_moments_from_cumulants([mp.mpf(1)] * 12, 11)
+    def test_matches_noncrossing_partition_sum(self):
+        rng = random.Random(21)
+        for ks in ([lambda_cumulant(n, 1) for n in range(1, 9)],
+                   [mp.mpf(rng.uniform(-2, 2)) for _ in range(8)]):
+            ms = nc_moments_from_cumulants(ks, 8)
+            with mp.workdps(50):
+                for n in range(1, 9):
+                    ref = mp.fsum(mp.fprod(ks[len(b) - 1] for b in sigma.blocks)
+                                  for sigma in enumerate_noncrossing(n))
+                    assert abs(ms[n - 1] - ref) <= mp.mpf("1e-40") * max(1, abs(ref))
 
 
 class TestPoissonFaaDiBruno:

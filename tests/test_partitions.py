@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from finfree.errors import CapExceededError
 from finfree.partitions import (
-    IntegerPartitionType,
     OrderedPartition,
     SetPartition,
     Subset,
@@ -20,7 +19,6 @@ from finfree.partitions import (
     count_T_closed,
     count_join_full,
     count_join_full_closed,
-    enumerate_by_type,
     enumerate_coarsenings,
     enumerate_noncrossing,
     enumerate_partitions,
@@ -112,51 +110,6 @@ class TestEnumeration:
         next(a)
         next(a)
         assert next(b) == SetPartition.top(4)
-
-    def test_by_type_n3(self):
-        got = {t.counts: mult for t, mult in enumerate_by_type(3)}
-        assert got == {(0, 0, 1): 1, (1, 1, 0): 3, (3, 0, 0): 1}
-
-    def test_by_type_n2(self):
-        got = {t.counts: mult for t, mult in enumerate_by_type(2)}
-        assert got == {(0, 1): 1, (2, 0): 1}
-
-    def test_by_type_multiplicity_two_pairs(self):
-        t = IntegerPartitionType(4, (0, 2, 0, 0))
-        assert t.multiplicity() == 3  # 4!/(2! * (2!)^2)
-
-    def test_by_type_sums_to_bell(self):
-        for n in range(1, 11):
-            assert sum(m for _, m in enumerate_by_type(n)) == bell_oracle(n)
-
-    def test_by_type_matches_classification(self):
-        for n in range(1, 7):
-            counted: dict[tuple, int] = {}
-            for p in enumerate_partitions(n):
-                key = p.partition_type().counts
-                counted[key] = counted.get(key, 0) + 1
-            assert counted == {t.counts: m for t, m in enumerate_by_type(n)}
-
-    def test_type_grouped_sum_equals_full_sum(self):
-        # any block-size-symmetric function sums identically both ways
-        cache: dict[tuple, Fraction] = {}
-
-        def f(sizes):
-            key = tuple(sorted(sizes))
-            if key not in cache:
-                out = Fraction(1)
-                for s in key:
-                    out *= Fraction(s * s + 1, s + 2)
-                cache[key] = out
-            return cache[key]
-
-        for n in range(1, 11):
-            grouped = sum(
-                mult * f([i + 1 for i, c in enumerate(t.counts) for _ in range(c)])
-                for t, mult in enumerate_by_type(n)
-            )
-            full = sum(f([len(b) for b in p.blocks]) for p in enumerate_partitions(n))
-            assert grouped == full
 
 
 # ---------------------------------------------------------------------------
