@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .cumulants import CumulantVector, coeffs_from_cumulants, finite_cumulants
 from .errors import CapExceededError, PrecisionBudgetError, RootConvergenceError
-from .experiments import KINDS, ExperimentConfig, format_scalar, run_experiment
+from .experiments import KINDS, ExperimentConfig, run_experiment
 from .identities import (
     NO_CLOSED_FORM,
     ZeroConstPoly,
@@ -35,6 +35,7 @@ from .partitions import (
     enumerate_partitions,
 )
 from .polycalc import boxplus, boxtimes, boxtimes_pow, poly_from_json, poly_to_json
+from .scalars import format_scalar
 
 
 def _parse_fs(text: str) -> list[ZeroConstPoly]:
@@ -70,12 +71,6 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _frac_str(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return str(v)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,9 +146,9 @@ def _cmd_identity(args) -> str:
         if val is NO_CLOSED_FORM:
             out = "no-closed-form"
         else:
-            out = _frac_str(val)
+            out = format_scalar(val)
     else:
-        out = _frac_str(s_bruteforce(fs, args.n, cap=cap))
+        out = format_scalar(s_bruteforce(fs, args.n, cap=cap))
     if args.format == "json":
         return json.dumps({"n": args.n, "value": out})
     return out
@@ -219,16 +214,11 @@ def _cmd_cumulants(args) -> str:
         if not isinstance(obj, dict) or "cumulants" not in obj or "degree" not in obj:
             raise ValueError("--invert expects {\"degree\": d, \"cumulants\": [...]}")
         vals = [Fraction(v) if isinstance(v, str) else v for v in obj["cumulants"]]
-        if all(isinstance(v, (int, Fraction)) for v in vals):
-            vals = [Fraction(v) for v in vals]
         kv = CumulantVector(int(obj["degree"]), tuple(vals))
         return json.dumps(poly_to_json(coeffs_from_cumulants(kv, digits=args.precision)))
     p = poly_from_json(obj, digits=args.precision)
     kv = finite_cumulants(p, digits=args.precision)
-    values = [
-        _frac_str(v) if isinstance(v, (int, Fraction)) else format_scalar(v, args.precision)
-        for v in kv.values
-    ]
+    values = [format_scalar(v, args.precision) for v in kv.values]
     if args.format == "json":
         return json.dumps({"degree": kv.d, "cumulants": values})
     return "\n".join(f"kappa_{i},{v}" for i, v in enumerate(values, start=1))

@@ -36,8 +36,9 @@ from .partitions import (
     mobius_bottom,
     mobius_top,
 )
-from .polycalc import MonicPoly, _work, boxtimes, from_normalized, normalized_coeffs
-from .scalars import DEFAULT_DIGITS, EXACT, MPF, common_kind, csum, falling, promote_ints
+from .polycalc import MonicPoly, boxtimes, from_normalized, normalized_coeffs
+from .scalars import (DEFAULT_DIGITS, common_kind, csum, falling, kind_of, promote_ints, to_mpf,
+                      work)
 from .series import PowerSeries
 
 
@@ -77,7 +78,7 @@ def cumulants_from_atilde(d: int, atilde: Sequence, n_max: int,
     if atilde[0] != 1:
         raise ValueError("atilde_0 must be 1")
     kind = common_kind(atilde[: n_max + 1], "cumulants_from_atilde")
-    with _work(kind, digits):
+    with work(kind, digits):
         atilde = promote_ints(atilde[: n_max + 1], kind)
         if grouped:
             log = PowerSeries.egf(atilde).log()
@@ -114,11 +115,9 @@ def atilde_from_cumulants(d: int, kappas: Sequence, n_max: int,
     if len(kappas) < n_max:
         raise ValueError("need kappa up to n_max")
     kind = common_kind(list(kappas[:n_max]), "atilde_from_cumulants")
-    with _work(kind, digits):
+    with work(kind, digits):
         kappas = promote_ints(kappas[:n_max], kind)
-        # an exact 0 constant term makes exp start from an exact 1, which
-        # every kind absorbs (a kind's own zero would need a complex exp)
-        u = PowerSeries((Fraction(0),) + tuple(
+        u = PowerSeries((kappas[0] * 0,) + tuple(
             (-1) ** (s - 1) * k / (s * d ** (s - 1)) for s, k in enumerate(kappas, start=1)))
         g = u.exp()
         return [g.coeff(n) * math.factorial(n) for n in range(1, n_max + 1)]
@@ -160,6 +159,7 @@ def boxtimes_cumulants(ps: Sequence[MonicPoly], n: int, method: str = "pi-sum",
         for p in ps
     ]
     kind = common_kind([k for ks in kappas for k in ks], "boxtimes_cumulants")
+    (dk,) = promote_ints([d], kind)
 
     def kappa_sigma(i: int, sigma: SetPartition):
         out = None
@@ -169,13 +169,9 @@ def boxtimes_cumulants(ps: Sequence[MonicPoly], n: int, method: str = "pi-sum",
         return out
 
     def weighted(i: int, sigma: SetPartition):
-        r = sigma.num_blocks
-        w = kappa_sigma(i, sigma) * mobius_bottom(sigma)
-        if kind == EXACT:
-            return w * Fraction(1, d ** (n - r))
-        return w * (mp.mpf(d) ** (r - n) if kind == MPF else float(d) ** (r - n))
+        return kappa_sigma(i, sigma) * mobius_bottom(sigma) * dk ** (sigma.num_blocks - n)
 
-    with _work(kind, digits):
+    with work(kind, digits):
         if method == "pi-sum":
             terms = []
             for pi in enumerate_partitions(n, cap=cap):
@@ -209,8 +205,6 @@ def boxtimes_cumulants(ps: Sequence[MonicPoly], n: int, method: str = "pi-sum",
         else:
             raise ValueError(f"unknown method {method!r}")
 
-        if kind == EXACT:
-            return Fraction((-d) ** (n - 1), math.factorial(n - 1)) * total
         return total * (-d) ** (n - 1) / math.factorial(n - 1)
 
 
@@ -227,16 +221,15 @@ def boxtimes_fold(ps: Sequence[MonicPoly], digits: int = DEFAULT_DIGITS) -> Moni
 
 def laguerre_hat_atilde(d: int, lam, k: int):
     """atilde_k of the normalized Laguerre polynomial: (d*lam)_k / d^k."""
-    if isinstance(lam, (int, Fraction)):
-        return Fraction(falling(Fraction(d) * lam, k), d ** k)
-    return falling(lam * d, k) / mp.mpf(d) ** k if isinstance(lam, mp.mpf) else falling(lam * d, k) / d ** k
+    (dk,) = promote_ints([d], kind_of(lam))
+    return falling(dk * lam, k) / dk ** k
 
 
 def laguerre_hat(d: int, lam, digits: int = DEFAULT_DIGITS) -> MonicPoly:
     """Normalized Laguerre polynomial: all finite free cumulants equal lam."""
     if d < 1 or not lam > 0:
         raise ValueError("need d >= 1 and lam > 0")
-    with _work(MPF if isinstance(lam, mp.mpf) else EXACT, digits):
+    with work(kind_of(lam), digits):
         at = [laguerre_hat_atilde(d, lam, k) for k in range(d + 1)]
     return from_normalized(at, digits=digits)
 
@@ -244,7 +237,7 @@ def laguerre_hat(d: int, lam, digits: int = DEFAULT_DIGITS) -> MonicPoly:
 def hermite_unitary_atilde(d: int, t, k: int, digits: int = DEFAULT_DIGITS):
     """atilde_k of the unitary Hermite polynomial: exp(-t k (d-k) / 2d)."""
     with mp.workdps(digits):
-        return mp.exp(-mp.mpf(t) * k * (d - k) / (2 * d))
+        return mp.exp(-to_mpf(t, digits) * k * (d - k) / (2 * d))
 
 
 def hermite_unitary(d: int, t, digits: int = DEFAULT_DIGITS) -> MonicPoly:
@@ -258,7 +251,7 @@ def hermite_unitary(d: int, t, digits: int = DEFAULT_DIGITS) -> MonicPoly:
 def exp_poly_atilde(d: int, t, k: int, digits: int = DEFAULT_DIGITS):
     """atilde_k of the exponential-coefficient polynomial: exp(+t k (d-k) / 2d)."""
     with mp.workdps(digits):
-        return mp.exp(mp.mpf(t) * k * (d - k) / (2 * d))
+        return mp.exp(to_mpf(t, digits) * k * (d - k) / (2 * d))
 
 
 def exp_poly(d: int, t, digits: int = DEFAULT_DIGITS) -> MonicPoly:

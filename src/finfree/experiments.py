@@ -38,7 +38,7 @@ from .freelimits import (
     sy_limit_zero,
 )
 from .polycalc import MonicPoly, normalized_coeffs, poly_from_json
-from .scalars import to_mpf
+from .scalars import common_kind, format_scalar, promote_ints, to_mpf, work
 
 KINDS = ("sy", "multclt", "lln", "uclt", "fms", "hermite", "laguerre")
 SY_REGIMES = ("t", "zero")
@@ -151,16 +151,6 @@ class Row:
     rel_error: object | None
 
 
-def format_scalar(v, digits: int) -> str:
-    """Decimal string with precision-matching significant digits."""
-    if v is None:
-        return ""
-    if isinstance(v, int):
-        return str(v)
-    with mp.workdps(digits):
-        return mp.nstr(mp.mpf(v), digits, strip_zeros=True)
-
-
 @dataclass
 class ResultTable:
     rows: list = field(default_factory=list)
@@ -172,7 +162,7 @@ class ResultTable:
         self.rows.sort(key=lambda r: (r.d, r.m or 0, r.t or 0.0, r.n))
 
     def _fmt(self, v) -> str:
-        return format_scalar(v, self.precision)
+        return "" if v is None else format_scalar(v, self.precision)
 
     @staticmethod
     def _fmt_t(t) -> str:
@@ -224,14 +214,11 @@ class ResultTable:
 
 def _make_row(kind, d, m, t, n, value, reference, digits) -> Row:
     with mp.workdps(digits):
-        v = value if isinstance(value, (mp.mpf, mp.mpc)) else to_mpf(value, digits)
-        ref = reference if isinstance(reference, (mp.mpf, mp.mpc)) else to_mpf(reference, digits)
+        v = to_mpf(value, digits)
+        ref = to_mpf(reference, digits)
         err = abs(v - ref)
         rel = err / abs(ref) if ref != 0 else None
-        if isinstance(v, mp.mpc):
-            v = v.real
-        if isinstance(ref, mp.mpc):
-            ref = ref.real
+        v, ref = mp.re(v), mp.re(ref)
     return Row(kind, d, m, t, n, v, ref, err, rel)
 
 
@@ -327,17 +314,16 @@ def _run_sy(cfg: ExperimentConfig, table: ResultTable) -> None:
         with mp.workdps(digits):  # no-op on the exact default family
             powered = [a ** m for a in at]
         kappas = cumulants_from_atilde(d, powered, cfg.n_max, digits=digits)
+        kind = common_kind(kappas, "scaled-power cumulants")
+        (mk,) = promote_ints([m], kind)
         if cfg.n_max >= 2:
             k2 = cumulants_from_atilde(d, at, 2, digits=digits)[1]
         else:
             k2 = Fraction(1)
         ratio = Fraction(m, d)
         for n in range(1, cfg.n_max + 1):
-            with mp.workdps(digits):
-                if isinstance(kappas[n - 1], Fraction):
-                    value = kappas[n - 1] / Fraction(m) ** (n - 1)
-                else:
-                    value = kappas[n - 1] / mp.mpf(m) ** (n - 1)
+            with work(kind, digits):
+                value = kappas[n - 1] / mk ** (n - 1)
             if cfg.regime == "t":
                 ref = sy_limit_t(n, to_mpf(ratio, digits), to_mpf(k2, digits), digits=digits)
             else:
@@ -390,7 +376,7 @@ def _run_coeff_family(cfg: ExperimentConfig, table: ResultTable) -> None:
         )
     with mp.workdps(digits):
         if kind == "lln":
-            alpha = mp.mpf(mean)
+            alpha = to_mpf(mean, digits)
             targets = [mp.exp(alpha * k) for k in range(d + 1)]
         else:
             tt = mp.mpf(d) * var / (d - 1)
@@ -405,9 +391,10 @@ def _run_coeff_family(cfg: ExperimentConfig, table: ResultTable) -> None:
             else:
                 c = 1 / mp.sqrt(m)
             if unitary:
-                scaled = MonicPoly.from_angles([mp.mpf(v) * c for v in thetas], digits=digits)
+                scaled = MonicPoly.from_angles([to_mpf(v, digits) * c for v in thetas],
+                                               digits=digits)
             else:
-                scaled = MonicPoly.from_roots([mp.exp(mp.mpf(v) * c) for v in thetas],
+                scaled = MonicPoly.from_roots([mp.exp(to_mpf(v, digits) * c) for v in thetas],
                                               digits=digits)
             at = normalized_coeffs(scaled, digits=digits)
             values = [a ** m for a in at]

@@ -21,15 +21,13 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
 
-import mpmath as mp
-
 from .errors import CapExceededError
 from .partitions import (
     DEFAULT_PARTITION_CAP,
     enumerate_partitions,
     mobius_top,
 )
-from .scalars import binom
+from .scalars import binom, exp
 from .series import PowerSeries
 
 
@@ -254,8 +252,8 @@ def faa_di_bruno_exp(derivs: Sequence, u0, n: int,
 
     ``derivs[j-1]`` must hold the j-th derivative of u at the point; the
     result is  (sum over partitions pi of [n] of prod_V derivs[|V|-1]) *
-    exp(u0).  Works over any scalar ring supporting + and * (the exp factor
-    stays exact when u0 == 0).
+    exp(u0).  Works over any scalar ring supporting + and *; exp(u0) is
+    taken in the kind of u0, so an exact u0 must be 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -270,11 +268,7 @@ def faa_di_bruno_exp(derivs: Sequence, u0, n: int,
             d = derivs[len(b) - 1]
             term = d if term is None else term * d
         total = term if total is None else total + term
-    if u0 == 0:
-        return total  # exact, no exp factor needed
-    if isinstance(u0, mp.mpf):
-        return total * mp.exp(u0)
-    return total * math.exp(u0)
+    return total * exp(u0)
 
 
 def composition_identity(n: int, k: int,

@@ -14,9 +14,7 @@ float kinds.
 
 from __future__ import annotations
 
-import cmath
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -25,15 +23,10 @@ from typing import Sequence
 import mpmath as mp
 
 from .errors import RootConvergenceError
-from .scalars import DEFAULT_DIGITS, EXACT, FLOAT64, MPF, binom, common_kind, kind_of, promote_ints
+from .scalars import (DEFAULT_DIGITS, EXACT, FLOAT64, MPF, binom, common_kind, exp, kind_of,
+                      promote_ints, to_mpf, work)
 
 _ROOT_MAX_ITER = 200
-
-
-def _work(kind: str, digits: int):
-    """Precision scope: mpmath arithmetic rounds at ambient precision, so
-    every mpf computation must run inside an explicit workdps block."""
-    return mp.workdps(digits) if kind == MPF else nullcontext()
 
 
 # ---------------------------------------------------------------------------
@@ -89,15 +82,15 @@ class MonicPoly:
         roots = tuple(roots)
         kind = common_kind(roots, "from_roots")
         if kind == EXACT:
-            coeffs = _expand_exact(roots)
+            coeffs = _expand(roots, Fraction(1))
         elif kind == MPF:
             with mp.workdps(digits + 10):
-                coeffs = _expand_float(roots, mp.mpf(1))
+                coeffs = _expand(roots, mp.mpf(1))
             with mp.workdps(digits):
                 coeffs = tuple(+c for c in coeffs)
         else:
             with mp.workdps(30):
-                hi = _expand_float([mp.mpf(r) for r in roots], mp.mpf(1))
+                hi = _expand([to_mpf(r, 30) for r in roots], mp.mpf(1))
             coeffs = tuple(float(c) for c in hi)
         return cls(degree=len(roots), coeffs=coeffs, roots=roots)
 
@@ -107,7 +100,7 @@ class MonicPoly:
         angles = tuple(angles)
         if digits is not None:
             with mp.workdps(digits):
-                angles = tuple(mp.mpf(a) for a in angles)
+                angles = tuple(to_mpf(a, digits) for a in angles)
                 lo, hi = -mp.pi, mp.pi
                 if any(a < lo or a >= hi for a in angles):
                     raise ValueError("angles must lie in [-pi, pi)")
@@ -125,12 +118,9 @@ class MonicPoly:
             return self.coeffs
         if self.roots is not None:
             return MonicPoly.from_roots(self.roots, digits=digits).coeffs
-        if self.angle_kind == MPF:
-            with mp.workdps(digits):
-                units = [mp.exp(1j * a) for a in self.angles]
-                return tuple(_expand_float(units, mp.mpc(1)))
-        units = [cmath.exp(1j * a) for a in self.angles]
-        return tuple(complex(c) for c in _expand_float(units, complex(1)))
+        with work(self.angle_kind, digits):
+            units = [exp(1j * a) for a in self.angles]
+            return _expand(units, units[0] ** 0)
 
     @property
     def angle_kind(self) -> str:
@@ -151,25 +141,8 @@ class MonicPoly:
         return f"MonicPoly(d={self.degree}, {', '.join(rep)})"
 
 
-def _unit(theta):
-    if isinstance(theta, mp.mpf):
-        return mp.exp(1j * theta)
-    return cmath.exp(1j * theta)
-
-
-def _expand_exact(roots: Sequence) -> tuple:
-    coeffs = [Fraction(1)]
-    for lam in roots:
-        lam = Fraction(lam)
-        nxt = [Fraction(1)]
-        for i in range(1, len(coeffs) + 1):
-            prev = coeffs[i] if i < len(coeffs) else Fraction(0)
-            nxt.append(prev - lam * coeffs[i - 1])
-        coeffs = nxt
-    return tuple(coeffs)
-
-
-def _expand_float(roots: Sequence, one) -> list:
+def _expand(roots: Sequence, one) -> tuple:
+    """Coefficients of prod (x - lam), computed in the kind of ``one``."""
     coeffs = [one]
     zero = one - one
     for lam in roots:
@@ -178,7 +151,7 @@ def _expand_float(roots: Sequence, one) -> list:
             prev = coeffs[i] if i < len(coeffs) else zero
             nxt.append(prev - lam * coeffs[i - 1])
         coeffs = nxt
-    return coeffs
+    return tuple(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +163,7 @@ def normalized_coeffs(p: MonicPoly, digits: int = DEFAULT_DIGITS) -> tuple:
     coeffs = p.coefficients(digits=digits)
     d = p.degree
     kind = common_kind(coeffs, "normalized_coeffs")
-    with _work(kind, digits):
+    with work(kind, digits):
         # the monic 1 is an int; promoted, atilde_0 takes the coefficients' kind
         coeffs = promote_ints(coeffs, kind)
         return tuple((-1) ** i * a / binom(d, i) for i, a in enumerate(coeffs))
@@ -206,12 +179,10 @@ def from_normalized(atilde: Sequence, digits: int = DEFAULT_DIGITS) -> MonicPoly
         raise ValueError("need degree >= 1")
     kind = common_kind(atilde, "from_normalized")
     coeffs = []
-    with _work(kind, digits):
-        for i, v in enumerate(atilde):
+    with work(kind, digits):
+        for i, v in enumerate(promote_ints(atilde, kind)):
             sign = -1 if i % 2 else 1
             coeffs.append(sign * binom(d, i) * v)
-    if kind == EXACT:
-        coeffs = [Fraction(c) for c in coeffs]
     coeffs[0] = 1
     return MonicPoly(degree=d, coeffs=tuple(coeffs))
 
@@ -228,7 +199,7 @@ def dilate(p: MonicPoly, c, digits: int = DEFAULT_DIGITS) -> MonicPoly:
         raise ValueError("dilation is not defined on the unit-circle flavor")
     kind = kind_of(c)
     coeffs = None
-    with _work(kind, digits):
+    with work(kind, digits):
         if p.coeffs is not None:
             acc = c ** 0
             new = []
@@ -253,25 +224,19 @@ def phi_alpha(p: MonicPoly, alpha, digits: int | None = None) -> MonicPoly:
         raise ValueError("root-power map requires nonnegative roots")
     if alpha == 1:
         return p
+    kind = common_kind(p.roots, "phi_alpha")
+    if kind == MPF and digits is None:
+        digits = DEFAULT_DIGITS
     if digits is not None:
         with mp.workdps(digits):
             new = tuple(
-                mp.mpf(0) if r == 0 else mp.exp(mp.mpf(alpha) * mp.log(mp.mpf(r)))
+                mp.mpf(0) if r == 0
+                else mp.exp(to_mpf(alpha, digits) * mp.log(to_mpf(r, digits)))
                 for r in p.roots
             )
         return MonicPoly.from_roots(new, digits=digits)
-    kind = common_kind(p.roots, "phi_alpha")
-    if kind == MPF:
-        with mp.workdps(DEFAULT_DIGITS):
-            new = tuple(
-                mp.mpf(0) if r == 0 else mp.exp(mp.mpf(alpha) * mp.log(r))
-                for r in p.roots
-            )
-        return MonicPoly.from_roots(new, digits=DEFAULT_DIGITS)
     if isinstance(alpha, int):
-        exact_ok = kind == EXACT
-        new = tuple((r ** alpha) if exact_ok else float(r) ** alpha for r in p.roots)
-        return MonicPoly.from_roots(new)
+        return MonicPoly.from_roots([r ** alpha for r in promote_ints(p.roots, kind)])
     new = tuple(0.0 if r == 0 else float(r) ** float(alpha) for r in p.roots)
     return MonicPoly.from_roots(new)
 
@@ -310,7 +275,7 @@ def boxplus(p: MonicPoly, q: MonicPoly, digits: int = DEFAULT_DIGITS) -> MonicPo
     ap, aq = _binary_op_atilde(p, q, "boxplus", digits)
     d = p.degree
     out = []
-    with _work(common_kind(list(ap) + list(aq), "boxplus"), digits):
+    with work(common_kind(list(ap) + list(aq), "boxplus"), digits):
         for k in range(d + 1):
             terms = [binom(k, i) * ap[i] * aq[k - i] for i in range(k + 1)]
             out.append(sum(terms))
@@ -327,7 +292,7 @@ def boxplus_fold(ps: Sequence[MonicPoly], digits: int = DEFAULT_DIGITS) -> Monic
 def boxtimes(p: MonicPoly, q: MonicPoly, digits: int = DEFAULT_DIGITS) -> MonicPoly:
     """Finite free multiplicative convolution: diagonal on atilde."""
     ap, aq = _binary_op_atilde(p, q, "boxtimes", digits)
-    with _work(common_kind(list(ap) + list(aq), "boxtimes"), digits):
+    with work(common_kind(list(ap) + list(aq), "boxtimes"), digits):
         prod = [a * b for a, b in zip(ap, aq)]
     return from_normalized(prod, digits=digits)
 
@@ -337,7 +302,7 @@ def boxtimes_pow(p: MonicPoly, m: int, digits: int = DEFAULT_DIGITS) -> MonicPol
     if m < 1:
         raise ValueError("power must be a positive integer")
     at = normalized_coeffs(p, digits=digits)
-    with _work(common_kind(at, "boxtimes_pow"), digits):
+    with work(common_kind(at, "boxtimes_pow"), digits):
         powered = [a ** m for a in at]
     return from_normalized(powered, digits=digits)
 
@@ -397,7 +362,7 @@ def roots_of(p: MonicPoly, digits: int | None = None,
         coeffs = [complex(c) for c in p.coefficients()]
         return _aberth(coeffs, tol=1e-13, max_iter=max_iter)
     with mp.workdps(digits):
-        coeffs = [mp.mpc(c) for c in p.coefficients(digits=digits)]
+        coeffs = [mp.mpc(to_mpf(c, digits)) for c in p.coefficients(digits=digits)]
         return _aberth(coeffs, tol=mp.mpf(10) ** (-(digits - 5)), max_iter=max_iter)
 
 
@@ -517,12 +482,10 @@ def newton_maclaurin_check(p: MonicPoly, digits: int = DEFAULT_DIGITS) -> Newton
     elif kind == MPF:
         eps = float(mp.mpf(10) ** (-(digits - 6)))
 
-    with _work(kind, digits):
+    with work(kind, digits):
         margins = tuple(at[i] ** 2 - at[i + 1] * at[i - 1] for i in range(1, d))
         newton_holds = all(m >= -eps for m in margins)
-        equality = all(abs(m) <= eps for m in margins) if kind != EXACT else all(
-            m == 0 for m in margins
-        )
+        equality = all(abs(m) <= eps for m in margins)
 
         trailing = 0
         for a in reversed(at):
@@ -564,14 +527,14 @@ class EmpiricalDistribution:
         if p.roots is not None:
             return cls(atoms=p.roots)
         if p.angles is not None:
-            return cls(atoms=tuple(_unit(a) for a in p.angles))
+            return cls(atoms=tuple(exp(1j * a) for a in p.angles))
         return cls(atoms=roots_of(p, digits=digits))
 
     def moment(self, n: int, digits: int = DEFAULT_DIGITS):
         if n == 0:
             return 1
         kind = common_kind(self.atoms, "moment")
-        with _work(kind, digits):
+        with work(kind, digits):
             total = None
             for a in self.atoms:
                 t = a ** n

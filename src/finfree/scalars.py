@@ -9,11 +9,16 @@ Three scalar kinds are used throughout the package:
 
 Kinds are never mixed silently: ``common_kind`` refuses heterogeneous
 inputs, and promotion happens only through ``promote_ints`` and ``to_mpf``.
+Every per-kind decision lives here: the precision scope (``work``), the
+exponential (``exp``), conversion into mpmath (``to_mpf``) and printing
+(``format_scalar``).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from contextlib import nullcontext
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -62,11 +67,46 @@ def promote_ints(values: Iterable, kind: str) -> list:
     return [to(v) if isinstance(v, int) else v for v in values]
 
 
+def work(kind: str, digits: int):
+    """Precision scope: mpmath arithmetic rounds at ambient precision, so
+    every mpf computation must run inside an explicit workdps block."""
+    return mp.workdps(digits) if kind == MPF else nullcontext()
+
+
 def to_mpf(x, digits: int = DEFAULT_DIGITS):
+    """x in mpmath at ``digits``: an mpf, or an mpc when x is complex."""
+    if not isinstance(x, (Fraction, complex, mp.mpc)):
+        return mp.mpf(x, dps=digits)  # no precision scope to enter on the common path
     with mp.workdps(digits):
         if isinstance(x, Fraction):
             return mp.mpf(x.numerator) / x.denominator
-        return mp.mpf(x)
+        return mp.mpc(x)
+
+
+def exp(x):
+    """exp in the kind of x; the only exact value with an exact exp is 0."""
+    if kind_of(x) == EXACT:
+        if x != 0:
+            raise ValueError(f"exp({x}) is not exact; convert the argument first")
+        return Fraction(1)
+    if isinstance(x, (mp.mpf, mp.mpc)):
+        return mp.exp(x)
+    return cmath.exp(x) if isinstance(x, complex) else math.exp(x)
+
+
+def format_scalar(x, digits: int = DEFAULT_DIGITS) -> str:
+    """Decimal string with no more significant digits than the kind carries.
+
+    Exact values print as ``p/q`` (``p`` when q = 1), mpf and mpc values at
+    ``digits`` significant digits, binary64 values as the shortest string
+    that reads back to the same value (at most 17 significant digits).
+    """
+    kind = kind_of(x)
+    if kind == EXACT:
+        return str(x)
+    if kind == FLOAT64:
+        return repr(x)
+    return mp.nstr(to_mpf(x, digits), digits, strip_zeros=True)
 
 
 def binom(n: int, k: int) -> int:

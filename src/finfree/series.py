@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
-import mpmath as mp
+from .scalars import exp
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ class PowerSeries:
         if c0 == 0:
             raise ValueError("series inverse needs a unit constant term")
         n = self.order
-        inv = [1 / c0 if not isinstance(c0, Fraction) else Fraction(1) / c0]
+        inv = [1 / c0]
         for j in range(1, n + 1):
             acc = inv[0] * 0
             for i in range(1, j + 1):
@@ -102,17 +101,11 @@ class PowerSeries:
         return out
 
     def exp(self) -> "PowerSeries":
-        """exp of the series; the constant term goes through the scalar exp."""
-        c0 = self.coeffs[0]
+        """exp of the series; the constant term goes through the scalar exp,
+        so an exact series needs constant term 0."""
         n = self.order
-        if isinstance(c0, Fraction):
-            if c0 != 0:
-                raise ValueError("exact series exp needs zero constant term")
-            head = Fraction(1)
-        else:
-            head = mp.exp(c0) if isinstance(c0, mp.mpf) else math.exp(c0)
         # g' = u' g with g_0 = exp(u_0):  g_j = (1/j) sum_{i=1..j} i u_i g_{j-i}
-        g = [head]
+        g = [exp(self.coeffs[0])]
         for j in range(1, n + 1):
             acc = g[0] * 0
             for i in range(1, j + 1):

@@ -1,7 +1,9 @@
 import json
 
 from finfree import cli
+from finfree.cumulants import finite_cumulants
 from finfree.errors import RootConvergenceError
+from finfree.polycalc import MonicPoly
 
 
 def run(capsys, *argv):
@@ -140,6 +142,16 @@ class TestCumulantsCommand:
                            "--p", '{"coeffs": [1, -4, 2]}')
         assert code == 0
         assert json.loads(out) == {"degree": 2, "cumulants": ["2", "4"]}
+
+    def test_forward_binary64_prints_what_binary64_carries(self, capsys):
+        code, out, _ = run(capsys, "cumulants", "--p", '{"roots": [0.1, 0.3, 0.2]}')
+        assert code == 0
+        kappas = finite_cumulants(MonicPoly.from_roots([0.1, 0.3, 0.2])).values
+        texts = [line.split(",")[1] for line in out.splitlines()]
+        for text, kappa in zip(texts, kappas, strict=True):
+            mantissa = text.lstrip("-").split("e")[0].replace(".", "").lstrip("0")
+            assert len(mantissa) <= 17
+            assert float(text) == kappa
 
     def test_invert_roundtrip(self, capsys):
         code, out, _ = run(

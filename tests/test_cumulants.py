@@ -223,6 +223,11 @@ class TestSpecialFamilies:
             for n in range(4):
                 assert abs(ks[0][n] - ks[1][n] - ks[2][n]) < mp.mpf("1e-35") * abs(ks[0][n])
 
+    def test_rational_time_matches_binary64_time(self):
+        # t = 1/2 is exactly the float 0.5, so both give the same mpf values
+        for family in (hermite_unitary, exp_poly):
+            assert family(6, Fraction(1, 2)).coeffs == family(6, 0.5).coeffs
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             laguerre_hat(3, 0)

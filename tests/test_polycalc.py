@@ -137,6 +137,12 @@ class TestPhiMaps:
         with pytest.raises(ValueError):
             phi_alpha(p, 0.5)
 
+    def test_digits_on_rational_roots(self):
+        p = MonicPoly.from_roots([Fraction(1, 4), 9, 0])
+        q = phi_alpha(p, Fraction(1, 2), digits=30)
+        assert all(isinstance(r, mp.mpf) for r in q.roots)
+        assert q.roots == (mp.mpf("0.5"), mp.mpf(3), mp.mpf(0))
+
     def test_unitary_contraction(self):
         p = MonicPoly.from_angles([1.0, -0.5])
         q = phi_c_unitary(p, 0.5)
@@ -307,6 +313,16 @@ class TestRoots:
         for a, b in zip(got, roots):
             assert abs(float(a - b)) <= 1e-10 * max(1, abs(float(b)))
 
+    def test_mp_path_on_exact_coefficients(self):
+        from finfree.cumulants import laguerre_hat
+
+        p = laguerre_hat(20, 1)
+        zs = roots_of(p, digits=30)
+        assert len(zs) == 20
+        with mp.workdps(30):
+            # root power sum 1 against Newton's identity: sum of roots = -a_1
+            assert abs(mp.fsum(zs) + p.coeffs[1]) < mp.mpf("1e-20")
+
     def test_zero_roots_stripped(self):
         p = MonicPoly.from_coeffs([1, -3, 0, 0])  # x^3 - 3x^2
         got = sorted(z.real for z in roots_of(p))
@@ -354,6 +370,13 @@ class TestEmpirical:
         m = empirical_moments(p, 2)
         assert m[0] == pytest.approx(2.0)
         assert m[1] == pytest.approx(6.0)
+
+    def test_digits_on_exact_coefficients(self):
+        p = MonicPoly.from_coeffs(MonicPoly.from_roots([Fraction(1, 2), 3]).coeffs)
+        m = empirical_moments(p, 2, digits=30)
+        with mp.workdps(30):
+            assert abs(m[0] - mp.mpf(7) / 4) < mp.mpf("1e-25")
+            assert abs(m[1] - mp.mpf(37) / 8) < mp.mpf("1e-25")
 
     def test_unitary_zeroth(self):
         p = MonicPoly.from_angles([0.3, -0.3])
