@@ -37,8 +37,8 @@ from .partitions import (
     mobius_top,
 )
 from .polycalc import MonicPoly, boxtimes, from_normalized, normalized_coeffs
-from .scalars import (DEFAULT_DIGITS, common_kind, csum, falling, kind_of, promote_ints, to_mpf,
-                      work)
+from .scalars import (DEFAULT_DIGITS, common_kind, csum, falling, integer_weights, kind_of,
+                      promote_ints, to_mpf, work)
 from .series import PowerSeries
 
 
@@ -88,13 +88,17 @@ def cumulants_from_atilde(d: int, atilde: Sequence, n_max: int,
 
 
 def _literal_partition_sum(atilde: Sequence, n: int, digits: int):
+    weights, D = integer_weights(atilde[1: n + 1])
     terms = []
     for pi in enumerate_partitions(n):
         term = mobius_top(pi)
         for b in pi.blocks:
-            term = term * atilde[len(b)]
+            term = term * weights[len(b) - 1]
         terms.append(term)
-    return csum(terms, digits=digits)
+    total = csum(terms, digits=digits)
+    if isinstance(total, int):  # exact weights: the sum is D^n times its value
+        total = Fraction(total, D ** n)
+    return total
 
 
 def finite_cumulants(p: MonicPoly, digits: int = DEFAULT_DIGITS) -> CumulantVector:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Sequence
@@ -446,18 +447,20 @@ def fit_rate(table: ResultTable, axis: str) -> dict:
         if r.abs_error <= floor * scale:
             excluded += 1
             continue
-        groups.setdefault((r.kind, r.n), []).append((float(x), float(r.abs_error)))
+        # an error below the binary64 normal range takes its log in mpmath,
+        # so it stays finite; binary64 holds the rest, at a fraction of the
+        # cost.  The axis is an int, which math.log takes at any size.
+        e = float(r.abs_error)
+        ly = math.log(e) if e >= sys.float_info.min else float(mp.log(to_mpf(r.abs_error)))
+        groups.setdefault((r.kind, r.n), []).append((math.log(x), ly))
     if excluded:
         table.notes.append(
             f"rate fit: {excluded} row(s) at the precision floor were excluded"
         )
     rates: dict = {}
     for key, pts in sorted(groups.items()):
-        xs = sorted({x for x, _ in pts})
-        if len(xs) < 3:
+        if len({lx for lx, _ in pts}) < 3:
             rates[key] = None
             continue
-        lx = np.log([x for x, _ in pts])
-        ly = np.log([e for _, e in pts])
-        rates[key] = float(np.polyfit(lx, ly, 1)[0])
+        rates[key] = float(np.polyfit([lx for lx, _ in pts], [ly for _, ly in pts], 1)[0])
     return rates

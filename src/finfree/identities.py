@@ -27,7 +27,7 @@ from .partitions import (
     enumerate_partitions,
     mobius_top,
 )
-from .scalars import binom, exp
+from .scalars import binom, exp, integer_weights
 from .series import PowerSeries
 
 
@@ -173,16 +173,19 @@ def s_bruteforce(fs: Sequence[ZeroConstPoly], n: int,
         raise ValueError("n must be >= 1")
     if n > cap:
         raise CapExceededError("partition sum", n, cap)
-    # cache per-size values of each f
+    # per-size values of each f over one common denominator D, as ints: each
+    # factor sum_V f_i(|V|) is then D times its value, and each term D^k times
     tables = [[f(s) for s in range(n + 1)] for f in fs]
-    total = Fraction(0)
+    D = math.lcm(*(v.denominator for tab in tables for v in tab))
+    tables = [[v.numerator * (D // v.denominator) for v in tab] for tab in tables]
+    total = 0
     for pi in enumerate_partitions(n, cap=cap):
         sizes = [len(b) for b in pi.blocks]
-        term = Fraction(mobius_top(pi))
+        term = mobius_top(pi)
         for tab in tables:
             term *= sum(tab[s] for s in sizes)
         total += term
-    return total
+    return Fraction(total, D ** len(fs))
 
 
 def s_mobius_route(fs: Sequence[ZeroConstPoly], n: int,
@@ -261,13 +264,16 @@ def faa_di_bruno_exp(derivs: Sequence, u0, n: int,
         raise CapExceededError("derivative order", n, cap)
     if len(derivs) < n:
         raise ValueError(f"need the first {n} derivatives of u, got {len(derivs)}")
+    weights, D = integer_weights(derivs[:n])
     total = None
     for pi in enumerate_partitions(n, cap=cap):
         term = None
         for b in pi.blocks:
-            d = derivs[len(b) - 1]
+            d = weights[len(b) - 1]
             term = d if term is None else term * d
         total = term if total is None else total + term
+    if isinstance(total, int):  # exact weights: the sum is D^n times its value
+        total = Fraction(total, D ** n)
     return total * exp(u0)
 
 
@@ -282,7 +288,7 @@ def composition_identity(n: int, k: int,
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
     if n - 1 > cap:
         raise CapExceededError("partition sum", n - 1, cap)
-    left = Fraction(0)
+    left = 0
     for pi in enumerate_partitions(n - 1, cap=cap):
         if pi.num_blocks != k:
             continue
@@ -290,6 +296,6 @@ def composition_identity(n: int, k: int,
         for b in pi.blocks:
             term *= math.factorial(len(b))
         left += term
-    left /= math.factorial(n - 1)
+    left = Fraction(left, math.factorial(n - 1))
     right = Fraction(binom(n - 2, k - 1), math.factorial(k))
     return left, right

@@ -46,6 +46,19 @@ class SetPartition:
         object.__setattr__(self, "blocks", canon)
         self._validate()
 
+    @classmethod
+    def _canonical(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "SetPartition":
+        """Trusted constructor for blocks already in canonical form.
+
+        The caller guarantees that ``blocks`` are increasing tuples, ordered
+        by their minimum, that partition {1,...,n}; nothing is sorted or
+        validated.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "blocks", blocks)
+        return self
+
     def _validate(self) -> None:
         if self.n < 1:
             raise ValueError(f"ground-set size must be positive, got {self.n}")
@@ -173,23 +186,34 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[S
 
     The stream starts at 1_n (string 00...0) and ends at 0_n (string 012...).
     Each call owns an independent cursor.
+
+    Blocks are built incrementally: element x joins each open block in turn
+    (label 0, 1, ...) and then opens a new one, so every block is increasing
+    and the blocks stay ordered by their minimum.  Each partition is thus
+    canonical by construction and skips validation.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > cap:
         raise CapExceededError("partition enumeration", n, cap)
 
-    rgs = [0] * n
+    make = SetPartition._canonical
+    blocks: list[tuple[int, ...]] = [(1,)]
 
-    def rec(i: int, mx: int) -> Iterator[SetPartition]:
-        if i == n:
-            yield SetPartition.from_rgs(rgs)
+    def rec(x: int) -> Iterator[SetPartition]:
+        if x > n:
+            yield make(n, tuple(blocks))
             return
-        for label in range(mx + 2):
-            rgs[i] = label
-            yield from rec(i + 1, max(mx, label))
+        for i in range(len(blocks)):
+            b = blocks[i]
+            blocks[i] = b + (x,)
+            yield from rec(x + 1)
+            blocks[i] = b
+        blocks.append((x,))
+        yield from rec(x + 1)
+        blocks.pop()
 
-    yield from rec(1, 0)
+    yield from rec(2)
 
 
 def is_noncrossing(pi: SetPartition) -> bool:
@@ -278,6 +302,8 @@ def join(pi: SetPartition, sigma: SetPartition) -> SetPartition:
 
 def join_all(parts: Sequence[SetPartition], n: int) -> SetPartition:
     """Join of an arbitrary family (the empty join is 0_n)."""
+    if n < 1:
+        raise ValueError(f"ground-set size must be positive, got {n}")
     uf = _UnionFind(n)
     for part in parts:
         if part.n != n:
@@ -285,10 +311,12 @@ def join_all(parts: Sequence[SetPartition], n: int) -> SetPartition:
         for b in part.blocks:
             for x in b[1:]:
                 uf.union(b[0], x)
+    # filled in increasing x: each group is increasing and the groups are
+    # ordered by their minimum, which is the canonical form
     groups: dict[int, list[int]] = {}
     for x in range(1, n + 1):
         groups.setdefault(uf.find(x), []).append(x)
-    return SetPartition(n, list(groups.values()))
+    return SetPartition._canonical(n, tuple(map(tuple, groups.values())))
 
 
 def is_refinement(pi: SetPartition, sigma: SetPartition) -> bool:

@@ -91,7 +91,7 @@ class MonicPoly:
         else:
             with mp.workdps(30):
                 hi = _expand([to_mpf(r, 30) for r in roots], mp.mpf(1))
-            coeffs = tuple(float(c) for c in hi)
+            coeffs = tuple(complex(c) if isinstance(c, mp.mpc) else float(c) for c in hi)
         return cls(degree=len(roots), coeffs=coeffs, roots=roots)
 
     @classmethod
@@ -472,6 +472,9 @@ def newton_maclaurin_check(p: MonicPoly, digits: int = DEFAULT_DIGITS) -> Newton
     Newton: atilde_{i+1} atilde_{i-1} <= atilde_i^2 for 1 <= i <= d-1;
     Maclaurin (nonnegative roots): atilde_1 >= atilde_2^(1/2) >= ... over
     the nonvanishing prefix.  Report only, never raises on violation.
+    On exact input the chain is reported in binary64, and a step binary64
+    cannot resolve is decided in mpf at ``digits`` and, inside the mpf
+    tolerance, exactly.
     """
     at = normalized_coeffs(p, digits=digits)
     d = p.degree
@@ -503,9 +506,16 @@ def newton_maclaurin_check(p: MonicPoly, digits: int = DEFAULT_DIGITS) -> Newton
             chain.append(
                 mp.mpf(a) ** (mp.mpf(1) / i) if kind == MPF else float(a) ** (1.0 / i)
             )
+
+        def decreasing(j: int) -> bool:
+            hi, lo = chain[j], chain[j + 1]
+            if kind == EXACT and abs(hi - lo) <= 1e-12 * max(1.0, hi, lo):
+                return _exact_chain_step(at, j + 1, digits)
+            return hi >= lo - eps
+
         maclaurin_holds = all(
             not (isinstance(v, float) and math.isnan(v)) for v in chain
-        ) and all(chain[i] >= chain[i + 1] - eps for i in range(len(chain) - 1))
+        ) and all(decreasing(j) for j in range(len(chain) - 1))
     return NewtonMaclaurinReport(
         newton_holds=newton_holds,
         maclaurin_holds=maclaurin_holds,
@@ -514,6 +524,21 @@ def newton_maclaurin_check(p: MonicPoly, digits: int = DEFAULT_DIGITS) -> Newton
         newton_margins=margins,
         maclaurin_chain=tuple(chain),
     )
+
+
+def _exact_chain_step(at: Sequence, i: int, digits: int) -> bool:
+    """atilde_i^(1/i) >= atilde_{i+1}^(1/(i+1)) for exact, nonnegative atilde.
+
+    For a pair binary64 cannot separate: compared in mpf at ``digits``, and
+    what lies inside the mpf tolerance is settled by the exact test
+    atilde_i^(i+1) >= atilde_{i+1}^i.  Only there, because exact powers at
+    large degree cost seconds.
+    """
+    with mp.workdps(digits):
+        hi, lo = (to_mpf(at[k], digits) ** (mp.mpf(1) / k) for k in (i, i + 1))
+        if abs(hi - lo) > mp.mpf(10) ** (-(digits - 6)) * max(1, hi, lo):
+            return hi > lo
+    return at[i] ** (i + 1) >= at[i + 1] ** i
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ Three scalar kinds are used throughout the package:
 Kinds are never mixed silently: ``common_kind`` refuses heterogeneous
 inputs, and promotion happens only through ``promote_ints`` and ``to_mpf``.
 Every per-kind decision lives here: the precision scope (``work``), the
-exponential (``exp``), conversion into mpmath (``to_mpf``) and printing
-(``format_scalar``).
+exponential (``exp``), conversion into mpmath (``to_mpf``), printing
+(``format_scalar``) and the common denominator of exact block weights
+(``integer_weights``).
 """
 
 from __future__ import annotations
@@ -81,6 +82,24 @@ def to_mpf(x, digits: int = DEFAULT_DIGITS):
         if isinstance(x, Fraction):
             return mp.mpf(x.numerator) / x.denominator
         return mp.mpc(x)
+
+
+def integer_weights(weights: Sequence) -> tuple[list, int]:
+    """Block weights put over one common denominator, for sums over P(n).
+
+    ``weights[s - 1]`` is the weight w_s of a block of size s.  When every
+    weight is exact, the result is the ints w_s * D^s and D, the lcm of the
+    denominators: a product of scaled weights over the blocks of a partition
+    of [n] is D^n times the product of the weights, so a block-multiplicative
+    sum over P(n) runs on ints and divides by D^n once.  Any other kind, or a
+    ring element that is not a scalar, comes back unchanged with D = 1.
+    """
+    weights = list(weights)
+    if not all(isinstance(w, (int, Fraction)) for w in weights):
+        return weights, 1
+    D = math.lcm(*(w.denominator for w in weights))
+    return [w.numerator * (D // w.denominator) * D ** (s - 1)
+            for s, w in enumerate(weights, start=1)], D
 
 
 def exp(x):

@@ -73,3 +73,53 @@ def finite_difference_coeffs(values):
         row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
         out.append(row[0])
     return out
+
+
+def _mobius_top(num_blocks: int) -> int:
+    """mu(pi, 1_n) = (-1)^(r-1) (r-1)! for a partition with r blocks."""
+    from math import factorial
+
+    return (-1) ** (num_blocks - 1) * factorial(num_blocks - 1)
+
+
+def s_literal(fs, n: int) -> Fraction:
+    """The partition sum term by term in Fraction arithmetic, over the
+    insertion enumeration: sum_pi mu(pi, 1_n) prod_i sum_V f_i(|V|)."""
+    tables = [[f(s) for s in range(n + 1)] for f in fs]
+    total = Fraction(0)
+    for pi in partitions_by_insertion(n):
+        sizes = [len(b) for b in pi]
+        term = Fraction(_mobius_top(len(pi)))
+        for tab in tables:
+            term *= sum(tab[s] for s in sizes)
+        total += term
+    return total
+
+
+def faa_di_bruno_literal(derivs, n: int) -> Fraction:
+    """n-th derivative of exp(u) at a point where u = 0: the sum over P(n)
+    of prod_V derivs[|V|-1], in Fraction arithmetic."""
+    total = Fraction(0)
+    for pi in partitions_by_insertion(n):
+        term = Fraction(1)
+        for b in pi:
+            term *= derivs[len(b) - 1]
+        total += term
+    return total
+
+
+def cumulants_literal(d: int, atilde, n_max: int) -> list:
+    """kappa_n = (-d)^(n-1)/(n-1)! sum_pi mu(pi, 1_n) prod_V atilde_|V|,
+    in Fraction arithmetic, for n = 1..n_max."""
+    from math import factorial
+
+    out = []
+    for n in range(1, n_max + 1):
+        total = Fraction(0)
+        for pi in partitions_by_insertion(n):
+            term = Fraction(_mobius_top(len(pi)))
+            for b in pi:
+                term *= atilde[len(b)]
+            total += term
+        out.append((-d) ** (n - 1) * total / factorial(n - 1))
+    return out

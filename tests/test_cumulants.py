@@ -25,6 +25,8 @@ from finfree.polycalc import (
     normalized_coeffs,
 )
 
+from .oracles import cumulants_literal
+
 
 def rational_poly(rng, d):
     coeffs = [1] + [Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(d)]
@@ -62,6 +64,16 @@ class TestTransform:
         grouped = cumulants_from_atilde(d, at, 8, grouped=True)
         full = cumulants_from_atilde(d, at, 8, grouped=False)
         assert grouped == full
+
+    def test_literal_path_matches_fraction_loop(self):
+        rng = random.Random(47)
+        for d in (8, 12):
+            for _ in range(3):
+                at = [Fraction(1)] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                      for _ in range(8)]
+                got = cumulants_from_atilde(d, at, 8, grouped=False)
+                assert all(type(k) is Fraction for k in got)
+                assert got == cumulants_literal(d, at, 8)
 
     def test_requires_n_le_d(self):
         with pytest.raises(ValueError):

@@ -223,6 +223,14 @@ class TestRateFit:
         assert rates[("fms", 2)] == pytest.approx(-1.0, abs=1e-9)
         assert any("precision floor" in n for n in tab.notes)
 
+    def test_errors_below_binary64_range(self):
+        tab = ResultTable(precision=500)
+        for d in (10, 20, 40, 80):
+            err = mp.mpf("5e-400") / d
+            tab.rows.append(Row("fms", d, None, 1.0, 2, mp.mpf(1), mp.mpf(1), err, err))
+        rates = fit_rate(tab, "d")
+        assert rates[("fms", 2)] == pytest.approx(-1.0, abs=1e-9)
+
     def test_axis_validated(self):
         with pytest.raises(ValueError):
             fit_rate(ResultTable(), "t")

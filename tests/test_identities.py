@@ -21,7 +21,7 @@ from finfree.identities import (
 )
 from finfree.partitions import count_S
 
-from .oracles import finite_difference_coeffs
+from .oracles import faa_di_bruno_literal, finite_difference_coeffs, s_literal
 
 x = ZeroConstPoly.monomial
 c = ZeroConstPoly.binomial_basis
@@ -115,6 +115,14 @@ class TestSBruteforce:
 
     def test_monomial_cube(self):
         assert s_bruteforce([x(3)], 3) == 6  # = closed form 2! * 1 * 3 * 1
+
+    def test_matches_literal_fraction_loop(self):
+        rng = random.Random(41)
+        for n in range(1, 9):
+            for _ in range(3):
+                fs = [random_poly(rng) for _ in range(rng.randint(1, 3))]
+                got = s_bruteforce(fs, n)
+                assert type(got) is Fraction and got == s_literal(fs, n)
 
 
 class TestClosedForm:
@@ -273,6 +281,16 @@ class TestFaaDiBruno:
     def test_requires_enough_derivatives(self):
         with pytest.raises(ValueError):
             faa_di_bruno_exp([1], 0, 2)
+
+    def test_matches_literal_fraction_loop(self):
+        rng = random.Random(43)
+        for n in range(1, 9):
+            derivs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n + 1)]
+            got = faa_di_bruno_exp(derivs, 0, n)
+            assert type(got) is Fraction and got == faa_di_bruno_literal(derivs, n)
+            ints = [rng.randint(-5, 5) for _ in range(n)]
+            got = faa_di_bruno_exp(ints, 0, n)
+            assert type(got) is Fraction and got == faa_di_bruno_literal(ints, n)
 
 
 class TestCompositionIdentity:

@@ -89,13 +89,28 @@ class TestEnumeration:
         assert stream[-1] == SetPartition.bottom(5)
 
     def test_matches_insertion_oracle(self):
-        for n in range(1, 7):
+        for n in range(1, 9):
             ours = {p.blocks for p in enumerate_partitions(n)}
             oracle = {
                 tuple(sorted((tuple(sorted(b)) for b in pp), key=lambda b: b[0]))
                 for pp in partitions_by_insertion(n)
             }
             assert ours == oracle
+
+    def test_equals_validated_construction(self):
+        for n in range(1, 9):
+            for p in enumerate_partitions(n):
+                q = SetPartition(n, p.blocks)
+                assert p == q and hash(p) == hash(q) and p.blocks == q.blocks
+
+    def test_rgs_strings_strictly_increasing(self):
+        for n in range(1, 9):
+            strings = []
+            for p in enumerate_partitions(n):
+                owner = p.block_of()
+                strings.append(tuple(owner[x] for x in range(1, n + 1)))
+            assert len(strings) == bell_oracle(n)
+            assert all(a < b for a, b in zip(strings, strings[1:]))
 
     def test_cap_refused_with_message(self):
         with pytest.raises(CapExceededError, match="cap 12"):
@@ -423,6 +438,20 @@ class TestJoinAll:
     def test_empty_family_is_bottom(self):
         assert join_all([], 4) == SetPartition.bottom(4)
 
+    def test_nonpositive_ground_set_refused(self):
+        with pytest.raises(ValueError):
+            join_all([], 0)
+
+    def test_equals_validated_rebuild(self):
+        rng = random.Random(17)
+        for n in range(1, 9):
+            for _ in range(20):
+                parts = [SetPartition.from_rgs(_random_rgs(rng, n))
+                         for _ in range(rng.randint(0, 3))]
+                j = join_all(parts, n)
+                q = SetPartition(n, j.blocks)
+                assert j == q and hash(j) == hash(q) and j.blocks == q.blocks
+
     def test_three_way(self):
         parts = [
             SetPartition(5, [(1, 2), (3,), (4,), (5,)]),
@@ -430,3 +459,10 @@ class TestJoinAll:
             SetPartition(5, [(1,), (2,), (3,), (4, 5)]),
         ]
         assert join_all(parts, 5) == SetPartition(5, [(1, 2, 3), (4, 5)])
+
+
+def _random_rgs(rng, n):
+    rgs = [0]
+    for _ in range(1, n):
+        rgs.append(rng.randint(0, max(rgs) + 1))
+    return rgs

@@ -46,6 +46,12 @@ class TestRepresentation:
         with pytest.raises(ValueError):
             MonicPoly.from_coeffs([2, 1])
 
+    def test_from_roots_complex_binary64(self):
+        p = MonicPoly.from_coeffs([1.0, -3.0, 3.25, -2.5])  # roots 0.5 +- 1j and 2
+        for roots in ([0.5 + 1j, 0.5 - 1j, 2.0], roots_of(p)):
+            q = MonicPoly.from_roots(roots)
+            assert all(abs(a - b) < 1e-12 for a, b in zip(q.coeffs, p.coeffs))
+
     def test_from_roots_exact_expansion(self):
         p = MonicPoly.from_roots([1, 2, 3])
         assert p.coeffs == (1, -6, 11, -6)
@@ -350,6 +356,25 @@ class TestNewtonMaclaurin:
         assert rep.newton_holds and rep.maclaurin_holds
         assert not rep.all_roots_equal
         assert all(m > 0 for m in rep.newton_margins)
+
+    def test_equal_rational_roots(self):
+        rep = newton_maclaurin_check(MonicPoly.from_roots([Fraction(1, 3)] * 3))
+        assert rep.newton_holds and rep.maclaurin_holds and rep.all_roots_equal
+        for d in (3, 5, 7):
+            for num in range(1, 30):
+                for den in range(1, 8):
+                    p = MonicPoly.from_roots([Fraction(num, den)] * d)
+                    rep = newton_maclaurin_check(p)
+                    assert rep.maclaurin_holds and rep.all_roots_equal, (num, den, d)
+
+    def test_chain_steps_below_binary64_resolution(self):
+        # atilde = (1, 1, 1 + delta): the chain is 1 >= (1 + delta)^(1/2),
+        # which holds exactly when delta <= 0
+        for exponent in (30, 70):  # decided in mpf; inside the mpf tolerance
+            for sign in (1, -1):
+                delta = Fraction(sign, 10 ** exponent)
+                rep = newton_maclaurin_check(from_normalized([1, 1, 1 + delta]))
+                assert rep.maclaurin_holds == (sign < 0), (exponent, sign)
 
     def test_zero_roots_trailing_atilde(self):
         p = MonicPoly.from_roots([0, 0, 1, 2])

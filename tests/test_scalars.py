@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from finfree.scalars import EXACT, FLOAT64, MPF, exp, format_scalar, to_mpf, work
+from finfree.scalars import EXACT, FLOAT64, MPF, exp, format_scalar, integer_weights, to_mpf, work
 
 
 class TestExp:
@@ -76,3 +76,29 @@ class TestFormatScalar:
             mantissa = text.lstrip("-").split("e")[0].replace(".", "").lstrip("0")
             assert len(mantissa) <= 17
         assert complex(format_scalar(0.1 - 0.2j)) == 0.1 - 0.2j
+
+
+class TestIntegerWeights:
+    def test_exact_weights_round_trip(self):
+        for weights in ([3, -1, 4], [Fraction(1, 2), Fraction(-2, 3), 5, Fraction(7, 4)],
+                        [Fraction(-5, 6)], [0, Fraction(1, 9)]):
+            ints, D = integer_weights(weights)
+            assert D == math.lcm(*(Fraction(w).denominator for w in weights))
+            assert all(type(v) is int for v in ints)
+            assert [Fraction(v, D ** s) for s, v in enumerate(ints, start=1)] == weights
+
+    def test_partition_product_scales_by_d_to_the_n(self):
+        weights = [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)]
+        ints, D = integer_weights(weights)
+        # blocks of sizes 1, 1 and 3 partition [5]
+        assert Fraction(ints[0] * ints[0] * ints[2], D ** 5) == weights[0] ** 2 * weights[2]
+
+    def test_other_kinds_pass_through(self):
+        with mp.workdps(30):
+            third = mp.mpf(1) / 3
+        ring = object()
+        for weights in ([third, 2], [0.25, 1], [1j, Fraction(1, 2)], [ring, 1]):
+            ints, D = integer_weights(weights)
+            assert D == 1
+            assert len(ints) == len(weights)
+            assert all(a is b for a, b in zip(ints, weights))
