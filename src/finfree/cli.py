@@ -154,35 +154,39 @@ def _cmd_identity(args) -> str:
     return out
 
 
+# family -> counting methods, the default first
+_COUNT_METHODS = {
+    "R": ("formula", "brute"),
+    "S": ("brute",),
+    "T": ("closed", "brute"),
+    "joinfull": ("closed", "brute"),
+}
+
+
 def _cmd_count(args) -> str:
     sizes = _parse_int_list(args.sizes)
     cap = args.cap or DEFAULT_TUPLE_CAP
     fam = args.family
+    methods = _COUNT_METHODS[fam]
+    method = args.method or methods[0]
+    if method not in methods:
+        raise ValueError(f"family {fam} has methods {'|'.join(methods)}")
+    if fam in ("R", "S") and args.n is None:
+        raise ValueError(f"family {fam} needs --n")
     if fam == "R":
-        if args.n is None:
-            raise ValueError("family R needs --n")
-        method = args.method or "formula"
-        if method == "closed":
-            raise ValueError("family R has methods brute|formula")
         val = count_R(args.n, sizes, cap=cap, method=method)
     elif fam == "S":
-        if args.n is None:
-            raise ValueError("family S needs --n")
-        if args.method not in (None, "brute"):
-            raise ValueError("family S is brute-force only")
         val = count_S(args.n, sizes, cap=cap)
     elif fam == "T":
         if not args.lengths:
             raise ValueError("family T needs --lengths")
         lengths = _parse_int_list(args.lengths)
-        method = args.method or "closed"
         val = (
             count_T(sizes, lengths, cap=cap)
             if method == "brute"
             else count_T_closed(sizes, lengths)
         )
     else:
-        method = args.method or "closed"
         val = (
             count_join_full(sizes, cap=cap)
             if method == "brute"
@@ -232,11 +236,8 @@ def _cmd_limit(args) -> str:
             raise ValueError("--kind conflicts with the config file")
     if "precision" not in obj:
         obj["precision"] = args.precision
-    cfg = ExperimentConfig.from_json(obj)
-    if args.format != "csv":
-        cfg.format = args.format
-    table = run_experiment(cfg)
-    if cfg.format == "json":
+    table = run_experiment(ExperimentConfig.from_json(obj))
+    if args.format == "json":
         return json.dumps(table.to_json(), indent=2)
     return table.to_csv()
 

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import io
 import math
+import statistics
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Sequence
 
 import mpmath as mp
-import numpy as np
 
 from .cumulants import (
     cumulants_from_atilde,
@@ -41,7 +41,6 @@ from .freelimits import (
 from .polycalc import MonicPoly, normalized_coeffs, poly_from_json
 from .scalars import common_kind, format_scalar, promote_ints, to_mpf, work
 
-KINDS = ("sy", "multclt", "lln", "uclt", "fms", "hermite", "laguerre")
 SY_REGIMES = ("t", "zero")
 
 
@@ -68,11 +67,8 @@ class ExperimentConfig:
     n_max: int = 3
     precision: int = 50
     sigma: float | None = None
-    lam: float = 1.0
     regime: str | None = None
     poly: dict | None = None
-    format: str = "csv"
-    out: str | None = None
 
     def __post_init__(self):
         self.d = _as_int_tuple("d", self.d)
@@ -96,23 +92,13 @@ class ExperimentConfig:
             raise ValueError("precision must be at least 15 digits")
         if self.n_max < 1:
             raise ValueError("n_max must be positive")
-        if self.kind == "sy":
-            if not self.d or not self.m:
-                raise ValueError("scaled-power experiment needs d and m grids")
-            if self.regime not in SY_REGIMES:
-                raise ValueError("regime must be 't' or 'zero' (no auto-detection)")
-        elif self.kind in ("fms", "hermite", "laguerre"):
-            if not self.d or not self.t:
-                raise ValueError(f"{self.kind} needs d and t grids")
-        else:  # multclt, lln, uclt
-            if not self.m:
-                raise ValueError(f"{self.kind} needs an m grid")
-            if self.poly is None and self.sigma is None:
-                raise ValueError(f"{self.kind} needs a polynomial literal or sigma")
+        missing = [g for g in _KINDS[self.kind][1] if not getattr(self, g)]
+        if missing:
+            raise ValueError(f"{self.kind} needs non-empty grids: {', '.join(missing)}")
+        if self.kind == "sy" and self.regime not in SY_REGIMES:
+            raise ValueError("regime must be 't' or 'zero' (no auto-detection)")
         if self.d and self.n_max > min(self.d):
             raise ValueError("n_max may not exceed the smallest degree in the grid")
-        if self.format not in ("csv", "json"):
-            raise ValueError("format must be csv or json")
 
 
 def _as_tuple(v):
@@ -228,7 +214,7 @@ def _make_row(kind, d, m, t, n, value, reference, digits) -> Row:
 # ---------------------------------------------------------------------------
 
 def precision_budget(n_max: int, d_max: int, digits: int, context: str,
-                     notes: list | None = None) -> None:
+                     notes: list) -> None:
     """Cancellation-budget rule: need about (n-1)*log10(d) + 15 digits.
 
     Below the +15 margin a warning note is recorded; with no margin at all
@@ -237,7 +223,7 @@ def precision_budget(n_max: int, d_max: int, digits: int, context: str,
     cancel = (n_max - 1) * math.log10(max(d_max, 2))
     if digits <= cancel:
         raise PrecisionBudgetError(digits, cancel + 15, context)
-    if digits < cancel + 15 and notes is not None:
+    if digits < cancel + 15:
         notes.append(
             f"precision warning: {context} has ~{cancel:.1f} digits of cancellation; "
             f"{digits} digits leaves a thin margin (recommend >= {cancel + 15:.0f})"
@@ -251,11 +237,6 @@ def precision_budget(n_max: int, d_max: int, digits: int, context: str,
 def _sy_atilde_prefix(cfg: ExperimentConfig, d: int, n_max: int, notes: list):
     """Normalized-coefficient prefix of the base family for the scaled-power run."""
     if cfg.poly is None:
-        lam = Fraction(cfg.lam).limit_denominator(10 ** 9)
-        if lam != 1:
-            raise ValueError(
-                "the scaled-power hypothesis needs first cumulant 1; lam must be 1"
-            )
         return [laguerre_hat_atilde(d, Fraction(1), i) for i in range(n_max + 1)]
     p = poly_from_json(cfg.poly)
     if p.degree != d:
@@ -290,6 +271,8 @@ def _clt_thetas(cfg: ExperimentConfig, unitary: bool):
         if any(float(r) <= 0 for r in p.roots):
             raise ValueError("positive roots required to take logarithms")
         return [math.log(float(r)) for r in p.roots]
+    if cfg.sigma is None:
+        raise ValueError(f"{cfg.kind} needs a polynomial literal or sigma")
     s = float(cfg.sigma)
     return [s, -s]
 
@@ -385,12 +368,7 @@ def _run_coeff_family(cfg: ExperimentConfig, table: ResultTable) -> None:
             targets = [mp.exp(sign * tt * k * (d - k) / (2 * d)) for k in range(d + 1)]
     for m in cfg.m:
         with mp.workdps(digits):
-            if kind == "multclt":
-                c = 1 / mp.sqrt(m)
-            elif kind == "lln":
-                c = mp.mpf(1) / m
-            else:
-                c = 1 / mp.sqrt(m)
+            c = mp.mpf(1) / m if kind == "lln" else 1 / mp.sqrt(m)
             if unitary:
                 scaled = MonicPoly.from_angles([to_mpf(v, digits) * c for v in thetas],
                                                digits=digits)
@@ -405,21 +383,27 @@ def _run_coeff_family(cfg: ExperimentConfig, table: ResultTable) -> None:
             )
 
 
+# kind -> (runner, grids it sweeps); its rate is fitted along the first grid
+_KINDS = {
+    "sy": (_run_sy, ("d", "m")),
+    "multclt": (_run_coeff_family, ("m",)),
+    "lln": (_run_coeff_family, ("m",)),
+    "uclt": (_run_coeff_family, ("m",)),
+    "fms": (_run_kappa_family, ("d", "t")),
+    "hermite": (_run_kappa_family, ("d", "t")),
+    "laguerre": (_run_kappa_family, ("d", "t")),
+}
+KINDS = tuple(_KINDS)
+
+
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Run one experiment grid; deterministic for a fixed config."""
     cfg.validate()
     table = ResultTable(precision=cfg.precision)
-    if cfg.kind == "sy":
-        _run_sy(cfg, table)
-        axis = "d"
-    elif cfg.kind in ("fms", "hermite", "laguerre"):
-        _run_kappa_family(cfg, table)
-        axis = "d"
-    else:
-        _run_coeff_family(cfg, table)
-        axis = "m"
+    runner, grids = _KINDS[cfg.kind]
+    runner(cfg, table)
     table.sort()
-    table.rates = fit_rate(table, axis)
+    table.rates = fit_rate(table, grids[0])
     return table
 
 
@@ -462,5 +446,5 @@ def fit_rate(table: ResultTable, axis: str) -> dict:
         if len({lx for lx, _ in pts}) < 3:
             rates[key] = None
             continue
-        rates[key] = float(np.polyfit([lx for lx, _ in pts], [ly for _, ly in pts], 1)[0])
+        rates[key] = statistics.linear_regression(*zip(*pts)).slope
     return rates

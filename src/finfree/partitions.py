@@ -97,9 +97,6 @@ class SetPartition:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(sorted(len(b) for b in self.blocks))
-
     def block_of(self) -> dict[int, int]:
         """Map element -> index of its block."""
         out: dict[int, int] = {}

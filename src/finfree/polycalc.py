@@ -472,9 +472,9 @@ def newton_maclaurin_check(p: MonicPoly, digits: int = DEFAULT_DIGITS) -> Newton
     Newton: atilde_{i+1} atilde_{i-1} <= atilde_i^2 for 1 <= i <= d-1;
     Maclaurin (nonnegative roots): atilde_1 >= atilde_2^(1/2) >= ... over
     the nonvanishing prefix.  Report only, never raises on violation.
-    On exact input the chain is reported in binary64, and a step binary64
-    cannot resolve is decided in mpf at ``digits`` and, inside the mpf
-    tolerance, exactly.
+    On exact input the chain is reported in binary64 (inf past its range),
+    and a step binary64 cannot resolve is decided in mpf at ``digits`` and,
+    inside the mpf tolerance, exactly.
     """
     at = normalized_coeffs(p, digits=digits)
     d = p.degree
@@ -503,13 +503,12 @@ def newton_maclaurin_check(p: MonicPoly, digits: int = DEFAULT_DIGITS) -> Newton
             if a < 0:
                 chain.append(float("nan"))
                 continue
-            chain.append(
-                mp.mpf(a) ** (mp.mpf(1) / i) if kind == MPF else float(a) ** (1.0 / i)
-            )
+            chain.append(mp.mpf(a) ** (mp.mpf(1) / i) if kind == MPF else _f64_root(a, i))
 
         def decreasing(j: int) -> bool:
             hi, lo = chain[j], chain[j + 1]
-            if kind == EXACT and abs(hi - lo) <= 1e-12 * max(1.0, hi, lo):
+            # hi == lo also catches a pair of roots both past binary64 (inf)
+            if kind == EXACT and (hi == lo or abs(hi - lo) <= 1e-12 * max(1.0, hi, lo)):
                 return _exact_chain_step(at, j + 1, digits)
             return hi >= lo - eps
 
@@ -524,6 +523,19 @@ def newton_maclaurin_check(p: MonicPoly, digits: int = DEFAULT_DIGITS) -> Newton
         newton_margins=margins,
         maclaurin_chain=tuple(chain),
     )
+
+
+def _f64_root(a, i: int) -> float:
+    """a^(1/i) in binary64 for a nonnegative a, also for exact a past binary64.
+
+    Such an a takes its root in mpf; a root that is itself past binary64
+    comes back as inf.
+    """
+    try:
+        return float(a) ** (1.0 / i)
+    except OverflowError:
+        with mp.workdps(30):
+            return float(to_mpf(a, 30) ** (mp.mpf(1) / i))
 
 
 def _exact_chain_step(at: Sequence, i: int, digits: int) -> bool:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from finfree import cli
 from finfree.cumulants import finite_cumulants
@@ -101,6 +104,25 @@ class TestCountCommand:
         code, _, _ = run(capsys, "count", "R", "--sizes", "1,1")
         assert code == 2
 
+    def test_method_outside_family_exit_2(self, capsys):
+        for argv, methods in (
+            (("T", "--sizes", "2,2", "--lengths", "1,1,1"), "closed|brute"),
+            (("joinfull", "--sizes", "2,2"), "closed|brute"),
+            (("R", "--sizes", "2,2", "--n", "4"), "formula|brute"),
+        ):
+            bad = "closed" if argv[0] == "R" else "formula"
+            code, out, err = run(capsys, "count", *argv, "--method", bad)
+            assert code == 2 and out == ""
+            assert f"family {argv[0]} has methods {methods}" in err
+
+    def test_S_is_brute_only(self, capsys):
+        code, out, _ = run(capsys, "count", "S", "--sizes", "2,2", "--n", "3",
+                           "--method", "brute")
+        assert code == 0 and out.strip() == "6"
+        code, _, err = run(capsys, "count", "S", "--sizes", "2,2", "--n", "3",
+                           "--method", "formula")
+        assert code == 2 and "family S has methods brute" in err
+
 
 class TestConvCommand:
     def test_boxplus(self, capsys):
@@ -189,6 +211,20 @@ class TestLimitCommand:
         code, _, err = run(capsys, "limit", "--config", '{"kind": "fms", "dd": [1]}')
         assert code == 2 and "unknown config keys" in err
 
+    def test_removed_config_keys_exit_2(self, capsys):
+        # output format and destination are the global --format/--out flags
+        for extra in ('"format": "json"', '"out": "t.csv"', '"lam": 1'):
+            cfg = '{"kind": "fms", "d": [20], "t": [1.0], "n_max": 2, ' + extra + "}"
+            code, out, err = run(capsys, "limit", "--config", cfg)
+            assert code == 2 and out == "" and "unknown config keys" in err
+
+    def test_format_flag_alone_picks_json(self, capsys):
+        cfg = '{"kind": "fms", "d": [20], "t": [1.0], "n_max": 2}'
+        code, out, _ = run(capsys, "--format", "json", "limit", "--config", cfg)
+        assert code == 0 and len(json.loads(out)["rows"]) == 2
+        code, out, _ = run(capsys, "limit", "--config", cfg)
+        assert code == 0 and out.startswith("kind,d,m,t,n")
+
     def test_kind_flag_conflict(self, capsys):
         code, _, _ = run(
             capsys, "limit", "--kind", "fms",
@@ -227,3 +263,12 @@ class TestExitCodes:
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "limit", "--config", "/nonexistent/cfg.json")
         assert code == 2
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # a fresh interpreter, so modules imported by other tests do not count
+    code = "import sys, finfree.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -51,6 +51,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(kind="hermite", d=(), t=(1.0,)).validate()
 
+    def test_removed_knobs_refused(self):
+        # lam (only 1 was accepted), format (the CLI's --format) and out (never
+        # read) are not config fields
+        base = {"kind": "sy", "d": [4], "m": [2], "regime": "t", "n_max": 2}
+        for key, value in (("lam", 1.0), ("format", "json"), ("out", "table.csv")):
+            with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
+                ExperimentConfig.from_json({**base, key: value})
+
+    def test_clt_needs_poly_or_sigma(self):
+        for kind in ("multclt", "lln", "uclt"):
+            with pytest.raises(ValueError, match="polynomial literal or sigma"):
+                run_experiment(ExperimentConfig(kind=kind, m=[10], n_max=1))
+
     def test_int_grid_coercion(self):
         cfg = ExperimentConfig(kind="fms", d=[10.0], t=[1], n_max=2)
         assert cfg.d == (10,)
@@ -104,11 +117,6 @@ class TestSY:
         for r in tab.rows:
             expect = direct[r.n] / Fraction(m) ** (r.n - 1)
             assert abs(float(r.value) - float(expect)) < 1e-40
-
-    def test_lam_must_be_one(self):
-        cfg = ExperimentConfig(kind="sy", d=[4], m=[2], lam=2.0, regime="t", n_max=2)
-        with pytest.raises(ValueError, match="lam"):
-            run_experiment(cfg)
 
     def test_user_family_hypothesis_checked(self):
         bad = poly_to_json(MonicPoly.from_roots([Fraction(1), Fraction(3)]))

@@ -376,6 +376,19 @@ class TestNewtonMaclaurin:
                 rep = newton_maclaurin_check(from_normalized([1, 1, 1 + delta]))
                 assert rep.maclaurin_holds == (sign < 0), (exponent, sign)
 
+    def test_exact_coefficients_past_binary64_range(self):
+        # atilde_3 = 1e600 and 1e359 do not fit in binary64; their roots do
+        rep = newton_maclaurin_check(MonicPoly.from_roots([Fraction(10 ** 200)] * 3))
+        assert rep.newton_holds and rep.maclaurin_holds and rep.all_roots_equal
+        assert rep.maclaurin_chain == (1e200, 1e200, 1e200)
+        rep = newton_maclaurin_check(MonicPoly.from_roots([10 ** 120, 10 ** 120, 10 ** 119]))
+        assert rep.maclaurin_holds and not rep.all_roots_equal
+        # roots past binary64 read inf in the chain, and the steps are decided exactly
+        rep = newton_maclaurin_check(MonicPoly.from_roots([10 ** 400] * 3))
+        assert rep.maclaurin_holds and rep.maclaurin_chain == (math.inf,) * 3
+        p = from_normalized([1, 10 ** 400, 10 ** 800, 10 ** 1201])
+        assert not newton_maclaurin_check(p).maclaurin_holds
+
     def test_zero_roots_trailing_atilde(self):
         p = MonicPoly.from_roots([0, 0, 1, 2])
         rep = newton_maclaurin_check(p)

@@ -5,7 +5,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from finfree.scalars import EXACT, FLOAT64, MPF, exp, format_scalar, integer_weights, to_mpf, work
+from finfree.scalars import (EXACT, FLOAT64, MPF, csum, exp, format_scalar, integer_weights,
+                             to_mpf, work)
 
 
 class TestExp:
@@ -27,6 +28,28 @@ class TestExp:
             assert isinstance(exp(mp.mpc(0, 1)), mp.mpc)
         assert exp(0.5) == math.exp(0.5) and isinstance(exp(0.5), float)
         assert exp(0.5j) == cmath.exp(0.5j) and isinstance(exp(0.5j), complex)
+
+
+class TestCsum:
+    def test_binary64_compensated(self):
+        # the plain left-to-right sum loses the 1.0 to rounding
+        terms = [1e16, 1.0, -1e16]
+        assert sum(terms) == 0.0
+        assert csum(terms) == 1.0
+        assert csum([1.0, 1e100, 1.0, -1e100]) == 2.0
+
+    def test_complex_compensated_per_part(self):
+        terms = [1e16 + 1e16j, 1.0, 1j, -1e16 - 1e16j]
+        assert sum(terms) == 0j
+        got = csum(terms)
+        assert isinstance(got, complex) and got == 1 + 1j
+
+    def test_exact_and_mpf(self):
+        assert csum([Fraction(1, 3), Fraction(2, 3), 1]) == 2
+        with mp.workdps(15):
+            got = csum([mp.mpf(10) ** 30, mp.mpf(1), -mp.mpf(10) ** 30], digits=40)
+        assert got == 1
+        assert csum([]) == 0
 
 
 class TestWork:
