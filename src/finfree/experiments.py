@@ -360,7 +360,8 @@ def _run_coeff_family(cfg: ExperimentConfig, table: ResultTable) -> None:
         )
     with mp.workdps(digits):
         if kind == "lln":
-            alpha = to_mpf(mean, digits)
+            # the mean in mpf: a binary64 mean would put its rounding in every target
+            alpha = mp.fsum(to_mpf(v, digits) for v in thetas) / d
             targets = [mp.exp(alpha * k) for k in range(d + 1)]
         else:
             tt = mp.mpf(d) * var / (d - 1)

@@ -1,14 +1,14 @@
 """Closed-form targets of the limit theorems and the series pipeline.
 
-Cumulant/moment sequences of the four limit laws:
+Cumulant/moment sequences of the three limit laws:
 
-* ``eta_cumulant``      - compound-scaling law, kappa_n = (alpha n)^(n-1)/n!;
 * ``lambda_cumulant``   - multiplicative free semicircular law;
 * ``sigma_cumulant``    - free unitary normal law;
 * ``pi_cumulant``       - free unitary Poisson law;
 
 plus the fixed-ratio partition-sum limit (``sy_limit_t``) and its vanishing-
-ratio limit (``sy_limit_zero``).  The independent route to the same numbers
+ratio limit (``sy_limit_zero``), whose cumulants (kappa2 n)^(n-1)/n! are
+those of the compound-scaling law.  The independent route to the same numbers
 is Lagrange inversion: kappa_n = [z^(n-1)] S(z)^(-n) / n applied to the
 known S-transforms, at 50-digit default precision.
 
@@ -39,15 +39,6 @@ from .series import PowerSeries
 # ---------------------------------------------------------------------------
 # closed-form cumulant and moment sequences
 # ---------------------------------------------------------------------------
-
-def eta_cumulant(n: int, alpha, digits: int = DEFAULT_DIGITS):
-    """kappa_n = (alpha n)^(n-1) / n!."""
-    if n < 1 or alpha < 0:
-        raise ValueError("need n >= 1 and alpha >= 0")
-    with mp.workdps(digits):
-        a = to_mpf(alpha, digits)
-        return (a * n) ** (n - 1) / math.factorial(n)
-
 
 def lambda_cumulant(n: int, t, digits: int = DEFAULT_DIGITS):
     """kappa_n = exp(nt/2) (nt)^(n-1) / n!."""

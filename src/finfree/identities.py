@@ -233,22 +233,6 @@ def s_closed_form(fs: Sequence[ZeroConstPoly], n: int):
     return out
 
 
-def binomial_expand(f: ZeroConstPoly) -> list[Fraction]:
-    """Coefficients a_1..a_m of f in the binomial basis c_j(x) = C(x,j).
-
-    Computed by exact forward finite differences: a_j is the j-th forward
-    difference of f at 0.  The top coefficient is m! * lead(f).
-    """
-    m = f.degree
-    values = [f(x) for x in range(m + 1)]  # f(0)=0, f(1), ..., f(m)
-    out = []
-    row = values
-    for _ in range(m):
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-        out.append(row[0])
-    return out
-
-
 def faa_di_bruno_exp(derivs: Sequence, u0, n: int,
                      cap: int = DEFAULT_PARTITION_CAP):
     """n-th derivative of exp(u(z)) at a point, from the derivatives of u.

@@ -1,9 +1,9 @@
-"""Set-partition lattice P(n) and subset lattice B(n).
+"""Set-partition lattice P(n).
 
 Enumeration (restricted-growth-string order), refinement order, join,
-closed-form Mobius functions on both lattices, the tau and hat embeddings,
-non-crossing filtering, and brute-force counting of the covering / essential
-/ interval-join tuple families together with their closed-form counterparts.
+closed-form Mobius functions, non-crossing filtering, and brute-force
+counting of the covering / essential / interval-join tuple families together
+with their closed-form counterparts.
 
 Everything here is exact integer arithmetic on immutable values.  Brute-force
 enumerations are guarded by explicit caps because Bell numbers grow fast:
@@ -85,14 +85,6 @@ class SetPartition:
         """1_n: a single block."""
         return cls(n, [tuple(range(1, n + 1))])
 
-    @classmethod
-    def from_rgs(cls, rgs: Sequence[int]) -> "SetPartition":
-        """Build from a restricted growth string (0-based block labels)."""
-        groups: dict[int, list[int]] = {}
-        for i, label in enumerate(rgs, start=1):
-            groups.setdefault(label, []).append(i)
-        return cls(len(rgs), list(groups.values()))
-
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
@@ -108,59 +100,6 @@ class SetPartition:
     def __repr__(self) -> str:
         body = "|".join(",".join(str(x) for x in b) for b in self.blocks)
         return f"SetPartition({self.n}: {body})"
-
-
-@dataclass(frozen=True)
-class Subset:
-    """A subset of {1,...,n}, stored sorted."""
-
-    n: int
-    members: tuple[int, ...]
-
-    def __init__(self, n: int, members: Sequence[int]):
-        raw = tuple(members)
-        ms = tuple(sorted(set(raw)))
-        if len(ms) != len(raw):
-            raise ValueError("duplicate members in subset")
-        if ms and (ms[0] < 1 or ms[-1] > n):
-            raise ValueError(f"members {ms} outside 1..{n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "members", ms)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def issubset(self, other: "Subset") -> bool:
-        if self.n != other.n:
-            raise ValueError("subsets live on different ground sets")
-        return set(self.members) <= set(other.members)
-
-
-@dataclass(frozen=True)
-class OrderedPartition:
-    """An ordered tuple of blocks whose underlying set is a partition."""
-
-    n: int
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __init__(self, n: int, blocks: Sequence[Sequence[int]]):
-        ordered = tuple(tuple(sorted(b)) for b in blocks)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", ordered)
-        SetPartition(n, ordered)  # validates partition-ness
-
-    @classmethod
-    def natural_of(cls, pi: SetPartition) -> "OrderedPartition":
-        """Blocks ordered so block i holds the smallest not-yet-covered element."""
-        return cls(pi.n, pi.blocks)
-
-    @property
-    def is_natural(self) -> bool:
-        mins = [b[0] for b in self.blocks]
-        return mins == sorted(mins)
-
-    def unordered(self) -> SetPartition:
-        return SetPartition(self.n, self.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +189,6 @@ def enumerate_refinements(pi: SetPartition,
         per_block.append(opts)
     for combo in product(*per_block):
         yield SetPartition(pi.n, [blk for opt in combo for blk in opt])
-
-
-def enumerate_coarsenings(pi: SetPartition,
-                          cap: int = DEFAULT_PARTITION_CAP) -> Iterator[SetPartition]:
-    """All sigma >= pi, one for each partition of the block set of pi."""
-    for rho in enumerate_partitions(pi.num_blocks, cap=cap):
-        blocks = [
-            tuple(sorted(x for i in grp for x in pi.blocks[i - 1]))
-            for grp in rho.blocks
-        ]
-        yield SetPartition(pi.n, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -389,24 +317,9 @@ def mobius_recursive(pi: SetPartition, sigma: SetPartition, cap: int = 6) -> int
     return mu[sigma]
 
 
-def mobius_subset(w: Subset, v: Subset) -> int:
-    """Mobius function of the subset lattice: (-1)^(|V|-|W|)."""
-    if not w.issubset(v):
-        raise ValueError("mobius_subset(W, V) requires W a subset of V")
-    return (-1) ** (len(v) - len(w))
-
-
 # ---------------------------------------------------------------------------
-# embeddings
+# tuple-family counting
 # ---------------------------------------------------------------------------
-
-def tau_embed(w: Subset) -> SetPartition:
-    """The subset W as a partition: W itself plus singletons off W."""
-    if not w.members:
-        raise ValueError("tau embedding needs a nonempty subset")
-    blocks = [w.members] + [(j,) for j in range(1, w.n + 1) if j not in set(w.members)]
-    return SetPartition(w.n, blocks)
-
 
 def interval_partition(lengths: Sequence[int]) -> SetPartition:
     """Consecutive intervals of the given lengths, covering [sum(lengths)]."""
@@ -419,32 +332,6 @@ def interval_partition(lengths: Sequence[int]) -> SetPartition:
         start += l
     return SetPartition(start - 1, blocks)
 
-
-def hat_embed(sigma: SetPartition, sizes: Sequence[int]) -> SetPartition:
-    """Expand point i of [k] into an interval of length sizes[i-1].
-
-    Maps P(k) isomorphically onto the interval [hat(0_k), 1_M] of P(M),
-    M = sum(sizes); hat(0_k) is the interval partition of the sizes.
-    """
-    if len(sizes) != sigma.n or any(m < 1 for m in sizes):
-        raise ValueError("sizes must be positive, one per point of the source partition")
-    starts = []
-    s = 1
-    for m in sizes:
-        starts.append(s)
-        s += m
-    blocks = []
-    for b in sigma.blocks:
-        big: list[int] = []
-        for i in b:
-            big.extend(range(starts[i - 1], starts[i - 1] + sizes[i - 1]))
-        blocks.append(big)
-    return SetPartition(s - 1, blocks)
-
-
-# ---------------------------------------------------------------------------
-# tuple-family counting
-# ---------------------------------------------------------------------------
 
 def _check_tuple_cap(n: int, cap: int, what: str) -> None:
     if n > cap:
@@ -506,9 +393,10 @@ def count_R(n: int, sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP,
 
 
 def count_S(n: int, sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP) -> int:
-    """Essential tuples: |W_i|=sizes[i] and the tau-embeddings join to 1_n.
+    """Essential tuples: |W_i|=sizes[i] and the W_i join to 1_n.
 
-    Duplicates among the W_i are allowed.  The join condition forces the
+    Each W_i is read as the partition with the one block W_i and singletons
+    elsewhere.  Duplicates among the W_i are allowed.  The join condition forces the
     union to cover [n], so no separate covering check is needed.  Each W_i
     acts as a clique, so the join is 1_n exactly when the masks form a
     single connected component covering everything.
@@ -539,8 +427,8 @@ def count_T(sizes: Sequence[int], lengths: Sequence[int],
     """Brute-force count of the interval-join tuple family.
 
     Tuples (W_1,...,W_k) of subsets of [L], |W_i|=sizes[i], whose
-    tau-embeddings joined with the interval partition of ``lengths``
-    give 1_L.  ``lengths`` must have sum(sizes) - (k-1) entries.
+    partitions (W_i plus singletons) joined with the interval partition of
+    ``lengths`` give 1_L.  ``lengths`` must have sum(sizes) - (k-1) entries.
     """
     sizes = tuple(sizes)
     lengths = tuple(lengths)
@@ -589,8 +477,9 @@ def count_join_full(sizes: Sequence[int], num_blocks: int | None = None,
                     cap: int = DEFAULT_TUPLE_CAP) -> int:
     """Partitions of [M] joining the size-interval partition to 1_M.
 
-    Counts sigma in P(M) with sigma v hat(0_k) = 1_M and |sigma| equal to
-    ``num_blocks`` (default M-(k-1), the maximal interesting block count).
+    Counts sigma in P(M) with sigma v interval_partition(sizes) = 1_M and
+    |sigma| equal to ``num_blocks`` (default M-(k-1), the maximal
+    interesting block count).
     Brute force over P(M); see ``count_join_full_closed`` for the formula
     available at the default block count.
     """

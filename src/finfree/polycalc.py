@@ -25,6 +25,7 @@ import mpmath as mp
 from .errors import RootConvergenceError
 from .scalars import (DEFAULT_DIGITS, EXACT, FLOAT64, MPF, binom, common_kind, exp, kind_of,
                       promote_ints, to_mpf, work)
+from .series import PowerSeries
 
 _ROOT_MAX_ITER = 200
 
@@ -125,10 +126,6 @@ class MonicPoly:
     @property
     def angle_kind(self) -> str:
         return kind_of(self.angles[0]) if self.angles else EXACT
-
-    def scalar_kind(self) -> str:
-        src = self.coeffs or self.roots or self.angles
-        return common_kind(src, "scalar_kind")
 
     def __repr__(self):
         rep = []
@@ -241,15 +238,6 @@ def phi_alpha(p: MonicPoly, alpha, digits: int | None = None) -> MonicPoly:
     return MonicPoly.from_roots(new)
 
 
-def phi_c_unitary(p: MonicPoly, c) -> MonicPoly:
-    """Shrink every angle by the factor c in (0,1); exact in the angle domain."""
-    if p.angles is None:
-        raise ValueError("angle map needs the unit-circle flavor (angles present)")
-    if not 0 < c < 1:
-        raise ValueError("angle contraction factor must lie in (0,1)")
-    return MonicPoly(degree=p.degree, angles=tuple(a * c for a in p.angles))
-
-
 # ---------------------------------------------------------------------------
 # finite free convolutions
 # ---------------------------------------------------------------------------
@@ -280,13 +268,6 @@ def boxplus(p: MonicPoly, q: MonicPoly, digits: int = DEFAULT_DIGITS) -> MonicPo
             terms = [binom(k, i) * ap[i] * aq[k - i] for i in range(k + 1)]
             out.append(sum(terms))
     return from_normalized(out, digits=digits)
-
-
-def boxplus_fold(ps: Sequence[MonicPoly], digits: int = DEFAULT_DIGITS) -> MonicPoly:
-    out = ps[0]
-    for q in ps[1:]:
-        out = boxplus(out, q, digits=digits)
-    return out
 
 
 def boxtimes(p: MonicPoly, q: MonicPoly, digits: int = DEFAULT_DIGITS) -> MonicPoly:
@@ -451,7 +432,7 @@ def _aberth(coeffs, tol, max_iter):
 
 
 # ---------------------------------------------------------------------------
-# inequality report and empirical distribution
+# inequality report and empirical moments
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -553,36 +534,34 @@ def _exact_chain_step(at: Sequence, i: int, digits: int) -> bool:
     return at[i] ** (i + 1) >= at[i + 1] ** i
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Uniform probability measure on the root multiset of a polynomial."""
-
-    atoms: tuple
-
-    @classmethod
-    def from_poly(cls, p: MonicPoly, digits: int | None = None) -> "EmpiricalDistribution":
-        if p.roots is not None:
-            return cls(atoms=p.roots)
-        if p.angles is not None:
-            return cls(atoms=tuple(exp(1j * a) for a in p.angles))
-        return cls(atoms=roots_of(p, digits=digits))
-
-    def moment(self, n: int, digits: int = DEFAULT_DIGITS):
-        if n == 0:
-            return 1
-        kind = common_kind(self.atoms, "moment")
-        with work(kind, digits):
-            total = None
-            for a in self.atoms:
-                t = a ** n
-                total = t if total is None else total + t
-            return total / len(self.atoms)
-
-
 def empirical_moments(p: MonicPoly, N: int, digits: int | None = None) -> list:
-    """Moments m_1..m_N of the empirical root distribution."""
-    dist = EmpiricalDistribution.from_poly(p, digits=digits)
-    return [dist.moment(n, digits=digits or DEFAULT_DIGITS) for n in range(1, N + 1)]
+    """Moments m_1..m_N of the empirical root distribution.
+
+    With roots or angles, the mean of the atoms' powers.  With coefficients
+    only, no root is found: the reversed polynomial P(y) = sum_i a_i y^i is
+    prod (1 - r y) over the roots r, so m_k = -k [y^k] log P / d, one series
+    log of order N.  That is exact on exact input, and its cancellation is
+    about log10 C(d, N) digits, not the conditioning of the roots.  The
+    coefficients are read in their own kind, or in mpf at ``digits`` when
+    given.
+    """
+    d = p.degree
+    atoms = p.roots if p.roots is not None else p.angles
+    if atoms is not None:
+        kind = common_kind(atoms, "empirical_moments")
+        with work(kind, digits or DEFAULT_DIGITS):
+            atoms = promote_ints(atoms, kind)
+            if p.angles is not None:
+                atoms = [exp(1j * a) for a in atoms]
+            return [sum(a ** k for a in atoms) / d for k in range(1, N + 1)]
+    coeffs = p.coeffs
+    if digits is not None:
+        coeffs = [to_mpf(c, digits) for c in coeffs]
+    kind = common_kind(coeffs, "empirical_moments")
+    with work(kind, digits or DEFAULT_DIGITS):
+        coeffs = promote_ints(coeffs, kind)
+        log = PowerSeries(tuple(coeffs[: N + 1] + [coeffs[0] * 0] * (N - d))).log()
+        return [-k * log.coeff(k) / d for k in range(1, N + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -54,13 +54,6 @@ class PowerSeries:
         n = min(self.order, other.order)
         return PowerSeries(tuple(self.coeff(j) + other.coeff(j) for j in range(n + 1)))
 
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(tuple(self.coeff(j) - other.coeff(j) for j in range(n + 1)))
-
-    def scale(self, c) -> "PowerSeries":
-        return PowerSeries(tuple(c * a for a in self.coeffs))
-
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
         zero = self.coeffs[0] * 0
@@ -88,18 +81,6 @@ class PowerSeries:
             inv.append(-acc / c0)
         return PowerSeries(tuple(inv))
 
-    def pow_int(self, m: int) -> "PowerSeries":
-        if m < 0:
-            return self.inverse().pow_int(-m)
-        out = PowerSeries.constant(self.coeffs[0] ** 0, self.order)
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base if m > 1 else base
-            m >>= 1
-        return out
-
     def exp(self) -> "PowerSeries":
         """exp of the series; the constant term goes through the scalar exp,
         so an exact series needs constant term 0."""
@@ -126,8 +107,3 @@ class PowerSeries:
                 acc -= i * g[i] * self.coeffs[j - i]
             g.append(acc / j)
         return PowerSeries(tuple(g))
-
-    def derivative(self) -> "PowerSeries":
-        if self.order == 0:
-            return PowerSeries((self.coeffs[0] * 0,))
-        return PowerSeries(tuple((j + 1) * c for j, c in enumerate(self.coeffs[1:])))

@@ -62,19 +62,6 @@ def join_bfs(pi: SetPartition, sigma: SetPartition) -> SetPartition:
     return SetPartition(n, blocks)
 
 
-def finite_difference_coeffs(values):
-    """Forward-difference table top row: Delta^j f(0) for j = 0..len-1.
-
-    values[j] = f(j).  Exact over Fractions.
-    """
-    row = [Fraction(v) for v in values]
-    out = [row[0]]
-    while len(row) > 1:
-        row = [row[i + 1] - row[i] for i in range(len(row) - 1)]
-        out.append(row[0])
-    return out
-
-
 def _mobius_top(num_blocks: int) -> int:
     """mu(pi, 1_n) = (-1)^(r-1) (r-1)! for a partition with r blocks."""
     from math import factorial
@@ -123,3 +110,17 @@ def cumulants_literal(d: int, atilde, n_max: int) -> list:
             total += term
         out.append((-d) ** (n - 1) * total / factorial(n - 1))
     return out
+
+
+def newton_power_sums(coeffs, k_max: int) -> list:
+    """Root power sums p_1..p_k_max of sum_i coeffs[i] x^(d-i), coeffs[0] = 1,
+    by Newton's identities p_k = -(k a_k + sum_{i<k} a_i p_{k-i}), a_i = 0
+    past the degree."""
+    a = list(coeffs) + [0] * k_max
+    sums = []
+    for k in range(1, k_max + 1):
+        acc = k * a[k]
+        for i in range(1, k):
+            acc += a[i] * sums[k - i - 1]
+        sums.append(-acc)
+    return sums

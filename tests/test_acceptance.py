@@ -8,6 +8,7 @@ status lines.
 
 import math
 import random
+import statistics
 import time
 from fractions import Fraction
 
@@ -17,8 +18,11 @@ from finfree.cumulants import (
     boxtimes_cumulants,
     boxtimes_fold,
     coeffs_from_cumulants,
+    exp_poly,
     finite_cumulants,
+    hermite_unitary,
     laguerre_hat,
+    laguerre_unitary,
 )
 from finfree.experiments import ExperimentConfig, run_experiment
 from finfree.freelimits import (
@@ -53,8 +57,10 @@ from finfree.polycalc import (
     boxtimes_limit_poly,
     boxtimes_pow,
     dilate,
+    empirical_moments,
     normalized_coeffs,
 )
+from finfree.scalars import to_mpf
 
 x = ZeroConstPoly.monomial
 c = ZeroConstPoly.binomial_basis
@@ -280,24 +286,47 @@ def _kappa_family_check(kind, ref_fn, ds, rate_tol, rel_tol_400, failures):
     return table
 
 
+def _moment_side_check(kind, make, ref_moments, rate_tol, failures):
+    """The theorems are weak convergence of the root distribution; for these
+    compactly supported limits that is convergence of moments.  m_1..m_4 of
+    the roots, taken from the coefficients, approach the limit law's at the
+    fitted rate along d."""
+    ds, N = (100, 400, 1600), 4
+    errs = [[] for _ in range(N)]
+    for d in ds:
+        for k, (m, ref) in enumerate(zip(empirical_moments(make(d), N), ref_moments)):
+            with mp.workdps(50):
+                errs[k].append(abs(to_mpf(m) - ref))
+    lo, hi = rate_tol
+    for k, e in enumerate(errs, start=1):
+        rate = statistics.linear_regression([math.log(d) for d in ds],
+                                            [float(mp.log(x)) for x in e]).slope
+        if not lo <= rate <= hi:
+            failures.append(f"{kind} root moment m_{k}: fitted rate {rate:.3f} outside [{lo},{hi}]")
+
+
 def test_criterion_07_hermite_limit():
     failures = []
     start = time.time()
     _kappa_family_check("hermite", sigma_cumulant, (50, 100, 200, 400), (-1.2, -0.8), 0.02, failures)
+    sigma = nc_moments_from_cumulants([sigma_cumulant(n, 1) for n in range(1, 5)], 4)
+    _moment_side_check("hermite", lambda d: hermite_unitary(d, 1), sigma, (-1.2, -0.8), failures)
     elapsed = time.time() - start
     if elapsed >= 60:
         failures.append(f"runtime {elapsed:.1f}s exceeds 60s")
-    _report(7, f"unitary Hermite cumulants -> free normal law, rate -1+-0.2 ({elapsed:.1f}s)", failures)
+    _report(7, f"unitary Hermite cumulants and root moments -> free normal law, rate -1+-0.2 ({elapsed:.1f}s)", failures)
 
 
 def test_criterion_08_fms_limit():
     failures = []
     start = time.time()
     _kappa_family_check("fms", lambda_cumulant, (50, 100, 200, 400), (-1.2, -0.8), 0.02, failures)
+    lam = [lambda_moment(n, 1) for n in range(1, 5)]
+    _moment_side_check("fms", lambda d: exp_poly(d, 1), lam, (-1.2, -0.8), failures)
     elapsed = time.time() - start
     if elapsed >= 60:
         failures.append(f"runtime {elapsed:.1f}s exceeds 60s")
-    _report(8, f"exponential-family cumulants -> mult. semicircular law ({elapsed:.1f}s)", failures)
+    _report(8, f"exponential-family cumulants and root moments -> mult. semicircular law ({elapsed:.1f}s)", failures)
 
 
 def test_criterion_09_laguerre_poisson():
@@ -305,7 +334,9 @@ def test_criterion_09_laguerre_poisson():
     table = _kappa_family_check("laguerre", pi_cumulant, (100, 200, 400), (-1.3, -0.7), 0.05, failures)
     if any(r.m != r.d for r in table.rows):
         failures.append("t=1 should give m=d")
-    _report(9, "unitary Laguerre cumulants -> free unitary Poisson law, rate -1+-0.3", failures)
+    pi = nc_moments_from_cumulants([pi_cumulant(n, 1) for n in range(1, 5)], 4)
+    _moment_side_check("laguerre", lambda d: laguerre_unitary(d, d), pi, (-1.3, -0.7), failures)
+    _report(9, "unitary Laguerre cumulants and root moments -> free unitary Poisson law, rate -1+-0.3", failures)
 
 
 def test_criterion_10_scaled_power_limits():

@@ -16,7 +16,7 @@ from finfree.experiments import (
 )
 from finfree.polycalc import (
     MonicPoly,
-    boxplus_fold,
+    boxplus,
     boxtimes_pow,
     dilate,
     poly_to_json,
@@ -103,7 +103,10 @@ class TestSY:
             coeffs = [1] + [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d)]
             q = MonicPoly.from_coeffs(coeffs)
             kq = finite_cumulants(q)
-            explicit = finite_cumulants(dilate(boxplus_fold([q] * m), Fraction(1, m)))
+            fold = q
+            for _ in range(m - 1):
+                fold = boxplus(fold, q)
+            explicit = finite_cumulants(dilate(fold, Fraction(1, m)))
             for n in range(1, d + 1):
                 assert explicit[n] == kq[n] / Fraction(m) ** (n - 1)
 
@@ -195,6 +198,18 @@ class TestCoeffFamilies:
             with mp.workdps(50):
                 assert abs(r.reference - mp.exp(mp.mpf(alpha) * r.n)) < mp.mpf("1e-40")
             assert float(r.abs_error) < 1e-3
+
+    def test_lln_top_row_at_precision_floor(self):
+        # atilde_d^m is exactly the target exp(d * mean) for every m, so the
+        # k = d row carries only rounding and gets no rate
+        roots = [0.5, 1.0, 2.0, 3.0, 0.25, 4.0]
+        cfg = ExperimentConfig(kind="lln", m=[100, 1000, 10000], poly={"roots": roots}, n_max=6)
+        tab = run_experiment(cfg)
+        top = [r for r in tab.rows if r.n == 6]
+        assert len(top) == 3 and all(r.abs_error < mp.mpf("1e-45") for r in top)
+        assert ("lln", 6) not in tab.rates
+        assert "rate fit: 3 row(s) at the precision floor were excluded" in tab.notes
+        assert all(-1.1 < tab.rates[("lln", k)] < -0.9 for k in range(1, 6))
 
     def test_centering_enforced(self):
         cfg = ExperimentConfig(kind="multclt", m=[100], poly={"roots": [1.0, 3.0]}, n_max=1, d=[2])

@@ -11,7 +11,6 @@ from finfree.errors import CapExceededError
 from finfree.identities import (
     NO_CLOSED_FORM,
     ZeroConstPoly,
-    binomial_expand,
     composition_identity,
     faa_di_bruno_exp,
     r_coeff,
@@ -21,7 +20,7 @@ from finfree.identities import (
 )
 from finfree.partitions import count_S
 
-from .oracles import faa_di_bruno_literal, finite_difference_coeffs, s_literal
+from .oracles import faa_di_bruno_literal, s_literal
 
 x = ZeroConstPoly.monomial
 c = ZeroConstPoly.binomial_basis
@@ -217,33 +216,6 @@ class TestSymmetryMultilinearity:
                         recon += (-1) ** (k - l) * s_bruteforce([fJ] * k, n)
                 recon /= math.factorial(k)
                 assert recon == direct
-
-
-class TestBinomialExpand:
-    def test_examples(self):
-        assert binomial_expand(x(2)) == [1, 2]
-        assert binomial_expand(c(3)) == [0, 0, 1]
-        assert binomial_expand(x(1)) == [1]
-
-    def test_roundtrip_and_lead(self):
-        rng = random.Random(5)
-        for _ in range(10):
-            f = random_poly(rng, max_deg=4)
-            a = binomial_expand(f)
-            assert a[-1] == math.factorial(f.degree) * f.lead
-            # reconstruct and compare on enough points
-            g = c(1).scale(a[0])
-            for j, aj in enumerate(a[1:], start=2):
-                if aj != 0:
-                    g = g + c(j).scale(aj)
-            for t in range(0, f.degree + 2):
-                assert g(t) == f(t)
-
-    def test_matches_difference_table_oracle(self):
-        f = ZeroConstPoly([Fraction(2, 3), -1, 0, Fraction(5, 2)])
-        table = finite_difference_coeffs([f(j) for j in range(f.degree + 1)])
-        assert table[0] == 0
-        assert binomial_expand(f) == table[1:]
 
 
 class TestFaaDiBruno:

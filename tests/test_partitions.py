@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from finfree.errors import CapExceededError
 from finfree.partitions import (
-    OrderedPartition,
     SetPartition,
-    Subset,
     bell_number,
     count_R,
     count_S,
@@ -19,11 +17,9 @@ from finfree.partitions import (
     count_T_closed,
     count_join_full,
     count_join_full_closed,
-    enumerate_coarsenings,
     enumerate_noncrossing,
     enumerate_partitions,
     enumerate_refinements,
-    hat_embed,
     interval_partition,
     is_noncrossing,
     is_refinement,
@@ -32,9 +28,7 @@ from finfree.partitions import (
     mobius,
     mobius_bottom,
     mobius_recursive,
-    mobius_subset,
     mobius_top,
-    tau_embed,
 )
 
 from .oracles import bell_oracle, catalan_oracle, join_bfs, partitions_by_insertion
@@ -49,9 +43,17 @@ def rgs_partitions(draw_n=st.integers(min_value=1, max_value=7)):
         rgs = [0]
         for i in range(1, n):
             rgs.append(draw(st.integers(min_value=0, max_value=max(rgs) + 1)))
-        return SetPartition.from_rgs(rgs)
+        return _partition_of_rgs(rgs)
 
     return strat()
+
+
+def _partition_of_rgs(rgs):
+    """The partition of [len(rgs)] whose block labels (0-based) are rgs."""
+    groups = {}
+    for i, label in enumerate(rgs, start=1):
+        groups.setdefault(label, []).append(i)
+    return SetPartition(len(rgs), list(groups.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +158,7 @@ class TestLattice:
     @given(rgs_partitions(), rgs_partitions())
     def test_join_matches_bfs_oracle(self, a, b):
         if a.n != b.n:
-            b = SetPartition.from_rgs([0] * a.n)
+            b = SetPartition.top(a.n)
         assert join(a, b) == join_bfs(a, b)
 
     @settings(max_examples=40, deadline=None)
@@ -202,16 +204,22 @@ class TestLattice:
         for n in range(1, 6):
             parts = list(enumerate_partitions(n))
             for a in parts:
-                for b in enumerate_coarsenings(a):
-                    assert mobius(a, b) == mobius_recursive(a, b)
+                for b in parts:
+                    if is_refinement(a, b):
+                        assert mobius(a, b) == mobius_recursive(a, b)
 
     def test_mobius_sum_lemma(self):
         # sum over sigma >= pi of mu(sigma, 1_n) vanishes except at the top
-        for n in range(1, 9):
+        for n in range(1, 7):
             top = SetPartition.top(n)
-            for p in enumerate_partitions(n):
-                s = sum(mobius_top(sig) for sig in enumerate_coarsenings(p))
+            parts = list(enumerate_partitions(n))
+            for p in parts:
+                s = sum(mobius_top(sig) for sig in parts if is_refinement(p, sig))
                 assert s == (1 if p == top else 0)
+        # [pi, 1_n] is isomorphic to P(|pi|), so larger n reduce to sums over P(r)
+        for r in range(1, 9):
+            s = sum(mobius_top(rho) for rho in enumerate_partitions(r))
+            assert s == (1 if r == 1 else 0)
 
     def test_mobius_inversion_roundtrip(self):
         rng = random.Random(20240817)
@@ -225,60 +233,6 @@ class TestLattice:
             for p in parts if n < 7 else rng.sample(parts, 40):
                 recovered = sum(f[s] * mobius(s, p) for s in enumerate_refinements(p))
                 assert recovered == g[p]
-
-    def test_mobius_subset(self):
-        v = Subset(3, (1, 2, 3))
-        assert mobius_subset(v, v) == 1
-        assert mobius_subset(Subset(3, ()), v) == -1
-        assert mobius_subset(Subset(4, (1,)), Subset(4, (1, 2, 4))) == 1
-        with pytest.raises(ValueError):
-            mobius_subset(Subset(3, (1,)), Subset(3, (2, 3)))
-
-
-# ---------------------------------------------------------------------------
-# embeddings
-# ---------------------------------------------------------------------------
-
-class TestEmbeddings:
-    def test_tau(self):
-        assert tau_embed(Subset(5, (1, 4))) == SetPartition(
-            5, [(1, 4), (2,), (3,), (5,)]
-        )
-        assert tau_embed(Subset(4, (1, 2, 3, 4))) == SetPartition.top(4)
-        assert tau_embed(Subset(4, (3,))) == SetPartition.bottom(4)
-        with pytest.raises(ValueError):
-            tau_embed(Subset(3, ()))
-
-    def test_hat_examples(self):
-        assert hat_embed(SetPartition.bottom(2), (2, 2)) == SetPartition(
-            4, [(1, 2), (3, 4)]
-        )
-        assert hat_embed(SetPartition.top(3), (2, 1, 2)) == SetPartition.top(5)
-        assert hat_embed(SetPartition(3, [(1,), (2, 3)]), (1, 2, 2)) == SetPartition(
-            5, [(1,), (2, 3, 4, 5)]
-        )
-
-    def test_hat_is_poset_isomorphism(self):
-        sizes = (2, 1, 2)
-        k, M = 3, 5
-        images = {hat_embed(p, sizes) for p in enumerate_partitions(k)}
-        base = interval_partition(sizes)
-        upper = {p for p in enumerate_partitions(M) if is_refinement(base, p)}
-        assert images == upper
-        ps = list(enumerate_partitions(k))
-        for a in ps:
-            for b in ps:
-                assert is_refinement(a, b) == is_refinement(
-                    hat_embed(a, sizes), hat_embed(b, sizes)
-                )
-
-    def test_ordered_partition_natural(self):
-        p = SetPartition(5, [(2, 5), (1, 3), (4,)])
-        nat = OrderedPartition.natural_of(p)
-        assert nat.blocks == ((1, 3), (2, 5), (4,))
-        assert nat.is_natural
-        assert not OrderedPartition(5, [(2, 5), (1, 3), (4,)]).is_natural
-        assert nat.unordered() == p
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +400,7 @@ class TestJoinAll:
         rng = random.Random(17)
         for n in range(1, 9):
             for _ in range(20):
-                parts = [SetPartition.from_rgs(_random_rgs(rng, n))
+                parts = [_partition_of_rgs(_random_rgs(rng, n))
                          for _ in range(rng.randint(0, 3))]
                 j = join_all(parts, n)
                 q = SetPartition(n, j.blocks)

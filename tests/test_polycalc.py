@@ -5,12 +5,12 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from finfree import polycalc
+from finfree.cumulants import hermite_unitary, laguerre_hat
 from finfree.polycalc import (
     BoxtimesLimit,
-    EmpiricalDistribution,
     MonicPoly,
     boxplus,
-    boxplus_fold,
     boxtimes,
     boxtimes_limit_class,
     boxtimes_limit_poly,
@@ -21,11 +21,12 @@ from finfree.polycalc import (
     newton_maclaurin_check,
     normalized_coeffs,
     phi_alpha,
-    phi_c_unitary,
     poly_from_json,
     poly_to_json,
     roots_of,
 )
+
+from .oracles import newton_power_sums
 
 
 def rational_poly(rng, d):
@@ -148,15 +149,6 @@ class TestPhiMaps:
         q = phi_alpha(p, Fraction(1, 2), digits=30)
         assert all(isinstance(r, mp.mpf) for r in q.roots)
         assert q.roots == (mp.mpf("0.5"), mp.mpf(3), mp.mpf(0))
-
-    def test_unitary_contraction(self):
-        p = MonicPoly.from_angles([1.0, -0.5])
-        q = phi_c_unitary(p, 0.5)
-        assert q.angles == (0.5, -0.25)
-        with pytest.raises(ValueError):
-            phi_c_unitary(p, 1.5)
-        with pytest.raises(ValueError):
-            phi_c_unitary(MonicPoly.from_roots([1.0]), 0.5)
 
 
 class TestBoxplus:
@@ -418,9 +410,50 @@ class TestEmpirical:
 
     def test_unitary_zeroth(self):
         p = MonicPoly.from_angles([0.3, -0.3])
-        dist = EmpiricalDistribution.from_poly(p)
-        assert dist.moment(0) == 1
-        assert dist.moment(1) == pytest.approx(math.cos(0.3))
+        m = empirical_moments(p, 2)
+        assert m[0] == pytest.approx(math.cos(0.3))
+        assert m[1] == pytest.approx(math.cos(0.6))
+        q = MonicPoly.from_angles(["0.3", "-0.3"], digits=40)
+        with mp.workdps(40):
+            assert abs(empirical_moments(q, 1, digits=40)[0] - mp.cos(mp.mpf("0.3"))) < 1e-38
+
+    def test_int_roots_stay_exact(self):
+        m = empirical_moments(MonicPoly.from_roots([1, 2]), 2)
+        assert m == [Fraction(3, 2), Fraction(5, 2)]
+        assert all(isinstance(v, Fraction) for v in m)
+
+    def test_exact_coefficients_give_newton_values(self):
+        assert empirical_moments(laguerre_hat(6, 1), 3) == [1, Fraction(11, 6), Fraction(73, 18)]
+        rng = random.Random(31)
+        for d in (1, 2, 5, 9):
+            p = rational_poly(rng, d)
+            for N in (1, d, d + 3):
+                want = [s / d for s in newton_power_sums(p.coeffs, N)]
+                got = empirical_moments(p, N)
+                assert got == want and all(isinstance(v, Fraction) for v in got)
+
+    def test_mpf_coefficients_agree_with_newton(self):
+        # hermite_unitary(50, 1) has its roots on the unit circle, where
+        # binary64 root finding at this degree returned wrong moments
+        d, N, digits = 50, 4, 50
+        p = hermite_unitary(d, 1.0)
+        got = empirical_moments(p, N)
+        with mp.workdps(2 * digits):
+            want = [s / d for s in newton_power_sums(p.coeffs, N)]
+            tol = mp.mpf(10) ** -(digits - mp.log10(math.comb(d, N)) - 5)
+            assert all(isinstance(v, mp.mpf) for v in got)
+            assert all(abs(g - w) <= tol for g, w in zip(got, want))
+        assert abs(got[3] - mp.mpf("0.0453099284")) < 1e-10
+
+    def test_coefficients_need_no_roots(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("roots_of called")
+
+        monkeypatch.setattr(polycalc, "roots_of", refuse)
+        for p in (laguerre_hat(20, 1), hermite_unitary(20, 1.0),
+                  MonicPoly.from_coeffs([1, -1.5, 0.5])):
+            empirical_moments(p, 4)
+            empirical_moments(p, 4, digits=30)
 
 
 class TestJson:
@@ -455,10 +488,3 @@ class TestKindDiscipline:
         q = MonicPoly.from_coeffs((1, mp.mpf("0.5"), mp.mpf(1)))
         with pytest.raises(TypeError, match="mixed scalar kinds"):
             boxplus(p, q)
-
-    def test_boxplus_fold_matches_linear_cumulants(self):
-        # k-fold additive power has k times the cumulants; checked in
-        # cumulants tests, here just the fold plumbing
-        p = MonicPoly.from_coeffs([1, -2, 0])
-        s3 = boxplus_fold([p, p, p])
-        assert s3.coeffs == boxplus(boxplus(p, p), p).coeffs
