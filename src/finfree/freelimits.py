@@ -149,19 +149,18 @@ def lagrange_cumulants(S: PowerSeries, N: int, digits: int = DEFAULT_DIGITS) -> 
 
     kappa_n = (1/n!) (d/dz)^(n-1) (z/f(z))^n at 0 with f(z) = z S(z), i.e.
     the (n-1)-st coefficient of S^(-n) divided by n.  Needs S(0) != 0.
+    S^(-n) = S(0)^(-n) exp(-n log(S/S(0))), truncated at z^(n-1): one series
+    log and one exp per n, about N^3/6 products in all.
     """
-    if S.coeffs[0] == 0:
+    s0 = S.coeffs[0]
+    if s0 == 0:
         raise ValueError("Lagrange inversion needs S(0) != 0")
     if S.order < N - 1:
         raise ValueError(f"series order {S.order} too small for N={N}")
     with mp.workdps(digits):
-        inv = S.inverse()
-        out = []
-        power = PowerSeries.constant(inv.coeffs[0] ** 0, S.order)
-        for n in range(1, N + 1):
-            power = power * inv
-            out.append(power.coeff(n - 1) / n)
-    return out
+        log = PowerSeries(tuple(c / s0 for c in S.coeffs[: max(N, 1)])).log()
+        return [PowerSeries(tuple(-n * c for c in log.coeffs[:n])).exp().coeffs[n - 1]
+                / (n * s0 ** n) for n in range(1, N + 1)]
 
 
 def nc_moments_from_cumulants(kappas: Sequence, N: int,

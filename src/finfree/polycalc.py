@@ -23,7 +23,7 @@ from typing import Sequence
 import mpmath as mp
 
 from .errors import RootConvergenceError
-from .scalars import (DEFAULT_DIGITS, EXACT, FLOAT64, MPF, binom, common_kind, exp, kind_of,
+from .scalars import (DEFAULT_DIGITS, EXACT, FLOAT64, MPF, binom, common_kind, dot, exp, kind_of,
                       promote_ints, to_mpf, work)
 from .series import PowerSeries
 
@@ -262,11 +262,9 @@ def boxplus(p: MonicPoly, q: MonicPoly, digits: int = DEFAULT_DIGITS) -> MonicPo
     """
     ap, aq = _binary_op_atilde(p, q, "boxplus", digits)
     d = p.degree
-    out = []
     with work(common_kind(list(ap) + list(aq), "boxplus"), digits):
-        for k in range(d + 1):
-            terms = [binom(k, i) * ap[i] * aq[k - i] for i in range(k + 1)]
-            out.append(sum(terms))
+        out = [dot([binom(k, i) * ap[i] for i in range(k + 1)], aq[k::-1])
+               for k in range(d + 1)]
     return from_normalized(out, digits=digits)
 
 

@@ -10,9 +10,9 @@ Three scalar kinds are used throughout the package:
 Kinds are never mixed silently: ``common_kind`` refuses heterogeneous
 inputs, and promotion happens only through ``promote_ints`` and ``to_mpf``.
 Every per-kind decision lives here: the precision scope (``work``), the
-exponential (``exp``), conversion into mpmath (``to_mpf``), printing
-(``format_scalar``) and the common denominator of exact block weights
-(``integer_weights``).
+exponential (``exp``), the dot product under every series coefficient
+(``dot``), conversion into mpmath (``to_mpf``), printing (``format_scalar``)
+and the common denominator of exact block weights (``integer_weights``).
 """
 
 from __future__ import annotations
@@ -111,6 +111,47 @@ def exp(x):
     if isinstance(x, (mp.mpf, mp.mpc)):
         return mp.exp(x)
     return cmath.exp(x) if isinstance(x, complex) else math.exp(x)
+
+
+def dot(xs: Sequence, ys: Sequence, start=None):
+    """start + sum_i xs[i] * ys[i] in the kind of the terms; a pair with a
+    zero factor adds nothing.  Empty ``xs`` gives ``start``, or the int 0.
+
+    The kind is read once per call, from the first pair and ``start``: mpf
+    terms go through ``mp.fdot`` (exact products, one rounding at the ambient
+    precision); exact terms are summed on ints over one running denominator
+    and reduced once (an int when every factor is); anything else is added
+    left to right from ``start``, or ``xs[0] * 0``, as ``acc += x * y``.
+    The exact and left-to-right loops skip pairs with a zero factor.
+    """
+    if not xs:
+        return 0 if start is None else start
+    first = (xs[0], ys[0]) if start is None else (xs[0], ys[0], start)
+    if all(isinstance(v, (int, Fraction)) for v in first):
+        try:
+            return _exact_dot(xs, ys, start)
+        except AttributeError:  # a later term is not exact
+            first = (*first, *xs, *ys)
+    if any(isinstance(v, (mp.mpf, mp.mpc)) for v in first):
+        return mp.fdot(xs, ys) if start is None else mp.fdot([start, *xs], [1, *ys])
+    acc = xs[0] * 0 if start is None else start
+    for x, y in zip(xs, ys):
+        if x and y:
+            acc += x * y
+    return acc
+
+
+def _exact_dot(xs, ys, start):
+    num, den = (0, 1) if start is None else (start.numerator, start.denominator)
+    for x, y in zip(xs, ys):
+        p = x.numerator * y.numerator
+        if p:
+            q = x.denominator * y.denominator
+            g = math.gcd(den, q)
+            num, den = num * (q // g) + p * (den // g), den * (q // g)
+    if den == 1 and not any(isinstance(v, Fraction) for v in (start, *xs, *ys)):
+        return num
+    return Fraction(num, den)
 
 
 def format_scalar(x, digits: int = DEFAULT_DIGITS) -> str:

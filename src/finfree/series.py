@@ -9,7 +9,9 @@ W(z) = sum_j w_j z^j / j! with w_0 = 1:
 
 Both take O(n^2) coefficient operations instead of a walk over P(n) or its
 block-size profiles.  Coefficients may be exact rationals, mpf or binary64
-values.
+values.  Every coefficient of a product, ``exp`` or ``log`` is one call of
+``scalars.dot``, the single inner loop: one rounding per mpf coefficient,
+one reduction per exact one.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .scalars import exp
+from .scalars import dot, exp
 
 
 @dataclass(frozen=True)
@@ -56,54 +58,28 @@ class PowerSeries:
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
-        zero = self.coeffs[0] * 0
-        out = [zero] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeff(j)
-                if b != 0:
-                    out[i + j] += a * b
-        return PowerSeries(tuple(out))
-
-    def inverse(self) -> "PowerSeries":
-        """Reciprocal series; requires a nonzero constant term."""
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ValueError("series inverse needs a unit constant term")
-        n = self.order
-        inv = [1 / c0]
-        for j in range(1, n + 1):
-            acc = inv[0] * 0
-            for i in range(1, j + 1):
-                acc += self.coeff(i) * inv[j - i]
-            inv.append(-acc / c0)
-        return PowerSeries(tuple(inv))
+        a, b = self.coeffs, other.coeffs
+        return PowerSeries(tuple(dot(a[: k + 1], b[k::-1]) for k in range(n + 1)))
 
     def exp(self) -> "PowerSeries":
         """exp of the series; the constant term goes through the scalar exp,
         so an exact series needs constant term 0."""
-        n = self.order
         # g' = u' g with g_0 = exp(u_0):  g_j = (1/j) sum_{i=1..j} i u_i g_{j-i}
+        iu = [i * c for i, c in enumerate(self.coeffs)]
         g = [exp(self.coeffs[0])]
-        for j in range(1, n + 1):
-            acc = g[0] * 0
-            for i in range(1, j + 1):
-                acc += i * self.coeff(i) * g[j - i]
-            g.append(acc / j)
+        for j in range(1, self.order + 1):
+            g.append(dot(iu[1: j + 1], g[::-1]) / j)
         return PowerSeries(tuple(g))
 
     def log(self) -> "PowerSeries":
         """log of a series with constant term 1 (the result has constant term 0)."""
         if self.coeffs[0] != 1:
             raise ValueError("series log needs constant term 1")
-        n = self.order
+        f = self.coeffs
         # g' = f'/f, i.e. j f_j = sum_{i=1..j} i g_i f_{j-i} with f_0 = 1
-        g = [self.coeffs[0] * 0]
-        for j in range(1, n + 1):
-            acc = j * self.coeffs[j]
-            for i in range(1, j):
-                acc -= i * g[i] * self.coeffs[j - i]
-            g.append(acc / j)
+        g = [f[0] * 0]
+        neg_ig = []  # -i g_i for i = 1..j-1
+        for j in range(1, self.order + 1):
+            g.append(dot(neg_ig, f[j - 1: 0: -1], start=j * f[j]) / j)
+            neg_ig.append(-j * g[j])
         return PowerSeries(tuple(g))

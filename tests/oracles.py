@@ -124,3 +124,70 @@ def newton_power_sums(coeffs, k_max: int) -> list:
             acc += a[i] * sums[k - i - 1]
         sums.append(-acc)
     return sums
+
+
+def lagrange_power_oracle(S, N: int) -> list:
+    """kappa_n = [z^(n-1)] S^(-n) / n, n = 1..N, by the textbook route: the
+    reciprocal of S by its own recurrence, then N repeated truncated products
+    (O(N^3)).  Uses only S.coeffs, so it is independent of the series engine;
+    mpf input runs at the caller's precision."""
+    c = list(S.coeffs[:N])
+    inv = [1 / c[0]]
+    for j in range(1, N):
+        acc = inv[0] * 0
+        for i in range(1, j + 1):
+            acc += c[i] * inv[j - i]
+        inv.append(-acc / c[0])
+    power = [inv[0] ** 0] + [inv[0] * 0] * (N - 1)
+    out = []
+    for n in range(1, N + 1):
+        power = [sum(power[i] * inv[k - i] for i in range(k + 1)) for k in range(N)]
+        out.append(power[n - 1] / n)
+    return out
+
+
+# Literal left-to-right loops of the series and convolution recurrences, in
+# the multiplication and summation order the fast routes promise to keep, so
+# binary64 results can be compared with == (bit for bit).
+
+def mul_literal(a, b) -> list:
+    """Truncated product, skipping pairs with a zero factor."""
+    n = min(len(a), len(b)) - 1
+    out = [a[0] * 0] * (n + 1)
+    for i in range(n + 1):
+        if a[i] == 0:
+            continue
+        for j in range(n + 1 - i):
+            if b[j] != 0:
+                out[i + j] += a[i] * b[j]
+    return out
+
+
+def exp_literal(u, g0) -> list:
+    """exp of a series with exp(u[0]) = g0: g_j = (1/j) sum_i i u_i g_{j-i}."""
+    g = [g0]
+    for j in range(1, len(u)):
+        acc = g[0] * 0
+        for i in range(1, j + 1):
+            acc += i * u[i] * g[j - i]
+        g.append(acc / j)
+    return g
+
+
+def log_literal(f) -> list:
+    """log of a series with f[0] = 1: g_j = (j f_j - sum_{i<j} i g_i f_{j-i}) / j."""
+    g = [f[0] * 0]
+    for j in range(1, len(f)):
+        acc = j * f[j]
+        for i in range(1, j):
+            acc -= i * g[i] * f[j - i]
+        g.append(acc / j)
+    return g
+
+
+def boxplus_literal(ap, aq) -> list:
+    """atilde_k = sum_{i+j=k} C(k,i) atilde_i(p) atilde_j(q), summed by ``sum``."""
+    from math import comb
+
+    return [sum([comb(k, i) * ap[i] * aq[k - i] for i in range(k + 1)])
+            for k in range(len(ap))]

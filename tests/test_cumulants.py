@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from finfree.polycalc import (
     normalized_coeffs,
 )
 
-from .oracles import cumulants_literal
+from .oracles import cumulants_literal, log_literal
 
 
 def rational_poly(rng, d):
@@ -74,6 +75,17 @@ class TestTransform:
                 got = cumulants_from_atilde(d, at, 8, grouped=False)
                 assert all(type(k) is Fraction for k in got)
                 assert got == cumulants_literal(d, at, 8)
+
+    def test_binary64_matches_literal_log_bit_for_bit(self):
+        rng = random.Random(1790)
+        for d in (4, 12, 30):
+            for roots in ([rng.uniform(-3, 3) for _ in range(d)],
+                          [complex(rng.uniform(-3, 3), rng.uniform(-1, 1)) for _ in range(d)]):
+                p = MonicPoly.from_roots(roots)
+                at = [float(a) if isinstance(a, int) else a for a in normalized_coeffs(p)]
+                g = log_literal([a / math.factorial(j) for j, a in enumerate(at)])
+                want = tuple((-d) ** (n - 1) * n * g[n] for n in range(1, d + 1))
+                assert finite_cumulants(p).values == want
 
     def test_requires_n_le_d(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,8 @@ from finfree.freelimits import (
 from finfree.identities import faa_di_bruno_exp
 from finfree.partitions import enumerate_noncrossing, enumerate_partitions, mobius_top
 
-from .oracles import catalan_oracle
+from .oracles import (catalan_oracle, exp_literal, lagrange_power_oracle, log_literal,
+                      mul_literal)
 
 
 def close(a, b, tol):
@@ -33,16 +34,6 @@ class TestPowerSeries:
         b = PowerSeries((Fraction(1), Fraction(-1), Fraction(0)))
         assert (a * b).coeffs == (1, 1, 1)
 
-    def test_inverse(self):
-        a = PowerSeries((Fraction(1), Fraction(1), Fraction(0), Fraction(0)))
-        inv = a.inverse()
-        assert inv.coeffs == (1, -1, 1, -1)  # 1/(1+z)
-        assert (a * inv).coeffs == (1, 0, 0, 0)
-
-    def test_inverse_requires_unit(self):
-        with pytest.raises(ValueError):
-            PowerSeries((Fraction(0), Fraction(1))).inverse()
-
     def test_exp_of_exact_series(self):
         u = PowerSeries((Fraction(0), Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
         g = u.exp()
@@ -53,6 +44,24 @@ class TestPowerSeries:
         assert u.exp().log() == u
         with pytest.raises(ValueError):
             PowerSeries((Fraction(2), Fraction(1))).log()
+
+
+    def test_binary64_matches_literal_loops_bit_for_bit(self):
+        rng = random.Random(1790)
+        for cplx in (False, True):
+            def draw():
+                v = rng.uniform(-2, 2)
+                return complex(v, rng.uniform(-2, 2)) if cplx else v
+            for N in (1, 7, 30):
+                a = (1.0,) + tuple(draw() for _ in range(N))
+                b = tuple(draw() for _ in range(N + 1))
+                u = (0.0,) + tuple(draw() for _ in range(N))
+                assert (PowerSeries(a) * PowerSeries(b)).coeffs == tuple(mul_literal(a, b))
+                assert PowerSeries(u).exp().coeffs == tuple(exp_literal(u, 1.0))
+                assert PowerSeries(a).log().coeffs == tuple(log_literal(a))
+        # sparse factors are skipped in the product, as in the literal loop
+        a, b = (1.0, 0.0, -0.5, 0.0), (2.0, 3.0, 0.0, 0.25)
+        assert (PowerSeries(a) * PowerSeries(b)).coeffs == tuple(mul_literal(a, b))
 
 
 class TestClosedForms:
@@ -202,6 +211,33 @@ class TestLagrange:
         assert close(ks[0], 1 / c, "1e-45")
         for v in ks[1:]:
             assert close(v, 0, "1e-45")
+
+    def test_exact_series_match_power_oracle(self):
+        rng = random.Random(6)
+        for N in range(1, 11):
+            coeffs = [Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))]
+            coeffs += [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(N - 1)]
+            S = PowerSeries(tuple(coeffs))
+            got = lagrange_cumulants(S, N)
+            assert all(type(k) is Fraction for k in got)
+            assert got == lagrange_power_oracle(S, N)
+
+    def test_limit_laws_match_power_oracle_at_order_40(self):
+        with mp.workdps(60):
+            for kind, t in (("lambda", 1.3), ("sigma", 0.7), ("pi", 1.1)):
+                S = s_transform_series(kind, 40, t=t, digits=60)
+                got = lagrange_cumulants(S, 40, digits=60)
+                want = lagrange_power_oracle(S, 40)
+                for a, b in zip(got, want):
+                    assert abs(a - b) <= mp.mpf("1e-45") * max(1, abs(b))
+
+    def test_takes_no_series_product(self, monkeypatch):
+        # the O(N^3) repeated-product route must not come back
+        def refuse(self, other):
+            raise AssertionError("lagrange_cumulants multiplied two series")
+        monkeypatch.setattr(PowerSeries, "__mul__", refuse)
+        ks = lagrange_cumulants(s_transform_series("lambda", 12, t=1), 12)
+        assert close(ks[11], lambda_cumulant(12, 1), "1e-30")
 
     def test_rejects_vanishing_head(self):
         with pytest.raises(ValueError):

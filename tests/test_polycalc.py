@@ -26,7 +26,7 @@ from finfree.polycalc import (
     roots_of,
 )
 
-from .oracles import newton_power_sums
+from .oracles import boxplus_literal, newton_power_sums
 
 
 def rational_poly(rng, d):
@@ -175,6 +175,18 @@ class TestBoxplus:
             assert (
                 boxplus(boxplus(p, q), r).coeffs == boxplus(p, boxplus(q, r)).coeffs
             )
+
+    def test_matches_literal_sum_exact_and_bit_for_bit(self):
+        rng = random.Random(1790)
+        for d in (3, 10, 25):
+            exact = [MonicPoly.from_coeffs([1] + [Fraction(rng.randint(-8, 8), rng.randint(1, 5))
+                                                  for _ in range(d)]) for _ in range(2)]
+            real = [MonicPoly.from_roots([rng.uniform(-2, 2) for _ in range(d)]) for _ in range(2)]
+            cplx = [MonicPoly.from_roots([complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
+                                          for _ in range(d)]) for _ in range(2)]
+            for p, q in (exact, real, cplx):
+                want = boxplus_literal(normalized_coeffs(p), normalized_coeffs(q))
+                assert boxplus(p, q).coeffs == from_normalized(want).coeffs
 
     def test_real_rootedness_preserved_numerically(self):
         rng = random.Random(31)

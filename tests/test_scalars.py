@@ -1,11 +1,12 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from finfree.scalars import (EXACT, FLOAT64, MPF, csum, exp, format_scalar, integer_weights,
+from finfree.scalars import (EXACT, FLOAT64, MPF, csum, dot, exp, format_scalar, integer_weights,
                              to_mpf, work)
 
 
@@ -28,6 +29,71 @@ class TestExp:
             assert isinstance(exp(mp.mpc(0, 1)), mp.mpc)
         assert exp(0.5) == math.exp(0.5) and isinstance(exp(0.5), float)
         assert exp(0.5j) == cmath.exp(0.5j) and isinstance(exp(0.5j), complex)
+
+
+class TestDot:
+    def test_mpf_rounds_once(self):
+        rng = random.Random(11)
+        with mp.workdps(30):
+            xs = [mp.mpf(rng.uniform(-1, 1)) / 3 for _ in range(25)]
+            ys = [mp.mpf(rng.uniform(-1, 1)) * 10 ** rng.randint(-8, 8) / 7 for _ in range(25)]
+            start = mp.mpf(1) / 9
+            with mp.workdps(60):  # every product is exact at twice the digits
+                prods = [x * y for x, y in zip(xs, ys)]
+            assert dot(xs, ys) == mp.fsum(prods)
+            assert dot(xs, ys, start=start) == mp.fsum([start] + prods)
+            assert isinstance(dot(xs, ys), mp.mpf)
+
+    def test_exact_matches_fraction_loop_and_is_reduced(self):
+        rng = random.Random(12)
+        for _ in range(50):
+            n = rng.randint(1, 12)
+            xs = [Fraction(rng.randint(-30, 30), rng.randint(1, 40)) for _ in range(n)]
+            ys = [Fraction(rng.randint(-30, 30), rng.randint(1, 40)) for _ in range(n)]
+            start = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+            want = Fraction(0)
+            for x, y in zip(xs, ys):
+                want += x * y
+            got = dot(xs, ys)
+            assert type(got) is Fraction and got == want
+            assert math.gcd(got.numerator, got.denominator) == 1
+            assert dot(xs, ys, start=start) == start + want
+
+    def test_binary64_left_to_right_bit_for_bit(self):
+        rng = random.Random(13)
+        for cplx in (False, True):
+            draw = ((lambda: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) if cplx
+                    else (lambda: rng.uniform(-1, 1) * 10 ** rng.randint(-6, 6)))
+            for _ in range(20):
+                xs = [draw() for _ in range(rng.randint(1, 30))]
+                ys = [draw() for _ in xs]
+                start = draw()
+                plain, from_start = xs[0] * 0, start
+                for x, y in zip(xs, ys):
+                    plain += x * y
+                    from_start += x * y
+                assert repr(dot(xs, ys)) == repr(plain)
+                assert repr(dot(xs, ys, start=start)) == repr(from_start)
+
+    def test_mixed_int_and_fraction(self):
+        got = dot([2, Fraction(1, 3), 5], [Fraction(3, 4), 6, 1])
+        assert type(got) is Fraction and got == Fraction(17, 2)
+        assert dot([2, 3], [4, 5], start=1) == 24 and type(dot([2, 3], [4, 5])) is int
+        # a non-exact term after an exact first pair switches to that kind
+        assert dot([1, 0.5], [2, 3]) == 3.5
+
+    def test_zero_factor_contributes_nothing(self):
+        assert dot([0.0, 2.0], [math.inf, 3.0]) == 6.0
+        assert dot([Fraction(0), Fraction(1, 3)], [Fraction(1, 10 ** 40), 3]) == 1
+        assert dot([Fraction(0), 0], [Fraction(1, 7), 5]) == 0
+        with mp.workdps(30):
+            assert dot([mp.mpf(0), mp.mpf(2)], [mp.mpf(10) ** 100, mp.mpf(3)]) == 6
+
+    def test_empty(self):
+        zero = dot([], [])
+        assert zero == 0 and type(zero) is int
+        half = Fraction(1, 2)
+        assert dot([], [], start=half) is half
 
 
 class TestCsum:
