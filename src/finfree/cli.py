@@ -230,6 +230,8 @@ def _cmd_cumulants(args) -> str:
 
 def _cmd_limit(args) -> str:
     obj = _load_json_arg(args.config)
+    if not isinstance(obj, dict):
+        raise ValueError("experiment config must be a JSON object")
     if args.kind is not None:
         obj.setdefault("kind", args.kind)
         if obj["kind"] != args.kind:

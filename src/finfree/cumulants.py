@@ -11,8 +11,8 @@ sum_j atilde_j z^j / j! (see ``series``), and the transform is
 
     kappa_n = (-d)^(n-1) * n * [z^n] log sum_j atilde_j z^j / j!.
 
-The literal sum over P(n) is kept as the cross-checking path.  The inverse
-is the matching series exp.
+The literal sum over P(n), ``partitions.block_sum``, is kept as the
+cross-checking path.  The inverse is the matching series exp.
 
 The sum cancels to O(d^-(n-1)) against O(1) terms for the exponential
 families, so callers should budget roughly (n-1)*log10(d) + 15 digits.
@@ -23,22 +23,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 import mpmath as mp
 
+from .errors import CapExceededError
 from .partitions import (
     DEFAULT_PARTITION_CAP,
     SetPartition,
+    block_sum,
     enumerate_partitions,
-    enumerate_refinements,
     join_all,
     mobius_bottom,
-    mobius_top,
 )
 from .polycalc import MonicPoly, boxtimes, from_normalized, normalized_coeffs
-from .scalars import (DEFAULT_DIGITS, common_kind, csum, falling, integer_weights, kind_of,
-                      promote_ints, to_mpf, work)
+from .scalars import (DEFAULT_DIGITS, common_kind, csum, falling, kind_of, promote_ints, to_mpf,
+                      work)
 from .series import PowerSeries
 
 
@@ -83,22 +84,8 @@ def cumulants_from_atilde(d: int, atilde: Sequence, n_max: int,
         if grouped:
             log = PowerSeries.egf(atilde).log()
             return [(-d) ** (n - 1) * n * log.coeff(n) for n in range(1, n_max + 1)]
-        return [(-d) ** (n - 1) * _literal_partition_sum(atilde, n, digits)
+        return [(-d) ** (n - 1) * block_sum(atilde[1:], n, signed=True, digits=digits)
                 / math.factorial(n - 1) for n in range(1, n_max + 1)]
-
-
-def _literal_partition_sum(atilde: Sequence, n: int, digits: int):
-    weights, D = integer_weights(atilde[1: n + 1])
-    terms = []
-    for pi in enumerate_partitions(n):
-        term = mobius_top(pi)
-        for b in pi.blocks:
-            term = term * weights[len(b) - 1]
-        terms.append(term)
-    total = csum(terms, digits=digits)
-    if isinstance(total, int):  # exact weights: the sum is D^n times its value
-        total = Fraction(total, D ** n)
-    return total
 
 
 def finite_cumulants(p: MonicPoly, digits: int = DEFAULT_DIGITS) -> CumulantVector:
@@ -138,14 +125,18 @@ def coeffs_from_cumulants(kv: CumulantVector, digits: int = DEFAULT_DIGITS) -> M
 # ---------------------------------------------------------------------------
 
 def boxtimes_cumulants(ps: Sequence[MonicPoly], n: int, method: str = "pi-sum",
-                       digits: int = DEFAULT_DIGITS,
-                       cap: int = DEFAULT_PARTITION_CAP):
+                       digits: int = DEFAULT_DIGITS):
     """kappa_n of the multiplicative convolution of the family, from the
     factors' cumulants alone.
 
     ``pi-sum``: for each partition pi of [n], multiply over factors the
     refinement sums  sum_{sigma <= pi} d^(|sigma|-n) mu(0_n, sigma)
-    kappa_sigma(p_i), and weight by mu(pi, 1_n).
+    kappa_sigma(p_i), and weight by mu(pi, 1_n).  The interval [0_n, pi] is
+    the product over the blocks V of pi of P(|V|), and the summand
+    factorizes over the blocks of sigma, so each refinement sum is
+    prod_V w_i(|V|) with w_i(s) the ``block_sum`` over P(s) of the block
+    weights u_i(b) = (-1)^(b-1) (b-1)! kappa_b(p_i) / d^(b-1).  The whole
+    sum is then the signed ``block_sum`` of W(s) = prod_i w_i(s).
 
     ``join-sum``: sum over m-tuples (sigma_1..sigma_m) whose join is 1_n of
     the product of the factors' weighted cumulants.  Exponential in m and n;
@@ -157,7 +148,7 @@ def boxtimes_cumulants(ps: Sequence[MonicPoly], n: int, method: str = "pi-sum",
     if any(p.degree != d for p in ps):
         raise ValueError("equal degrees required")
     if n > d:
-        raise ValueError(f"kappa_n needs n <= d")
+        raise ValueError(f"kappa_n needs n <= d, got n={n}, d={d}")
     kappas = [
         cumulants_from_atilde(d, normalized_coeffs(p, digits=digits), n, digits=digits)
         for p in ps
@@ -177,28 +168,25 @@ def boxtimes_cumulants(ps: Sequence[MonicPoly], n: int, method: str = "pi-sum",
 
     with work(kind, digits):
         if method == "pi-sum":
-            terms = []
-            for pi in enumerate_partitions(n, cap=cap):
-                term = mobius_top(pi)
-                for i in range(len(ps)):
-                    inner = csum([weighted(i, s) for s in enumerate_refinements(pi)],
-                                 digits=digits)
-                    term = term * inner
-                terms.append(term)
-            total = csum(terms, digits=digits)
+            if n > DEFAULT_PARTITION_CAP:  # fail before the w_i(s), s < n, are summed
+                raise CapExceededError("partition enumeration", n, DEFAULT_PARTITION_CAP)
+            W = [1] * n
+            for ks in kappas:
+                u = [(-1) ** (b - 1) * math.factorial(b - 1) * ks[b - 1] / d ** (b - 1)
+                     for b in range(1, n + 1)]
+                W = [W[s - 1] * block_sum(u, s, digits=digits) for s in range(1, n + 1)]
+            total = block_sum(W, n, signed=True, digits=digits)
         elif method == "join-sum":
             if n > 6:
                 raise ValueError("join-sum enumeration is limited to n <= 6")
-            from itertools import product as iproduct
-
-            all_parts = list(enumerate_partitions(n, cap=cap))
+            all_parts = list(enumerate_partitions(n))
             top = SetPartition.top(n)
             tables = [
                 {sigma: weighted(i, sigma) for sigma in all_parts}
                 for i in range(len(ps))
             ]
             terms = []
-            for combo in iproduct(all_parts, repeat=len(ps)):
+            for combo in product(all_parts, repeat=len(ps)):
                 if join_all(combo, n) != top:
                     continue
                 term = tables[0][combo[0]]

@@ -24,10 +24,11 @@ from typing import Sequence
 from .errors import CapExceededError
 from .partitions import (
     DEFAULT_PARTITION_CAP,
+    block_sum,
     enumerate_partitions,
     mobius_top,
 )
-from .scalars import binom, exp, integer_weights
+from .scalars import DEFAULT_DIGITS, binom, exp, kind_of, work
 from .series import PowerSeries
 
 
@@ -171,8 +172,8 @@ def s_bruteforce(fs: Sequence[ZeroConstPoly], n: int,
         raise ValueError("need at least one polynomial")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise CapExceededError("partition sum", n, cap)
+    if n > cap:  # before the tables: the enumeration checks only when first advanced
+        raise CapExceededError("partition enumeration", n, cap)
     # per-size values of each f over one common denominator D, as ints: each
     # factor sum_V f_i(|V|) is then D times its value, and each term D^k times
     tables = [[f(s) for s in range(n + 1)] for f in fs]
@@ -188,8 +189,7 @@ def s_bruteforce(fs: Sequence[ZeroConstPoly], n: int,
     return Fraction(total, D ** len(fs))
 
 
-def s_mobius_route(fs: Sequence[ZeroConstPoly], n: int,
-                   cap: int = DEFAULT_PARTITION_CAP) -> Fraction:
+def s_mobius_route(fs: Sequence[ZeroConstPoly], n: int) -> Fraction:
     """Same value through Mobius inversion over P(k) of r-polynomial products.
 
     For each partition sigma of the index set, multiply the r-polynomials of
@@ -201,7 +201,7 @@ def s_mobius_route(fs: Sequence[ZeroConstPoly], n: int,
     if k < 1:
         raise ValueError("need at least one polynomial")
     total = Fraction(0)
-    for sigma in enumerate_partitions(k, cap=cap):
+    for sigma in enumerate_partitions(k):
         prod = PowerSeries.constant(Fraction(1), n)
         for block in sigma.blocks:
             r = [Fraction(0)] + r_poly_coeffs([fs[i - 1] for i in block]) + [Fraction(0)] * n
@@ -233,36 +233,19 @@ def s_closed_form(fs: Sequence[ZeroConstPoly], n: int):
     return out
 
 
-def faa_di_bruno_exp(derivs: Sequence, u0, n: int,
-                     cap: int = DEFAULT_PARTITION_CAP):
+def faa_di_bruno_exp(derivs: Sequence, u0, n: int):
     """n-th derivative of exp(u(z)) at a point, from the derivatives of u.
 
     ``derivs[j-1]`` must hold the j-th derivative of u at the point; the
     result is  (sum over partitions pi of [n] of prod_V derivs[|V|-1]) *
-    exp(u0).  Works over any scalar ring supporting + and *; exp(u0) is
-    taken in the kind of u0, so an exact u0 must be 0.
+    exp(u0), the sum taken by ``block_sum``.  exp(u0) is taken in the kind
+    of u0, so an exact u0 must be 0; mpf input is worked at ``DEFAULT_DIGITS``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > cap:
-        raise CapExceededError("derivative order", n, cap)
-    if len(derivs) < n:
-        raise ValueError(f"need the first {n} derivatives of u, got {len(derivs)}")
-    weights, D = integer_weights(derivs[:n])
-    total = None
-    for pi in enumerate_partitions(n, cap=cap):
-        term = None
-        for b in pi.blocks:
-            d = weights[len(b) - 1]
-            term = d if term is None else term * d
-        total = term if total is None else total + term
-    if isinstance(total, int):  # exact weights: the sum is D^n times its value
-        total = Fraction(total, D ** n)
-    return total * exp(u0)
+    with work(kind_of(u0), DEFAULT_DIGITS):
+        return block_sum(derivs, n) * exp(u0)
 
 
-def composition_identity(n: int, k: int,
-                         cap: int = DEFAULT_PARTITION_CAP) -> tuple[Fraction, Fraction]:
+def composition_identity(n: int, k: int) -> tuple[Fraction, Fraction]:
     """Both sides of the block-factorial partition identity.
 
     Left: sum over partitions of [n-1] with k blocks of prod_V |V|! divided
@@ -270,10 +253,8 @@ def composition_identity(n: int, k: int,
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
-    if n - 1 > cap:
-        raise CapExceededError("partition sum", n - 1, cap)
     left = 0
-    for pi in enumerate_partitions(n - 1, cap=cap):
+    for pi in enumerate_partitions(n - 1):
         if pi.num_blocks != k:
             continue
         term = 1

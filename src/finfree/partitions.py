@@ -1,11 +1,13 @@
 """Set-partition lattice P(n).
 
 Enumeration (restricted-growth-string order), refinement order, join,
-closed-form Mobius functions, non-crossing filtering, and brute-force
-counting of the covering / essential / interval-join tuple families together
-with their closed-form counterparts.
+closed-form Mobius functions, non-crossing filtering, the literal
+block-multiplicative sum over P(n) (``block_sum``), and brute-force counting
+of the covering / essential / interval-join tuple families together with
+their closed-form counterparts.
 
-Everything here is exact integer arithmetic on immutable values.  Brute-force
+Everything here is exact integer arithmetic on immutable values, except
+``block_sum``, which sums in the kind of its weights.  Brute-force
 enumerations are guarded by explicit caps because Bell numbers grow fast:
 Bell(12) is already about 4.2 million.
 """
@@ -19,7 +21,8 @@ from itertools import combinations, product
 from typing import Iterator, Sequence
 
 from .errors import CapExceededError
-from .scalars import binom, multinomial
+from .scalars import (DEFAULT_DIGITS, binom, common_kind, csum, integer_weights, multinomial,
+                      work)
 
 DEFAULT_PARTITION_CAP = 12
 DEFAULT_TUPLE_CAP = 8
@@ -178,19 +181,6 @@ def enumerate_noncrossing(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[
             yield pi
 
 
-def enumerate_refinements(pi: SetPartition,
-                          cap: int = DEFAULT_PARTITION_CAP) -> Iterator[SetPartition]:
-    """All sigma <= pi, built blockwise from partitions of each block of pi."""
-    per_block: list[list[list[tuple[int, ...]]]] = []
-    for b in pi.blocks:
-        opts = []
-        for rho in enumerate_partitions(len(b), cap=cap):
-            opts.append([tuple(b[i - 1] for i in blk) for blk in rho.blocks])
-        per_block.append(opts)
-    for combo in product(*per_block):
-        yield SetPartition(pi.n, [blk for opt in combo for blk in opt])
-
-
 # ---------------------------------------------------------------------------
 # order and join
 # ---------------------------------------------------------------------------
@@ -318,6 +308,41 @@ def mobius_recursive(pi: SetPartition, sigma: SetPartition, cap: int = 6) -> int
 
 
 # ---------------------------------------------------------------------------
+# block-multiplicative sums
+# ---------------------------------------------------------------------------
+
+def block_sum(weights: Sequence, n: int, signed: bool = False,
+              digits: int = DEFAULT_DIGITS):
+    """sum over pi in P(n) of prod_{V in pi} weights[|V| - 1], each term times
+    mu(pi, 1_n) when ``signed`` is set.
+
+    The literal oracle of ``series``: with W(z) = 1 + sum_s weights[s-1] z^s / s!
+    the unsigned sum is n! [z^n] exp(W(z) - 1) and the signed one n! [z^n]
+    log W(z).  Exact weights are summed on ints over one common denominator
+    (``integer_weights``) and the sum comes back as a ``Fraction``; any other
+    kind is multiplied at ``digits`` and summed by ``csum``.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if len(weights) < n:
+        raise ValueError(f"need the weights of block sizes 1..{n}, got {len(weights)}")
+    ws, D = integer_weights(weights[:n])
+    exact = all(isinstance(w, int) for w in ws)
+    total, terms = 0, []
+    with work(common_kind(ws, "block_sum"), digits):
+        for pi in enumerate_partitions(n):
+            term = mobius_top(pi) if signed else 1
+            for b in pi.blocks:
+                term = term * ws[len(b) - 1]
+            if exact:
+                total += term
+            else:
+                terms.append(term)
+    # a product of scaled weights over the blocks of pi is D^n times its value
+    return Fraction(total, D ** n) if exact else csum(terms, digits=digits)
+
+
+# ---------------------------------------------------------------------------
 # tuple-family counting
 # ---------------------------------------------------------------------------
 
@@ -331,6 +356,13 @@ def interval_partition(lengths: Sequence[int]) -> SetPartition:
         blocks.append(tuple(range(start, start + l)))
         start += l
     return SetPartition(start - 1, blocks)
+
+
+def _check_positive(**groups: Sequence[int]) -> None:
+    """Every tuple-family count takes only positive n, sizes and lengths."""
+    for name, values in groups.items():
+        if not values or any(v < 1 for v in values):
+            raise ValueError(f"{name} must be positive, got {tuple(values)}")
 
 
 def _check_tuple_cap(n: int, cap: int, what: str) -> None:
@@ -356,6 +388,26 @@ def _merge_masks(acc: list[int], mask: int) -> list[int]:
     return rest
 
 
+def _count_connected(n: int, sizes: tuple, base: SetPartition | None = None) -> int:
+    """Tuples of subsets of [n] with |W_i| = sizes[i] whose join with ``base``
+    (0_n when omitted) is 1_n.
+
+    Each W_i acts as a clique, so the join is 1_n exactly when the masks,
+    folded into the blocks of ``base``, form one component covering [n].
+    """
+    base_masks = [] if base is None else [sum(1 << (x - 1) for x in b) for b in base.blocks]
+    full = (1 << n) - 1
+    pools = [_subset_masks(n, m) for m in sizes]
+    count = 0
+    for tup in product(*pools):
+        comps = base_masks
+        for w in tup:
+            comps = _merge_masks(comps, w)
+        if len(comps) == 1 and comps[0] == full:
+            count += 1
+    return count
+
+
 def count_R(n: int, sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP,
             method: str = "brute") -> int:
     """Tuples (W_1,...,W_k) of subsets of [n] with |W_i|=sizes[i] covering [n].
@@ -365,8 +417,7 @@ def count_R(n: int, sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP,
     sum_l C(n,l) (-1)^(n-l) prod_i C(l, m_i), which has no size cap.
     """
     sizes = tuple(sizes)
-    if n < 1 or any(m < 1 for m in sizes) or not sizes:
-        raise ValueError("n and all sizes must be positive")
+    _check_positive(n=(n,), sizes=sizes)
     if method == "formula":
         total = 0
         for l in range(1, n + 1):
@@ -396,30 +447,25 @@ def count_S(n: int, sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP) -> int:
     """Essential tuples: |W_i|=sizes[i] and the W_i join to 1_n.
 
     Each W_i is read as the partition with the one block W_i and singletons
-    elsewhere.  Duplicates among the W_i are allowed.  The join condition forces the
-    union to cover [n], so no separate covering check is needed.  Each W_i
-    acts as a clique, so the join is 1_n exactly when the masks form a
-    single connected component covering everything.
+    elsewhere.  Duplicates among the W_i are allowed.  The join condition
+    forces the union to cover [n], so no separate covering check is needed.
     """
     sizes = tuple(sizes)
-    if n < 1 or any(m < 1 for m in sizes) or not sizes:
-        raise ValueError("n and all sizes must be positive")
+    _check_positive(n=(n,), sizes=sizes)
     if any(m > n for m in sizes):
         return 0
     # degree bound: no essential tuples beyond sum(m_i) - (k-1)
     if n > sum(sizes) - (len(sizes) - 1):
         return 0
     _check_tuple_cap(n, cap, "essential-tuple count")
-    full = (1 << n) - 1
-    pools = [_subset_masks(n, m) for m in sizes]
-    count = 0
-    for tup in product(*pools):
-        comps: list[int] = []
-        for w in tup:
-            comps = _merge_masks(comps, w)
-        if len(comps) == 1 and comps[0] == full:
-            count += 1
-    return count
+    return _count_connected(n, sizes)
+
+
+def _check_lengths(sizes: tuple, lengths: tuple) -> None:
+    _check_positive(sizes=sizes, lengths=lengths)
+    need = sum(sizes) - (len(sizes) - 1)
+    if len(lengths) != need:
+        raise ValueError(f"need {need} lengths for sizes {sizes}, got {len(lengths)}")
 
 
 def count_T(sizes: Sequence[int], lengths: Sequence[int],
@@ -432,45 +478,20 @@ def count_T(sizes: Sequence[int], lengths: Sequence[int],
     """
     sizes = tuple(sizes)
     lengths = tuple(lengths)
-    k = len(sizes)
-    M = sum(sizes)
-    if len(lengths) != M - (k - 1):
-        raise ValueError(
-            f"need {M - (k - 1)} lengths for sizes {sizes}, got {len(lengths)}"
-        )
+    _check_lengths(sizes, lengths)
     L = sum(lengths)
     _check_tuple_cap(L, cap, "interval-join tuple count")
-    base_masks = []
-    start = 1
-    for l in lengths:
-        base_masks.append(sum(1 << (x - 1) for x in range(start, start + l)))
-        start += l
-    full = (1 << L) - 1
-    pools = [_subset_masks(L, m) for m in sizes]
-    count = 0
-    for tup in product(*pools):
-        comps = list(base_masks)
-        for w in tup:
-            comps = _merge_masks(comps, w)
-        if len(comps) == 1 and comps[0] == full:
-            count += 1
-    return count
+    return _count_connected(L, sizes, interval_partition(lengths))
 
 
 def count_T_closed(sizes: Sequence[int], lengths: Sequence[int]) -> int:
     """Closed form: (prod l_i) * multinomial(M-k; m_i - 1) * (sum l_i)^(k-1)."""
     sizes = tuple(sizes)
     lengths = tuple(lengths)
+    _check_lengths(sizes, lengths)
     k = len(sizes)
-    M = sum(sizes)
-    if len(lengths) != M - (k - 1):
-        raise ValueError(
-            f"need {M - (k - 1)} lengths for sizes {sizes}, got {len(lengths)}"
-        )
-    prod_l = 1
-    for l in lengths:
-        prod_l *= l
-    return prod_l * multinomial(M - k, [m - 1 for m in sizes]) * sum(lengths) ** (k - 1)
+    return (math.prod(lengths) * multinomial(sum(sizes) - k, [m - 1 for m in sizes])
+            * sum(lengths) ** (k - 1))
 
 
 def count_join_full(sizes: Sequence[int], num_blocks: int | None = None,
@@ -484,6 +505,7 @@ def count_join_full(sizes: Sequence[int], num_blocks: int | None = None,
     available at the default block count.
     """
     sizes = tuple(sizes)
+    _check_positive(sizes=sizes)
     M = sum(sizes)
     k = len(sizes)
     if num_blocks is None:
@@ -501,19 +523,12 @@ def count_join_full(sizes: Sequence[int], num_blocks: int | None = None,
 def count_join_full_closed(sizes: Sequence[int]) -> int:
     """Closed form (M-(k-1))^(k-2) * prod(m_i), valid at |sigma| = M-(k-1).
 
-    For k = 1 the exponent is -1 and the expression is the rational
-    prod(m_i)/M = 1, matching the single qualifying partition 0_M.
+    For k = 1 the exponent is -1 and the expression is prod(m_i)/M = 1,
+    matching the single qualifying partition 0_M.
     """
     sizes = tuple(sizes)
-    M = sum(sizes)
+    _check_positive(sizes=sizes)
     k = len(sizes)
-    prod_m = 1
-    for m in sizes:
-        prod_m *= m
-    base = M - (k - 1)
-    if k >= 2:
-        return base ** (k - 2) * prod_m
-    val = Fraction(prod_m, base)
-    if val.denominator != 1:
-        raise ArithmeticError("closed form did not produce an integer at k=1")
-    return int(val)
+    if k == 1:
+        return 1
+    return (sum(sizes) - (k - 1)) ** (k - 2) * math.prod(sizes)

@@ -194,7 +194,12 @@ def dilate(p: MonicPoly, c, digits: int = DEFAULT_DIGITS) -> MonicPoly:
         raise ValueError("dilation factor must be nonzero")
     if p.angles is not None:
         raise ValueError("dilation is not defined on the unit-circle flavor")
-    kind = kind_of(c)
+    # the precision scope follows the data as well as c: 50-digit coefficients
+    # scaled by an exact c must not round at mpmath's ambient precision
+    kinds = {common_kind(v, "dilate") for v in (p.coeffs, p.roots) if v is not None}
+    kind = MPF if MPF in kinds else kind_of(c)
+    if kind == MPF:
+        c = to_mpf(c, digits)
     coeffs = None
     with work(kind, digits):
         if p.coeffs is not None:

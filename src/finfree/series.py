@@ -8,7 +8,8 @@ W(z) = sum_j w_j z^j / j! with w_0 = 1:
     sum_pi mu(pi, 1_n) prod_V w_|V|      = n! [z^n] log W(z).
 
 Both take O(n^2) coefficient operations instead of a walk over P(n) or its
-block-size profiles.  Coefficients may be exact rationals, mpf or binary64
+block-size profiles; ``partitions.block_sum`` is that walk, kept as the
+literal oracle of both.  Coefficients may be exact rationals, mpf or binary64
 values.  Every coefficient of a product, ``exp`` or ``log`` is one call of
 ``scalars.dot``, the single inner loop: one rounding per mpf coefficient,
 one reduction per exact one.

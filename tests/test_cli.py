@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 from finfree import cli
 from finfree.cumulants import finite_cumulants
@@ -69,6 +70,17 @@ class TestIdentityCommand:
         code, _, err = run(capsys, "identity", "--fs", "0,zz", "--n", "2")
         assert code == 2 and "error" in err
 
+    def test_cap_reaches_the_enumeration(self, capsys):
+        code, out, err = run(capsys, "--cap", "4", "identity", "--fs", "0,1", "--n", "5")
+        assert code == 3 and out == "" and "cap 4" in err
+
+    def test_cap_checked_before_the_tables(self, capsys):
+        # ten million Fractions per polynomial would be built if the check waited
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--cap", "4", "identity", "--fs", "0,1", "--n", "10000000")
+        assert code == 3 and out == "" and "cap 4" in err
+        assert time.perf_counter() - start < 1.0
+
 
 class TestCountCommand:
     def test_R(self, capsys):
@@ -114,6 +126,19 @@ class TestCountCommand:
             code, out, err = run(capsys, "count", *argv, "--method", bad)
             assert code == 2 and out == ""
             assert f"family {argv[0]} has methods {methods}" in err
+
+    def test_non_positive_sizes_and_lengths_exit_2(self, capsys):
+        for argv in (
+            ("T", "--sizes=2", "--lengths=-1,4"),
+            ("T", "--sizes=2", "--lengths=-1,4", "--method=brute"),
+            ("joinfull", "--sizes=-2,5"),
+            ("joinfull", "--sizes=0,3"),
+            ("joinfull", "--sizes=0,3", "--method=brute"),
+            ("R", "--sizes=0,1", "--n=2"),
+            ("S", "--sizes=2,-1", "--n=2"),
+        ):
+            code, out, err = run(capsys, "count", *argv)
+            assert code == 2 and out == "" and "must be positive" in err, argv
 
     def test_S_is_brute_only(self, capsys):
         code, out, _ = run(capsys, "count", "S", "--sizes", "2,2", "--n", "3",
@@ -224,6 +249,12 @@ class TestLimitCommand:
         assert code == 0 and len(json.loads(out)["rows"]) == 2
         code, out, _ = run(capsys, "limit", "--config", cfg)
         assert code == 0 and out.startswith("kind,d,m,t,n")
+
+    def test_non_object_config_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1]")
+        code, out, err = run(capsys, "limit", "--kind", "sy", "--config", str(cfg))
+        assert code == 2 and out == "" and "must be a JSON object" in err
 
     def test_kind_flag_conflict(self, capsys):
         code, _, _ = run(

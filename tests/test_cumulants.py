@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -18,6 +19,7 @@ from finfree.cumulants import (
     laguerre_hat,
     laguerre_unitary,
 )
+from finfree.errors import CapExceededError
 from finfree.polycalc import (
     MonicPoly,
     boxplus,
@@ -185,6 +187,23 @@ class TestBoxtimesCumulants:
             direct = finite_cumulants(boxtimes_fold(ps))
             for n in range(1, min(d, 5) + 1):
                 assert boxtimes_cumulants(ps, n, method="join-sum") == direct[n]
+
+    def test_mpf_factors_match_direct(self):
+        d, digits = 8, 50
+        ps = [hermite_unitary(d, 1), exp_poly(d, 0.5), hermite_unitary(d, 0.25)]
+        direct = finite_cumulants(boxtimes_fold(ps, digits=digits), digits=digits)
+        for method, n_max in (("pi-sum", 6), ("join-sum", 3)):
+            for n in range(1, n_max + 1):
+                got = boxtimes_cumulants(ps, n, method=method, digits=digits)
+                assert isinstance(got, mp.mpf)
+                assert abs(got - direct[n]) <= mp.mpf("1e-40") * abs(direct[n]), (method, n)
+
+    def test_pi_sum_past_the_cap_fails_at_once(self):
+        ps = [laguerre_hat(13, 1)] * 2
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match="size 13"):
+            boxtimes_cumulants(ps, 13)
+        assert time.perf_counter() - start < 1.0
 
     def test_join_sum_cap(self):
         ps = [laguerre_hat(8, 1)] * 2

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -263,6 +264,17 @@ class TestFaaDiBruno:
             ints = [rng.randint(-5, 5) for _ in range(n)]
             got = faa_di_bruno_exp(ints, 0, n)
             assert type(got) is Fraction and got == faa_di_bruno_literal(ints, n)
+
+
+    def test_mpf_worked_at_default_digits(self):
+        # sum and exp(u0) both at 50 digits, whatever the ambient precision
+        with mp.workdps(50):
+            derivs = [mp.mpf(1) / 3, mp.mpf(2) / 7, mp.mpf(1) / 11]
+            u0 = mp.mpf(1) / 2
+        got = faa_di_bruno_exp(derivs, u0, 3)
+        with mp.workdps(80):
+            expect = faa_di_bruno_literal(derivs, 3) * mp.exp(u0)
+            assert abs(got - expect) <= mp.mpf("1e-45") * abs(expect)
 
 
 class TestCompositionIdentity:

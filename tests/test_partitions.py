@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from finfree.errors import CapExceededError
 from finfree.partitions import (
     SetPartition,
     bell_number,
+    block_sum,
     count_R,
     count_S,
     count_T,
@@ -19,7 +21,6 @@ from finfree.partitions import (
     count_join_full_closed,
     enumerate_noncrossing,
     enumerate_partitions,
-    enumerate_refinements,
     interval_partition,
     is_noncrossing,
     is_refinement,
@@ -30,6 +31,7 @@ from finfree.partitions import (
     mobius_recursive,
     mobius_top,
 )
+from finfree.series import PowerSeries
 
 from .oracles import bell_oracle, catalan_oracle, join_bfs, partitions_by_insertion
 
@@ -225,13 +227,22 @@ class TestLattice:
         rng = random.Random(20240817)
         for n in range(1, 8):
             parts = list(enumerate_partitions(n))
-            g = {p: Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for p in parts}
-            f = {
-                p: sum(g[s] for s in enumerate_refinements(p))
-                for p in parts
-            }
-            for p in parts if n < 7 else rng.sample(parts, 40):
-                recovered = sum(f[s] * mobius(s, p) for s in enumerate_refinements(p))
+            g = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in parts]
+            checked = range(len(parts)) if n < 7 else rng.sample(range(len(parts)), 40)
+            # r <= s iff every pair sharing a block of r shares one of s
+            pairs = [sum(1 << (i * n + j) for b in p.blocks for i, j in combinations(b, 2))
+                     for p in parts]
+            # refinement lists (by index) of the checked partitions and of
+            # everything below them; those of s <= p are found among those of p
+            below = {}
+            for p in checked:
+                below[p] = [s for s in range(len(parts)) if pairs[s] | pairs[p] == pairs[p]]
+                for s in below[p]:
+                    if s not in below:
+                        below[s] = [r for r in below[p] if pairs[r] | pairs[s] == pairs[s]]
+            f = {p: sum(g[s] for s in below[p]) for p in below}
+            for p in checked:
+                recovered = sum(f[s] * mobius(parts[s], parts[p]) for s in below[p])
                 assert recovered == g[p]
 
 
@@ -266,6 +277,54 @@ class TestNonCrossing:
 
         for p in enumerate_partitions(6):
             assert is_noncrossing(p) == naive(p)
+
+
+# ---------------------------------------------------------------------------
+# block-multiplicative sums
+# ---------------------------------------------------------------------------
+
+def _egf(weights, n):
+    """1 + sum_s weights[s-1] z^s / s!, truncated at z^n."""
+    return PowerSeries.egf([weights[0] ** 0] + list(weights[:n]))
+
+
+class TestBlockSum:
+    def test_counts(self):
+        for n in range(1, 9):
+            assert block_sum([1] * n, n) == bell_oracle(n)
+            assert block_sum([1] * n, n, signed=True) == (1 if n == 1 else 0)
+            # weight 1 on singletons only: the one partition 0_n
+            assert block_sum([1] + [0] * (n - 1), n, signed=True) == mobius_top(
+                SetPartition.bottom(n))
+
+    def test_exact_matches_series(self):
+        rng = random.Random(61)
+        for n in range(1, 9):
+            ws = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+            W = _egf(ws, n)
+            unsigned = (W + PowerSeries.constant(Fraction(-1), n)).exp()
+            got, got_signed = block_sum(ws, n), block_sum(ws, n, signed=True)
+            assert type(got) is Fraction and type(got_signed) is Fraction
+            assert got == unsigned.coeff(n) * math.factorial(n)
+            assert got_signed == W.log().coeff(n) * math.factorial(n)
+
+    def test_float_kinds_match_series(self):
+        rng = random.Random(62)
+        n = 7
+        with mp.workdps(50):
+            ws = [mp.mpf(rng.randint(-9, 9)) / 7 for _ in range(n)]
+            ref = _egf(ws, n).log().coeff(n) * math.factorial(n)
+        got = block_sum(ws, n, signed=True, digits=50)
+        assert isinstance(got, mp.mpf) and abs(got - ref) <= mp.mpf("1e-45") * abs(ref)
+        fl = [float(w) for w in ws]
+        got = block_sum(fl, n, signed=True)
+        assert isinstance(got, float) and abs(got - float(ref)) <= 1e-12 * abs(float(ref))
+
+    def test_needs_a_weight_per_block_size(self):
+        with pytest.raises(ValueError):
+            block_sum([Fraction(1)], 2)
+        with pytest.raises(ValueError):
+            block_sum([Fraction(1)], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +382,23 @@ class TestTupleCounts:
 
     def test_count_T_symmetric_in_sizes(self):
         assert count_T((3, 2), (1, 2, 1, 1)) == count_T((2, 3), (1, 2, 1, 1))
+
+    def test_non_positive_inputs_rejected(self):
+        bad = [
+            lambda: count_R(0, (1,)),
+            lambda: count_R(2, (0, 1), method="formula"),
+            lambda: count_S(3, (2, -1)),
+            lambda: count_T((2,), (-1, 4)),
+            lambda: count_T_closed((2,), (-1, 4)),
+            lambda: count_T_closed((0, 3), (1, 1)),
+            lambda: count_join_full((0, 3)),
+            lambda: count_join_full_closed((0, 3)),
+            lambda: count_join_full_closed((-2, 5)),
+            lambda: count_join_full_closed(()),
+        ]
+        for call in bad:
+            with pytest.raises(ValueError, match="must be positive"):
+                call()
 
     def test_count_join_full_examples(self):
         assert count_join_full((2, 2)) == 4

@@ -117,6 +117,21 @@ class TestDilate:
         with pytest.raises(ValueError):
             dilate(MonicPoly.from_roots([1]), 0)
 
+    def test_mpf_data_scaled_at_its_precision(self):
+        # an exact factor must not drop 50-digit data to mpmath's ambient 15
+        c = Fraction(1, 3)
+        cases = [(hermite_unitary(6, 1), "coeffs")]
+        with mp.workdps(50):
+            rooted = MonicPoly.from_roots([mp.mpf(k) / 7 for k in (1, 2, -3, 5)])
+        cases.append((rooted, "coeffs"))
+        cases.append((rooted, "roots"))
+        for p, field in cases:
+            got = getattr(dilate(p, c), field)
+            with mp.workdps(60):
+                for i, (a, b) in enumerate(zip(getattr(p, field), got)):
+                    expect = a * (mp.mpf(1) / 3) ** (i if field == "coeffs" else 1)
+                    assert abs(b - expect) <= mp.mpf("1e-45") * abs(expect)
+
 
 class TestPhiMaps:
     def test_alpha_one_is_identity(self):
