@@ -16,12 +16,7 @@ from fractions import Fraction
 from .cumulants import CumulantVector, coeffs_from_cumulants, finite_cumulants
 from .errors import CapExceededError, PrecisionBudgetError, RootConvergenceError
 from .experiments import KINDS, ExperimentConfig, run_experiment
-from .identities import (
-    NO_CLOSED_FORM,
-    ZeroConstPoly,
-    s_bruteforce,
-    s_closed_form,
-)
+from .identities import ZeroConstPoly, s_bruteforce, s_closed_form
 from .partitions import (
     DEFAULT_PARTITION_CAP,
     DEFAULT_TUPLE_CAP,
@@ -57,9 +52,9 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _load_json_arg(text: str):
-    """Inline JSON if it looks like an object, else a file path."""
+    """Inline JSON if it looks like an object or an array, else a file path."""
     text = text.strip()
-    if text.startswith("{"):
+    if text.startswith(("{", "[")):
         return json.loads(text)
     with open(text, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -122,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_partitions(args) -> str:
-    cap = args.cap or DEFAULT_PARTITION_CAP
+    cap = DEFAULT_PARTITION_CAP if args.cap is None else args.cap
     stream = (
         enumerate_noncrossing(args.n, cap=cap)
         if args.noncrossing
@@ -140,13 +135,10 @@ def _cmd_partitions(args) -> str:
 
 def _cmd_identity(args) -> str:
     fs = _parse_fs(args.fs)
-    cap = args.cap or DEFAULT_PARTITION_CAP
+    cap = DEFAULT_PARTITION_CAP if args.cap is None else args.cap
     if args.closed_form:
         val = s_closed_form(fs, args.n)
-        if val is NO_CLOSED_FORM:
-            out = "no-closed-form"
-        else:
-            out = format_scalar(val)
+        out = "no-closed-form" if val is None else format_scalar(val)
     else:
         out = format_scalar(s_bruteforce(fs, args.n, cap=cap))
     if args.format == "json":
@@ -165,7 +157,7 @@ _COUNT_METHODS = {
 
 def _cmd_count(args) -> str:
     sizes = _parse_int_list(args.sizes)
-    cap = args.cap or DEFAULT_TUPLE_CAP
+    cap = DEFAULT_TUPLE_CAP if args.cap is None else args.cap
     fam = args.family
     methods = _COUNT_METHODS[fam]
     method = args.method or methods[0]

@@ -32,27 +32,6 @@ from .scalars import DEFAULT_DIGITS, binom, exp, kind_of, work
 from .series import PowerSeries
 
 
-class NoClosedForm:
-    """Marker: the requested order is below the critical degree.
-
-    Returned (never raised) so callers cannot confuse "no formula is known
-    here" with a legitimate zero value.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NoClosedForm"
-
-
-NO_CLOSED_FORM = NoClosedForm()
-
-
 @dataclass(frozen=True)
 class ZeroConstPoly:
     """Polynomial with zero constant term over exact rationals.
@@ -214,8 +193,8 @@ def s_closed_form(fs: Sequence[ZeroConstPoly], n: int):
     """Closed form of the partition sum at and above the critical order.
 
     Returns (n-1)! n^(k-1) prod_i m_i lead(f_i) when n = sum(m_i) - (k-1),
-    0 above that, and the ``NO_CLOSED_FORM`` marker below it, where no
-    general formula is available.
+    0 above that, and None below it, where no general formula is available
+    (None, not 0, so it cannot pass for a value).
     """
     if not fs:
         raise ValueError("need at least one polynomial")
@@ -226,7 +205,7 @@ def s_closed_form(fs: Sequence[ZeroConstPoly], n: int):
     if n > critical:
         return Fraction(0)
     if n < critical:
-        return NO_CLOSED_FORM
+        return None
     out = Fraction(math.factorial(n - 1) * n ** (k - 1))
     for f in fs:
         out *= f.degree * f.lead

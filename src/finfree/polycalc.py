@@ -6,10 +6,10 @@ a_0 = 1, and carries signed binomial-normalized coefficients
     atilde_i = (-1)^i a_i / C(d, i),
 
 the natural coordinates here: the multiplicative convolution acts on them
-diagonally and the additive one by binomial convolution.  Polynomials hold
-coefficients and/or a root representation (real roots, or angles for the
-unit-circle flavor); conversions between the two are explicit and lossy in
-float kinds.
+diagonally and the additive one by binomial convolution.  A polynomial is
+its coefficients; one built from roots, or from angles for the unit-circle
+flavor, keeps them as well.  Going from coefficients to roots is explicit
+(``roots_of``) and lossy in float kinds.
 """
 
 from __future__ import annotations
@@ -36,42 +36,38 @@ _ROOT_MAX_ITER = 200
 
 @dataclass(frozen=True)
 class MonicPoly:
-    """Immutable monic polynomial with optional root data.
+    """Immutable monic polynomial: its coefficients a_0..a_d, with a_0 = 1.
 
-    Exactly one of ``roots`` / ``angles`` may accompany ``coeffs``; angle
-    data (unit-circle flavor) stores the arguments in [-pi, pi) so angle
-    maps stay exact in the angle domain.
+    A polynomial built from roots keeps them in ``roots``; one built from
+    unit-circle angles keeps them in ``angles``, as arguments in [-pi, pi)
+    so angle maps stay exact in the angle domain.  At most one of the two is
+    set.
     """
 
-    degree: int
-    coeffs: tuple | None = None
+    coeffs: tuple
     roots: tuple | None = None
     angles: tuple | None = None
 
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
-        if self.coeffs is None and self.roots is None and self.angles is None:
-            raise ValueError("a polynomial needs coefficients, roots, or angles")
+        if self.coeffs[0] != 1:
+            raise ValueError("leading coefficient must be 1 (monic)")
         if self.roots is not None and self.angles is not None:
             raise ValueError("roots and angles are mutually exclusive flavors")
-        if self.coeffs is not None:
-            if len(self.coeffs) != self.degree + 1:
-                raise ValueError(
-                    f"need {self.degree + 1} coefficients for degree {self.degree}"
-                )
-            if self.coeffs[0] != 1:
-                raise ValueError("leading coefficient must be 1 (monic)")
         for field in (self.roots, self.angles):
             if field is not None and len(field) != self.degree:
                 raise ValueError("root/angle multiset size must equal the degree")
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence) -> "MonicPoly":
-        coeffs = tuple(coeffs)
-        return cls(degree=len(coeffs) - 1, coeffs=coeffs)
+        return cls(tuple(coeffs))
 
     @classmethod
     def from_roots(cls, roots: Sequence, digits: int = DEFAULT_DIGITS) -> "MonicPoly":
@@ -93,49 +89,27 @@ class MonicPoly:
             with mp.workdps(30):
                 hi = _expand([to_mpf(r, 30) for r in roots], mp.mpf(1))
             coeffs = tuple(complex(c) if isinstance(c, mp.mpc) else float(c) for c in hi)
-        return cls(degree=len(roots), coeffs=coeffs, roots=roots)
+        return cls(coeffs, roots=roots)
 
     @classmethod
     def from_angles(cls, angles: Sequence, digits: int | None = None) -> "MonicPoly":
-        """Unit-circle polynomial prod (z - exp(i*theta)); angles in [-pi, pi)."""
-        angles = tuple(angles)
-        if digits is not None:
-            with mp.workdps(digits):
-                angles = tuple(to_mpf(a, digits) for a in angles)
-                lo, hi = -mp.pi, mp.pi
-                if any(a < lo or a >= hi for a in angles):
-                    raise ValueError("angles must lie in [-pi, pi)")
+        """Unit-circle polynomial prod (z - exp(i*theta)); angles in [-pi, pi).
+
+        Angles are binary64, or mpf at ``digits`` when given; the product is
+        expanded in their kind.
+        """
+        if digits is None:
+            angles, pi = tuple(float(a) for a in angles), math.pi
         else:
-            angles = tuple(float(a) for a in angles)
-            if any(a < -math.pi or a >= math.pi for a in angles):
-                raise ValueError("angles must lie in [-pi, pi)")
-        return cls(degree=len(angles), angles=angles)
-
-    # -- representation access ---------------------------------------------
-
-    def coefficients(self, digits: int = DEFAULT_DIGITS) -> tuple:
-        """Coefficients a_0..a_d, expanding from roots or angles on demand."""
-        if self.coeffs is not None:
-            return self.coeffs
-        if self.roots is not None:
-            return MonicPoly.from_roots(self.roots, digits=digits).coeffs
-        with work(self.angle_kind, digits):
-            units = [exp(1j * a) for a in self.angles]
-            return _expand(units, units[0] ** 0)
-
-    @property
-    def angle_kind(self) -> str:
-        return kind_of(self.angles[0]) if self.angles else EXACT
-
-    def __repr__(self):
-        rep = []
-        if self.coeffs is not None:
-            rep.append(f"coeffs={self.coeffs!r}")
-        if self.roots is not None:
-            rep.append(f"roots={self.roots!r}")
-        if self.angles is not None:
-            rep.append(f"angles={self.angles!r}")
-        return f"MonicPoly(d={self.degree}, {', '.join(rep)})"
+            with mp.workdps(digits):
+                angles, pi = tuple(to_mpf(a, digits) for a in angles), +mp.pi
+        if not angles:
+            raise ValueError("degree must be >= 1")
+        if any(a < -pi or a >= pi for a in angles):
+            raise ValueError("angles must lie in [-pi, pi)")
+        with work(kind_of(angles[0]), digits or DEFAULT_DIGITS):
+            units = [exp(1j * a) for a in angles]
+            return cls(_expand(units, units[0] ** 0), angles=angles)
 
 
 def _expand(roots: Sequence, one) -> tuple:
@@ -157,12 +131,11 @@ def _expand(roots: Sequence, one) -> tuple:
 
 def normalized_coeffs(p: MonicPoly, digits: int = DEFAULT_DIGITS) -> tuple:
     """atilde_0..atilde_d of p."""
-    coeffs = p.coefficients(digits=digits)
     d = p.degree
-    kind = common_kind(coeffs, "normalized_coeffs")
+    kind = common_kind(p.coeffs, "normalized_coeffs")
     with work(kind, digits):
         # the monic 1 is an int; promoted, atilde_0 takes the coefficients' kind
-        coeffs = promote_ints(coeffs, kind)
+        coeffs = promote_ints(p.coeffs, kind)
         return tuple((-1) ** i * a / binom(d, i) for i, a in enumerate(coeffs))
 
 
@@ -172,8 +145,6 @@ def from_normalized(atilde: Sequence, digits: int = DEFAULT_DIGITS) -> MonicPoly
     if atilde[0] != 1:
         raise ValueError("atilde_0 must be 1")
     d = len(atilde) - 1
-    if d < 1:
-        raise ValueError("need degree >= 1")
     kind = common_kind(atilde, "from_normalized")
     coeffs = []
     with work(kind, digits):
@@ -181,7 +152,7 @@ def from_normalized(atilde: Sequence, digits: int = DEFAULT_DIGITS) -> MonicPoly
             sign = -1 if i % 2 else 1
             coeffs.append(sign * binom(d, i) * v)
     coeffs[0] = 1
-    return MonicPoly(degree=d, coeffs=tuple(coeffs))
+    return MonicPoly(tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +171,15 @@ def dilate(p: MonicPoly, c, digits: int = DEFAULT_DIGITS) -> MonicPoly:
     kind = MPF if MPF in kinds else kind_of(c)
     if kind == MPF:
         c = to_mpf(c, digits)
-    coeffs = None
     with work(kind, digits):
-        if p.coeffs is not None:
-            acc = c ** 0
-            new = []
-            for a in p.coeffs:
-                new.append(a * acc)
-                acc = acc * c
-            new[0] = p.coeffs[0]
-            coeffs = tuple(new)
+        acc = c ** 0
+        coeffs = []
+        for a in p.coeffs:
+            coeffs.append(a * acc)
+            acc = acc * c
+        coeffs[0] = p.coeffs[0]
         roots = tuple(r * c for r in p.roots) if p.roots is not None else None
-    return MonicPoly(degree=p.degree, coeffs=coeffs, roots=roots)
+    return MonicPoly(tuple(coeffs), roots=roots)
 
 
 def phi_alpha(p: MonicPoly, alpha, digits: int | None = None) -> MonicPoly:
@@ -254,8 +222,7 @@ def _binary_op_atilde(p: MonicPoly, q: MonicPoly, name: str, digits: int):
         )
     ap = normalized_coeffs(p, digits=digits)
     aq = normalized_coeffs(q, digits=digits)
-    common_kind(list(ap) + list(aq), name)
-    return ap, aq
+    return common_kind(ap + aq, name), ap, aq
 
 
 def boxplus(p: MonicPoly, q: MonicPoly, digits: int = DEFAULT_DIGITS) -> MonicPoly:
@@ -265,18 +232,17 @@ def boxplus(p: MonicPoly, q: MonicPoly, digits: int = DEFAULT_DIGITS) -> MonicPo
     real-rootedness of real-rooted inputs is preserved (checked in tests,
     not enforced here).
     """
-    ap, aq = _binary_op_atilde(p, q, "boxplus", digits)
-    d = p.degree
-    with work(common_kind(list(ap) + list(aq), "boxplus"), digits):
+    kind, ap, aq = _binary_op_atilde(p, q, "boxplus", digits)
+    with work(kind, digits):
         out = [dot([binom(k, i) * ap[i] for i in range(k + 1)], aq[k::-1])
-               for k in range(d + 1)]
+               for k in range(p.degree + 1)]
     return from_normalized(out, digits=digits)
 
 
 def boxtimes(p: MonicPoly, q: MonicPoly, digits: int = DEFAULT_DIGITS) -> MonicPoly:
     """Finite free multiplicative convolution: diagonal on atilde."""
-    ap, aq = _binary_op_atilde(p, q, "boxtimes", digits)
-    with work(common_kind(list(ap) + list(aq), "boxtimes"), digits):
+    kind, ap, aq = _binary_op_atilde(p, q, "boxtimes", digits)
+    with work(kind, digits):
         prod = [a * b for a, b in zip(ap, aq)]
     return from_normalized(prod, digits=digits)
 
@@ -343,10 +309,10 @@ def roots_of(p: MonicPoly, digits: int | None = None,
     Raises ``RootConvergenceError`` carrying the best residual otherwise.
     """
     if digits is None:
-        coeffs = [complex(c) for c in p.coefficients()]
+        coeffs = [complex(c) for c in p.coeffs]
         return _aberth(coeffs, tol=1e-13, max_iter=max_iter)
     with mp.workdps(digits):
-        coeffs = [mp.mpc(to_mpf(c, digits)) for c in p.coefficients(digits=digits)]
+        coeffs = [mp.mpc(to_mpf(c, digits)) for c in p.coeffs]
         return _aberth(coeffs, tol=mp.mpf(10) ** (-(digits - 5)), max_iter=max_iter)
 
 
@@ -615,14 +581,10 @@ def poly_from_json(obj: dict, digits: int | None = None) -> MonicPoly:
 
 
 def poly_to_json(p: MonicPoly) -> dict:
-    out: dict = {"degree": p.degree}
-    if p.coeffs is not None:
-        out["coeffs"] = [_scalar_to_json(c) for c in p.coeffs]
-    elif p.roots is not None:
-        out["roots"] = [_scalar_to_json(r) for r in p.roots]
-    else:
-        out["angles"] = [float(a) for a in p.angles]
-    return out
+    """{"degree": d, "angles": [...]} for a unit-circle polynomial, else its coefficients."""
+    if p.angles is not None:
+        return {"degree": p.degree, "angles": [float(a) for a in p.angles]}
+    return {"degree": p.degree, "coeffs": [_scalar_to_json(c) for c in p.coeffs]}
 
 
 def _scalar_to_json(v):

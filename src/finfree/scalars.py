@@ -193,25 +193,12 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
     return out
 
 
-def neumaier_sum(values: Iterable[float]) -> float:
-    """Compensated (Neumaier) summation for binary64 terms."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
-
-
 def csum(values: Sequence, digits: int = DEFAULT_DIGITS):
     """Cancellation-safe sum dispatched on scalar kind.
 
     Exact values are summed exactly; mpmath terms go through ``mp.fsum``
-    (single final rounding); binary64 terms use Neumaier compensation.
+    (single final rounding); binary64 terms through ``math.fsum``, correctly
+    rounded, the real and imaginary parts of complex terms separately.
     """
     values = list(values)
     if not values:
@@ -223,7 +210,5 @@ def csum(values: Sequence, digits: int = DEFAULT_DIGITS):
         with mp.workdps(digits):
             return mp.fsum(values)
     if any(isinstance(v, complex) for v in values):
-        re = neumaier_sum(v.real if isinstance(v, complex) else float(v) for v in values)
-        im = neumaier_sum(v.imag if isinstance(v, complex) else 0.0 for v in values)
-        return complex(re, im)
-    return neumaier_sum(values)
+        return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+    return math.fsum(values)

@@ -46,6 +46,10 @@ class TestPartitionsCommand:
         code, out, _ = run(capsys, "--cap", "5", "partitions", "--n", "5", "--count-only")
         assert code == 0 and out.strip() == "52"
 
+    def test_cap_zero_is_a_cap(self, capsys):
+        code, out, err = run(capsys, "--cap", "0", "partitions", "--n", "3", "--count-only")
+        assert code == 3 and out == "" and "cap 0" in err
+
 
 class TestIdentityCommand:
     def test_bruteforce(self, capsys):
@@ -140,6 +144,10 @@ class TestCountCommand:
             code, out, err = run(capsys, "count", *argv)
             assert code == 2 and out == "" and "must be positive" in err, argv
 
+    def test_cap_zero_is_a_cap(self, capsys):
+        code, out, err = run(capsys, "--cap", "0", "count", "S", "--sizes", "2,2", "--n", "3")
+        assert code == 3 and out == "" and "cap 0" in err
+
     def test_S_is_brute_only(self, capsys):
         code, out, _ = run(capsys, "count", "S", "--sizes", "2,2", "--n", "3",
                            "--method", "brute")
@@ -170,6 +178,10 @@ class TestConvCommand:
         code, out, _ = run(capsys, "conv", "pow", "--p", '{"coeffs": [1, -4, 2]}', "--m", "1")
         assert code == 0
         assert json.loads(out)["coeffs"] == [1, -4, 2]
+
+    def test_inline_array_is_not_an_object_exit_2(self, capsys):
+        code, out, err = run(capsys, "conv", "boxplus", "--p", "[1]", "--q", '{"roots": [1]}')
+        assert code == 2 and out == "" and "polynomial literal must be a JSON object" in err
 
     def test_degree_mismatch_exit_2(self, capsys):
         code, _, err = run(
@@ -255,6 +267,10 @@ class TestLimitCommand:
         cfg.write_text("[1]")
         code, out, err = run(capsys, "limit", "--kind", "sy", "--config", str(cfg))
         assert code == 2 and out == "" and "must be a JSON object" in err
+
+    def test_inline_array_config_exit_2(self, capsys):
+        code, out, err = run(capsys, "limit", "--kind", "sy", "--config", "[1]")
+        assert code == 2 and out == "" and "experiment config must be a JSON object" in err
 
     def test_kind_flag_conflict(self, capsys):
         code, _, _ = run(

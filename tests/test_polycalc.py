@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -85,6 +86,51 @@ class TestRepresentation:
             MonicPoly.from_angles([3.5])
         p = MonicPoly.from_angles([0.0, -1.0, 1.0])
         assert p.degree == 3
+
+    def test_angles_expanded_once_in_their_kind(self):
+        def literal(units):
+            """prod (z - u), one factor at a time, a_0 first."""
+            coeffs = [units[0] ** 0]
+            for u in units:
+                coeffs = [a - u * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+            return tuple(coeffs)
+
+        p = MonicPoly.from_angles([0.3, -1.1, 2.5, -3.0])
+        assert p.coeffs == literal([cmath.exp(1j * a) for a in p.angles])
+        assert all(isinstance(c, complex) for c in p.coeffs)
+        q = MonicPoly.from_angles(["0.3", "-1.1", "2.5", "-3"], digits=40)
+        with mp.workdps(40):
+            assert q.angles == tuple(mp.mpf(a) for a in ("0.3", "-1.1", "2.5", "-3"))
+            want = literal([mp.exp(1j * a) for a in q.angles])
+        assert q.coeffs == want
+        assert all(isinstance(c, mp.mpc) for c in q.coeffs)
+
+    def test_degree_is_len_coeffs_minus_one(self):
+        with mp.workdps(30):
+            mroots = [mp.mpf(1) / 3, mp.mpf(2)]
+        polys = [
+            MonicPoly.from_coeffs([1, Fraction(-3, 2), 2]),
+            MonicPoly.from_roots([1, 2, 3]),
+            MonicPoly.from_roots([0.5, 2.0]),
+            MonicPoly.from_roots(mroots, digits=30),
+            MonicPoly.from_angles([0.5, -0.5, 1.0]),
+            MonicPoly.from_angles([0.5], digits=40),
+            from_normalized([1, Fraction(1, 2), Fraction(1, 3)]),
+            dilate(MonicPoly.from_roots([1, 3]), 2),
+        ]
+        for p in polys:
+            assert p.degree == len(p.coeffs) - 1 >= 1
+        assert [p.degree for p in polys] == [2, 3, 2, 2, 3, 1, 2, 2]
+
+    def test_degree_zero_and_non_monic_rejected(self):
+        for bad in ([], [1], [2, 1], [1.5, 1.0]):
+            with pytest.raises(ValueError):
+                MonicPoly.from_coeffs(bad)
+        for make in (MonicPoly.from_roots, MonicPoly.from_angles):
+            with pytest.raises(ValueError):
+                make([])
+        with pytest.raises(ValueError):
+            from_normalized([1])
 
 
 class TestDilate:
@@ -497,6 +543,25 @@ class TestJson:
     def test_angles_literal(self):
         p = poly_from_json({"angles": [0.5, -0.5]})
         assert p.angles == (0.5, -0.5)
+
+    def test_to_json_writes_angles_else_coeffs(self):
+        with mp.workdps(30):
+            mroots = [mp.mpf(1) / 3, mp.mpf(2)]
+        cases = [
+            (MonicPoly.from_coeffs([1, Fraction(-3, 2), 2]),
+             {"degree": 2, "coeffs": [1, "-3/2", 2]}),
+            (MonicPoly.from_roots([1, Fraction(1, 2)]),
+             {"degree": 2, "coeffs": [1, "-3/2", "1/2"]}),
+            (MonicPoly.from_roots([0.5, 2.0]), {"degree": 2, "coeffs": [1.0, -2.5, 1.0]}),
+            (MonicPoly.from_roots(mroots, digits=30),
+             {"degree": 2, "coeffs": ["1.0", "-2.3333333333333333", "0.66666666666666667"]}),
+            (dilate(MonicPoly.from_roots([1, 3]), 2), {"degree": 2, "coeffs": [1, -8, 12]}),
+            (MonicPoly.from_angles([0.5, -0.5]), {"degree": 2, "angles": [0.5, -0.5]}),
+            (MonicPoly.from_angles([0.5, -0.25], digits=40),
+             {"degree": 2, "angles": [0.5, -0.25]}),
+        ]
+        for p, want in cases:
+            assert poly_to_json(p) == want
 
     def test_bad_literals(self):
         with pytest.raises(ValueError):
