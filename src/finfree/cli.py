@@ -3,7 +3,8 @@
 Subcommands mirror the library surface: partition streams, identity
 evaluation, tuple-family counts, convolutions, cumulant transforms, and the
 limit-theorem experiment harness.  Exit codes: 0 success, 2 invalid input,
-3 cap or precision infeasibility, 4 numerical non-convergence.
+3 cap or precision infeasibility (a binary64 overflow among them), 4 numerical
+non-convergence.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from .cumulants import CumulantVector, coeffs_from_cumulants, finite_cumulants
 from .errors import CapExceededError, PrecisionBudgetError, RootConvergenceError
-from .experiments import KINDS, ExperimentConfig, run_experiment
+from .experiments import ExperimentConfig, run_experiment
 from .identities import ZeroConstPoly, s_bruteforce, s_closed_form
 from .partitions import (
     DEFAULT_PARTITION_CAP,
@@ -111,7 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--invert", action="store_true")
 
     p = sub.add_parser("limit", help="run a limit-theorem experiment")
-    p.add_argument("--kind", choices=KINDS)
     p.add_argument("--config", required=True, help="ExperimentConfig JSON (inline or path)")
     return ap
 
@@ -222,14 +222,8 @@ def _cmd_cumulants(args) -> str:
 
 def _cmd_limit(args) -> str:
     obj = _load_json_arg(args.config)
-    if not isinstance(obj, dict):
-        raise ValueError("experiment config must be a JSON object")
-    if args.kind is not None:
-        obj.setdefault("kind", args.kind)
-        if obj["kind"] != args.kind:
-            raise ValueError("--kind conflicts with the config file")
-    if "precision" not in obj:
-        obj["precision"] = args.precision
+    if isinstance(obj, dict):
+        obj.setdefault("precision", args.precision)
     table = run_experiment(ExperimentConfig.from_json(obj))
     if args.format == "json":
         return json.dumps(table.to_json(), indent=2)
@@ -249,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         text = handlers[args.command](args)
-    except (CapExceededError, PrecisionBudgetError) as exc:
+    except (CapExceededError, PrecisionBudgetError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except RootConvergenceError as exc:

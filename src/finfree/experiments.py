@@ -1,8 +1,12 @@
 """Experiment harness: every limit theorem as a finite-size computation.
 
-Each experiment kind computes a finite-(d, m, t) quantity, compares it
-against the matching closed-form target, and emits a result table with
-per-row absolute/relative errors plus fitted log-log convergence rates.
+Each experiment kind is one declaration in ``_KINDS``: the grids it sweeps
+and a point generator yielding, per grid point, the finite-size values for
+n = 1, 2, ... and their closed-form references.  A fixed family is declared
+by its coefficient function and its limit law's cumulant function; the CLT
+targets are the limit families' coefficients.  One driver,
+``run_experiment``, makes the rows (absolute/relative errors) and fits
+log-log convergence rates; CSV output is written from the JSON rows.
 
 Numerical policy: families with rational normalized coefficients (the
 scaled-power experiment and the unitary Laguerre one) are evaluated in
@@ -13,7 +17,6 @@ an explicit digit budget of roughly (n-1)*log10(d) + 15.
 
 from __future__ import annotations
 
-import io
 import math
 import statistics
 import sys
@@ -23,25 +26,12 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .cumulants import (
-    cumulants_from_atilde,
-    exp_poly_atilde,
-    hermite_unitary_atilde,
-    laguerre_hat_atilde,
-    laguerre_unitary_atilde,
-)
+from .cumulants import (cumulants_from_atilde, exp_poly_atilde, hermite_unitary_atilde,
+                        laguerre_hat_atilde, laguerre_unitary_atilde)
 from .errors import PrecisionBudgetError
-from .freelimits import (
-    lambda_cumulant,
-    pi_cumulant,
-    sigma_cumulant,
-    sy_limit_t,
-    sy_limit_zero,
-)
+from .freelimits import lambda_cumulant, pi_cumulant, sigma_cumulant, sy_limit_t, sy_limit_zero
 from .polycalc import MonicPoly, normalized_coeffs, poly_from_json
 from .scalars import common_kind, format_scalar, promote_ints, to_mpf, work
-
-SY_REGIMES = ("t", "zero")
 
 
 # ---------------------------------------------------------------------------
@@ -74,13 +64,16 @@ class ExperimentConfig:
         self.d = _as_int_tuple("d", self.d)
         self.m = _as_int_tuple("m", self.m)
         self.t = tuple(float(v) for v in _as_tuple(self.t))
+        if not all(math.isfinite(v) for v in self.t):
+            raise ValueError(f"t grid entries must be finite, got {self.t}")
+        if self.sigma is not None and not math.isfinite(float(self.sigma)):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise ValueError("experiment config must be a JSON object")
-        allowed = {f.name for f in fields(cls)}
-        unknown = set(obj) - allowed
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**obj)
@@ -92,10 +85,10 @@ class ExperimentConfig:
             raise ValueError("precision must be at least 15 digits")
         if self.n_max < 1:
             raise ValueError("n_max must be positive")
-        missing = [g for g in _KINDS[self.kind][1] if not getattr(self, g)]
+        missing = [g for g in _KINDS[self.kind][0] if not getattr(self, g)]
         if missing:
             raise ValueError(f"{self.kind} needs non-empty grids: {', '.join(missing)}")
-        if self.kind == "sy" and self.regime not in SY_REGIMES:
+        if self.kind == "sy" and self.regime not in ("t", "zero"):
             raise ValueError("regime must be 't' or 'zero' (no auto-detection)")
         if self.d and self.n_max > min(self.d):
             raise ValueError("n_max may not exceed the smallest degree in the grid")
@@ -104,15 +97,12 @@ class ExperimentConfig:
 def _as_tuple(v):
     if v is None:
         return ()
-    if isinstance(v, (list, tuple)):
-        return tuple(v)
-    return (v,)
+    return tuple(v) if isinstance(v, (list, tuple)) else (v,)
 
 
 def _as_int_tuple(name, v):
-    vals = _as_tuple(v)
     out = []
-    for x in vals:
+    for x in _as_tuple(v):
         if isinstance(x, float) and not x.is_integer():
             raise ValueError(f"{name} grid entries must be integers, got {x}")
         out.append(int(x))
@@ -138,6 +128,9 @@ class Row:
     rel_error: object | None
 
 
+_COLUMNS = tuple(f.name for f in fields(Row))
+
+
 @dataclass
 class ResultTable:
     rows: list = field(default_factory=list)
@@ -145,53 +138,25 @@ class ResultTable:
     notes: list = field(default_factory=list)
     precision: int = 50
 
-    def sort(self) -> None:
-        self.rows.sort(key=lambda r: (r.d, r.m or 0, r.t or 0.0, r.n))
-
-    def _fmt(self, v) -> str:
-        return "" if v is None else format_scalar(v, self.precision)
-
-    @staticmethod
-    def _fmt_t(t) -> str:
-        # grid label, not a computed quantity: float precision suffices
-        return "" if t is None else repr(float(t))
-
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("kind,d,m,t,n,value,reference,abs_error,rel_error\n")
-        for r in self.rows:
-            cells = [
-                r.kind,
-                str(r.d),
-                "" if r.m is None else str(r.m),
-                self._fmt_t(r.t),
-                str(r.n),
-                self._fmt(r.value),
-                self._fmt(r.reference),
-                self._fmt(r.abs_error),
-                self._fmt(r.rel_error),
-            ]
-            buf.write(",".join(cells) + "\n")
-        for (kind, n), rate in sorted(self.rates.items()):
-            buf.write(f"# rate,{kind},n={n},{'' if rate is None else f'{rate:.4f}'}\n")
-        for note in self.notes:
-            buf.write(f"# note,{note}\n")
-        return buf.getvalue()
+        """The rows of ``to_json`` ("" for null), then the rates and notes."""
+        lines = [",".join(_COLUMNS)]
+        lines += [",".join("" if row[c] is None else str(row[c]) for c in _COLUMNS)
+                  for row in self.to_json()["rows"]]
+        lines += [f"# rate,{kind},n={n},{'' if rate is None else f'{rate:.4f}'}"
+                  for (kind, n), rate in sorted(self.rates.items())]
+        lines += [f"# note,{note}" for note in self.notes]
+        return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
+        def fmt(v):
+            return None if v is None else format_scalar(v, self.precision)
+
         return {
             "rows": [
-                {
-                    "kind": r.kind,
-                    "d": r.d,
-                    "m": r.m,
-                    "t": None if r.t is None else float(r.t),
-                    "n": r.n,
-                    "value": self._fmt(r.value),
-                    "reference": self._fmt(r.reference),
-                    "abs_error": self._fmt(r.abs_error),
-                    "rel_error": None if r.rel_error is None else self._fmt(r.rel_error),
-                }
+                {"kind": r.kind, "d": r.d, "m": r.m, "t": r.t, "n": r.n,
+                 "value": fmt(r.value), "reference": fmt(r.reference),
+                 "abs_error": fmt(r.abs_error), "rel_error": fmt(r.rel_error)}
                 for r in self.rows
             ],
             "rates": {f"{k}:n={n}": rate for (k, n), rate in sorted(self.rates.items())},
@@ -210,7 +175,7 @@ def _make_row(kind, d, m, t, n, value, reference, digits) -> Row:
 
 
 # ---------------------------------------------------------------------------
-# precision budget
+# experiment kinds: each a point generator over its grids
 # ---------------------------------------------------------------------------
 
 def precision_budget(n_max: int, d_max: int, digits: int, context: str,
@@ -230,10 +195,6 @@ def precision_budget(n_max: int, d_max: int, digits: int, context: str,
         )
 
 
-# ---------------------------------------------------------------------------
-# input families
-# ---------------------------------------------------------------------------
-
 def _sy_atilde_prefix(cfg: ExperimentConfig, d: int, n_max: int, notes: list):
     """Normalized-coefficient prefix of the base family for the scaled-power run."""
     if cfg.poly is None:
@@ -243,43 +204,39 @@ def _sy_atilde_prefix(cfg: ExperimentConfig, d: int, n_max: int, notes: list):
         raise ValueError(f"input polynomial degree {p.degree} does not match d={d}")
     at = normalized_coeffs(p, digits=cfg.precision)
     if at[1] != 1:
-        raise ValueError(
-            "hypothesis violation: the input family must have atilde_1 = 1 "
-            "(first finite free cumulant 1)"
-        )
+        raise ValueError("hypothesis violation: the input family must have atilde_1 = 1 "
+                         "(first finite free cumulant 1)")
     if p.roots is not None and any(float(r) < 0 for r in p.roots):
         raise ValueError("hypothesis violation: nonnegative roots required")
-    note = (
-        "user-supplied family: weak convergence of its empirical root "
-        "distributions is assumed, not checked"
-    )
+    note = ("user-supplied family: weak convergence of its empirical root "
+            "distributions is assumed, not checked")
     if note not in notes:
         notes.append(note)
     return list(at[: n_max + 1])
 
 
 def _clt_thetas(cfg: ExperimentConfig, unitary: bool):
-    """Exponent/angle vector of the CLT input instance."""
+    """Exponent/angle vector of the CLT input instance, checked against the d grid."""
     if cfg.poly is not None:
         p = poly_from_json(cfg.poly)
         if unitary:
             if p.angles is None:
                 raise ValueError("unitary CLT input needs an angle literal")
-            return [float(a) for a in p.angles]
-        if p.roots is None:
-            raise ValueError("positive-root CLT input needs a root literal")
-        if any(float(r) <= 0 for r in p.roots):
-            raise ValueError("positive roots required to take logarithms")
-        return [math.log(float(r)) for r in p.roots]
-    if cfg.sigma is None:
+            thetas = [float(a) for a in p.angles]
+        else:
+            if p.roots is None:
+                raise ValueError("positive-root CLT input needs a root literal")
+            if any(float(r) <= 0 for r in p.roots):
+                raise ValueError("positive roots required to take logarithms")
+            thetas = [math.log(float(r)) for r in p.roots]
+    elif cfg.sigma is None:
         raise ValueError(f"{cfg.kind} needs a polynomial literal or sigma")
-    s = float(cfg.sigma)
-    return [s, -s]
+    else:
+        thetas = [float(cfg.sigma), -float(cfg.sigma)]
+    if cfg.d and cfg.d != (len(thetas),):
+        raise ValueError(f"d grid {cfg.d} conflicts with input of degree {len(thetas)}")
+    return thetas
 
-
-# ---------------------------------------------------------------------------
-# experiment drivers
-# ---------------------------------------------------------------------------
 
 def _pair_grid(ds: Sequence[int], ms: Sequence[int]):
     if len(ds) == len(ms):
@@ -291,119 +248,129 @@ def _pair_grid(ds: Sequence[int], ms: Sequence[int]):
     return [(d, m) for d in ds for m in ms]
 
 
-def _run_sy(cfg: ExperimentConfig, table: ResultTable) -> None:
-    digits = cfg.precision
+def _sy_points(cfg: ExperimentConfig, notes: list):
+    """Scaled power: kappa_n(p^[x m]) / m^(n-1) at each (d, m), against the
+    fixed-ratio (regime t) or vanishing-ratio (regime zero) limit."""
+    digits, n_max = cfg.precision, cfg.n_max
     for d, m in _pair_grid(cfg.d, cfg.m):
-        at = _sy_atilde_prefix(cfg, d, cfg.n_max, table.notes)
+        at = _sy_atilde_prefix(cfg, d, n_max, notes)
         with mp.workdps(digits):  # no-op on the exact default family
             powered = [a ** m for a in at]
-        kappas = cumulants_from_atilde(d, powered, cfg.n_max, digits=digits)
+        kappas = cumulants_from_atilde(d, powered, n_max, digits=digits)
         kind = common_kind(kappas, "scaled-power cumulants")
         (mk,) = promote_ints([m], kind)
-        if cfg.n_max >= 2:
-            k2 = cumulants_from_atilde(d, at, 2, digits=digits)[1]
+        with work(kind, digits):
+            values = [kappas[n - 1] / mk ** (n - 1) for n in range(1, n_max + 1)]
+        k2 = cumulants_from_atilde(d, at, 2, digits=digits)[1] if n_max >= 2 else Fraction(1)
+        k2, ratio = to_mpf(k2, digits), Fraction(m, d)
+        if cfg.regime == "t":
+            refs = [sy_limit_t(n, to_mpf(ratio, digits), k2, digits=digits)
+                    for n in range(1, n_max + 1)]
         else:
-            k2 = Fraction(1)
-        ratio = Fraction(m, d)
-        for n in range(1, cfg.n_max + 1):
-            with work(kind, digits):
-                value = kappas[n - 1] / mk ** (n - 1)
-            if cfg.regime == "t":
-                ref = sy_limit_t(n, to_mpf(ratio, digits), to_mpf(k2, digits), digits=digits)
-            else:
-                ref = sy_limit_zero(n, to_mpf(k2, digits), digits=digits)
-            table.rows.append(
-                _make_row("sy", d, m, float(ratio), n, value, ref, digits)
-            )
+            refs = [sy_limit_zero(n, k2, digits=digits) for n in range(1, n_max + 1)]
+        yield d, m, float(ratio), values, refs
 
 
-def _run_kappa_family(cfg: ExperimentConfig, table: ResultTable) -> None:
-    """Shared driver for the three fixed-family cumulant experiments."""
-    digits = cfg.precision
-    kind = cfg.kind
-    if kind in ("fms", "hermite"):
-        precision_budget(cfg.n_max, max(cfg.d), digits, f"{kind} cumulants", table.notes)
-    for d in cfg.d:
-        for t in cfg.t:
-            m = None
-            if kind == "fms":
-                at = [exp_poly_atilde(d, t, k, digits) for k in range(cfg.n_max + 1)]
-                refs = [lambda_cumulant(n, t, digits) for n in range(1, cfg.n_max + 1)]
-            elif kind == "hermite":
-                at = [hermite_unitary_atilde(d, t, k, digits) for k in range(cfg.n_max + 1)]
-                refs = [sigma_cumulant(n, t, digits) for n in range(1, cfg.n_max + 1)]
-            else:  # laguerre
-                m = round(t * d)
-                at = [laguerre_unitary_atilde(d, m, k) for k in range(cfg.n_max + 1)]
-                refs = [pi_cumulant(n, t, digits) for n in range(1, cfg.n_max + 1)]
-            kappas = cumulants_from_atilde(d, at, cfg.n_max, digits=digits)
-            for n in range(1, cfg.n_max + 1):
-                table.rows.append(
-                    _make_row(kind, d, m, t, n, kappas[n - 1], refs[n - 1], digits)
-                )
+def _law_points(atilde, law, power=None):
+    """A fixed family against its limit law: at each (d, t), kappa_n of the
+    family against law(n, t, digits), n = 1..n_max.
+
+    The family's normalized coefficients are atilde(d, t, k, digits), in mpf
+    under the cancellation budget; given ``power``, they are the exact
+    atilde(d, m, k) at m = power(d, t), and m is recorded in the row.
+    """
+    def points(cfg: ExperimentConfig, notes: list):
+        digits, n_max = cfg.precision, cfg.n_max
+        if power is None:
+            precision_budget(n_max, max(cfg.d), digits, f"{cfg.kind} cumulants", notes)
+        for d in cfg.d:
+            for t in cfg.t:
+                if power is None:
+                    m, at = None, [atilde(d, t, k, digits) for k in range(n_max + 1)]
+                else:
+                    m = power(d, t)
+                    at = [atilde(d, m, k) for k in range(n_max + 1)]
+                yield (d, m, t, cumulants_from_atilde(d, at, n_max, digits=digits),
+                       [law(n, t, digits) for n in range(1, n_max + 1)])
+    return points
 
 
-def _run_coeff_family(cfg: ExperimentConfig, table: ResultTable) -> None:
-    """Shared driver for the coefficientwise CLT / LLN experiments."""
-    digits = cfg.precision
-    kind = cfg.kind
-    unitary = kind == "uclt"
-    thetas = _clt_thetas(cfg, unitary)
-    d = len(thetas)
-    if cfg.d and cfg.d != (d,):
-        raise ValueError(f"d grid {cfg.d} conflicts with input of degree {d}")
-    mean = sum(thetas) / d
-    var = sum(v * v for v in thetas) / d
-    if kind in ("multclt", "uclt") and abs(mean) > 1e-12:
-        raise ValueError(
-            f"hypothesis violation: CLT input must be centered (mean exponent {mean:.3e})"
-        )
+def _powered_atilde(thetas, c, m: int, unitary: bool, digits: int) -> list:
+    """atilde_1..atilde_d, each to the m-th power, of the input whose
+    exponents (angles when ``unitary``) are scaled by c."""
     with mp.workdps(digits):
-        if kind == "lln":
-            # the mean in mpf: a binary64 mean would put its rounding in every target
-            alpha = mp.fsum(to_mpf(v, digits) for v in thetas) / d
-            targets = [mp.exp(alpha * k) for k in range(d + 1)]
-        else:
-            tt = mp.mpf(d) * var / (d - 1)
-            sign = -1 if unitary else 1
-            targets = [mp.exp(sign * tt * k * (d - k) / (2 * d)) for k in range(d + 1)]
+        xs = [to_mpf(v, digits) * c for v in thetas]
+        scaled = (MonicPoly.from_angles(xs, digits=digits) if unitary
+                  else MonicPoly.from_roots([mp.exp(x) for x in xs], digits=digits))
+        return [a ** m for a in normalized_coeffs(scaled, digits=digits)[1:]]
+
+
+def _clt_points(atilde, unitary: bool):
+    """Coefficientwise CLT: at each m, atilde_k of the centered input scaled
+    by 1/sqrt(m), to the m-th power, against the limit family's
+    atilde(d, d var / (d - 1), k), k = 1..d."""
+    def points(cfg: ExperimentConfig, notes: list):
+        digits = cfg.precision
+        thetas = _clt_thetas(cfg, unitary)
+        d = len(thetas)
+        mean = sum(thetas) / d
+        if abs(mean) > 1e-12:
+            raise ValueError(f"hypothesis violation: CLT input must be centered "
+                             f"(mean exponent {mean:.3e})")
+        var = sum(v * v for v in thetas) / d
+        with mp.workdps(digits):
+            t = mp.mpf(d) * var / (d - 1)
+        refs = [atilde(d, t, k, digits) for k in range(1, d + 1)]
+        for m in cfg.m:
+            with mp.workdps(digits):
+                c = 1 / mp.sqrt(m)
+            yield d, m, None, _powered_atilde(thetas, c, m, unitary, digits), refs
+    return points
+
+
+def _lln_points(cfg: ExperimentConfig, notes: list):
+    """Law of large numbers: at each m, atilde_k of the input scaled by 1/m,
+    to the m-th power, against exp(k * mean exponent), k = 1..d."""
+    digits = cfg.precision
+    thetas = _clt_thetas(cfg, False)
+    d = len(thetas)
+    with mp.workdps(digits):
+        # the mean in mpf: a binary64 mean would put its rounding in every target
+        alpha = mp.fsum(to_mpf(v, digits) for v in thetas) / d
+        refs = [mp.exp(alpha * k) for k in range(1, d + 1)]
     for m in cfg.m:
         with mp.workdps(digits):
-            c = mp.mpf(1) / m if kind == "lln" else 1 / mp.sqrt(m)
-            if unitary:
-                scaled = MonicPoly.from_angles([to_mpf(v, digits) * c for v in thetas],
-                                               digits=digits)
-            else:
-                scaled = MonicPoly.from_roots([mp.exp(to_mpf(v, digits) * c) for v in thetas],
-                                              digits=digits)
-            at = normalized_coeffs(scaled, digits=digits)
-            values = [a ** m for a in at]
-        for k in range(1, d + 1):
-            table.rows.append(
-                _make_row(kind, d, m, None, k, values[k], targets[k], digits)
-            )
+            c = mp.mpf(1) / m
+        yield d, m, None, _powered_atilde(thetas, c, m, False, digits), refs
 
 
-# kind -> (runner, grids it sweeps); its rate is fitted along the first grid
+# kind -> (grids it sweeps, its rate fitted along the first; point generator)
 _KINDS = {
-    "sy": (_run_sy, ("d", "m")),
-    "multclt": (_run_coeff_family, ("m",)),
-    "lln": (_run_coeff_family, ("m",)),
-    "uclt": (_run_coeff_family, ("m",)),
-    "fms": (_run_kappa_family, ("d", "t")),
-    "hermite": (_run_kappa_family, ("d", "t")),
-    "laguerre": (_run_kappa_family, ("d", "t")),
+    "sy": (("d", "m"), _sy_points),
+    "multclt": (("m",), _clt_points(exp_poly_atilde, unitary=False)),
+    "lln": (("m",), _lln_points),
+    "uclt": (("m",), _clt_points(hermite_unitary_atilde, unitary=True)),
+    "fms": (("d", "t"), _law_points(exp_poly_atilde, lambda_cumulant)),
+    "hermite": (("d", "t"), _law_points(hermite_unitary_atilde, sigma_cumulant)),
+    "laguerre": (("d", "t"), _law_points(laguerre_unitary_atilde, pi_cumulant,
+                                         power=lambda d, t: round(t * d))),
 }
 KINDS = tuple(_KINDS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
-    """Run one experiment grid; deterministic for a fixed config."""
+    """Run one experiment grid; deterministic for a fixed config.
+
+    The kind's point generator yields (d, m, t, values, references) per grid
+    point; the rows are n = 1, 2, ... of the two sequences.
+    """
     cfg.validate()
     table = ResultTable(precision=cfg.precision)
-    runner, grids = _KINDS[cfg.kind]
-    runner(cfg, table)
-    table.sort()
+    grids, points = _KINDS[cfg.kind]
+    for d, m, t, values, refs in points(cfg, table.notes):
+        for n, (value, ref) in enumerate(zip(values, refs), start=1):
+            table.rows.append(_make_row(cfg.kind, d, m, t, n, value, ref, cfg.precision))
+    table.rows.sort(key=lambda r: (r.d, r.m or 0, r.t or 0.0, r.n))
     table.rates = fit_rate(table, grids[0])
     return table
 
@@ -439,13 +406,7 @@ def fit_rate(table: ResultTable, axis: str) -> dict:
         ly = math.log(e) if e >= sys.float_info.min else float(mp.log(to_mpf(r.abs_error)))
         groups.setdefault((r.kind, r.n), []).append((math.log(x), ly))
     if excluded:
-        table.notes.append(
-            f"rate fit: {excluded} row(s) at the precision floor were excluded"
-        )
-    rates: dict = {}
-    for key, pts in sorted(groups.items()):
-        if len({lx for lx, _ in pts}) < 3:
-            rates[key] = None
-            continue
-        rates[key] = statistics.linear_regression(*zip(*pts)).slope
-    return rates
+        table.notes.append(f"rate fit: {excluded} row(s) at the precision floor were excluded")
+    return {key: statistics.linear_regression(*zip(*pts)).slope
+            if len({lx for lx, _ in pts}) >= 3 else None
+            for key, pts in sorted(groups.items())}

@@ -282,8 +282,10 @@ def mobius_bottom(sigma: SetPartition) -> int:
     return out
 
 
-def mobius_recursive(pi: SetPartition, sigma: SetPartition, cap: int = 6) -> int:
-    """Interval Mobius value by direct recursion; slow, kept as a test oracle."""
+def mobius_recursive(pi: SetPartition, sigma: SetPartition) -> int:
+    """Interval Mobius value by direct recursion; slow, kept as a test oracle
+    up to n = 6."""
+    cap = 6
     _check_same_ground(pi, sigma)
     if pi.n > cap:
         raise CapExceededError("recursive Mobius", pi.n, cap)
@@ -494,22 +496,17 @@ def count_T_closed(sizes: Sequence[int], lengths: Sequence[int]) -> int:
             * sum(lengths) ** (k - 1))
 
 
-def count_join_full(sizes: Sequence[int], num_blocks: int | None = None,
-                    cap: int = DEFAULT_TUPLE_CAP) -> int:
+def count_join_full(sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP) -> int:
     """Partitions of [M] joining the size-interval partition to 1_M.
 
     Counts sigma in P(M) with sigma v interval_partition(sizes) = 1_M and
-    |sigma| equal to ``num_blocks`` (default M-(k-1), the maximal
-    interesting block count).
-    Brute force over P(M); see ``count_join_full_closed`` for the formula
-    available at the default block count.
+    M-(k-1) blocks, the largest block count at which such sigma exist.
+    Brute force over P(M); ``count_join_full_closed`` is the formula.
     """
     sizes = tuple(sizes)
     _check_positive(sizes=sizes)
     M = sum(sizes)
-    k = len(sizes)
-    if num_blocks is None:
-        num_blocks = M - (k - 1)
+    num_blocks = M - (len(sizes) - 1)
     _check_tuple_cap(M, cap, "interval-join partition count")
     base = interval_partition(sizes)
     top = SetPartition.top(M)

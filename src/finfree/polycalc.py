@@ -142,7 +142,7 @@ def normalized_coeffs(p: MonicPoly, digits: int = DEFAULT_DIGITS) -> tuple:
 def from_normalized(atilde: Sequence, digits: int = DEFAULT_DIGITS) -> MonicPoly:
     """Rebuild the coefficient polynomial from atilde_0..atilde_d."""
     atilde = tuple(atilde)
-    if atilde[0] != 1:
+    if not atilde or atilde[0] != 1:
         raise ValueError("atilde_0 must be 1")
     d = len(atilde) - 1
     kind = common_kind(atilde, "from_normalized")
@@ -543,6 +543,8 @@ def _parse_scalar(v):
     if isinstance(v, int):
         return v
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite scalar {v}")
         return v
     if isinstance(v, str):
         return Fraction(v)
@@ -564,7 +566,10 @@ def poly_from_json(obj: dict, digits: int | None = None) -> MonicPoly:
     reps = [k for k in ("coeffs", "roots", "angles") if k in obj]
     if len(reps) != 1:
         raise ValueError("exactly one of coeffs/roots/angles is required")
-    values = [_parse_scalar(v) for v in obj[reps[0]]]
+    try:
+        values = [_parse_scalar(v) for v in obj[reps[0]]]
+    except ValueError as exc:
+        raise ValueError(f"{reps[0]}: {exc}") from None
     if reps[0] == "coeffs":
         if not values or values[0] != 1:
             raise ValueError("coefficients must be listed a_0..a_d with a_0 = 1")
@@ -592,6 +597,9 @@ def _scalar_to_json(v):
         return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if isinstance(v, int):
         return v
+    if not mp.isfinite(v):
+        raise OverflowError(f"non-finite coefficient {v} past the binary64 range; "
+                            'give the input as exact strings, such as "1e400"')
     if isinstance(v, mp.mpf):
         return mp.nstr(v, 17)
     return float(v)

@@ -159,11 +159,15 @@ def format_scalar(x, digits: int = DEFAULT_DIGITS) -> str:
 
     Exact values print as ``p/q`` (``p`` when q = 1), mpf and mpc values at
     ``digits`` significant digits, binary64 values as the shortest string
-    that reads back to the same value (at most 17 significant digits).
+    that reads back to the same value (at most 17 significant digits).  A
+    non-finite value, a binary64 overflow, raises ``OverflowError``.
     """
     kind = kind_of(x)
     if kind == EXACT:
         return str(x)
+    if not mp.isfinite(x):
+        raise OverflowError(f"non-finite value {x} past the binary64 range; "
+                            'give the input as exact strings, such as "1e400"')
     if kind == FLOAT64:
         return repr(x)
     return mp.nstr(to_mpf(x, digits), digits, strip_zeros=True)

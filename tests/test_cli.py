@@ -189,6 +189,28 @@ class TestConvCommand:
         )
         assert code == 2
 
+    def test_non_finite_input_exit_2(self, capsys):
+        # json reads NaN, Infinity and 1e400 as floats; none of them is a scalar
+        for field, literal in (("coeffs", "[1, 0.5, NaN]"), ("roots", "[1.0, Infinity]"),
+                               ("angles", "[0.5, -1e400]")):
+            p = '{"%s": %s}' % (field, literal)
+            code, out, err = run(capsys, "conv", "boxplus", "--p", p, "--q", '{"roots": [1.0, 2.0]}')
+            assert code == 2 and out == "" and f"{field}: non-finite" in err
+
+    def test_boxtimes_overflow_exit_3(self, capsys):
+        p = '{"roots": [1e200, 2.0]}'
+        code, out, err = run(capsys, "conv", "boxtimes", "--p", p, "--q", p)
+        assert code == 3 and out == "" and "exact strings" in err
+        p = '{"roots": ["1e200", 2]}'
+        code, out, _ = run(capsys, "conv", "boxtimes", "--p", p, "--q", p)
+        assert code == 0 and json.loads(out)["coeffs"][2] == 4 * 10 ** 400
+
+    def test_pow_overflow_exit_3(self, capsys):
+        code, out, _ = run(capsys, "conv", "pow", "--p", '{"roots": [1e200, 2]}', "--m", "3")
+        assert code == 3 and out == ""
+        code, out, _ = run(capsys, "conv", "pow", "--p", '{"roots": ["1e200", 2]}', "--m", "3")
+        assert code == 0 and json.loads(out)["coeffs"][2] == 8 * 10 ** 600
+
 
 class TestCumulantsCommand:
     def test_forward(self, capsys):
@@ -223,6 +245,22 @@ class TestCumulantsCommand:
     def test_invert_needs_cumulants(self, capsys):
         code, _, _ = run(capsys, "cumulants", "--invert", "--p", '{"coeffs": [1, -1]}')
         assert code == 2
+
+    def test_binary64_overflow_exit_3(self, capsys):
+        # kappa_2 of the first is nan, of the second inf: neither is printed
+        for p in ('{"roots": [1e200, 1e200]}', '{"coeffs": [1, 1e308, 1e308]}'):
+            code, out, err = run(capsys, "cumulants", "--p", p)
+            assert code == 3 and out == "" and "exact strings" in err
+        code, out, _ = run(capsys, "cumulants", "--p", '{"roots": ["1e200", "1e200"]}')
+        assert code == 0 and out.splitlines() == ["kappa_1,1" + "0" * 200, "kappa_2,0"]
+
+    def test_invert_overflow_exit_3(self, capsys):
+        p = '{"degree": 2, "cumulants": [1e300, 1e300]}'
+        code, out, err = run(capsys, "cumulants", "--invert", "--p", p)
+        assert code == 3 and out == "" and "exact strings" in err
+        p = '{"degree": 2, "cumulants": ["1e300", "1e300"]}'
+        code, out, _ = run(capsys, "cumulants", "--invert", "--p", p)
+        assert code == 0 and json.loads(out)["coeffs"][1] == -2 * 10 ** 300
 
 
 class TestLimitCommand:
@@ -265,19 +303,18 @@ class TestLimitCommand:
     def test_non_object_config_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1]")
-        code, out, err = run(capsys, "limit", "--kind", "sy", "--config", str(cfg))
+        code, out, err = run(capsys, "limit", "--config", str(cfg))
         assert code == 2 and out == "" and "must be a JSON object" in err
 
     def test_inline_array_config_exit_2(self, capsys):
-        code, out, err = run(capsys, "limit", "--kind", "sy", "--config", "[1]")
+        code, out, err = run(capsys, "limit", "--config", "[1]")
         assert code == 2 and out == "" and "experiment config must be a JSON object" in err
 
-    def test_kind_flag_conflict(self, capsys):
-        code, _, _ = run(
-            capsys, "limit", "--kind", "fms",
-            "--config", '{"kind": "hermite", "d": [10], "t": [1.0], "n_max": 2}',
-        )
-        assert code == 2
+    def test_non_finite_config_exit_2(self, capsys):
+        for cfg, field in (('{"kind": "multclt", "sigma": NaN, "m": [10, 100, 1000]}', "sigma"),
+                           ('{"kind": "fms", "d": [10], "t": [1e400]}', "t grid")):
+            code, out, err = run(capsys, "limit", "--config", cfg)
+            assert code == 2 and out == "" and f"{field} " in err and "finite" in err
 
     def test_precision_infeasible_exit_3(self, capsys):
         code, _, err = run(

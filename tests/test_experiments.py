@@ -64,6 +64,12 @@ class TestConfig:
             with pytest.raises(ValueError, match="polynomial literal or sigma"):
                 run_experiment(ExperimentConfig(kind=kind, m=[10], n_max=1))
 
+    def test_non_finite_t_and_sigma_refused(self):
+        with pytest.raises(ValueError, match="t grid entries must be finite"):
+            ExperimentConfig(kind="fms", d=[10], t=[1.0, math.inf])
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            ExperimentConfig(kind="multclt", m=[10], sigma=math.nan)
+
     def test_int_grid_coercion(self):
         cfg = ExperimentConfig(kind="fms", d=[10.0], t=[1], n_max=2)
         assert cfg.d == (10,)
@@ -269,6 +275,28 @@ class TestTableOutput:
         assert len(body) == 3  # header + 2 rows
         cells = body[1].split(",")
         assert cells[0] == "hermite" and cells[1] == "25" and cells[2] == ""
+
+    def test_csv_body_is_the_json_rows(self):
+        # one config per kind; a null cell is empty, a float t prints as its repr
+        configs = [
+            dict(kind="sy", d=[6, 8], m=[3, 4], regime="t", n_max=3),
+            dict(kind="multclt", m=[10, 100], sigma=0.5),
+            dict(kind="lln", m=[10, 100], poly={"roots": [1.0, 2.0, 4.0]}),
+            dict(kind="uclt", m=[10, 100], sigma=0.3),
+            dict(kind="fms", d=[10, 20], t=[0.5], n_max=2),
+            dict(kind="hermite", d=[10], t=[0.5, 1.0], n_max=2),
+            dict(kind="laguerre", d=[10, 20], t=[0.5], n_max=2),
+        ]
+        for cfg in configs:
+            tab = run_experiment(ExperimentConfig(**cfg))
+            rows = tab.to_json()["rows"]
+            lines = tab.to_csv().splitlines()
+            header = lines[0].split(",")
+            body = [l.split(",") for l in lines[1:] if not l.startswith("#")]
+            assert len(body) == len(rows) > 0
+            for cells, row in zip(body, rows):
+                assert cells == ["" if row[c] is None else str(row[c]) for c in header]
+                assert cells[3] == ("" if row["t"] is None else repr(row["t"]))
 
     def test_json_mirrors_rows(self):
         cfg = ExperimentConfig(kind="hermite", d=[25], t=[1.0], n_max=2)

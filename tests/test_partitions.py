@@ -21,7 +21,6 @@ from finfree.partitions import (
     count_join_full_closed,
     enumerate_noncrossing,
     enumerate_partitions,
-    interval_partition,
     is_noncrossing,
     is_refinement,
     join,
@@ -411,17 +410,6 @@ class TestTupleCounts:
         for M in range(2, 9):
             for sizes in size_multisets(M):
                 assert count_join_full(sizes) == count_join_full_closed(sizes)
-
-    def test_count_join_full_general_block_counts(self):
-        # no closed form asserted away from |sigma| = M-(k-1); brute data only
-        sizes = (2, 2)
-        total = sum(
-            count_join_full(sizes, num_blocks=r) for r in range(1, 5)
-        )
-        top = SetPartition.top(4)
-        base = interval_partition(sizes)
-        expect = sum(1 for s in enumerate_partitions(4) if join(s, base) == top)
-        assert total == expect
 
 
 def combinations_with_replacement_sizes(k, max_m):

@@ -129,8 +129,9 @@ class TestRepresentation:
         for make in (MonicPoly.from_roots, MonicPoly.from_angles):
             with pytest.raises(ValueError):
                 make([])
-        with pytest.raises(ValueError):
-            from_normalized([1])
+        for bad in ([], [1]):
+            with pytest.raises(ValueError):
+                from_normalized(bad)
 
 
 class TestDilate:
@@ -572,6 +573,16 @@ class TestJson:
             poly_from_json({"degree": 3, "coeffs": [1, 0]})
         with pytest.raises(ValueError):
             poly_from_json({"what": 1})
+
+    def test_non_finite_literals_refused_and_printed_never(self):
+        for field in ("coeffs", "roots", "angles"):
+            for v in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"{field}: non-finite"):
+                    poly_from_json({field: [1, v]})
+        p = MonicPoly.from_roots([1e200, 1e200])
+        with pytest.raises(OverflowError, match="exact strings"):
+            poly_to_json(p)
+        assert poly_to_json(poly_from_json({"roots": ["1e200", "1e200"]}))["coeffs"][2] == 10 ** 400
 
 
 class TestKindDiscipline:

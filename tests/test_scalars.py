@@ -166,6 +166,11 @@ class TestFormatScalar:
             assert len(mantissa) <= 17
         assert complex(format_scalar(0.1 - 0.2j)) == 0.1 - 0.2j
 
+    def test_non_finite_is_an_overflow(self):
+        for x in (math.inf, -math.inf, math.nan, complex(1, math.inf), mp.mpf("nan")):
+            with pytest.raises(OverflowError, match="exact strings"):
+                format_scalar(x)
+
 
 class TestIntegerWeights:
     def test_exact_weights_round_trip(self):
