@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .cumulants import CumulantVector, coeffs_from_cumulants, finite_cumulants
 from .errors import CapExceededError, PrecisionBudgetError, RootConvergenceError
@@ -30,7 +29,7 @@ from .partitions import (
     enumerate_noncrossing,
     enumerate_partitions,
 )
-from .polycalc import boxplus, boxtimes, boxtimes_pow, poly_from_json, poly_to_json
+from .polycalc import _parse_scalar, boxplus, boxtimes, boxtimes_pow, poly_from_json, poly_to_json
 from .scalars import format_scalar
 
 
@@ -41,7 +40,7 @@ def _parse_fs(text: str) -> list[ZeroConstPoly]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        coeffs = [Fraction(tok.strip()) for tok in chunk.split(",")]
+        coeffs = [_parse_scalar(tok.strip()) for tok in chunk.split(",")]
         polys.append(ZeroConstPoly(coeffs))
     if not polys:
         raise ValueError("no polynomials given")
@@ -209,8 +208,16 @@ def _cmd_cumulants(args) -> str:
     if args.invert:
         if not isinstance(obj, dict) or "cumulants" not in obj or "degree" not in obj:
             raise ValueError("--invert expects {\"degree\": d, \"cumulants\": [...]}")
-        vals = [Fraction(v) if isinstance(v, str) else v for v in obj["cumulants"]]
-        kv = CumulantVector(int(obj["degree"]), tuple(vals))
+        d = obj["degree"]
+        if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+            raise ValueError(f"degree must be an integer >= 1, got {d!r}")
+        if not isinstance(obj["cumulants"], list):
+            raise ValueError("cumulants must be a JSON array")
+        try:
+            vals = tuple(_parse_scalar(v) for v in obj["cumulants"])
+        except ValueError as exc:
+            raise ValueError(f"cumulants: {exc}") from None
+        kv = CumulantVector(d, vals)
         return json.dumps(poly_to_json(coeffs_from_cumulants(kv, digits=args.precision)))
     p = poly_from_json(obj, digits=args.precision)
     kv = finite_cumulants(p, digits=args.precision)

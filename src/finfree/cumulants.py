@@ -23,22 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 import mpmath as mp
 
 from .errors import CapExceededError
-from .partitions import (
-    DEFAULT_PARTITION_CAP,
-    SetPartition,
-    block_sum,
-    enumerate_partitions,
-    join_all,
-    mobius_bottom,
-)
+from .partitions import DEFAULT_PARTITION_CAP, block_sum, join_sum
 from .polycalc import MonicPoly, boxtimes, from_normalized, normalized_coeffs
-from .scalars import (DEFAULT_DIGITS, common_kind, csum, falling, kind_of, promote_ints, to_mpf,
+from .scalars import (DEFAULT_DIGITS, common_kind, falling, kind_of, promote_ints, to_mpf,
                       work)
 from .series import PowerSeries
 
@@ -129,18 +121,21 @@ def boxtimes_cumulants(ps: Sequence[MonicPoly], n: int, method: str = "pi-sum",
     """kappa_n of the multiplicative convolution of the family, from the
     factors' cumulants alone.
 
+    Both methods rest on the block weights
+    u_i(b) = (-1)^(b-1) (b-1)! kappa_b(p_i) / d^(b-1), the factor a block of
+    size b brings to mu(0_n, sigma) d^(|sigma|-n) kappa_sigma(p_i).
+
     ``pi-sum``: for each partition pi of [n], multiply over factors the
-    refinement sums  sum_{sigma <= pi} d^(|sigma|-n) mu(0_n, sigma)
+    refinement sums  sum_{sigma <= pi} mu(0_n, sigma) d^(|sigma|-n)
     kappa_sigma(p_i), and weight by mu(pi, 1_n).  The interval [0_n, pi] is
     the product over the blocks V of pi of P(|V|), and the summand
     factorizes over the blocks of sigma, so each refinement sum is
-    prod_V w_i(|V|) with w_i(s) the ``block_sum`` over P(s) of the block
-    weights u_i(b) = (-1)^(b-1) (b-1)! kappa_b(p_i) / d^(b-1).  The whole
-    sum is then the signed ``block_sum`` of W(s) = prod_i w_i(s).
+    prod_V w_i(|V|) with w_i(s) the ``block_sum`` over P(s) of the u_i.  The
+    whole sum is then the signed ``block_sum`` of W(s) = prod_i w_i(s).
 
-    ``join-sum``: sum over m-tuples (sigma_1..sigma_m) whose join is 1_n of
-    the product of the factors' weighted cumulants.  Exponential in m and n;
-    capped at n <= 6.
+    ``join-sum``: the literal sum over m-tuples (sigma_1..sigma_m) whose join
+    is 1_n of prod_i prod_{V in sigma_i} u_i(|V|), by ``join_sum``.
+    Exponential in m and n; capped at n <= 6.
     """
     if not ps:
         raise ValueError("need at least one polynomial")
@@ -154,46 +149,20 @@ def boxtimes_cumulants(ps: Sequence[MonicPoly], n: int, method: str = "pi-sum",
         for p in ps
     ]
     kind = common_kind([k for ks in kappas for k in ks], "boxtimes_cumulants")
-    (dk,) = promote_ints([d], kind)
-
-    def kappa_sigma(i: int, sigma: SetPartition):
-        out = None
-        for b in sigma.blocks:
-            v = kappas[i][len(b) - 1]
-            out = v if out is None else out * v
-        return out
-
-    def weighted(i: int, sigma: SetPartition):
-        return kappa_sigma(i, sigma) * mobius_bottom(sigma) * dk ** (sigma.num_blocks - n)
-
     with work(kind, digits):
+        us = [[(-1) ** (b - 1) * math.factorial(b - 1) * ks[b - 1] / d ** (b - 1)
+               for b in range(1, n + 1)] for ks in kappas]
         if method == "pi-sum":
             if n > DEFAULT_PARTITION_CAP:  # fail before the w_i(s), s < n, are summed
                 raise CapExceededError("partition enumeration", n, DEFAULT_PARTITION_CAP)
             W = [1] * n
-            for ks in kappas:
-                u = [(-1) ** (b - 1) * math.factorial(b - 1) * ks[b - 1] / d ** (b - 1)
-                     for b in range(1, n + 1)]
+            for u in us:
                 W = [W[s - 1] * block_sum(u, s, digits=digits) for s in range(1, n + 1)]
             total = block_sum(W, n, signed=True, digits=digits)
         elif method == "join-sum":
             if n > 6:
                 raise ValueError("join-sum enumeration is limited to n <= 6")
-            all_parts = list(enumerate_partitions(n))
-            top = SetPartition.top(n)
-            tables = [
-                {sigma: weighted(i, sigma) for sigma in all_parts}
-                for i in range(len(ps))
-            ]
-            terms = []
-            for combo in product(all_parts, repeat=len(ps)):
-                if join_all(combo, n) != top:
-                    continue
-                term = tables[0][combo[0]]
-                for i in range(1, len(ps)):
-                    term = term * tables[i][combo[i]]
-                terms.append(term)
-            total = csum(terms, digits=digits)
+            total = join_sum(us, n, digits=digits)
         else:
             raise ValueError(f"unknown method {method!r}")
 

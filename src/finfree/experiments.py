@@ -313,6 +313,8 @@ def _clt_points(atilde, unitary: bool):
         digits = cfg.precision
         thetas = _clt_thetas(cfg, unitary)
         d = len(thetas)
+        if d < 2:
+            raise ValueError(f"hypothesis violation: the CLT needs degree d >= 2, got {d}")
         mean = sum(thetas) / d
         if abs(mean) > 1e-12:
             raise ValueError(f"hypothesis violation: CLT input must be centered "

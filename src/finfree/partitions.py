@@ -1,15 +1,20 @@
 """Set-partition lattice P(n).
 
-Enumeration (restricted-growth-string order), refinement order, join,
+Enumeration (restricted-growth-string order), refinement order,
 closed-form Mobius functions, non-crossing filtering, the literal
-block-multiplicative sum over P(n) (``block_sum``), and brute-force counting
-of the covering / essential / interval-join tuple families together with
-their closed-form counterparts.
+block-multiplicative sums over P(n) (``block_sum``) and over the tuples of
+P(n)^m that join to 1_n (``join_sum``), and brute-force counting of the
+covering / essential / interval-join tuple families together with their
+closed-form counterparts.
+
+The join condition is connectivity: blocks are bitmasks, and a family joins
+to 1_n when its block masks fold into one component covering [n]
+(``_joins_to_top``).  This module is the one place that knows the encoding.
 
 Everything here is exact integer arithmetic on immutable values, except
-``block_sum``, which sums in the kind of its weights.  Brute-force
-enumerations are guarded by explicit caps because Bell numbers grow fast:
-Bell(12) is already about 4.2 million.
+``block_sum`` and ``join_sum``, which sum in the kind of their weights.
+Brute-force enumerations are guarded by explicit caps because Bell numbers
+grow fast: Bell(12) is already about 4.2 million.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Iterator, Sequence
+from itertools import chain, combinations, product
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError
 from .scalars import (DEFAULT_DIGITS, binom, common_kind, csum, integer_weights, multinomial,
@@ -182,56 +187,12 @@ def enumerate_noncrossing(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[
 
 
 # ---------------------------------------------------------------------------
-# order and join
+# order and connectivity
 # ---------------------------------------------------------------------------
-
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n + 1))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
 
 def _check_same_ground(pi: SetPartition, sigma: SetPartition) -> None:
     if pi.n != sigma.n:
         raise ValueError(f"partitions live on different ground sets ({pi.n} vs {sigma.n})")
-
-
-def join(pi: SetPartition, sigma: SetPartition) -> SetPartition:
-    """Least upper bound in the refinement order (connectivity closure)."""
-    _check_same_ground(pi, sigma)
-    return join_all([pi, sigma], pi.n)
-
-
-def join_all(parts: Sequence[SetPartition], n: int) -> SetPartition:
-    """Join of an arbitrary family (the empty join is 0_n)."""
-    if n < 1:
-        raise ValueError(f"ground-set size must be positive, got {n}")
-    uf = _UnionFind(n)
-    for part in parts:
-        if part.n != n:
-            raise ValueError("ground-set size mismatch in join_all")
-        for b in part.blocks:
-            for x in b[1:]:
-                uf.union(b[0], x)
-    # filled in increasing x: each group is increasing and the groups are
-    # ordered by their minimum, which is the canonical form
-    groups: dict[int, list[int]] = {}
-    for x in range(1, n + 1):
-        groups.setdefault(uf.find(x), []).append(x)
-    return SetPartition._canonical(n, tuple(map(tuple, groups.values())))
 
 
 def is_refinement(pi: SetPartition, sigma: SetPartition) -> bool:
@@ -243,6 +204,33 @@ def is_refinement(pi: SetPartition, sigma: SetPartition) -> bool:
         if any(owner[x] != first for x in b[1:]):
             return False
     return True
+
+
+def _mask(block: Sequence[int]) -> int:
+    """A block as a bitmask: bit x-1 set for element x."""
+    return sum(1 << (x - 1) for x in block)
+
+
+def _joins_to_top(comps: Sequence[int], masks: Iterable[int]) -> bool:
+    """True iff the partition of [n] with the block masks ``comps``, joined
+    with the blocks ``masks``, is 1_n.
+
+    The join of partitions is the connectivity closure of their blocks.
+    Each mask is folded into the disjoint connected components met so far,
+    starting from the blocks of ``comps``; these cover [n], so the join is
+    1_n exactly when one component is left.  This is the one test of that
+    condition in the package.
+    """
+    for mask in masks:
+        rest = []
+        for c in comps:
+            if c & mask:
+                mask |= c
+            else:
+                rest.append(c)
+        rest.append(mask)
+        comps = rest
+    return len(comps) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +259,6 @@ def mobius_top(pi: SetPartition) -> int:
     """mu(pi, 1_n) = (-1)^(|pi|-1) (|pi|-1)!."""
     r = pi.num_blocks
     return (-1) ** (r - 1) * math.factorial(r - 1)
-
-
-def mobius_bottom(sigma: SetPartition) -> int:
-    """mu(0_n, sigma): each block of size s contributes (-1)^(s-1) (s-1)!."""
-    out = 1
-    for b in sigma.blocks:
-        s = len(b)
-        out *= (-1) ** (s - 1) * math.factorial(s - 1)
-    return out
 
 
 def mobius_recursive(pi: SetPartition, sigma: SetPartition) -> int:
@@ -344,6 +323,44 @@ def block_sum(weights: Sequence, n: int, signed: bool = False,
     return Fraction(total, D ** n) if exact else csum(terms, digits=digits)
 
 
+def join_sum(weights: Sequence[Sequence], n: int, digits: int = DEFAULT_DIGITS):
+    """sum over tuples (sigma_1,...,sigma_m) in P(n)^m whose join is 1_n of
+    prod_i prod_{V in sigma_i} weights[i][|V| - 1].
+
+    The literal oracle of the pi-sum of ``cumulants.boxtimes_cumulants``;
+    m = len(weights).  Each factor's block products are tabled once, in
+    ``enumerate_partitions`` order.  Exact weights are put on ints over one
+    denominator per factor (``integer_weights``) and the sum comes back as a
+    ``Fraction``; any other kind is multiplied at ``digits`` and summed by
+    ``csum``.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if not weights or any(len(ws) < n for ws in weights):
+        raise ValueError(f"need the weights of block sizes 1..{n} for each factor")
+    scaled = [integer_weights(ws[:n]) for ws in weights]
+    flat = [w for ws, _ in scaled for w in ws]
+    exact = all(isinstance(w, int) for w in flat)
+    parts = list(enumerate_partitions(n))
+    masks = [[_mask(b) for b in pi.blocks] for pi in parts]
+    total, terms = 0, []
+    with work(common_kind(flat, "join_sum"), digits):
+        tables = [[math.prod((ws[len(b) - 1] for b in pi.blocks), start=1) for pi in parts]
+                  for ws, _ in scaled]
+        for combo in product(range(len(parts)), repeat=len(tables)):
+            if not _joins_to_top(masks[combo[0]],
+                                 chain.from_iterable(masks[j] for j in combo[1:])):
+                continue
+            term = math.prod(table[j] for table, j in zip(tables, combo))
+            if exact:
+                total += term
+            else:
+                terms.append(term)
+    # factor i's table entries are D_i^n times their value
+    return (Fraction(total, math.prod(D for _, D in scaled) ** n) if exact
+            else csum(terms, digits=digits))
+
+
 # ---------------------------------------------------------------------------
 # tuple-family counting
 # ---------------------------------------------------------------------------
@@ -373,41 +390,16 @@ def _check_tuple_cap(n: int, cap: int, what: str) -> None:
 
 
 def _subset_masks(n: int, m: int) -> list[int]:
-    """All m-subsets of [n] as bitmasks (bit i-1 set for element i)."""
-    return [sum(1 << (x - 1) for x in c) for c in combinations(range(1, n + 1), m)]
-
-
-def _merge_masks(acc: list[int], mask: int) -> list[int]:
-    """Fold one clique mask into a list of disjoint connected components."""
-    merged = mask
-    rest = []
-    for c in acc:
-        if c & merged:
-            merged |= c
-        else:
-            rest.append(c)
-    rest.append(merged)
-    return rest
+    """All m-subsets of [n] as bitmasks."""
+    return [_mask(c) for c in combinations(range(1, n + 1), m)]
 
 
 def _count_connected(n: int, sizes: tuple, base: SetPartition | None = None) -> int:
     """Tuples of subsets of [n] with |W_i| = sizes[i] whose join with ``base``
-    (0_n when omitted) is 1_n.
-
-    Each W_i acts as a clique, so the join is 1_n exactly when the masks,
-    folded into the blocks of ``base``, form one component covering [n].
-    """
-    base_masks = [] if base is None else [sum(1 << (x - 1) for x in b) for b in base.blocks]
-    full = (1 << n) - 1
+    (0_n when omitted) is 1_n; each W_i is one block."""
+    base_masks = [_mask(b) for b in (base or SetPartition.bottom(n)).blocks]
     pools = [_subset_masks(n, m) for m in sizes]
-    count = 0
-    for tup in product(*pools):
-        comps = base_masks
-        for w in tup:
-            comps = _merge_masks(comps, w)
-        if len(comps) == 1 and comps[0] == full:
-            count += 1
-    return count
+    return sum(_joins_to_top(base_masks, tup) for tup in product(*pools))
 
 
 def count_R(n: int, sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP,
@@ -508,13 +500,10 @@ def count_join_full(sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP) -> int:
     M = sum(sizes)
     num_blocks = M - (len(sizes) - 1)
     _check_tuple_cap(M, cap, "interval-join partition count")
-    base = interval_partition(sizes)
-    top = SetPartition.top(M)
-    count = 0
-    for sigma in enumerate_partitions(M, cap=cap):
-        if sigma.num_blocks == num_blocks and join(sigma, base) == top:
-            count += 1
-    return count
+    base_masks = [_mask(b) for b in interval_partition(sizes).blocks]
+    return sum(_joins_to_top(base_masks, map(_mask, sigma.blocks))
+               for sigma in enumerate_partitions(M, cap=cap)
+               if sigma.num_blocks == num_blocks)
 
 
 def count_join_full_closed(sizes: Sequence[int]) -> int:

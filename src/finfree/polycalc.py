@@ -539,7 +539,7 @@ def empirical_moments(p: MonicPoly, N: int, digits: int | None = None) -> list:
 
 def _parse_scalar(v):
     if isinstance(v, bool):
-        raise ValueError("booleans are not polynomial coefficients")
+        raise ValueError("booleans are not scalars")
     if isinstance(v, int):
         return v
     if isinstance(v, float):
@@ -547,7 +547,10 @@ def _parse_scalar(v):
             raise ValueError(f"non-finite scalar {v}")
         return v
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {v!r}") from None
     raise ValueError(f"cannot parse scalar {v!r}")
 
 

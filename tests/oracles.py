@@ -36,11 +36,12 @@ def partitions_by_insertion(n: int):
         yield smaller + [[n]]
 
 
-def join_bfs(pi: SetPartition, sigma: SetPartition) -> SetPartition:
-    """Join via breadth-first search on the union of block graphs."""
-    n = pi.n
+def join_bfs(*parts: SetPartition) -> SetPartition:
+    """Join of one or more partitions of [n], by breadth-first search on the
+    union of their block graphs."""
+    n = parts[0].n
     adj: dict[int, set[int]] = {x: set() for x in range(1, n + 1)}
-    for part in (pi, sigma):
+    for part in parts:
         for b in part.blocks:
             for x in b:
                 adj[x].update(y for y in b if y != x)

@@ -74,6 +74,10 @@ class TestIdentityCommand:
         code, _, err = run(capsys, "identity", "--fs", "0,zz", "--n", "2")
         assert code == 2 and "error" in err
 
+    def test_zero_denominator_exit_2(self, capsys):
+        code, out, err = run(capsys, "identity", "--fs", "1/0", "--n", "2")
+        assert code == 2 and out == "" and "zero denominator" in err
+
     def test_cap_reaches_the_enumeration(self, capsys):
         code, out, err = run(capsys, "--cap", "4", "identity", "--fs", "0,1", "--n", "5")
         assert code == 3 and out == "" and "cap 4" in err
@@ -197,6 +201,11 @@ class TestConvCommand:
             code, out, err = run(capsys, "conv", "boxplus", "--p", p, "--q", '{"roots": [1.0, 2.0]}')
             assert code == 2 and out == "" and f"{field}: non-finite" in err
 
+    def test_zero_denominator_exit_2(self, capsys):
+        code, out, err = run(capsys, "conv", "boxplus", "--p", '{"coeffs": [1, "1/0"]}',
+                             "--q", '{"coeffs": [1, 1]}')
+        assert code == 2 and out == "" and "coeffs: zero denominator" in err
+
     def test_boxtimes_overflow_exit_3(self, capsys):
         p = '{"roots": [1e200, 2.0]}'
         code, out, err = run(capsys, "conv", "boxtimes", "--p", p, "--q", p)
@@ -245,6 +254,34 @@ class TestCumulantsCommand:
     def test_invert_needs_cumulants(self, capsys):
         code, _, _ = run(capsys, "cumulants", "--invert", "--p", '{"coeffs": [1, -1]}')
         assert code == 2
+        # a string is not read as a list of its characters
+        p = '{"degree": 2, "cumulants": "12"}'
+        code, out, err = run(capsys, "cumulants", "--invert", "--p", p)
+        assert code == 2 and out == "" and "must be a JSON array" in err
+
+    def test_zero_denominator_exit_2(self, capsys):
+        code, out, err = run(capsys, "cumulants", "--p", '{"coeffs": [1, "1/0"]}')
+        assert code == 2 and out == "" and "coeffs: zero denominator" in err
+
+    def test_invert_bool_cumulant_exit_2(self, capsys):
+        p = '{"degree": 2, "cumulants": [true, 1]}'
+        code, out, err = run(capsys, "cumulants", "--invert", "--p", p)
+        assert code == 2 and out == "" and "cumulants: booleans" in err
+
+    def test_invert_nan_cumulant_exit_2(self, capsys):
+        p = '{"degree": 2, "cumulants": [NaN, 1]}'
+        code, out, err = run(capsys, "cumulants", "--invert", "--p", p)
+        assert code == 2 and out == "" and "cumulants: non-finite" in err
+
+    def test_invert_string_degree_exit_2(self, capsys):
+        p = '{"degree": "2", "cumulants": [1, 1]}'
+        code, out, err = run(capsys, "cumulants", "--invert", "--p", p)
+        assert code == 2 and out == "" and "degree must be an integer" in err
+
+    def test_invert_fractional_degree_exit_2(self, capsys):
+        p = '{"degree": 2.7, "cumulants": [1, 1]}'
+        code, out, err = run(capsys, "cumulants", "--invert", "--p", p)
+        assert code == 2 and out == "" and "degree must be an integer" in err
 
     def test_binary64_overflow_exit_3(self, capsys):
         # kappa_2 of the first is nan, of the second inf: neither is printed
@@ -315,6 +352,16 @@ class TestLimitCommand:
                            ('{"kind": "fms", "d": [10], "t": [1e400]}', "t grid")):
             code, out, err = run(capsys, "limit", "--config", cfg)
             assert code == 2 and out == "" and f"{field} " in err and "finite" in err
+
+    def test_degree_one_multclt_exit_2(self, capsys):
+        cfg = '{"kind": "multclt", "poly": {"roots": [1.0]}, "m": [10]}'
+        code, out, err = run(capsys, "limit", "--config", cfg)
+        assert code == 2 and out == "" and "degree d >= 2" in err
+
+    def test_degree_one_uclt_exit_2(self, capsys):
+        cfg = '{"kind": "uclt", "poly": {"angles": [0.0]}, "m": [10]}'
+        code, out, err = run(capsys, "limit", "--config", cfg)
+        assert code == 2 and out == "" and "degree d >= 2" in err
 
     def test_precision_infeasible_exit_3(self, capsys):
         code, _, err = run(

@@ -22,11 +22,11 @@ from finfree.partitions import (
     enumerate_noncrossing,
     enumerate_partitions,
     is_noncrossing,
+    _joins_to_top,
+    _mask,
+    interval_partition,
     is_refinement,
-    join,
-    join_all,
     mobius,
-    mobius_bottom,
     mobius_recursive,
     mobius_top,
 )
@@ -47,6 +47,24 @@ def rgs_partitions(draw_n=st.integers(min_value=1, max_value=7)):
         return _partition_of_rgs(rgs)
 
     return strat()
+
+
+@st.composite
+def join_families(draw):
+    """(n, 0-3 partitions of [n], an interval partition of [n] or None), n <= 7."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    parts = draw(st.lists(rgs_partitions(st.just(n)), max_size=3))
+    cuts = draw(st.none() | st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    if cuts is None:
+        return n, parts, None
+    ends = [x for x, cut in enumerate(cuts, start=1) if cut] + [n]
+    return n, parts, interval_partition([b - a for a, b in zip([0] + ends, ends)])
+
+
+def _joins(*parts):
+    """The mask fold on a family of partitions of one [n]."""
+    return _joins_to_top([_mask(b) for b in parts[0].blocks],
+                         [_mask(b) for p in parts[1:] for b in p.blocks])
 
 
 def _partition_of_rgs(rgs):
@@ -138,35 +156,37 @@ class TestLattice:
     def test_join_examples(self):
         a = SetPartition(3, [(1, 2), (3,)])
         b = SetPartition(3, [(1,), (2, 3)])
-        assert join(a, b) == SetPartition.top(3)
-        assert join(a, a) == a
+        assert _joins(a, b) and not _joins(a, a)
         c = SetPartition(4, [(1, 3), (2,), (4,)])
         d = SetPartition(4, [(1,), (2, 4), (3,)])
-        expected = join_bfs(c, d)  # union-find result checked against BFS oracle
-        assert expected == SetPartition(4, [(1, 3), (2, 4)])
-        assert join(c, d) == expected
+        assert join_bfs(c, d) == SetPartition(4, [(1, 3), (2, 4)])
+        assert not _joins(c, d)
+        chain3 = [SetPartition(5, [(1, 2), (3,), (4,), (5,)]),
+                  SetPartition(5, [(1,), (2, 3), (4,), (5,)]),
+                  SetPartition(5, [(1,), (2,), (3,), (4, 5)])]
+        assert not _joins(*chain3)
+        assert _joins(*chain3, SetPartition(5, [(1,), (2,), (3, 4), (5,)]))
 
     def test_join_bounds(self):
+        top, bottom = SetPartition.top(5), SetPartition.bottom(5)
         for p in enumerate_partitions(5):
-            assert join(p, SetPartition.bottom(5)) == p
-            assert join(p, SetPartition.top(5)) == SetPartition.top(5)
+            assert _joins(p, bottom) == (p == top)
+            assert _joins(p, top)
+        assert _joins(SetPartition.bottom(1))  # 0_1 = 1_1
 
-    def test_join_mismatched_n(self):
-        with pytest.raises(ValueError):
-            join(SetPartition.top(3), SetPartition.top(4))
-
-    @settings(max_examples=60, deadline=None)
-    @given(rgs_partitions(), rgs_partitions())
-    def test_join_matches_bfs_oracle(self, a, b):
-        if a.n != b.n:
-            b = SetPartition.top(a.n)
-        assert join(a, b) == join_bfs(a, b)
+    @settings(max_examples=200, deadline=None)
+    @given(join_families())
+    def test_join_matches_bfs_oracle(self, family):
+        """The mask fold says the join is 1_n exactly when the BFS join is."""
+        n, parts, base = family
+        start = base or SetPartition.bottom(n)
+        assert _joins(start, *parts) == (join_bfs(start, *parts) == SetPartition.top(n))
 
     @settings(max_examples=40, deadline=None)
     @given(rgs_partitions())
     def test_join_characterizes_refinement(self, a):
         for b in enumerate_partitions(a.n):
-            assert is_refinement(a, b) == (join(a, b) == b)
+            assert is_refinement(a, b) == (join_bfs(a, b) == b)
 
     def test_is_refinement_examples(self):
         for sigma in enumerate_partitions(4):
@@ -190,7 +210,9 @@ class TestLattice:
             top = SetPartition.top(n)
             for p in enumerate_partitions(n):
                 assert mobius(p, top) == mobius_top(p)
-                assert mobius(SetPartition.bottom(n), p) == mobius_bottom(p)
+                assert mobius(SetPartition.bottom(n), p) == math.prod(
+                    (-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in p.blocks
+                )
                 assert mobius_top(p) == (-1) ** (p.num_blocks - 1) * math.factorial(
                     p.num_blocks - 1
                 )
@@ -452,35 +474,3 @@ def compositions_up_to(slots, max_total):
     return out
 
 
-class TestJoinAll:
-    def test_empty_family_is_bottom(self):
-        assert join_all([], 4) == SetPartition.bottom(4)
-
-    def test_nonpositive_ground_set_refused(self):
-        with pytest.raises(ValueError):
-            join_all([], 0)
-
-    def test_equals_validated_rebuild(self):
-        rng = random.Random(17)
-        for n in range(1, 9):
-            for _ in range(20):
-                parts = [_partition_of_rgs(_random_rgs(rng, n))
-                         for _ in range(rng.randint(0, 3))]
-                j = join_all(parts, n)
-                q = SetPartition(n, j.blocks)
-                assert j == q and hash(j) == hash(q) and j.blocks == q.blocks
-
-    def test_three_way(self):
-        parts = [
-            SetPartition(5, [(1, 2), (3,), (4,), (5,)]),
-            SetPartition(5, [(1,), (2, 3), (4,), (5,)]),
-            SetPartition(5, [(1,), (2,), (3,), (4, 5)]),
-        ]
-        assert join_all(parts, 5) == SetPartition(5, [(1, 2, 3), (4, 5)])
-
-
-def _random_rgs(rng, n):
-    rgs = [0]
-    for _ in range(1, n):
-        rgs.append(rng.randint(0, max(rgs) + 1))
-    return rgs
