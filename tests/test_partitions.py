@@ -161,11 +161,6 @@ class TestLattice:
         d = SetPartition(4, [(1,), (2, 4), (3,)])
         assert join_bfs(c, d) == SetPartition(4, [(1, 3), (2, 4)])
         assert not _joins(c, d)
-        chain3 = [SetPartition(5, [(1, 2), (3,), (4,), (5,)]),
-                  SetPartition(5, [(1,), (2, 3), (4,), (5,)]),
-                  SetPartition(5, [(1,), (2,), (3,), (4, 5)])]
-        assert not _joins(*chain3)
-        assert _joins(*chain3, SetPartition(5, [(1,), (2,), (3, 4), (5,)]))
 
     def test_join_bounds(self):
         top, bottom = SetPartition.top(5), SetPartition.bottom(5)
@@ -474,3 +469,24 @@ def compositions_up_to(slots, max_total):
     return out
 
 
+class TestJoinAll:
+    """Joins of a whole family of partitions of [n], through the mask fold."""
+
+    def test_empty_family_is_bottom(self):
+        # nothing folded onto 0_n leaves 0_n, which is 1_n only for n = 1
+        for n in range(1, 6):
+            bottom = [_mask(b) for b in SetPartition.bottom(n).blocks]
+            assert _joins_to_top(bottom, []) == (n == 1)
+            assert _joins(SetPartition.bottom(n)) == (n == 1)
+        assert _joins_to_top([_mask(range(1, 5))], [])
+
+    def test_three_way(self):
+        parts = [
+            SetPartition(5, [(1, 2), (3,), (4,), (5,)]),
+            SetPartition(5, [(1,), (2, 3), (4,), (5,)]),
+            SetPartition(5, [(1,), (2,), (3,), (4, 5)]),
+        ]
+        assert join_bfs(*parts) == SetPartition(5, [(1, 2, 3), (4, 5)])
+        assert not _joins(*parts)
+        assert _joins(*parts, SetPartition(5, [(1,), (2,), (3, 4), (5,)]))
+        assert not _joins(*parts, SetPartition(5, [(1, 3), (2,), (4, 5)]))
