@@ -16,7 +16,7 @@ import sys
 from .cumulants import CumulantVector, coeffs_from_cumulants, finite_cumulants
 from .errors import CapExceededError, PrecisionBudgetError, RootConvergenceError
 from .experiments import ExperimentConfig, run_experiment
-from .identities import ZeroConstPoly, s_bruteforce, s_closed_form
+from .identities import ZeroConstPoly, s_closed_form, s_mobius_route
 from .partitions import (
     DEFAULT_PARTITION_CAP,
     DEFAULT_TUPLE_CAP,
@@ -134,12 +134,11 @@ def _cmd_partitions(args) -> str:
 
 def _cmd_identity(args) -> str:
     fs = _parse_fs(args.fs)
-    cap = DEFAULT_PARTITION_CAP if args.cap is None else args.cap
     if args.closed_form:
         val = s_closed_form(fs, args.n)
         out = "no-closed-form" if val is None else format_scalar(val)
     else:
-        out = format_scalar(s_bruteforce(fs, args.n, cap=cap))
+        out = format_scalar(s_mobius_route(fs, args.n))
     if args.format == "json":
         return json.dumps({"n": args.n, "value": out})
     return out

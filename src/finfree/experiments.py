@@ -30,7 +30,7 @@ from .cumulants import (cumulants_from_atilde, exp_poly_atilde, hermite_unitary_
                         laguerre_hat_atilde, laguerre_unitary_atilde)
 from .errors import PrecisionBudgetError
 from .freelimits import lambda_cumulant, pi_cumulant, sigma_cumulant, sy_limit_t, sy_limit_zero
-from .polycalc import MonicPoly, normalized_coeffs, poly_from_json
+from .polycalc import MonicPoly, _parse_scalar, normalized_coeffs, poly_from_json
 from .scalars import common_kind, format_scalar, promote_ints, to_mpf, work
 
 
@@ -47,7 +47,8 @@ class ExperimentConfig:
     and otherwise the cross product is taken.  ``poly`` is a polynomial
     literal (see ``poly_from_json``) overriding the default input family;
     ``sigma`` builds the canonical degree-2 two-atom instance for the CLT
-    kinds when no literal is given.
+    kinds when no literal is given.  ``d``, ``m``, ``n_max`` and ``precision``
+    take only ints; ``t`` and ``sigma`` are polynomial-literal scalars, as floats.
     """
 
     kind: str
@@ -61,13 +62,13 @@ class ExperimentConfig:
     poly: dict | None = None
 
     def __post_init__(self):
-        self.d = _as_int_tuple("d", self.d)
-        self.m = _as_int_tuple("m", self.m)
-        self.t = tuple(float(v) for v in _as_tuple(self.t))
-        if not all(math.isfinite(v) for v in self.t):
-            raise ValueError(f"t grid entries must be finite, got {self.t}")
-        if self.sigma is not None and not math.isfinite(float(self.sigma)):
-            raise ValueError(f"sigma must be finite, got {self.sigma}")
+        self.d = _positive_ints("d grid entries", _as_tuple(self.d))
+        self.m = _positive_ints("m grid entries", _as_tuple(self.m))
+        self.t = tuple(_finite("t grid entries", v) for v in _as_tuple(self.t))
+        (self.n_max,) = _positive_ints("n_max", (self.n_max,))
+        (self.precision,) = _positive_ints("precision", (self.precision,))
+        if self.sigma is not None:
+            self.sigma = _finite("sigma", self.sigma)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
@@ -83,8 +84,6 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}; pick one of {KINDS}")
         if self.precision < 15:
             raise ValueError("precision must be at least 15 digits")
-        if self.n_max < 1:
-            raise ValueError("n_max must be positive")
         missing = [g for g in _KINDS[self.kind][0] if not getattr(self, g)]
         if missing:
             raise ValueError(f"{self.kind} needs non-empty grids: {', '.join(missing)}")
@@ -100,15 +99,22 @@ def _as_tuple(v):
     return tuple(v) if isinstance(v, (list, tuple)) else (v,)
 
 
-def _as_int_tuple(name, v):
-    out = []
-    for x in _as_tuple(v):
-        if isinstance(x, float) and not x.is_integer():
-            raise ValueError(f"{name} grid entries must be integers, got {x}")
-        out.append(int(x))
-    if any(x < 1 for x in out):
-        raise ValueError(f"{name} grid entries must be positive")
-    return tuple(out)
+def _positive_ints(name: str, values) -> tuple:
+    """Positive JSON integers; a bool or a float, even 10.0, is refused."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ValueError(f"{name}: a JSON integer is required, got {v!r}")
+        if v < 1:
+            raise ValueError(f"{name} must be positive, got {v}")
+    return tuple(values)
+
+
+def _finite(name: str, v) -> float:
+    """A t or sigma value, parsed like a polynomial-literal scalar ("3/4" too)."""
+    try:
+        return float(_parse_scalar(v))
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be finite numbers: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

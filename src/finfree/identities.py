@@ -6,11 +6,11 @@ The central object is the alternating partition sum
         prod_i ( sum over blocks V of f_i(|V|) ) * mu(pi, 1_n)
 
 for polynomials f_i with zero constant term.  This module evaluates it three
-ways: literally (``s_bruteforce``), through the subset-lattice alternating
-sum and Mobius inversion over P(k) (``r_coeff`` / ``s_mobius_route``), and
-by the closed form valid at the critical order n = sum(deg f_i) - (k-1)
-(``s_closed_form``).  Everything is exact rational arithmetic; floats are
-rejected on input.
+ways: literally over P(n) (``s_bruteforce``, the capped oracle), through
+forward differences of the products prod_{i in B} f_i(l) and Mobius
+inversion over P(k) (``s_mobius_route``, at any n), and by the closed form
+valid at the critical order n = sum(deg f_i) - (k-1) (``s_closed_form``).
+Everything is exact rational arithmetic; floats are rejected on input.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from .partitions import (
     enumerate_partitions,
     mobius_top,
 )
-from .scalars import DEFAULT_DIGITS, binom, exp, kind_of, work
-from .series import PowerSeries
+from .scalars import DEFAULT_DIGITS, binom, differences, exp, kind_of, work
 
 
 @dataclass(frozen=True)
@@ -115,42 +114,17 @@ def _as_fraction(x) -> Fraction:
     )
 
 
-def r_coeff(fs: Sequence[ZeroConstPoly], n: int) -> Fraction:
-    """n-th derivative at 0 of the covering-series coefficient polynomial.
-
-    Equals sum_{l=1}^{n} C(n,l) (-1)^(n-l) prod_i f_i(l); vanishes whenever
-    n exceeds the total degree of the product.
-    """
+def _check_input(fs: Sequence[ZeroConstPoly], n: int) -> None:
     if not fs:
         raise ValueError("need at least one polynomial")
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = Fraction(0)
-    for l in range(1, n + 1):
-        term = Fraction(binom(n, l) * (-1) ** (n - l))
-        for f in fs:
-            term *= f(l)
-        total += term
-    return total
-
-
-def r_poly_coeffs(fs: Sequence[ZeroConstPoly]) -> list[Fraction]:
-    """Taylor coefficients (in z, constant term omitted) of the r-polynomial.
-
-    Entry j-1 holds the coefficient of z^j, i.e. r^{(j)}(0)/j!; the list runs
-    up to the total degree sum(deg f_i), beyond which everything vanishes.
-    """
-    total_deg = sum(f.degree for f in fs)
-    return [r_coeff(fs, j) / math.factorial(j) for j in range(1, total_deg + 1)]
 
 
 def s_bruteforce(fs: Sequence[ZeroConstPoly], n: int,
                  cap: int = DEFAULT_PARTITION_CAP) -> Fraction:
     """The literal partition sum, exactly."""
-    if not fs:
-        raise ValueError("need at least one polynomial")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_input(fs, n)
     if n > cap:  # before the tables: the enumeration checks only when first advanced
         raise CapExceededError("partition enumeration", n, cap)
     # per-size values of each f over one common denominator D, as ints: each
@@ -169,24 +143,40 @@ def s_bruteforce(fs: Sequence[ZeroConstPoly], n: int,
 
 
 def s_mobius_route(fs: Sequence[ZeroConstPoly], n: int) -> Fraction:
-    """Same value through Mobius inversion over P(k) of r-polynomial products.
+    """Same value at any n, through Mobius inversion over P(k).
 
-    For each partition sigma of the index set, multiply the r-polynomials of
-    its blocks (as polynomials in z) and weight by mu(sigma, 1_k); the n-th
-    Taylor coefficient times n! is the partition sum.  Independent route used
-    to cross-check ``s_bruteforce``.
+    The r-table of an index block B is Delta^j g_B(0) of g_B(l) = prod_{i in
+    B} f_i(l), zero past the block's total degree.  The sum over sigma in
+    P(k) of mu(sigma, 1_k) times entry n of the binomial convolution of its
+    blocks' r-tables is the partition sum.  Each f_i is scaled by the lcm d_i
+    of its denominators, so the sum runs on ints and is divided by prod d_i.
     """
-    k = len(fs)
-    if k < 1:
-        raise ValueError("need at least one polynomial")
-    total = Fraction(0)
-    for sigma in enumerate_partitions(k):
-        prod = PowerSeries.constant(Fraction(1), n)
+    _check_input(fs, n)
+    scale = [math.lcm(*(c.denominator for c in f.coeffs)) for f in fs]
+    top = min(n, sum(f.degree for f in fs))
+    ints = [[int(c * d) for c in f.coeffs] for f, d in zip(fs, scale)]
+    values = [[sum(c * l ** j for j, c in enumerate(cs, start=1)) for l in range(top + 1)]
+              for cs in ints]
+    tables, total = {}, 0
+    for sigma in enumerate_partitions(len(fs)):
+        prod = [1]
         for block in sigma.blocks:
-            r = [Fraction(0)] + r_poly_coeffs([fs[i - 1] for i in block]) + [Fraction(0)] * n
-            prod = prod * PowerSeries(tuple(r[: n + 1]))
-        total += mobius_top(sigma) * prod.coeff(n)
-    return total * math.factorial(n)
+            if block not in tables:
+                deg = min(n, sum(fs[i - 1].degree for i in block))
+                tables[block] = differences(
+                    [math.prod(values[i - 1][l] for i in block) for l in range(deg + 1)])
+            prod = _binomial_convolution(prod, tables[block], n)
+        if n < len(prod):
+            total += mobius_top(sigma) * prod[n]
+    return Fraction(total, math.prod(scale))
+
+
+def _binomial_convolution(a: list, b: list, top: int) -> list:
+    """c_m = sum_j C(m, j) a_j b_(m-j) for m <= top: the product of exponential
+    generating functions, cut where it vanishes."""
+    return [sum(math.comb(m, j) * a[j] * b[m - j]
+                for j in range(max(0, m - len(b) + 1), min(m, len(a) - 1) + 1))
+            for m in range(min(top, len(a) + len(b) - 2) + 1)]
 
 
 def s_closed_form(fs: Sequence[ZeroConstPoly], n: int):
@@ -196,20 +186,14 @@ def s_closed_form(fs: Sequence[ZeroConstPoly], n: int):
     0 above that, and None below it, where no general formula is available
     (None, not 0, so it cannot pass for a value).
     """
-    if not fs:
-        raise ValueError("need at least one polynomial")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_input(fs, n)
     k = len(fs)
     critical = sum(f.degree for f in fs) - (k - 1)
     if n > critical:
         return Fraction(0)
     if n < critical:
         return None
-    out = Fraction(math.factorial(n - 1) * n ** (k - 1))
-    for f in fs:
-        out *= f.degree * f.lead
-    return out
+    return math.factorial(n - 1) * n ** (k - 1) * math.prod(f.degree * f.lead for f in fs)
 
 
 def faa_di_bruno_exp(derivs: Sequence, u0, n: int):

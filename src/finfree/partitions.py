@@ -26,8 +26,8 @@ from itertools import chain, combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError
-from .scalars import (DEFAULT_DIGITS, binom, common_kind, csum, integer_weights, multinomial,
-                      work)
+from .scalars import (DEFAULT_DIGITS, binom, common_kind, csum, differences, integer_weights,
+                      multinomial, work)
 
 DEFAULT_PARTITION_CAP = 12
 DEFAULT_TUPLE_CAP = 8
@@ -407,19 +407,16 @@ def count_R(n: int, sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP,
     """Tuples (W_1,...,W_k) of subsets of [n] with |W_i|=sizes[i] covering [n].
 
     ``method="brute"`` enumerates tuples (capped); ``method="formula"`` uses
-    the inclusion-exclusion sum over the union's size,
-    sum_l C(n,l) (-1)^(n-l) prod_i C(l, m_i), which has no size cap.
+    inclusion-exclusion over the union's size, the n-th forward difference
+    at 0 of l -> prod_i C(l, m_i), which has no size cap and vanishes past
+    sum(m_i), the polynomial's degree.
     """
     sizes = tuple(sizes)
     _check_positive(n=(n,), sizes=sizes)
     if method == "formula":
-        total = 0
-        for l in range(1, n + 1):
-            term = binom(n, l) * (-1) ** (n - l)
-            for m in sizes:
-                term *= binom(l, m)
-            total += term
-        return total
+        if n > sum(sizes):
+            return 0
+        return differences([math.prod(binom(l, m) for m in sizes) for l in range(n + 1)])[n]
     if method != "brute":
         raise ValueError(f"unknown method {method!r}")
     if any(m > n for m in sizes):

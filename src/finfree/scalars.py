@@ -180,6 +180,16 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def differences(values: Sequence) -> list:
+    """Forward differences at 0, Delta^j v(0) = sum_l C(j, l) (-1)^(j-l) v_l
+    for j < len(values); past the degree of a polynomial v they vanish."""
+    row, out = list(values), []
+    while row:
+        out.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return out
+
+
 def falling(a, i: int):
     """Falling factorial a(a-1)...(a-i+1); exact when a is exact."""
     out = 1

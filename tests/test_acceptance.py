@@ -40,6 +40,7 @@ from finfree.identities import (
     composition_identity,
     s_bruteforce,
     s_closed_form,
+    s_mobius_route,
 )
 from finfree.partitions import (
     count_R,
@@ -87,17 +88,20 @@ def test_criterion_01_main_identity_exact():
         k = rng.randint(1, 3)
         fs = [_random_zero_const(rng) for _ in range(k)]
         n_crit = sum(f.degree for f in fs) - (k - 1)
-        brute = s_bruteforce(fs, n_crit)
-        closed = s_closed_form(fs, n_crit)
-        if brute != closed:
-            failures.append(f"instance {i}: critical value {brute} != {closed}")
-        for n in range(n_crit + 1, 9):
-            if s_bruteforce(fs, n) != 0:
+        for n in range(1, 9):
+            brute = s_bruteforce(fs, n)
+            if s_mobius_route(fs, n) != brute:
+                failures.append(f"instance {i}: the Mobius route differs at n={n}")
+            if n == n_crit and brute != s_closed_form(fs, n):
+                failures.append(f"instance {i}: critical value {brute} != "
+                                f"{s_closed_form(fs, n)}")
+            if n > n_crit and brute != 0:
                 failures.append(f"instance {i}: nonzero above critical order at n={n}")
     elapsed = time.time() - start
     if elapsed >= 60:
         failures.append(f"runtime {elapsed:.1f}s exceeds 60s")
-    _report(1, f"main identity, 20 random instances, zero band to n=8 ({elapsed:.1f}s)", failures)
+    _report(1, f"main identity, 20 random instances, zero band to n=8, "
+               f"Mobius route at every n ({elapsed:.1f}s)", failures)
 
 
 def test_criterion_02_corollary_values_exact():

@@ -78,16 +78,25 @@ class TestIdentityCommand:
         code, out, err = run(capsys, "identity", "--fs", "1/0", "--n", "2")
         assert code == 2 and out == "" and "zero denominator" in err
 
-    def test_cap_reaches_the_enumeration(self, capsys):
-        code, out, err = run(capsys, "--cap", "4", "identity", "--fs", "0,1", "--n", "5")
-        assert code == 3 and out == "" and "cap 4" in err
+    def test_cap_does_not_reach_identity(self, capsys):
+        code, out, _ = run(capsys, "--cap", "4", "identity", "--fs", "0,1", "--n", "5")
+        assert code == 0 and out.strip() == "0"
 
-    def test_cap_checked_before_the_tables(self, capsys):
-        # ten million Fractions per polynomial would be built if the check waited
+    def test_no_cap_on_n(self, capsys):
+        # past the total degree the value is 0 without a table of size n
         start = time.perf_counter()
-        code, out, err = run(capsys, "--cap", "4", "identity", "--fs", "0,1", "--n", "10000000")
-        assert code == 3 and out == "" and "cap 4" in err
+        code, out, _ = run(capsys, "identity", "--fs", "0,1", "--n", "10000000")
+        assert code == 0 and out.strip() == "0"
         assert time.perf_counter() - start < 1.0
+
+    def test_n_below_one_exit_2(self, capsys):
+        for n in ("0", "-1"):
+            code, out, err = run(capsys, "identity", "--fs", "0,1", "--n", n)
+            assert code == 2 and out == "" and "n must be >= 1" in err
+
+    def test_more_than_twelve_polynomials_exit_3(self, capsys):
+        code, out, err = run(capsys, "identity", "--fs", ";".join(["1"] * 13), "--n", "1")
+        assert code == 3 and out == "" and "cap 12" in err
 
 
 class TestCountCommand:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -70,11 +71,49 @@ class TestConfig:
         with pytest.raises(ValueError, match="sigma must be finite"):
             ExperimentConfig(kind="multclt", m=[10], sigma=math.nan)
 
-    def test_int_grid_coercion(self):
-        cfg = ExperimentConfig(kind="fms", d=[10.0], t=[1], n_max=2)
+    def test_int_grids_take_only_integers(self):
+        cfg = ExperimentConfig(kind="fms", d=[10], t=[1], n_max=2)
         assert cfg.d == (10,)
-        with pytest.raises(ValueError):
-            ExperimentConfig(kind="fms", d=[10.5], t=[1])
+        for d in (10.0, 10.5):
+            with pytest.raises(ValueError, match="d grid entries"):
+                ExperimentConfig(kind="fms", d=[d], t=[1])
+
+
+def _from_json(text: str) -> ExperimentConfig:
+    return ExperimentConfig.from_json(json.loads(text))
+
+
+class TestConfigFields:
+    """Each numeric field refuses a bool, naming the field; d, m, n_max and
+    precision take only JSON integers, t and sigma parse like polynomial
+    literal scalars."""
+
+    def test_d(self):
+        for d in ("[true]", '["10"]'):
+            with pytest.raises(ValueError, match="d grid entries: a JSON integer"):
+                _from_json(f'{{"kind": "fms", "d": {d}, "t": [1]}}')
+
+    def test_m(self):
+        with pytest.raises(ValueError, match="m grid entries: a JSON integer"):
+            _from_json('{"kind": "multclt", "sigma": 1, "m": [true]}')
+
+    def test_n_max(self):
+        with pytest.raises(ValueError, match="n_max: a JSON integer"):
+            _from_json('{"kind": "fms", "d": [10], "t": [1], "n_max": true}')
+
+    def test_precision(self):
+        with pytest.raises(ValueError, match="precision: a JSON integer"):
+            _from_json('{"kind": "fms", "d": [10], "t": [1], "precision": true}')
+
+    def test_t(self):
+        with pytest.raises(ValueError, match="t grid entries .*booleans"):
+            _from_json('{"kind": "fms", "d": [10], "t": [true]}')
+        assert _from_json('{"kind": "fms", "d": [10], "t": ["1/2", 2]}').t == (0.5, 2.0)
+
+    def test_sigma(self):
+        with pytest.raises(ValueError, match="sigma .*booleans"):
+            _from_json('{"kind": "multclt", "sigma": true, "m": [10]}')
+        assert _from_json('{"kind": "multclt", "sigma": "3/4", "m": [10]}').sigma == 0.75
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,12 +14,12 @@ from finfree.identities import (
     ZeroConstPoly,
     composition_identity,
     faa_di_bruno_exp,
-    r_coeff,
     s_bruteforce,
     s_closed_form,
     s_mobius_route,
 )
-from finfree.partitions import count_S
+from finfree.partitions import count_R, count_S
+from finfree.scalars import differences
 
 from .oracles import faa_di_bruno_literal, s_literal
 
@@ -26,8 +27,8 @@ x = ZeroConstPoly.monomial
 c = ZeroConstPoly.binomial_basis
 
 
-def random_poly(rng, max_deg=3):
-    deg = rng.randint(1, max_deg)
+def random_poly(rng, max_deg=3, min_deg=1):
+    deg = rng.randint(min_deg, max_deg)
     coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(deg - 1)]
     coeffs.append(Fraction(rng.randint(1, 6), rng.randint(1, 4)))  # nonzero lead
     return ZeroConstPoly(coeffs)
@@ -77,28 +78,32 @@ class TestZeroConstPoly:
                 assert f(n) == math.comb(n, m)
 
 
+def r_value(fs, n):
+    """Delta^n g(0) of g(l) = prod_i f_i(l): the n-th r-coefficient."""
+    return differences([math.prod(f(l) for f in fs) for l in range(n + 1)])[n]
+
+
 class TestRCoeff:
     def test_examples(self):
-        assert r_coeff([c(2)], 2) == 1
-        assert r_coeff([c(2)], 3) == 0
-        assert r_coeff([x(1), x(1)], 2) == 2
+        assert r_value([c(2)], 2) == 1
+        assert r_value([c(2)], 3) == 0
+        assert r_value([x(1), x(1)], 2) == 2
 
     def test_vanishing_above_degree(self):
         for k in range(1, 7):
             for n in range(k + 1, 9):
-                assert r_coeff([x(k)], n) == 0
+                assert r_value([x(k)], n) == 0
 
     def test_counts_covering_tuples(self):
         # r-coefficients of binomial-basis inputs count covering tuples
-        from finfree.partitions import count_R
-
         for sizes in [(1,), (2,), (2, 1), (2, 2), (1, 1, 2)]:
             for n in range(1, 7):
-                assert r_coeff([c(m) for m in sizes], n) == count_R(n, sizes)
+                assert r_value([c(m) for m in sizes], n) == count_R(n, sizes)
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            r_coeff([], 2)
+        for fs, n in (([], 2), ([x(1)], 0), ([x(1)], -1)):
+            with pytest.raises(ValueError):
+                s_mobius_route(fs, n)
 
 
 class TestSBruteforce:
@@ -111,6 +116,17 @@ class TestSBruteforce:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             s_bruteforce([x(1)], 13)
+
+    def test_cap_reaches_the_enumeration(self):
+        with pytest.raises(CapExceededError, match="cap 4"):
+            s_bruteforce([x(2)], 5, cap=4)
+
+    def test_cap_checked_before_the_tables(self):
+        # ten million Fractions per polynomial would be built if the check waited
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError):
+            s_bruteforce([x(2)], 10 ** 7)
+        assert time.perf_counter() - start < 1.0
 
     def test_monomial_cube(self):
         assert s_bruteforce([x(3)], 3) == 6  # = closed form 2! * 1 * 3 * 1
@@ -168,6 +184,20 @@ class TestMobiusRoute:
             fs = [random_poly(rng, max_deg=2) for _ in range(k)]
             for n in range(1, 8):
                 assert s_mobius_route(fs, n) == s_bruteforce(fs, n)
+
+    def test_closed_form_past_the_brute_cap(self):
+        # the brute oracle stops at n = 12; the closed form pins the critical order
+        rng = random.Random(2024)
+        start = time.perf_counter()
+        for k in (2, 2, 3, 3, 4, 4, 4):
+            min_deg = -(-(50 + k - 1) // k)  # so that the critical order is >= 50
+            fs = [random_poly(rng, max_deg=30, min_deg=min_deg) for _ in range(k)]
+            critical = sum(f.degree for f in fs) - (k - 1)
+            assert critical >= 50
+            assert s_mobius_route(fs, critical) == s_closed_form(fs, critical) != 0
+            for n in range(critical + 1, critical + 4):
+                assert s_mobius_route(fs, n) == 0
+        assert time.perf_counter() - start < 2.0
 
     def test_essential_tuple_counts(self):
         # s-values of binomial-basis inputs count essential tuples

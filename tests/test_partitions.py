@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -364,6 +365,13 @@ class TestTupleCounts:
             for sizes in combinations_with_replacement_sizes(k, 3):
                 for n in range(1, 9):
                     assert count_R(n, sizes) == count_R(n, sizes, method="formula")
+
+    def test_count_R_formula_vanishes_past_the_degree(self):
+        # no tuple of sizes m_i covers more than sum(m_i) points
+        assert count_R(6, (2, 3)) == count_R(6, (2, 3), method="formula") == 0
+        start = time.perf_counter()
+        assert count_R(20000, (2, 3), method="formula") == 0
+        assert time.perf_counter() - start < 1.0
 
     def test_count_S_examples(self):
         assert count_S(1, (1, 1)) == 1

@@ -6,8 +6,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from finfree.scalars import (EXACT, FLOAT64, MPF, csum, dot, exp, format_scalar, integer_weights,
-                             to_mpf, work)
+from finfree.scalars import (EXACT, FLOAT64, MPF, csum, differences, dot, exp, format_scalar,
+                             integer_weights, to_mpf, work)
 
 
 class TestExp:
@@ -196,3 +196,17 @@ class TestIntegerWeights:
             assert D == 1
             assert len(ints) == len(weights)
             assert all(a is b for a, b in zip(ints, weights))
+
+
+class TestDifferences:
+    def test_the_alternating_sum_on_ints(self):
+        rng = random.Random(5)
+        values = [rng.randint(-50, 50) for _ in range(9)]
+        got = differences(values)
+        assert all(type(v) is int for v in got)
+        assert got == [sum(math.comb(j, l) * (-1) ** (j - l) * values[l] for l in range(j + 1))
+                       for j in range(len(values))]
+        assert differences([]) == []
+
+    def test_vanish_past_the_degree(self):
+        assert differences([l ** 3 for l in range(7)]) == [0, 1, 6, 6, 0, 0, 0]
