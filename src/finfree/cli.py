@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .cumulants import CumulantVector, coeffs_from_cumulants, finite_cumulants
@@ -29,7 +30,8 @@ from .partitions import (
     enumerate_noncrossing,
     enumerate_partitions,
 )
-from .polycalc import _parse_scalar, boxplus, boxtimes, boxtimes_pow, poly_from_json, poly_to_json
+from .polycalc import (_parse_scalar, _positive_int, boxplus, boxtimes, boxtimes_pow,
+                       poly_from_json, poly_to_json)
 from .scalars import format_scalar
 
 
@@ -47,8 +49,14 @@ def _parse_fs(text: str) -> list[ZeroConstPoly]:
     return polys
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_int_list(name: str, text: str) -> list[int]:
+    """Comma-separated plain decimal integers; ``int`` alone would also take
+    ``1_0`` or non-ASCII digits."""
+    toks = [tok.strip() for tok in text.split(",") if tok.strip()]
+    for tok in toks:
+        if not re.fullmatch(r"-?[0-9]+", tok):
+            raise ValueError(f"{name}: not a plain decimal integer: {tok!r}")
+    return [int(tok) for tok in toks]
 
 
 def _load_json_arg(text: str):
@@ -154,7 +162,7 @@ _COUNT_METHODS = {
 
 
 def _cmd_count(args) -> str:
-    sizes = _parse_int_list(args.sizes)
+    sizes = _parse_int_list("sizes", args.sizes)
     cap = DEFAULT_TUPLE_CAP if args.cap is None else args.cap
     fam = args.family
     methods = _COUNT_METHODS[fam]
@@ -170,7 +178,7 @@ def _cmd_count(args) -> str:
     elif fam == "T":
         if not args.lengths:
             raise ValueError("family T needs --lengths")
-        lengths = _parse_int_list(args.lengths)
+        lengths = _parse_int_list("lengths", args.lengths)
         val = (
             count_T(sizes, lengths, cap=cap)
             if method == "brute"
@@ -207,9 +215,7 @@ def _cmd_cumulants(args) -> str:
     if args.invert:
         if not isinstance(obj, dict) or "cumulants" not in obj or "degree" not in obj:
             raise ValueError("--invert expects {\"degree\": d, \"cumulants\": [...]}")
-        d = obj["degree"]
-        if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-            raise ValueError(f"degree must be an integer >= 1, got {d!r}")
+        d = _positive_int("degree", obj["degree"])
         if not isinstance(obj["cumulants"], list):
             raise ValueError("cumulants must be a JSON array")
         try:

@@ -27,8 +27,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .errors import CapExceededError
-from .partitions import DEFAULT_PARTITION_CAP, block_sum, join_sum
+from .partitions import block_sum, join_sum
 from .polycalc import MonicPoly, boxtimes, from_normalized, normalized_coeffs
 from .scalars import (DEFAULT_DIGITS, common_kind, falling, kind_of, promote_ints, to_mpf,
                       work)
@@ -131,11 +130,13 @@ def boxtimes_cumulants(ps: Sequence[MonicPoly], n: int, method: str = "pi-sum",
     the product over the blocks V of pi of P(|V|), and the summand
     factorizes over the blocks of sigma, so each refinement sum is
     prod_V w_i(|V|) with w_i(s) the ``block_sum`` over P(s) of the u_i.  The
-    whole sum is then the signed ``block_sum`` of W(s) = prod_i w_i(s).
+    whole sum is then the signed ``block_sum`` of W(s) = prod_i w_i(s).  The
+    W(s) are built from s = n down, so past the partition cap the first
+    ``block_sum`` refuses before any smaller one is summed.
 
     ``join-sum``: the literal sum over m-tuples (sigma_1..sigma_m) whose join
     is 1_n of prod_i prod_{V in sigma_i} u_i(|V|), by ``join_sum``.
-    Exponential in m and n; capped at n <= 6.
+    Exponential in m and n; ``join_sum`` owns its cap, n <= 6.
     """
     if not ps:
         raise ValueError("need at least one polynomial")
@@ -153,15 +154,10 @@ def boxtimes_cumulants(ps: Sequence[MonicPoly], n: int, method: str = "pi-sum",
         us = [[(-1) ** (b - 1) * math.factorial(b - 1) * ks[b - 1] / d ** (b - 1)
                for b in range(1, n + 1)] for ks in kappas]
         if method == "pi-sum":
-            if n > DEFAULT_PARTITION_CAP:  # fail before the w_i(s), s < n, are summed
-                raise CapExceededError("partition enumeration", n, DEFAULT_PARTITION_CAP)
-            W = [1] * n
-            for u in us:
-                W = [W[s - 1] * block_sum(u, s, digits=digits) for s in range(1, n + 1)]
-            total = block_sum(W, n, signed=True, digits=digits)
+            W = [math.prod(block_sum(u, s, digits=digits) for u in us)
+                 for s in range(n, 0, -1)]
+            total = block_sum(W[::-1], n, signed=True, digits=digits)
         elif method == "join-sum":
-            if n > 6:
-                raise ValueError("join-sum enumeration is limited to n <= 6")
             total = join_sum(us, n, digits=digits)
         else:
             raise ValueError(f"unknown method {method!r}")

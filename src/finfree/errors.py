@@ -12,10 +12,7 @@ class CapExceededError(ValueError):
         self.what = what
         self.requested = requested
         self.cap = cap
-        super().__init__(
-            f"{what}: requested size {requested} exceeds the configured cap {cap}; "
-            f"raise the cap explicitly if you accept the cost"
-        )
+        super().__init__(f"{what}: requested size {requested} exceeds the cap {cap}")
 
 
 class PrecisionBudgetError(ValueError):

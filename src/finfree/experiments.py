@@ -30,7 +30,8 @@ from .cumulants import (cumulants_from_atilde, exp_poly_atilde, hermite_unitary_
                         laguerre_hat_atilde, laguerre_unitary_atilde)
 from .errors import PrecisionBudgetError
 from .freelimits import lambda_cumulant, pi_cumulant, sigma_cumulant, sy_limit_t, sy_limit_zero
-from .polycalc import MonicPoly, _parse_scalar, normalized_coeffs, poly_from_json
+from .polycalc import (MonicPoly, _parse_scalar, _positive_int, normalized_coeffs,
+                       poly_from_json)
 from .scalars import common_kind, format_scalar, promote_ints, to_mpf, work
 
 
@@ -62,11 +63,11 @@ class ExperimentConfig:
     poly: dict | None = None
 
     def __post_init__(self):
-        self.d = _positive_ints("d grid entries", _as_tuple(self.d))
-        self.m = _positive_ints("m grid entries", _as_tuple(self.m))
+        self.d = tuple(_positive_int("d grid entries", v) for v in _as_tuple(self.d))
+        self.m = tuple(_positive_int("m grid entries", v) for v in _as_tuple(self.m))
         self.t = tuple(_finite("t grid entries", v) for v in _as_tuple(self.t))
-        (self.n_max,) = _positive_ints("n_max", (self.n_max,))
-        (self.precision,) = _positive_ints("precision", (self.precision,))
+        self.n_max = _positive_int("n_max", self.n_max)
+        self.precision = _positive_int("precision", self.precision)
         if self.sigma is not None:
             self.sigma = _finite("sigma", self.sigma)
 
@@ -97,16 +98,6 @@ def _as_tuple(v):
     if v is None:
         return ()
     return tuple(v) if isinstance(v, (list, tuple)) else (v,)
-
-
-def _positive_ints(name: str, values) -> tuple:
-    """Positive JSON integers; a bool or a float, even 10.0, is refused."""
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ValueError(f"{name}: a JSON integer is required, got {v!r}")
-        if v < 1:
-            raise ValueError(f"{name} must be positive, got {v}")
-    return tuple(values)
 
 
 def _finite(name: str, v) -> float:

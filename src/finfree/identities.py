@@ -21,13 +21,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Sequence
 
-from .errors import CapExceededError
-from .partitions import (
-    DEFAULT_PARTITION_CAP,
-    block_sum,
-    enumerate_partitions,
-    mobius_top,
-)
+from .partitions import DEFAULT_PARTITION_CAP, block_sum, enumerate_partitions, mobius_top
 from .scalars import DEFAULT_DIGITS, binom, differences, exp, kind_of, work
 
 
@@ -125,15 +119,14 @@ def s_bruteforce(fs: Sequence[ZeroConstPoly], n: int,
                  cap: int = DEFAULT_PARTITION_CAP) -> Fraction:
     """The literal partition sum, exactly."""
     _check_input(fs, n)
-    if n > cap:  # before the tables: the enumeration checks only when first advanced
-        raise CapExceededError("partition enumeration", n, cap)
+    lattice = enumerate_partitions(n, cap=cap)  # refuses before the tables are built
     # per-size values of each f over one common denominator D, as ints: each
     # factor sum_V f_i(|V|) is then D times its value, and each term D^k times
     tables = [[f(s) for s in range(n + 1)] for f in fs]
     D = math.lcm(*(v.denominator for tab in tables for v in tab))
     tables = [[v.numerator * (D // v.denominator) for v in tab] for tab in tables]
     total = 0
-    for pi in enumerate_partitions(n, cap=cap):
+    for pi in lattice:
         sizes = [len(b) for b in pi.blocks]
         term = mobius_top(pi)
         for tab in tables:

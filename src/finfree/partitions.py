@@ -14,7 +14,10 @@ to 1_n when its block masks fold into one component covering [n]
 Everything here is exact integer arithmetic on immutable values, except
 ``block_sum`` and ``join_sum``, which sum in the kind of their weights.
 Brute-force enumerations are guarded by explicit caps because Bell numbers
-grow fast: Bell(12) is already about 4.2 million.
+grow fast: Bell(12) is already about 4.2 million.  This module is the one
+place that refuses: each enumeration checks its size against its cap when
+it is requested, before any element is produced, and raises
+``CapExceededError``.
 """
 
 from __future__ import annotations
@@ -134,7 +137,8 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[S
     Blocks are built incrementally: element x joins each open block in turn
     (label 0, 1, ...) and then opens a new one, so every block is increasing
     and the blocks stay ordered by their minimum.  Each partition is thus
-    canonical by construction and skips validation.
+    canonical by construction and skips validation.  ``n`` and the cap are
+    checked at the call, not when the walk is first advanced.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -157,7 +161,7 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[S
         yield from rec(x + 1)
         blocks.pop()
 
-    yield from rec(2)
+    return rec(2)
 
 
 def is_noncrossing(pi: SetPartition) -> bool:
@@ -181,9 +185,7 @@ def is_noncrossing(pi: SetPartition) -> bool:
 
 def enumerate_noncrossing(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[SetPartition]:
     """Non-crossing partitions of [n], filtered out of the full stream."""
-    for pi in enumerate_partitions(n, cap=cap):
-        if is_noncrossing(pi):
-            yield pi
+    return filter(is_noncrossing, enumerate_partitions(n, cap=cap))
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +266,11 @@ def mobius_top(pi: SetPartition) -> int:
 def mobius_recursive(pi: SetPartition, sigma: SetPartition) -> int:
     """Interval Mobius value by direct recursion; slow, kept as a test oracle
     up to n = 6."""
-    cap = 6
     _check_same_ground(pi, sigma)
-    if pi.n > cap:
-        raise CapExceededError("recursive Mobius", pi.n, cap)
+    lattice = enumerate_partitions(pi.n, cap=6)
     if not is_refinement(pi, sigma):
         raise ValueError("mobius_recursive(pi, sigma) requires pi <= sigma")
-    interval = [
-        rho
-        for rho in enumerate_partitions(pi.n, cap=cap)
-        if is_refinement(pi, rho) and is_refinement(rho, sigma)
-    ]
+    interval = [rho for rho in lattice if is_refinement(pi, rho) and is_refinement(rho, sigma)]
     # defining recursion mu(pi,rho) = -sum over pi <= lo < rho, evaluated
     # bottom-up (more blocks first, since finer partitions come first)
     interval.sort(key=lambda r: -r.num_blocks)
@@ -329,19 +325,17 @@ def join_sum(weights: Sequence[Sequence], n: int, digits: int = DEFAULT_DIGITS):
 
     The literal oracle of the pi-sum of ``cumulants.boxtimes_cumulants``;
     m = len(weights).  Each factor's block products are tabled once, in
-    ``enumerate_partitions`` order.  Exact weights are put on ints over one
-    denominator per factor (``integer_weights``) and the sum comes back as a
-    ``Fraction``; any other kind is multiplied at ``digits`` and summed by
-    ``csum``.
+    ``enumerate_partitions`` order, which refuses n > 6: the tuples number
+    Bell(n)^m.  Exact weights are put on ints over one denominator per factor
+    (``integer_weights``) and the sum comes back as a ``Fraction``; any other
+    kind is multiplied at ``digits`` and summed by ``csum``.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
     if not weights or any(len(ws) < n for ws in weights):
         raise ValueError(f"need the weights of block sizes 1..{n} for each factor")
+    parts = list(enumerate_partitions(n, cap=6))
     scaled = [integer_weights(ws[:n]) for ws in weights]
     flat = [w for ws, _ in scaled for w in ws]
     exact = all(isinstance(w, int) for w in flat)
-    parts = list(enumerate_partitions(n))
     masks = [[_mask(b) for b in pi.blocks] for pi in parts]
     total, terms = 0, []
     with work(common_kind(flat, "join_sum"), digits):
@@ -384,22 +378,17 @@ def _check_positive(**groups: Sequence[int]) -> None:
             raise ValueError(f"{name} must be positive, got {tuple(values)}")
 
 
-def _check_tuple_cap(n: int, cap: int, what: str) -> None:
+def _subset_pools(n: int, sizes: tuple, cap: int, what: str) -> list[list[int]]:
+    """For each size m, all m-subsets of [n] as bitmasks; refused past the cap."""
     if n > cap:
         raise CapExceededError(what, n, cap)
+    return [[_mask(c) for c in combinations(range(1, n + 1), m)] for m in sizes]
 
 
-def _subset_masks(n: int, m: int) -> list[int]:
-    """All m-subsets of [n] as bitmasks."""
-    return [_mask(c) for c in combinations(range(1, n + 1), m)]
-
-
-def _count_connected(n: int, sizes: tuple, base: SetPartition | None = None) -> int:
-    """Tuples of subsets of [n] with |W_i| = sizes[i] whose join with ``base``
-    (0_n when omitted) is 1_n; each W_i is one block."""
-    base_masks = [_mask(b) for b in (base or SetPartition.bottom(n)).blocks]
-    pools = [_subset_masks(n, m) for m in sizes]
-    return sum(_joins_to_top(base_masks, tup) for tup in product(*pools))
+def _count_connected(comps: list[int], pools: list[list[int]]) -> int:
+    """Tuples, one block mask from each pool, whose join with the partition
+    of [n] with the block masks ``comps`` is 1_n."""
+    return sum(_joins_to_top(comps, tup) for tup in product(*pools))
 
 
 def count_R(n: int, sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP,
@@ -421,9 +410,8 @@ def count_R(n: int, sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP,
         raise ValueError(f"unknown method {method!r}")
     if any(m > n for m in sizes):
         return 0
-    _check_tuple_cap(n, cap, "covering-tuple count")
+    pools = _subset_pools(n, sizes, cap, "covering-tuple count")
     full = (1 << n) - 1
-    pools = [_subset_masks(n, m) for m in sizes]
     count = 0
     for tup in product(*pools):
         u = 0
@@ -448,8 +436,8 @@ def count_S(n: int, sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP) -> int:
     # degree bound: no essential tuples beyond sum(m_i) - (k-1)
     if n > sum(sizes) - (len(sizes) - 1):
         return 0
-    _check_tuple_cap(n, cap, "essential-tuple count")
-    return _count_connected(n, sizes)
+    pools = _subset_pools(n, sizes, cap, "essential-tuple count")
+    return _count_connected([1 << x for x in range(n)], pools)
 
 
 def _check_lengths(sizes: tuple, lengths: tuple) -> None:
@@ -470,9 +458,8 @@ def count_T(sizes: Sequence[int], lengths: Sequence[int],
     sizes = tuple(sizes)
     lengths = tuple(lengths)
     _check_lengths(sizes, lengths)
-    L = sum(lengths)
-    _check_tuple_cap(L, cap, "interval-join tuple count")
-    return _count_connected(L, sizes, interval_partition(lengths))
+    pools = _subset_pools(sum(lengths), sizes, cap, "interval-join tuple count")
+    return _count_connected([_mask(b) for b in interval_partition(lengths).blocks], pools)
 
 
 def count_T_closed(sizes: Sequence[int], lengths: Sequence[int]) -> int:
@@ -496,11 +483,10 @@ def count_join_full(sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP) -> int:
     _check_positive(sizes=sizes)
     M = sum(sizes)
     num_blocks = M - (len(sizes) - 1)
-    _check_tuple_cap(M, cap, "interval-join partition count")
+    lattice = enumerate_partitions(M, cap=cap)
     base_masks = [_mask(b) for b in interval_partition(sizes).blocks]
     return sum(_joins_to_top(base_masks, map(_mask, sigma.blocks))
-               for sigma in enumerate_partitions(M, cap=cap)
-               if sigma.num_blocks == num_blocks)
+               for sigma in lattice if sigma.num_blocks == num_blocks)
 
 
 def count_join_full_closed(sizes: Sequence[int]) -> int:

@@ -554,6 +554,15 @@ def _parse_scalar(v):
     raise ValueError(f"cannot parse scalar {v!r}")
 
 
+def _positive_int(name: str, v) -> int:
+    """A positive JSON integer; a bool or a float, even 10.0, is refused."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{name}: a JSON integer is required, got {v!r}")
+    if v < 1:
+        raise ValueError(f"{name} must be positive, got {v}")
+    return v
+
+
 def poly_from_json(obj: dict, digits: int | None = None) -> MonicPoly:
     """Parse {"degree": d, "coeffs": [...]} / {"roots": [...]} / {"angles": [...]}.
 
@@ -569,6 +578,8 @@ def poly_from_json(obj: dict, digits: int | None = None) -> MonicPoly:
     reps = [k for k in ("coeffs", "roots", "angles") if k in obj]
     if len(reps) != 1:
         raise ValueError("exactly one of coeffs/roots/angles is required")
+    if not isinstance(obj[reps[0]], list):
+        raise ValueError(f"{reps[0]} must be a JSON array")
     try:
         values = [_parse_scalar(v) for v in obj[reps[0]]]
     except ValueError as exc:
@@ -581,7 +592,7 @@ def poly_from_json(obj: dict, digits: int | None = None) -> MonicPoly:
         p = MonicPoly.from_roots(values, digits=digits or DEFAULT_DIGITS)
     else:
         p = MonicPoly.from_angles([float(v) for v in values])
-    if "degree" in obj and obj["degree"] != p.degree:
+    if "degree" in obj and _positive_int("degree", obj["degree"]) != p.degree:
         raise ValueError(
             f"declared degree {obj['degree']} does not match data ({p.degree})"
         )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from contextlib import nullcontext
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -117,41 +118,34 @@ def dot(xs: Sequence, ys: Sequence, start=None):
     """start + sum_i xs[i] * ys[i] in the kind of the terms; a pair with a
     zero factor adds nothing.  Empty ``xs`` gives ``start``, or the int 0.
 
-    The kind is read once per call, from the first pair and ``start``: mpf
-    terms go through ``mp.fdot`` (exact products, one rounding at the ambient
-    precision); exact terms are summed on ints over one running denominator
-    and reduced once (an int when every factor is); anything else is added
-    left to right from ``start``, or ``xs[0] * 0``, as ``acc += x * y``.
-    The exact and left-to-right loops skip pairs with a zero factor.
+    The kind is read once per call, from the set of operand types: ints
+    alone give an int; ints and ``Fraction``s are summed on ints over one
+    running denominator and reduced once, to a ``Fraction``; any mpf or mpc
+    goes through ``mp.fdot`` (exact products, one rounding at the ambient
+    precision); anything else is added left to right from ``start``, or
+    ``xs[0] * 0``, as ``acc += x * y``, skipping pairs with a zero factor.
     """
     if not xs:
         return 0 if start is None else start
-    first = (xs[0], ys[0]) if start is None else (xs[0], ys[0], start)
-    if all(isinstance(v, (int, Fraction)) for v in first):
-        try:
-            return _exact_dot(xs, ys, start)
-        except AttributeError:  # a later term is not exact
-            first = (*first, *xs, *ys)
-    if any(isinstance(v, (mp.mpf, mp.mpc)) for v in first):
+    types = {*map(type, xs), *map(type, ys)} | ({int} if start is None else {type(start)})
+    if types == {int}:
+        return sum(map(operator.mul, xs, ys), 0 if start is None else start)
+    if types <= {int, Fraction}:
+        num, den = (0, 1) if start is None else (start.numerator, start.denominator)
+        for x, y in zip(xs, ys):
+            p = x.numerator * y.numerator
+            if p:
+                q = x.denominator * y.denominator
+                g = math.gcd(den, q)
+                num, den = num * (q // g) + p * (den // g), den * (q // g)
+        return Fraction(num, den)
+    if mp.mpf in types or mp.mpc in types:
         return mp.fdot(xs, ys) if start is None else mp.fdot([start, *xs], [1, *ys])
     acc = xs[0] * 0 if start is None else start
     for x, y in zip(xs, ys):
         if x and y:
             acc += x * y
     return acc
-
-
-def _exact_dot(xs, ys, start):
-    num, den = (0, 1) if start is None else (start.numerator, start.denominator)
-    for x, y in zip(xs, ys):
-        p = x.numerator * y.numerator
-        if p:
-            q = x.denominator * y.denominator
-            g = math.gcd(den, q)
-            num, den = num * (q // g) + p * (den // g), den * (q // g)
-    if den == 1 and not any(isinstance(v, Fraction) for v in (start, *xs, *ys)):
-        return num
-    return Fraction(num, den)
 
 
 def format_scalar(x, digits: int = DEFAULT_DIGITS) -> str:

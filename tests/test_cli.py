@@ -95,8 +95,11 @@ class TestIdentityCommand:
             assert code == 2 and out == "" and "n must be >= 1" in err
 
     def test_more_than_twelve_polynomials_exit_3(self, capsys):
-        code, out, err = run(capsys, "identity", "--fs", ";".join(["1"] * 13), "--n", "1")
-        assert code == 3 and out == "" and "cap 12" in err
+        # --cap does not reach the enumeration of P(k), and the error promises no flag
+        fs = ";".join(["1"] * 13)
+        for argv in ((), ("--cap", "20")):
+            code, out, err = run(capsys, *argv, "identity", "--fs", fs, "--n", "1")
+            assert code == 3 and out == "" and "cap 12" in err and "raise the cap" not in err
 
 
 class TestCountCommand:
@@ -132,6 +135,13 @@ class TestCountCommand:
     def test_missing_n_is_exit_2(self, capsys):
         code, _, _ = run(capsys, "count", "R", "--sizes", "1,1")
         assert code == 2
+
+    def test_sizes_and_lengths_take_plain_decimal_tokens(self, capsys):
+        # int() alone reads 1_0 as 10 and accepts non-ASCII digits
+        for argv in (("R", "--sizes=1_0,2", "--n=3"), ("S", "--sizes=2,\u0662", "--n=3"),
+                     ("T", "--sizes=2", "--lengths=1_0,1"), ("joinfull", "--sizes=+2,2")):
+            code, out, err = run(capsys, "count", *argv)
+            assert code == 2 and out == "" and "not a plain decimal integer" in err, argv
 
     def test_method_outside_family_exit_2(self, capsys):
         for argv, methods in (
@@ -191,6 +201,19 @@ class TestConvCommand:
         code, out, _ = run(capsys, "conv", "pow", "--p", '{"coeffs": [1, -4, 2]}', "--m", "1")
         assert code == 0
         assert json.loads(out)["coeffs"] == [1, -4, 2]
+
+    def test_literal_degree_is_a_positive_int(self, capsys):
+        # true == 1 and 1.0 == 1 in Python, so a bare comparison let both through
+        for degree in ("true", "1.0", "0"):
+            p = '{"degree": %s, "coeffs": [1, -2]}' % degree
+            code, out, err = run(capsys, "conv", "pow", "--p", p, "--m", "2")
+            assert code == 2 and out == "" and "degree" in err, degree
+
+    def test_non_array_field_exit_2(self, capsys):
+        for field in ("coeffs", "roots", "angles"):
+            p = '{"%s": 1}' % field
+            code, out, err = run(capsys, "conv", "pow", "--p", p, "--m", "2")
+            assert code == 2 and out == "" and f"{field} must be a JSON array" in err
 
     def test_inline_array_is_not_an_object_exit_2(self, capsys):
         code, out, err = run(capsys, "conv", "boxplus", "--p", "[1]", "--q", '{"roots": [1]}')
@@ -285,12 +308,12 @@ class TestCumulantsCommand:
     def test_invert_string_degree_exit_2(self, capsys):
         p = '{"degree": "2", "cumulants": [1, 1]}'
         code, out, err = run(capsys, "cumulants", "--invert", "--p", p)
-        assert code == 2 and out == "" and "degree must be an integer" in err
+        assert code == 2 and out == "" and "degree: a JSON integer" in err
 
     def test_invert_fractional_degree_exit_2(self, capsys):
         p = '{"degree": 2.7, "cumulants": [1, 1]}'
         code, out, err = run(capsys, "cumulants", "--invert", "--p", p)
-        assert code == 2 and out == "" and "degree must be an integer" in err
+        assert code == 2 and out == "" and "degree: a JSON integer" in err
 
     def test_binary64_overflow_exit_3(self, capsys):
         # kappa_2 of the first is nan, of the second inf: neither is printed

@@ -207,7 +207,7 @@ class TestBoxtimesCumulants:
 
     def test_join_sum_cap(self):
         ps = [laguerre_hat(8, 1)] * 2
-        with pytest.raises(ValueError):
+        with pytest.raises(CapExceededError, match="size 7 exceeds the cap 6"):
             boxtimes_cumulants(ps, 7, method="join-sum")
 
     def test_laguerre_power_kappa2_formula(self):

@@ -135,10 +135,12 @@ class TestEnumeration:
             assert all(a < b for a, b in zip(strings, strings[1:]))
 
     def test_cap_refused_with_message(self):
-        with pytest.raises(CapExceededError, match="cap 12"):
-            list(enumerate_partitions(13))
-        with pytest.raises(CapExceededError):
-            list(enumerate_partitions(5, cap=4))
+        # at the call, before any next(): a caller need not advance the stream
+        for enumerate_ in (enumerate_partitions, enumerate_noncrossing):
+            with pytest.raises(CapExceededError, match="size 13 exceeds the cap 12"):
+                enumerate_(13)
+            with pytest.raises(CapExceededError, match="cap 4"):
+                enumerate_(5, cap=4)
         assert sum(1 for _ in enumerate_partitions(5, cap=5)) == 52
 
     def test_streams_are_independent(self):
