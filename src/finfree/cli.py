@@ -83,7 +83,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--precision", type=int, default=50, metavar="DIGITS",
                     help="working decimal digits for float paths (default 50)")
-    ap.add_argument("--format", choices=("csv", "json"), default="csv")
+    ap.add_argument("--format", choices=("csv", "json"), default="csv",
+                    help="output format (default csv); conv and cumulants --invert print "
+                         "a JSON polynomial literal in either, the input format of the "
+                         "other commands")
     ap.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
     ap.add_argument("--cap", type=int, default=None, metavar="N",
                     help="override brute-force enumeration caps")

@@ -14,6 +14,7 @@ flavor, keeps them as well.  Going from coefficients to roots is explicit
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -28,6 +29,8 @@ from .scalars import (DEFAULT_DIGITS, EXACT, FLOAT64, MPF, binom, common_kind, d
 from .series import PowerSeries
 
 _ROOT_MAX_ITER = 200
+# below this the mp tolerance 10^-(digits-5) is 1 or more, met by any start
+_MIN_ROOT_DIGITS = 6
 
 
 # ---------------------------------------------------------------------------
@@ -307,32 +310,67 @@ def roots_of(p: MonicPoly, digits: int | None = None,
     Convergence is declared on backward error: |p(z)| small against the
     coefficient magnitude at z, which stays meaningful at multiple roots.
     Raises ``RootConvergenceError`` carrying the best residual otherwise.
+
+    Without ``digits`` the iteration runs in binary64 from a circle of the
+    Fujiwara radius, to backward error 1e-13.  With ``digits`` it is a
+    two-rung ladder: the binary64 iteration on the coefficients rounded to
+    binary64, then the mpc iteration at ``digits`` digits, to backward error
+    10^-(digits-5), started from the binary64 roots, where Aberth converges
+    in a few sweeps.  The mpc rung starts from the circle instead when the
+    rounded coefficients overflow binary64, when the binary64 rung does not
+    converge, or when it returns a non-finite or repeated point.  ``max_iter``
+    bounds the sweeps of each rung.  ``digits`` below 6 is refused: the
+    tolerance would then be 1 or more, which the starting points already meet.
     """
     if digits is None:
-        coeffs = [complex(c) for c in p.coeffs]
-        return _aberth(coeffs, tol=1e-13, max_iter=max_iter)
+        coeffs, zeros = _strip_zero_roots([complex(c) for c in p.coeffs])
+        return (0j,) * zeros + _aberth(coeffs, 1e-13, max_iter)
+    if digits < _MIN_ROOT_DIGITS:
+        raise ValueError(f"roots_of needs digits >= {_MIN_ROOT_DIGITS}, got {digits}")
     with mp.workdps(digits):
-        coeffs = [mp.mpc(to_mpf(c, digits)) for c in p.coeffs]
-        return _aberth(coeffs, tol=mp.mpf(10) ** (-(digits - 5)), max_iter=max_iter)
+        coeffs, zeros = _strip_zero_roots([mp.mpc(to_mpf(c, digits)) for c in p.coeffs])
+        start = _binary64_start(coeffs, max_iter)
+        return (mp.mpc(0),) * zeros + _aberth(coeffs, mp.mpf(10) ** (-(digits - 5)),
+                                              max_iter, start)
 
 
-def _aberth(coeffs, tol, max_iter):
-    d = len(coeffs) - 1
-    one = coeffs[0]
-    is_mp = isinstance(one, mp.mpc)
+def _strip_zero_roots(coeffs: list) -> tuple:
+    """The coefficients without their exact zero roots, and how many there were.
 
-    # strip exact zero roots first; they are common and hurt conditioning
+    Zero roots are common and hurt the iteration's conditioning, so they are
+    split off before it."""
     zeros = 0
-    work = list(coeffs)
-    while len(work) > 1 and work[-1] == 0:
-        work.pop()
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
         zeros += 1
-    zero_roots = tuple(mp.mpc(0) if is_mp else 0j for _ in range(zeros))
-    if len(work) == 1:
-        return zero_roots
+    return coeffs, zeros
+
+
+def _binary64_start(coeffs: list, max_iter: int) -> list | None:
+    """The binary64 roots of the mpc ``coeffs`` as mpc start points, or None
+    where they cannot seed the mpc iteration: the coefficients overflow
+    binary64, the binary64 iteration does not converge, or it returns a
+    non-finite or repeated point."""
+    rounded = [complex(c) for c in coeffs]
+    if not all(cmath.isfinite(c) for c in rounded):
+        return None
+    try:
+        pts = _aberth(rounded, 1e-13, max_iter)
+    except RootConvergenceError:
+        return None
+    if not all(cmath.isfinite(z) for z in pts) or len(set(pts)) < len(pts):
+        return None
+    return [mp.mpc(z) for z in pts]
+
+
+def _aberth(work, tol, max_iter, start=None):
+    """Roots of the polynomial with coefficients ``work``, leading first,
+    iterated from the points ``start`` or, without them, from a circle."""
     dd = len(work) - 1
+    if dd < 1:
+        return ()
     if dd == 1:
-        return zero_roots + (-work[1],)
+        return (-work[1],)
 
     def horner(z):
         val = work[0]
@@ -349,17 +387,7 @@ def _aberth(coeffs, tol, max_iter):
             s = s * az + abs(a)
         return s
 
-    # initial points: circle of the Fujiwara radius, rotated off symmetry axes
-    radius = max(
-        (2 * abs(work[i])) ** (1.0 / i) if work[i] != 0 else 0.0
-        for i in range(1, dd + 1)
-    )
-    radius = float(radius) or 1.0
-    pts = []
-    for j in range(dd):
-        ang = 2 * math.pi * (j + 0.5) / dd + 0.4
-        z = radius * complex(math.cos(ang), math.sin(ang))
-        pts.append(mp.mpc(z) if is_mp else z)
+    pts = start if start is not None else _circle_start(work)
 
     best_residual = math.inf
     converged = False
@@ -397,7 +425,23 @@ def _aberth(coeffs, tol, max_iter):
                 break
             z = z - step
         polished.append(z)
-    return zero_roots + tuple(polished)
+    return tuple(polished)
+
+
+def _circle_start(work: list) -> list:
+    """A circle of the Fujiwara radius, rotated off the symmetry axes."""
+    dd = len(work) - 1
+    radius = max(
+        (2 * abs(work[i])) ** (1.0 / i) if work[i] != 0 else 0.0
+        for i in range(1, dd + 1)
+    )
+    radius = float(radius) or 1.0
+    pts = []
+    for j in range(dd):
+        ang = 2 * math.pi * (j + 0.5) / dd + 0.4
+        z = radius * complex(math.cos(ang), math.sin(ang))
+        pts.append(mp.mpc(z) if isinstance(work[0], mp.mpc) else z)
+    return pts
 
 
 # ---------------------------------------------------------------------------

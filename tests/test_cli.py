@@ -202,6 +202,18 @@ class TestConvCommand:
         assert code == 0
         assert json.loads(out)["coeffs"] == [1, -4, 2]
 
+    def test_conv_and_invert_print_a_literal_in_either_format(self, capsys):
+        # the printed literal is the input format of the other commands
+        for argv in (("conv", "boxplus", "--p", '{"coeffs": [1, -2, 0]}',
+                      "--q", '{"coeffs": [1, -2, 0]}'),
+                     ("cumulants", "--invert", "--p", '{"degree": 2, "cumulants": [2, 4]}')):
+            outs = [run(capsys, "--format", fmt, *argv) for fmt in ("csv", "json")]
+            assert outs[0] == outs[1]
+            code, out, _ = outs[0]
+            assert code == 0 and json.loads(out) == {"degree": 2, "coeffs": [1, -4, 2]}
+            code, out, _ = run(capsys, "cumulants", "--p", out)
+            assert code == 0 and out.splitlines() == ["kappa_1,2", "kappa_2,4"]
+
     def test_literal_degree_is_a_positive_int(self, capsys):
         # true == 1 and 1.0 == 1 in Python, so a bare comparison let both through
         for degree in ("true", "1.0", "0"):

@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 from finfree import polycalc
-from finfree.cumulants import hermite_unitary, laguerre_hat
+from finfree.cumulants import exp_poly, hermite_unitary, laguerre_hat
 from finfree.polycalc import (
     BoxtimesLimit,
     MonicPoly,
@@ -351,10 +351,18 @@ class TestRoots:
         got = sorted(z.real for z in roots_of(p))
         assert got == pytest.approx([2 - math.sqrt(2), 2 + math.sqrt(2)], abs=1e-12)
 
+    def test_digits_below_six_refused(self):
+        # the tolerance 10^-(digits-5) would be met by the starting points
+        p = MonicPoly.from_coeffs([1, -4, 2])
+        for digits in (3, 5):
+            with pytest.raises(ValueError, match="digits >= 6"):
+                roots_of(p, digits=digits)
+
     def test_triple_root_cluster(self):
         p = MonicPoly.from_coeffs([1, -3, 3, -1])  # (x-1)^3
-        for z in roots_of(p):
-            assert abs(z - 1) <= 1e-4
+        for digits in (None, 30):  # at 30 digits, from clustered binary64 seeds
+            for z in roots_of(p, digits=digits):
+                assert abs(z - 1) <= 1e-4
 
     def test_unit_circle_pair(self):
         from finfree.cumulants import hermite_unitary
@@ -386,14 +394,28 @@ class TestRoots:
             assert abs(float(a - b)) <= 1e-10 * max(1, abs(float(b)))
 
     def test_mp_path_on_exact_coefficients(self):
-        from finfree.cumulants import laguerre_hat
-
         p = laguerre_hat(20, 1)
         zs = roots_of(p, digits=30)
         assert len(zs) == 20
         with mp.workdps(30):
             # root power sum 1 against Newton's identity: sum of roots = -a_1
             assert abs(mp.fsum(zs) + p.coeffs[1]) < mp.mpf("1e-20")
+        # exact and mpf coefficients, seeded from their binary64 roots: power
+        # sums p_1..p_4 against the coefficient route
+        for q in (p, hermite_unitary(20, 1.0), exp_poly(20, 1.0)):
+            zs = roots_of(q, digits=30)
+            with mp.workdps(30):
+                for k, m in enumerate(empirical_moments(q, 4, digits=30), start=1):
+                    got = mp.fsum(z ** k for z in zs) / 20
+                    assert abs(got - m) <= mp.mpf("1e-20") * max(1, abs(m)), k
+
+    def test_mp_path_past_binary64_range(self):
+        # a_3 = 6e600 overflows binary64, so the mp iteration starts from the circle
+        want = [-2 * 10 ** 200, 10 ** 200, 3 * 10 ** 200]
+        p = MonicPoly.from_roots(want)
+        got = sorted((z.real for z in roots_of(p, digits=30)), key=float)
+        for a, b in zip(got, want):
+            assert abs(a - b) <= mp.mpf("1e-20") * abs(b)
 
     def test_zero_roots_stripped(self):
         p = MonicPoly.from_coeffs([1, -3, 0, 0])  # x^3 - 3x^2
@@ -404,9 +426,10 @@ class TestRoots:
         from finfree.errors import RootConvergenceError
 
         p = MonicPoly.from_coeffs([1, -4, 2])
-        with pytest.raises(RootConvergenceError) as exc:
-            roots_of(p, max_iter=1)
-        assert exc.value.best_residual > 0
+        for digits in (None, 30):  # max_iter bounds both rungs at 30 digits
+            with pytest.raises(RootConvergenceError) as exc:
+                roots_of(p, digits=digits, max_iter=1)
+            assert exc.value.best_residual > 0
 
 
 class TestNewtonMaclaurin:
