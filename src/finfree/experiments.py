@@ -32,7 +32,7 @@ from .errors import PrecisionBudgetError
 from .freelimits import lambda_cumulant, pi_cumulant, sigma_cumulant, sy_limit_t, sy_limit_zero
 from .polycalc import (MonicPoly, _parse_scalar, _positive_int, normalized_coeffs,
                        poly_from_json)
-from .scalars import common_kind, format_scalar, promote_ints, to_mpf, work
+from .scalars import EXACT, common_kind, format_scalar, kind_of, promote_ints, to_mpf, work
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +235,25 @@ def _clt_thetas(cfg: ExperimentConfig, unitary: bool):
     return thetas
 
 
+# an exact power b ** m past this many bits is refused before it is taken;
+# the largest point of the shipped configs (sy, regime t, d = m = 400) needs
+# about 2.8e4 bits
+MAX_POWER_BITS = 40_000
+
+
+def _refuse_huge_power(bases, m: int, where: str) -> None:
+    """Raise ValueError when the exact powers b ** m of ``bases`` would take
+    more than MAX_POWER_BITS bits, about m times the longest numerator or
+    denominator; mpf and binary64 bases are rounded and pass."""
+    exact = [b for b in bases if kind_of(b) == EXACT]
+    if not exact:
+        return
+    width = max(max(b.numerator.bit_length(), b.denominator.bit_length()) for b in exact)
+    if m * width > MAX_POWER_BITS:
+        raise ValueError(f"{where}: its exact powers would take about m x {width} bits, "
+                         f"past the bound of {MAX_POWER_BITS} bits")
+
+
 def _pair_grid(ds: Sequence[int], ms: Sequence[int]):
     if len(ds) == len(ms):
         return list(zip(ds, ms))
@@ -251,6 +270,7 @@ def _sy_points(cfg: ExperimentConfig, notes: list):
     digits, n_max = cfg.precision, cfg.n_max
     for d, m in _pair_grid(cfg.d, cfg.m):
         at = _sy_atilde_prefix(cfg, d, n_max, notes)
+        _refuse_huge_power(at, m, f"sy at d={d}, m={m}")
         with mp.workdps(digits):  # no-op on the exact default family
             powered = [a ** m for a in at]
         kappas = cumulants_from_atilde(d, powered, n_max, digits=digits)
@@ -274,7 +294,8 @@ def _law_points(atilde, law, power=None):
 
     The family's normalized coefficients are atilde(d, t, k, digits), in mpf
     under the cancellation budget; given ``power``, they are the exact
-    atilde(d, m, k) at m = power(d, t), and m is recorded in the row.
+    atilde(d, m, k) = atilde(d, 1, k) ** m at m = power(d, t) >= 0, and m is
+    recorded in the row.
     """
     def points(cfg: ExperimentConfig, notes: list):
         digits, n_max = cfg.precision, cfg.n_max
@@ -286,6 +307,10 @@ def _law_points(atilde, law, power=None):
                     m, at = None, [atilde(d, t, k, digits) for k in range(n_max + 1)]
                 else:
                     m = power(d, t)
+                    if m < 0:
+                        raise ValueError(f"{cfg.kind} needs t >= 0, got t={t}")
+                    _refuse_huge_power([atilde(d, 1, k) for k in range(n_max + 1)], m,
+                                       f"{cfg.kind} at d={d}, t={t} (m = round(t d))")
                     at = [atilde(d, m, k) for k in range(n_max + 1)]
                 yield (d, m, t, cumulants_from_atilde(d, at, n_max, digits=digits),
                        [law(n, t, digits) for n in range(1, n_max + 1)])

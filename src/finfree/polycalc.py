@@ -76,21 +76,24 @@ class MonicPoly:
     def from_roots(cls, roots: Sequence, digits: int = DEFAULT_DIGITS) -> "MonicPoly":
         """Expand the root multiset into coefficients.
 
-        Exact when the roots are rational; float roots are expanded at
-        extended precision and rounded once at the end.
+        prod (x - lam) is taken by a balanced product tree: the linear
+        factors are multiplied pairwise, each output coefficient of a merge
+        one ``dot``.  Exact when the roots are rational; mpf roots are
+        expanded at ``digits + 10`` and binary64 roots at 30 digits, each
+        rounded once at the end to its kind.
         """
         roots = tuple(roots)
         kind = common_kind(roots, "from_roots")
         if kind == EXACT:
-            coeffs = _expand(roots, Fraction(1))
+            coeffs = _product_tree(roots, Fraction(1))
         elif kind == MPF:
             with mp.workdps(digits + 10):
-                coeffs = _expand(roots, mp.mpf(1))
+                coeffs = _product_tree(roots, mp.mpf(1))
             with mp.workdps(digits):
                 coeffs = tuple(+c for c in coeffs)
         else:
             with mp.workdps(30):
-                hi = _expand([to_mpf(r, 30) for r in roots], mp.mpf(1))
+                hi = _product_tree([to_mpf(r, 30) for r in roots], mp.mpf(1))
             coeffs = tuple(complex(c) if isinstance(c, mp.mpc) else float(c) for c in hi)
         return cls(coeffs, roots=roots)
 
@@ -112,6 +115,7 @@ class MonicPoly:
             raise ValueError("angles must lie in [-pi, pi)")
         with work(kind_of(angles[0]), digits or DEFAULT_DIGITS):
             units = [exp(1j * a) for a in angles]
+            # sequential, not the tree: in-kind binary64 has no final rounding to hide a reordering
             return cls(_expand(units, units[0] ** 0), angles=angles)
 
 
@@ -126,6 +130,24 @@ def _expand(roots: Sequence, one) -> tuple:
             nxt.append(prev - lam * coeffs[i - 1])
         coeffs = nxt
     return tuple(coeffs)
+
+
+def _product_tree(roots: Sequence, one) -> tuple:
+    """Coefficients of prod (x - lam) in the kind of ``one``, by merging
+    neighbouring factors pairwise; an odd one out waits for the next round."""
+    polys = [(one, -lam * one) for lam in roots]
+    while len(polys) > 1:
+        merged = [_poly_mul(a, b) for a, b in zip(polys[::2], polys[1::2])]
+        polys = merged + polys[len(merged) * 2:]
+    return polys[0]
+
+
+def _poly_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two coefficient tuples, one ``dot`` per coefficient."""
+    nb, rb = len(b), b[::-1]
+    # c_k = sum_i a_i b_(k-i); rb[nb-1-k+i] is b_(k-i)
+    return tuple(dot(a[max(0, k - nb + 1):k + 1], rb[max(0, nb - 1 - k):len(a) + nb - 1 - k])
+                 for k in range(len(a) + nb - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,19 @@ class TestLimitCommand:
         code, out, err = run(capsys, "limit", "--config", cfg)
         assert code == 2 and out == "" and "degree d >= 2" in err
 
+    def test_huge_exact_power_exit_2_at_once(self, capsys):
+        for cfg in ('{"kind": "sy", "d": [4], "m": [1000000000], "n_max": 2, "regime": "t"}',
+                    '{"kind": "laguerre", "d": [4], "t": [1e300], "n_max": 2}'):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "limit", "--config", cfg)
+            assert time.perf_counter() - start < 1.0
+            assert code == 2 and out == "" and "bits" in err and "bound" in err
+
+    def test_negative_laguerre_t_exit_2(self, capsys):
+        cfg = '{"kind": "laguerre", "d": [4], "t": [-1], "n_max": 2}'
+        code, out, err = run(capsys, "limit", "--config", cfg)
+        assert code == 2 and out == "" and "t >= 0" in err
+
     def test_precision_infeasible_exit_3(self, capsys):
         code, _, err = run(
             capsys, "limit",

@@ -78,17 +78,19 @@ def command(name, *parts):
     return st.tuples(*parts).map(lambda ps: [name] + [a for p in ps for a in p])
 
 
-# limit grid entries stay small: the sy and laguerre kinds raise exact
-# rationals to a power m taken from the grid, at a cost that grows with m
 GRID = st.lists(st.integers(3, 6), min_size=1, max_size=2)
-T_GRID = st.lists(st.sampled_from([0, "1/2", 1, 1.5, 3]), min_size=1, max_size=2)
+# m and t grids take huge entries too: the sy and laguerre kinds refuse an
+# exact power past a fixed bit bound before they take it
+M_GRID = st.lists(st.one_of(st.integers(3, 6), st.sampled_from([10 ** 9, 10 ** 400])),
+                  min_size=1, max_size=2)
+T_GRID = st.lists(st.sampled_from([0, "1/2", 1, 1.5, 3, 1e9, 1e300]), min_size=1, max_size=2)
 BAD_GRID = st.one_of(st.integers(-1, 5), WRONG, st.lists(st.one_of(st.integers(-1, 5), WRONG),
                                                           max_size=2))
 CONFIGS = st.one_of(
-    st.fixed_dictionaries({"kind": st.just("sy"), "d": GRID, "m": GRID, "n_max": st.integers(1, 3),
-                           "regime": st.sampled_from(["t", "zero"])},
+    st.fixed_dictionaries({"kind": st.just("sy"), "d": GRID, "m": M_GRID,
+                           "n_max": st.integers(1, 3), "regime": st.sampled_from(["t", "zero"])},
                           optional={"poly": WELL_FORMED}),
-    st.fixed_dictionaries({"kind": st.sampled_from(["multclt", "uclt", "lln"]), "m": GRID},
+    st.fixed_dictionaries({"kind": st.sampled_from(["multclt", "uclt", "lln"]), "m": M_GRID},
                           optional={"sigma": SMALL, "poly": WELL_FORMED}),
     st.fixed_dictionaries({"kind": st.sampled_from(["fms", "hermite", "laguerre"]), "d": GRID,
                            "t": T_GRID, "n_max": st.integers(1, 3)},

@@ -6,9 +6,11 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from finfree.cumulants import finite_cumulants, laguerre_hat
+from finfree.cumulants import (finite_cumulants, laguerre_hat, laguerre_hat_atilde,
+                               laguerre_unitary_atilde)
 from finfree.errors import PrecisionBudgetError
 from finfree.experiments import (
+    MAX_POWER_BITS,
     ExperimentConfig,
     ResultTable,
     Row,
@@ -178,6 +180,15 @@ class TestSY:
         tab = run_experiment(cfg)
         assert any("weak convergence" in n for n in tab.notes)
 
+    def test_exact_power_bound_is_sharp(self):
+        at = [laguerre_hat_atilde(4, Fraction(1), i) for i in range(3)]
+        width = max(max(a.numerator.bit_length(), a.denominator.bit_length()) for a in at)
+        m = MAX_POWER_BITS // width
+        tab = run_experiment(ExperimentConfig(kind="sy", d=[4], m=[m], n_max=2, regime="t"))
+        assert [r.m for r in tab.rows] == [m, m]
+        with pytest.raises(ValueError, match=f"bound of {MAX_POWER_BITS} bits"):
+            run_experiment(ExperimentConfig(kind="sy", d=[4], m=[m + 1], n_max=2, regime="t"))
+
 
 class TestKappaFamilies:
     def test_hermite_n2_closed_form(self):
@@ -201,6 +212,15 @@ class TestKappaFamilies:
         cfg = ExperimentConfig(kind="laguerre", d=[40], t=[0.5], n_max=2)
         tab = run_experiment(cfg)
         assert all(r.m == 20 for r in tab.rows)
+
+    def test_laguerre_exact_power_bound_is_sharp(self):
+        d = 6
+        at = [laguerre_unitary_atilde(d, 1, k) for k in range(3)]  # 1, 2/3, 1/3
+        m = MAX_POWER_BITS // max(a.denominator.bit_length() for a in at)
+        tab = run_experiment(ExperimentConfig(kind="laguerre", d=[d], t=[m / d], n_max=2))
+        assert [r.m for r in tab.rows] == [m, m]
+        with pytest.raises(ValueError, match=f"bound of {MAX_POWER_BITS} bits"):
+            run_experiment(ExperimentConfig(kind="laguerre", d=[d], t=[(m + 1) / d], n_max=2))
 
     def test_budget_hard_error(self):
         cfg = ExperimentConfig(kind="fms", d=[10 ** 6], t=[1.0], n_max=5, precision=15)

@@ -43,6 +43,14 @@ def rational_rooted(rng, d, lo=-4, hi=4):
     return MonicPoly.from_roots(roots)
 
 
+def _sequential_product(roots, one):
+    """prod (x - lam), one linear factor at a time, a_0 first."""
+    coeffs = [one]
+    for lam in roots:
+        coeffs = [a - lam * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return tuple(coeffs)
+
+
 class TestRepresentation:
     def test_from_coeffs_validates_monic(self):
         with pytest.raises(ValueError):
@@ -57,6 +65,36 @@ class TestRepresentation:
     def test_from_roots_exact_expansion(self):
         p = MonicPoly.from_roots([1, 2, 3])
         assert p.coeffs == (1, -6, 11, -6)
+        rng = random.Random(15)
+        for d in (1, 2, 3, 4, 5, 7, 8, 9, 16, 17):
+            ints = [rng.randint(-5, 5) for _ in range(d)]
+            fracs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(d)]
+            repeated = [Fraction(1, 3)] * (d // 2) + [-2] * (d - d // 2)
+            for roots in (ints, fracs, repeated):
+                got = MonicPoly.from_roots(roots).coeffs
+                want = _sequential_product(roots, Fraction(1))
+                assert got == want
+                assert [type(c) for c in got] == [Fraction] * (d + 1)
+
+    def test_from_roots_mpf_accuracy_under_cancellation(self):
+        rng = random.Random(63)
+        for d in (63, 64, 200):
+            roots = [rng.uniform(-2, 2) for _ in range(d)]
+            # binary64 values are dyadic: r = n / scale exactly, so the exact
+            # coefficients e_k are the int ones of prod (x - n), over scale^k
+            scale = max(Fraction(r).denominator for r in roots)
+            ns = [int(Fraction(r) * scale) for r in roots]
+            exact = _sequential_product(ns, 1)
+            bound = _sequential_product([-abs(n) for n in ns], 1)  # prod (x + |n|)
+            for digits in (30, 50):
+                with mp.workdps(digits):
+                    mroots = [mp.mpf(r) for r in roots]
+                got = MonicPoly.from_roots(mroots, digits=digits).coeffs
+                tol = Fraction(10) ** (5 - digits)
+                for k, (c, e, b) in enumerate(zip(got, exact, bound)):
+                    man, exp2 = c.man_exp  # |c| = man * 2^exp2, exactly
+                    scaled = (-1 if c < 0 else 1) * man * Fraction(2) ** exp2 * scale ** k
+                    assert abs(scaled - e) <= tol * b
 
     def test_normalized_roundtrip_exact(self):
         rng = random.Random(11)
