@@ -15,7 +15,7 @@ The literal sum over P(n), ``partitions.block_sum``, is kept as the
 cross-checking path.  The inverse is the matching series exp.
 
 The sum cancels to O(d^-(n-1)) against O(1) terms for the exponential
-families, so callers should budget roughly (n-1)*log10(d) + 15 digits.
+families; ``experiments.working_digits`` adds the (n-1)*log10(d) digits lost.
 """
 
 from __future__ import annotations

@@ -16,15 +16,7 @@ class CapExceededError(ValueError):
 
 
 class PrecisionBudgetError(ValueError):
-    """Requested working precision cannot absorb the expected cancellation."""
-
-    def __init__(self, digits: int, required: float, context: str):
-        self.digits = digits
-        self.required = required
-        super().__init__(
-            f"{context}: {digits} digits of precision are below the estimated "
-            f"cancellation budget ({required:.1f} digits required)"
-        )
+    """The working precision a computation needs is past the fixed bound on it."""
 
 
 class RootConvergenceError(ArithmeticError):

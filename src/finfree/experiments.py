@@ -8,15 +8,15 @@ targets are the limit families' coefficients.  One driver,
 ``run_experiment``, makes the rows (absolute/relative errors) and fits
 log-log convergence rates; CSV output is written from the JSON rows.
 
-Numerical policy: families with rational normalized coefficients (the
-scaled-power experiment and the unitary Laguerre one) are evaluated in
-exact rational arithmetic and converted once at the end, which sidesteps
-cancellation entirely; the exponential families run in mpf arithmetic under
-an explicit digit budget of roughly (n-1)*log10(d) + 15.
+Numerical policy: a config's ``precision`` is the number of digits printed.
+Every point of every kind computes in mpf at one working precision derived
+from it, ``working_digits``: those digits plus the transform's cancellation
+and an m-th power's condition number, under the one bound MAX_WORKING_DIGITS.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import statistics
 import sys
@@ -32,7 +32,7 @@ from .errors import PrecisionBudgetError
 from .freelimits import lambda_cumulant, pi_cumulant, sigma_cumulant, sy_limit_t, sy_limit_zero
 from .polycalc import (MonicPoly, _parse_scalar, _positive_int, normalized_coeffs,
                        poly_from_json)
-from .scalars import EXACT, common_kind, format_scalar, kind_of, promote_ints, to_mpf, work
+from .scalars import format_scalar, to_mpf
 
 
 # ---------------------------------------------------------------------------
@@ -48,8 +48,9 @@ class ExperimentConfig:
     and otherwise the cross product is taken.  ``poly`` is a polynomial
     literal (see ``poly_from_json``) overriding the default input family;
     ``sigma`` builds the canonical degree-2 two-atom instance for the CLT
-    kinds when no literal is given.  ``d``, ``m``, ``n_max`` and ``precision``
-    take only ints; ``t`` and ``sigma`` are polynomial-literal scalars, as floats.
+    kinds when no literal is given.  ``precision`` is the digits printed.
+    ``d``, ``m``, ``n_max`` and ``precision`` take only ints; ``t`` and
+    ``sigma`` are polynomial-literal scalars, as floats.
     """
 
     kind: str
@@ -163,47 +164,66 @@ class ResultTable:
 
 def _make_row(kind, d, m, t, n, value, reference, digits) -> Row:
     with mp.workdps(digits):
-        v = to_mpf(value, digits)
-        ref = to_mpf(reference, digits)
-        err = abs(v - ref)
-        rel = err / abs(ref) if ref != 0 else None
-        v, ref = mp.re(v), mp.re(ref)
-    return Row(kind, d, m, t, n, v, ref, err, rel)
+        err = abs(value - reference)
+        rel = err / abs(reference) if reference != 0 else None
+        return Row(kind, d, m, t, n, mp.re(value), mp.re(reference), err, rel)
 
 
 # ---------------------------------------------------------------------------
 # experiment kinds: each a point generator over its grids
 # ---------------------------------------------------------------------------
 
-def precision_budget(n_max: int, d_max: int, digits: int, context: str,
-                     notes: list) -> None:
-    """Cancellation-budget rule: need about (n-1)*log10(d) + 15 digits.
+# the one cost bound of the limit kinds, on the working digits: at d = 1000
+# and n_max = 300, w = 957 digits and one grid point takes about 1.3 s
+MAX_WORKING_DIGITS = 1000
 
-    Below the +15 margin a warning note is recorded; with no margin at all
-    the computation is refused.
+
+def _laguerre_m(d: int, t: float) -> int:
+    """m = round(t d), from the decimal t prints as: an int at any size of t,
+    and t = 0.15 at d = 10 gives 2, where its binary value would give 1."""
+    return round(Fraction(repr(t)) * d)
+
+
+def working_digits(cfg: ExperimentConfig) -> int:
+    """The one working precision of a run, for ``cfg.precision`` printed digits:
+
+        w = precision + ceil((n_max - 1) log10 d_max) + ceil(log10 m_max) + 10.
+
+    The first term is the cancellation of the cumulant transform, 0 for the
+    CLT kinds, which do not run it; the second the condition number of an
+    m-th power, 0 for ``fms`` and ``hermite``, which take none.  A w past
+    MAX_WORKING_DIGITS raises ``PrecisionBudgetError``.
     """
-    cancel = (n_max - 1) * math.log10(max(d_max, 2))
-    if digits <= cancel:
-        raise PrecisionBudgetError(digits, cancel + 15, context)
-    if digits < cancel + 15:
-        notes.append(
-            f"precision warning: {context} has ~{cancel:.1f} digits of cancellation; "
-            f"{digits} digits leaves a thin margin (recommend >= {cancel + 15:.0f})"
-        )
+    grids = _KINDS[cfg.kind][0]
+    cancel = (cfg.n_max - 1) * math.log10(max(cfg.d)) if "d" in grids else 0
+    ms = cfg.m if "m" in grids else ()
+    if cfg.kind == "laguerre":
+        ms = [_laguerre_m(d, t) for d in cfg.d for t in cfg.t]
+    w = cfg.precision + math.ceil(cancel) + math.ceil(math.log10(max([1, *ms]))) + 10
+    if w > MAX_WORKING_DIGITS:
+        raise PrecisionBudgetError(f"{cfg.kind} at precision {cfg.precision}: needs {w} working "
+                                   f"digits, past the bound of {MAX_WORKING_DIGITS} digits")
+    return w
+
+
+def _literal(obj) -> MonicPoly:
+    """The config's polynomial literal, each float in it read, like the
+    laguerre t, as the decimal it prints as (0.1 as 1/10)."""
+    return poly_from_json(json.loads(json.dumps(obj), parse_float=str))
 
 
 def _sy_atilde_prefix(cfg: ExperimentConfig, d: int, n_max: int, notes: list):
     """Normalized-coefficient prefix of the base family for the scaled-power run."""
     if cfg.poly is None:
         return [laguerre_hat_atilde(d, Fraction(1), i) for i in range(n_max + 1)]
-    p = poly_from_json(cfg.poly)
+    p = _literal(cfg.poly)
     if p.degree != d:
         raise ValueError(f"input polynomial degree {p.degree} does not match d={d}")
-    at = normalized_coeffs(p, digits=cfg.precision)
+    at = normalized_coeffs(p)
     if at[1] != 1:
         raise ValueError("hypothesis violation: the input family must have atilde_1 = 1 "
                          "(first finite free cumulant 1)")
-    if p.roots is not None and any(float(r) < 0 for r in p.roots):
+    if p.roots is not None and any(r < 0 for r in p.roots):
         raise ValueError("hypothesis violation: nonnegative roots required")
     note = ("user-supplied family: weak convergence of its empirical root "
             "distributions is assumed, not checked")
@@ -212,46 +232,29 @@ def _sy_atilde_prefix(cfg: ExperimentConfig, d: int, n_max: int, notes: list):
     return list(at[: n_max + 1])
 
 
-def _clt_thetas(cfg: ExperimentConfig, unitary: bool):
-    """Exponent/angle vector of the CLT input instance, checked against the d grid."""
+def _clt_thetas(cfg: ExperimentConfig, unitary: bool, w: int):
+    """Exponent/angle vector of the CLT input instance in mpf at w digits,
+    checked against the d grid."""
     if cfg.poly is not None:
-        p = poly_from_json(cfg.poly)
+        p = _literal(cfg.poly)
         if unitary:
             if p.angles is None:
                 raise ValueError("unitary CLT input needs an angle literal")
-            thetas = [float(a) for a in p.angles]
+            thetas = [to_mpf(a, w) for a in p.angles]
         else:
             if p.roots is None:
                 raise ValueError("positive-root CLT input needs a root literal")
-            if any(float(r) <= 0 for r in p.roots):
+            if any(r <= 0 for r in p.roots):
                 raise ValueError("positive roots required to take logarithms")
-            thetas = [math.log(float(r)) for r in p.roots]
+            with mp.workdps(w):
+                thetas = [mp.log(to_mpf(r, w)) for r in p.roots]
     elif cfg.sigma is None:
         raise ValueError(f"{cfg.kind} needs a polynomial literal or sigma")
     else:
-        thetas = [float(cfg.sigma), -float(cfg.sigma)]
+        thetas = [to_mpf(cfg.sigma, w), -to_mpf(cfg.sigma, w)]
     if cfg.d and cfg.d != (len(thetas),):
         raise ValueError(f"d grid {cfg.d} conflicts with input of degree {len(thetas)}")
     return thetas
-
-
-# an exact power b ** m past this many bits is refused before it is taken;
-# the largest point of the shipped configs (sy, regime t, d = m = 400) needs
-# about 2.8e4 bits
-MAX_POWER_BITS = 40_000
-
-
-def _refuse_huge_power(bases, m: int, where: str) -> None:
-    """Raise ValueError when the exact powers b ** m of ``bases`` would take
-    more than MAX_POWER_BITS bits, about m times the longest numerator or
-    denominator; mpf and binary64 bases are rounded and pass."""
-    exact = [b for b in bases if kind_of(b) == EXACT]
-    if not exact:
-        return
-    width = max(max(b.numerator.bit_length(), b.denominator.bit_length()) for b in exact)
-    if m * width > MAX_POWER_BITS:
-        raise ValueError(f"{where}: its exact powers would take about m x {width} bits, "
-                         f"past the bound of {MAX_POWER_BITS} bits")
 
 
 def _pair_grid(ds: Sequence[int], ms: Sequence[int]):
@@ -264,108 +267,95 @@ def _pair_grid(ds: Sequence[int], ms: Sequence[int]):
     return [(d, m) for d in ds for m in ms]
 
 
-def _sy_points(cfg: ExperimentConfig, notes: list):
+def _sy_points(cfg: ExperimentConfig, w: int, notes: list):
     """Scaled power: kappa_n(p^[x m]) / m^(n-1) at each (d, m), against the
     fixed-ratio (regime t) or vanishing-ratio (regime zero) limit."""
-    digits, n_max = cfg.precision, cfg.n_max
+    n_max = cfg.n_max
     for d, m in _pair_grid(cfg.d, cfg.m):
-        at = _sy_atilde_prefix(cfg, d, n_max, notes)
-        _refuse_huge_power(at, m, f"sy at d={d}, m={m}")
-        with mp.workdps(digits):  # no-op on the exact default family
-            powered = [a ** m for a in at]
-        kappas = cumulants_from_atilde(d, powered, n_max, digits=digits)
-        kind = common_kind(kappas, "scaled-power cumulants")
-        (mk,) = promote_ints([m], kind)
-        with work(kind, digits):
-            values = [kappas[n - 1] / mk ** (n - 1) for n in range(1, n_max + 1)]
-        k2 = cumulants_from_atilde(d, at, 2, digits=digits)[1] if n_max >= 2 else Fraction(1)
-        k2, ratio = to_mpf(k2, digits), Fraction(m, d)
+        t = float(Fraction(m, d))  # the row's t column: OverflowError past binary64
+        at = [to_mpf(a, w) for a in _sy_atilde_prefix(cfg, d, n_max, notes)]
+        with mp.workdps(w):
+            kappas = cumulants_from_atilde(d, [a ** m for a in at], n_max, digits=w)
+            values = [k / mp.mpf(m) ** (n - 1) for n, k in enumerate(kappas, start=1)]
+        k2 = cumulants_from_atilde(d, at, 2, digits=w)[1] if n_max >= 2 else 1
         if cfg.regime == "t":
-            refs = [sy_limit_t(n, to_mpf(ratio, digits), k2, digits=digits)
-                    for n in range(1, n_max + 1)]
+            ratio = to_mpf(Fraction(m, d), w)
+            refs = [sy_limit_t(n, ratio, k2, digits=w) for n in range(1, n_max + 1)]
         else:
-            refs = [sy_limit_zero(n, k2, digits=digits) for n in range(1, n_max + 1)]
-        yield d, m, float(ratio), values, refs
+            refs = [sy_limit_zero(n, k2, digits=w) for n in range(1, n_max + 1)]
+        yield d, m, t, values, refs
 
 
 def _law_points(atilde, law, power=None):
     """A fixed family against its limit law: at each (d, t), kappa_n of the
-    family against law(n, t, digits), n = 1..n_max.
+    family against law(n, t, w), n = 1..n_max.
 
-    The family's normalized coefficients are atilde(d, t, k, digits), in mpf
-    under the cancellation budget; given ``power``, they are the exact
-    atilde(d, m, k) = atilde(d, 1, k) ** m at m = power(d, t) >= 0, and m is
-    recorded in the row.
+    The family's normalized coefficients are atilde(d, t, k, w); given
+    ``power``, they are atilde(d, 1, k) ** m at m = power(d, t) >= 0, and m
+    is recorded in the row.
     """
-    def points(cfg: ExperimentConfig, notes: list):
-        digits, n_max = cfg.precision, cfg.n_max
-        if power is None:
-            precision_budget(n_max, max(cfg.d), digits, f"{cfg.kind} cumulants", notes)
+    def points(cfg: ExperimentConfig, w: int, notes: list):
+        n_max = cfg.n_max
         for d in cfg.d:
             for t in cfg.t:
                 if power is None:
-                    m, at = None, [atilde(d, t, k, digits) for k in range(n_max + 1)]
+                    m, at = None, [atilde(d, t, k, w) for k in range(n_max + 1)]
                 else:
                     m = power(d, t)
                     if m < 0:
                         raise ValueError(f"{cfg.kind} needs t >= 0, got t={t}")
-                    _refuse_huge_power([atilde(d, 1, k) for k in range(n_max + 1)], m,
-                                       f"{cfg.kind} at d={d}, t={t} (m = round(t d))")
-                    at = [atilde(d, m, k) for k in range(n_max + 1)]
-                yield (d, m, t, cumulants_from_atilde(d, at, n_max, digits=digits),
-                       [law(n, t, digits) for n in range(1, n_max + 1)])
+                    with mp.workdps(w):
+                        at = [to_mpf(atilde(d, 1, k), w) ** m for k in range(n_max + 1)]
+                yield (d, m, t, cumulants_from_atilde(d, at, n_max, digits=w),
+                       [law(n, t, w) for n in range(1, n_max + 1)])
     return points
 
 
-def _powered_atilde(thetas, c, m: int, unitary: bool, digits: int) -> list:
+def _powered_atilde(thetas, c, m: int, unitary: bool, w: int) -> list:
     """atilde_1..atilde_d, each to the m-th power, of the input whose
     exponents (angles when ``unitary``) are scaled by c."""
-    with mp.workdps(digits):
-        xs = [to_mpf(v, digits) * c for v in thetas]
-        scaled = (MonicPoly.from_angles(xs, digits=digits) if unitary
-                  else MonicPoly.from_roots([mp.exp(x) for x in xs], digits=digits))
-        return [a ** m for a in normalized_coeffs(scaled, digits=digits)[1:]]
+    with mp.workdps(w):
+        xs = [v * c for v in thetas]
+        scaled = (MonicPoly.from_angles(xs, digits=w) if unitary
+                  else MonicPoly.from_roots([mp.exp(x) for x in xs], digits=w))
+        return [a ** m for a in normalized_coeffs(scaled, digits=w)[1:]]
 
 
 def _clt_points(atilde, unitary: bool):
     """Coefficientwise CLT: at each m, atilde_k of the centered input scaled
     by 1/sqrt(m), to the m-th power, against the limit family's
     atilde(d, d var / (d - 1), k), k = 1..d."""
-    def points(cfg: ExperimentConfig, notes: list):
-        digits = cfg.precision
-        thetas = _clt_thetas(cfg, unitary)
+    def points(cfg: ExperimentConfig, w: int, notes: list):
+        thetas = _clt_thetas(cfg, unitary, w)
         d = len(thetas)
         if d < 2:
             raise ValueError(f"hypothesis violation: the CLT needs degree d >= 2, got {d}")
-        mean = sum(thetas) / d
-        if abs(mean) > 1e-12:
-            raise ValueError(f"hypothesis violation: CLT input must be centered "
-                             f"(mean exponent {mean:.3e})")
-        var = sum(v * v for v in thetas) / d
-        with mp.workdps(digits):
-            t = mp.mpf(d) * var / (d - 1)
-        refs = [atilde(d, t, k, digits) for k in range(1, d + 1)]
+        with mp.workdps(w):
+            mean = mp.fsum(thetas) / d
+            if abs(mean) > 1e-12:
+                raise ValueError(f"hypothesis violation: CLT input must be centered "
+                                 f"(mean exponent {float(mean):.3e})")
+            t = mp.fsum(v * v for v in thetas) / (d - 1)
+        refs = [atilde(d, t, k, w) for k in range(1, d + 1)]
         for m in cfg.m:
-            with mp.workdps(digits):
+            with mp.workdps(w):
                 c = 1 / mp.sqrt(m)
-            yield d, m, None, _powered_atilde(thetas, c, m, unitary, digits), refs
+            yield d, m, None, _powered_atilde(thetas, c, m, unitary, w), refs
     return points
 
 
-def _lln_points(cfg: ExperimentConfig, notes: list):
+def _lln_points(cfg: ExperimentConfig, w: int, notes: list):
     """Law of large numbers: at each m, atilde_k of the input scaled by 1/m,
     to the m-th power, against exp(k * mean exponent), k = 1..d."""
-    digits = cfg.precision
-    thetas = _clt_thetas(cfg, False)
+    thetas = _clt_thetas(cfg, False, w)
     d = len(thetas)
-    with mp.workdps(digits):
-        # the mean in mpf: a binary64 mean would put its rounding in every target
-        alpha = mp.fsum(to_mpf(v, digits) for v in thetas) / d
+    with mp.workdps(w):
+        alpha = mp.fsum(thetas) / d
         refs = [mp.exp(alpha * k) for k in range(1, d + 1)]
     for m in cfg.m:
-        with mp.workdps(digits):
+        with mp.workdps(w):
             c = mp.mpf(1) / m
-        yield d, m, None, _powered_atilde(thetas, c, m, False, digits), refs
+        yield d, m, None, _powered_atilde(thetas, c, m, False, w), refs
 
 
 # kind -> (grids it sweeps, its rate fitted along the first; point generator)
@@ -377,7 +367,7 @@ _KINDS = {
     "fms": (("d", "t"), _law_points(exp_poly_atilde, lambda_cumulant)),
     "hermite": (("d", "t"), _law_points(hermite_unitary_atilde, sigma_cumulant)),
     "laguerre": (("d", "t"), _law_points(laguerre_unitary_atilde, pi_cumulant,
-                                         power=lambda d, t: round(t * d))),
+                                         power=_laguerre_m)),
 }
 KINDS = tuple(_KINDS)
 
@@ -386,14 +376,15 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Run one experiment grid; deterministic for a fixed config.
 
     The kind's point generator yields (d, m, t, values, references) per grid
-    point; the rows are n = 1, 2, ... of the two sequences.
+    point, at ``working_digits(cfg)``; the rows are n = 1, 2, ... of the two.
     """
     cfg.validate()
+    w = working_digits(cfg)
     table = ResultTable(precision=cfg.precision)
     grids, points = _KINDS[cfg.kind]
-    for d, m, t, values, refs in points(cfg, table.notes):
+    for d, m, t, values, refs in points(cfg, w, table.notes):
         for n, (value, ref) in enumerate(zip(values, refs), start=1):
-            table.rows.append(_make_row(cfg.kind, d, m, t, n, value, ref, cfg.precision))
+            table.rows.append(_make_row(cfg.kind, d, m, t, n, value, ref, w))
     table.rows.sort(key=lambda r: (r.d, r.m or 0, r.t or 0.0, r.n))
     table.rates = fit_rate(table, grids[0])
     return table

@@ -152,9 +152,10 @@ def format_scalar(x, digits: int = DEFAULT_DIGITS) -> str:
     """Decimal string with no more significant digits than the kind carries.
 
     Exact values print as ``p/q`` (``p`` when q = 1), mpf and mpc values at
-    ``digits`` significant digits, binary64 values as the shortest string
-    that reads back to the same value (at most 17 significant digits).  A
-    non-finite value, a binary64 overflow, raises ``OverflowError``.
+    ``digits`` significant digits, rounded once from all they carry, binary64
+    values as the shortest string that reads back to the same value (at most
+    17 significant digits).  A non-finite value, a binary64 overflow, raises
+    ``OverflowError``.
     """
     kind = kind_of(x)
     if kind == EXACT:
@@ -164,7 +165,7 @@ def format_scalar(x, digits: int = DEFAULT_DIGITS) -> str:
                             'give the input as exact strings, such as "1e400"')
     if kind == FLOAT64:
         return repr(x)
-    return mp.nstr(to_mpf(x, digits), digits, strip_zeros=True)
+    return mp.nstr(x, digits, strip_zeros=True)
 
 
 def binom(n: int, k: int) -> int:

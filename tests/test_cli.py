@@ -407,13 +407,20 @@ class TestLimitCommand:
         code, out, err = run(capsys, "limit", "--config", cfg)
         assert code == 2 and out == "" and "degree d >= 2" in err
 
-    def test_huge_exact_power_exit_2_at_once(self, capsys):
-        for cfg in ('{"kind": "sy", "d": [4], "m": [1000000000], "n_max": 2, "regime": "t"}',
-                    '{"kind": "laguerre", "d": [4], "t": [1e300], "n_max": 2}'):
+    def test_huge_powers_run_at_once(self, capsys):
+        for cfg in ('{"kind": "laguerre", "d": [4], "t": [1e308], "n_max": 2}',
+                    '{"kind": "laguerre", "d": [16], "t": [625], "n_max": 16}',
+                    '{"kind": "sy", "d": [4], "m": [1000000000], "n_max": 2, "regime": "t"}'):
             start = time.perf_counter()
             code, out, err = run(capsys, "limit", "--config", cfg)
             assert time.perf_counter() - start < 1.0
-            assert code == 2 and out == "" and "bits" in err and "bound" in err
+            assert code == 0 and err == "" and out.startswith("kind,d,m,t,n")
+
+    def test_sy_ratio_past_binary64_exit_3(self, capsys):
+        # the row's t column is m / d in binary64, and its overflow exits 3
+        cfg = json.dumps({"kind": "sy", "d": [4], "m": [10 ** 400], "n_max": 2, "regime": "t"})
+        code, out, err = run(capsys, "limit", "--config", cfg)
+        assert code == 3 and out == "" and "float" in err
 
     def test_negative_laguerre_t_exit_2(self, capsys):
         cfg = '{"kind": "laguerre", "d": [4], "t": [-1], "n_max": 2}'
@@ -421,12 +428,15 @@ class TestLimitCommand:
         assert code == 2 and out == "" and "t >= 0" in err
 
     def test_precision_infeasible_exit_3(self, capsys):
-        code, _, err = run(
-            capsys, "limit",
-            "--config",
-            '{"kind": "fms", "d": [1000000], "t": [1.0], "n_max": 5, "precision": 15}',
-        )
-        assert code == 3 and "precision" in err.lower()
+        # the working digits w = precision + 10 here; the bound is 1000
+        cfg = '{"kind": "fms", "d": [10], "t": [1.0], "n_max": 1, "precision": %d}'
+        code, out, _ = run(capsys, "limit", "--config", cfg % 990)
+        assert code == 0 and out
+        code, out, err = run(capsys, "limit", "--config", cfg % 991)
+        assert code == 3 and out == "" and "1001 working digits" in err and "bound of 1000" in err
+        # w = 15 + 24 + 10 = 49 digits is well under the bound
+        cfg = '{"kind": "fms", "d": [1000000], "t": [1.0], "n_max": 5, "precision": 15}'
+        assert run(capsys, "limit", "--config", cfg)[0] == 0
 
     def test_json_output_deterministic(self, capsys):
         argv = ["--format", "json", "limit", "--config",

@@ -6,16 +6,16 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from finfree.cumulants import (finite_cumulants, laguerre_hat, laguerre_hat_atilde,
-                               laguerre_unitary_atilde)
+from finfree.cumulants import finite_cumulants, laguerre_hat
 from finfree.errors import PrecisionBudgetError
 from finfree.experiments import (
-    MAX_POWER_BITS,
+    MAX_WORKING_DIGITS,
     ExperimentConfig,
     ResultTable,
     Row,
     fit_rate,
     run_experiment,
+    working_digits,
 )
 from finfree.polycalc import (
     MonicPoly,
@@ -24,6 +24,7 @@ from finfree.polycalc import (
     dilate,
     poly_to_json,
 )
+from finfree.scalars import format_scalar
 
 
 class TestConfig:
@@ -158,8 +159,8 @@ class TestSY:
                 assert explicit[n] == kq[n] / Fraction(m) ** (n - 1)
 
     def test_power_sequence_exactness(self):
-        # harness values on the default family are exact rationals:
-        # compare against the direct polynomial power at small d
+        # harness values on the default family, computed in mpf, against the
+        # exact cumulants of the direct polynomial power at small d
         d, m = 5, 4
         cfg = ExperimentConfig(kind="sy", d=[d], m=[m], n_max=3, regime="zero")
         tab = run_experiment(cfg)
@@ -180,14 +181,22 @@ class TestSY:
         tab = run_experiment(cfg)
         assert any("weak convergence" in n for n in tab.notes)
 
-    def test_exact_power_bound_is_sharp(self):
-        at = [laguerre_hat_atilde(4, Fraction(1), i) for i in range(3)]
-        width = max(max(a.numerator.bit_length(), a.denominator.bit_length()) for a in at)
-        m = MAX_POWER_BITS // width
-        tab = run_experiment(ExperimentConfig(kind="sy", d=[4], m=[m], n_max=2, regime="t"))
-        assert [r.m for r in tab.rows] == [m, m]
-        with pytest.raises(ValueError, match=f"bound of {MAX_POWER_BITS} bits"):
-            run_experiment(ExperimentConfig(kind="sy", d=[4], m=[m + 1], n_max=2, regime="t"))
+    def test_huge_m_runs(self):
+        # no bound on m: the powers are taken in mpf at log10(m) more digits
+        for m in (10 ** 9, 10 ** 40):
+            tab = run_experiment(ExperimentConfig(kind="sy", d=[4], m=[m], n_max=2, regime="t"))
+            assert [r.m for r in tab.rows] == [m, m] and tab.rows[0].t == m / 4
+            assert all(r.rel_error < mp.mpf("1e-40") for r in tab.rows)
+
+    def test_float_literal_reads_as_its_decimals(self):
+        # a float root is the decimal it prints as, never a binary64 computation
+        for floats, exact in (([0.5, 1.5], ["1/2", "3/2"]),
+                              ([0.3, 0.7, 2.0], ["3/10", "7/10", "2"])):
+            d = len(floats)
+            tabs = [run_experiment(ExperimentConfig(kind="sy", d=[d], m=[3, 5, 7], n_max=2,
+                                                    regime="t", poly={"roots": roots}))
+                    for roots in (floats, exact)]
+            assert tabs[0].to_json() == tabs[1].to_json()
 
 
 class TestKappaFamilies:
@@ -213,24 +222,46 @@ class TestKappaFamilies:
         tab = run_experiment(cfg)
         assert all(r.m == 20 for r in tab.rows)
 
-    def test_laguerre_exact_power_bound_is_sharp(self):
-        d = 6
-        at = [laguerre_unitary_atilde(d, 1, k) for k in range(3)]  # 1, 2/3, 1/3
-        m = MAX_POWER_BITS // max(a.denominator.bit_length() for a in at)
-        tab = run_experiment(ExperimentConfig(kind="laguerre", d=[d], t=[m / d], n_max=2))
-        assert [r.m for r in tab.rows] == [m, m]
-        with pytest.raises(ValueError, match=f"bound of {MAX_POWER_BITS} bits"):
-            run_experiment(ExperimentConfig(kind="laguerre", d=[d], t=[(m + 1) / d], n_max=2))
+    def test_laguerre_huge_t_runs(self):
+        # m = round(t d) from the decimal t: an exact int past the binary64 range
+        tab = run_experiment(ExperimentConfig(kind="laguerre", d=[4], t=[1e308], n_max=2))
+        assert [r.m for r in tab.rows] == [4 * 10 ** 308] * 2
+        tab = run_experiment(ExperimentConfig(kind="laguerre", d=[10], t=[0.15], n_max=2))
+        assert [r.m for r in tab.rows] == [2, 2]
+
+    def test_working_digits_rule(self):
+        def w(**cfg):
+            return working_digits(ExperimentConfig(**cfg))
+
+        # precision + ceil((n_max - 1) log10 d_max) + ceil(log10 m_max) + 10
+        assert w(kind="fms", d=[50, 400], t=[1.0], n_max=16, precision=80) == 80 + 40 + 10
+        assert w(kind="hermite", d=[10 ** 6], t=[1.0], n_max=5, precision=15) == 49
+        assert w(kind="laguerre", d=[6], t=[5e4], n_max=2) == 50 + 1 + 6 + 10
+        assert w(kind="sy", d=[100], m=[10, 1000], n_max=3, regime="t") == 50 + 4 + 3 + 10
+        # the CLT kinds run no cumulant transform
+        assert w(kind="lln", m=[100, 10 ** 4], sigma=1.0, n_max=3) == 50 + 4 + 10
 
     def test_budget_hard_error(self):
-        cfg = ExperimentConfig(kind="fms", d=[10 ** 6], t=[1.0], n_max=5, precision=15)
-        with pytest.raises(PrecisionBudgetError):
-            run_experiment(cfg)
+        # w at the bound runs; one digit past it is refused, naming the bound
+        cfg = dict(kind="fms", d=[10], t=[1.0], n_max=2)
+        tab = run_experiment(ExperimentConfig(**cfg, precision=MAX_WORKING_DIGITS - 11))
+        assert len(tab.rows) == 2
+        with pytest.raises(PrecisionBudgetError, match=f"bound of {MAX_WORKING_DIGITS} digits"):
+            run_experiment(ExperimentConfig(**cfg, precision=MAX_WORKING_DIGITS - 10))
 
-    def test_budget_warning_note(self):
-        cfg = ExperimentConfig(kind="fms", d=[10 ** 4], t=[1.0], n_max=4, precision=20)
-        tab = run_experiment(cfg)
-        assert any("precision warning" in n for n in tab.notes)
+    def test_printed_digits_match_a_rerun(self):
+        # every printed digit is right: a rerun at w + 20 prints the same
+        configs = [dict(kind="hermite", d=[400], t=[1.0], n_max=16),
+                   dict(kind="fms", d=[400], t=[1.0], n_max=16),
+                   dict(kind="laguerre", d=[6], t=[5e4], n_max=2),
+                   dict(kind="sy", d=[16], m=[10 ** 4], n_max=16, regime="t")]
+        for cfg in configs:
+            tab = run_experiment(ExperimentConfig(**cfg, precision=50))
+            rerun = run_experiment(ExperimentConfig(**cfg, precision=70))
+            for a, b in zip(tab.rows, rerun.rows):
+                for col in ("value", "reference", "abs_error"):
+                    a_col, b_col = getattr(a, col), getattr(b, col)
+                    assert format_scalar(a_col, 50) == format_scalar(b_col, 50)
 
 
 class TestCoeffFamilies:
@@ -255,13 +286,12 @@ class TestCoeffFamilies:
         assert abs(row.value - expect) < mp.mpf("1e-40")
 
     def test_lln_targets(self):
+        # the target exp(k * mean log root) is 2^k, the geometric mean 2 to the k
         roots = [1.0, 2.0, 4.0]
-        alpha = sum(math.log(r) for r in roots) / 3
         cfg = ExperimentConfig(kind="lln", m=[10 ** 5], poly={"roots": roots}, n_max=1, d=[3])
         tab = run_experiment(cfg)
         for r in tab.rows:
-            with mp.workdps(50):
-                assert abs(r.reference - mp.exp(mp.mpf(alpha) * r.n)) < mp.mpf("1e-40")
+            assert abs(r.reference - 2 ** r.n) < mp.mpf("1e-40")
             assert float(r.abs_error) < 1e-3
 
     def test_lln_top_row_at_precision_floor(self):
@@ -275,6 +305,12 @@ class TestCoeffFamilies:
         assert ("lln", 6) not in tab.rates
         assert "rate fit: 3 row(s) at the precision floor were excluded" in tab.notes
         assert all(-1.1 < tab.rates[("lln", k)] < -0.9 for k in range(1, 6))
+
+    def test_lln_logs_taken_in_mpf(self):
+        # log 2 and log 1 at the working digits: the n = 2 target is exp(log 2)
+        cfg = ExperimentConfig(kind="lln", m=[10], poly={"roots": [2.0, 1.0]}, n_max=2)
+        rows = run_experiment(cfg).to_json()["rows"]
+        assert [r["reference"] for r in rows if r["n"] == 2] == ["2.0"]
 
     def test_centering_enforced(self):
         cfg = ExperimentConfig(kind="multclt", m=[100], poly={"roots": [1.0, 3.0]}, n_max=1, d=[2])

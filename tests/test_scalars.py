@@ -157,6 +157,11 @@ class TestFormatScalar:
             back = mp.mpf(text)
             assert abs(back - x) <= mp.mpf(10) ** -30 * x
         assert format_scalar(back, 30) == text
+        # rounded once from 60 digits: rounding to 50 digits in binary first
+        # would print ...0692
+        with mp.workdps(60):
+            x = mp.mpf("0.00904850525529160142491942562898103613183745964906914942217025")
+        assert format_scalar(x, 50).endswith("96490691")
 
     def test_binary64_round_trips_in_at_most_17_digits(self):
         for x in (0.1, 0.19999999999999998, -6.8304736866586787e-18, 1e300, 2.0 / 3):
