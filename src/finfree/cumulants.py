@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 import mpmath as mp
@@ -166,10 +167,7 @@ def boxtimes_cumulants(ps: Sequence[MonicPoly], n: int, method: str = "pi-sum",
 
 
 def boxtimes_fold(ps: Sequence[MonicPoly], digits: int = DEFAULT_DIGITS) -> MonicPoly:
-    out = ps[0]
-    for q in ps[1:]:
-        out = boxtimes(out, q, digits=digits)
-    return out
+    return reduce(lambda p, q: boxtimes(p, q, digits=digits), ps)
 
 
 # ---------------------------------------------------------------------------

@@ -272,7 +272,11 @@ def _sy_points(cfg: ExperimentConfig, w: int, notes: list):
     fixed-ratio (regime t) or vanishing-ratio (regime zero) limit."""
     n_max = cfg.n_max
     for d, m in _pair_grid(cfg.d, cfg.m):
-        t = float(Fraction(m, d))  # the row's t column: OverflowError past binary64
+        try:
+            t = float(Fraction(m, d))  # the row's t column
+        except OverflowError:
+            raise OverflowError(f"sy: the t column m/d = 10^{math.log10(m) - math.log10(d):.1f} "
+                                "is past the binary64 range") from None
         at = [to_mpf(a, w) for a in _sy_atilde_prefix(cfg, d, n_max, notes)]
         with mp.workdps(w):
             kappas = cumulants_from_atilde(d, [a ** m for a in at], n_max, digits=w)

@@ -73,7 +73,9 @@ def lambda_moment(n: int, t, digits: int = DEFAULT_DIGITS):
 def pi_cumulant(n: int, t, digits: int = DEFAULT_DIGITS):
     """kappa_n = (-1)^(n-1) 2^n e^(-2nt) sum_{k=1}^{n-1} (-t)^k/k! (2n)^(k-1) C(n-2,k-1).
 
-    The n = 1 value is e^(-2t) by convention.
+    The sum is -t L^(1)_(n-2)(2nt) / (n-1), taken by ``mp.laguerre``, which
+    adds guard digits against its cancellation (term by term it loses 17 of
+    50 digits at n = 40).  The n = 1 value is e^(-2t) by convention.
     """
     if n < 1 or not t > 0:
         raise ValueError("need n >= 1 and t > 0")
@@ -81,10 +83,8 @@ def pi_cumulant(n: int, t, digits: int = DEFAULT_DIGITS):
         tt = to_mpf(t, digits)
         if n == 1:
             return mp.exp(-2 * tt)
-        total = mp.mpf(0)
-        for k in range(1, n):
-            total += (-tt) ** k / math.factorial(k) * (2 * n) ** (k - 1) * binom(n - 2, k - 1)
-        return (-1) ** (n - 1) * mp.mpf(2) ** n * mp.exp(-2 * n * tt) * total
+        lag = mp.laguerre(n - 2, 1, 2 * n * tt)
+        return (-1) ** n * mp.mpf(2) ** n * tt * mp.exp(-2 * n * tt) * lag / (n - 1)
 
 
 def sy_limit_t(n: int, t, kappa2=1, digits: int = DEFAULT_DIGITS):

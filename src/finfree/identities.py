@@ -18,11 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from itertools import zip_longest
 from numbers import Rational
 from typing import Sequence
 
 from .partitions import DEFAULT_PARTITION_CAP, block_sum, enumerate_partitions, mobius_top
-from .scalars import DEFAULT_DIGITS, binom, differences, exp, kind_of, work
+from .scalars import (DEFAULT_DIGITS, binom, convolve, differences, exp, integer_scaled, kind_of,
+                      work)
 
 
 @dataclass(frozen=True)
@@ -55,15 +58,10 @@ class ZeroConstPoly:
         """c_m(x) = C(x, m) = x(x-1)...(x-m+1)/m!, degree m, lead 1/m!."""
         if m < 1:
             raise ValueError("binomial basis index must be >= 1")
-        poly = [Fraction(1)]  # falling factorial, ascending coefficients
-        for j in range(m):
-            nxt = [Fraction(0)] * (len(poly) + 1)
-            for i, c in enumerate(poly):
-                nxt[i + 1] += c
-                nxt[i] -= j * c
-            poly = nxt
+        # falling factorial prod_j (x - j) on ints, ascending coefficients
+        poly = reduce(convolve, ((-j, 1) for j in range(m)), (1,))
         fact = math.factorial(m)
-        return cls([c / fact for c in poly[1:]])  # constant term is zero
+        return cls([Fraction(c, fact) for c in poly[1:]])  # constant term is zero
 
     @property
     def degree(self) -> int:
@@ -81,13 +79,8 @@ class ZeroConstPoly:
         return acc * x
 
     def __add__(self, other: "ZeroConstPoly") -> "ZeroConstPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return ZeroConstPoly(out)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return ZeroConstPoly([a + b for a, b in pairs])
 
     def scale(self, c) -> "ZeroConstPoly":
         c = _as_fraction(c)
@@ -120,11 +113,9 @@ def s_bruteforce(fs: Sequence[ZeroConstPoly], n: int,
     """The literal partition sum, exactly."""
     _check_input(fs, n)
     lattice = enumerate_partitions(n, cap=cap)  # refuses before the tables are built
-    # per-size values of each f over one common denominator D, as ints: each
-    # factor sum_V f_i(|V|) is then D times its value, and each term D^k times
-    tables = [[f(s) for s in range(n + 1)] for f in fs]
-    D = math.lcm(*(v.denominator for tab in tables for v in tab))
-    tables = [[v.numerator * (D // v.denominator) for v in tab] for tab in tables]
+    # per-size values of each f_i as ints over its denominator D_i: each factor
+    # sum_V f_i(|V|) is then D_i times its value, and each term prod_i D_i times
+    tables, scale = zip(*(integer_scaled([f(s) for s in range(n + 1)]) for f in fs))
     total = 0
     for pi in lattice:
         sizes = [len(b) for b in pi.blocks]
@@ -132,7 +123,7 @@ def s_bruteforce(fs: Sequence[ZeroConstPoly], n: int,
         for tab in tables:
             term *= sum(tab[s] for s in sizes)
         total += term
-    return Fraction(total, D ** len(fs))
+    return Fraction(total, math.prod(scale))
 
 
 def s_mobius_route(fs: Sequence[ZeroConstPoly], n: int) -> Fraction:
@@ -141,13 +132,13 @@ def s_mobius_route(fs: Sequence[ZeroConstPoly], n: int) -> Fraction:
     The r-table of an index block B is Delta^j g_B(0) of g_B(l) = prod_{i in
     B} f_i(l), zero past the block's total degree.  The sum over sigma in
     P(k) of mu(sigma, 1_k) times entry n of the binomial convolution of its
-    blocks' r-tables is the partition sum.  Each f_i is scaled by the lcm d_i
-    of its denominators, so the sum runs on ints and is divided by prod d_i.
+    blocks' r-tables is the partition sum.  Each f_i is put on ints over its
+    denominator d_i (``integer_scaled``), so the sum runs on ints and is
+    divided by prod d_i.
     """
     _check_input(fs, n)
-    scale = [math.lcm(*(c.denominator for c in f.coeffs)) for f in fs]
+    ints, scale = zip(*(integer_scaled(f.coeffs) for f in fs))
     top = min(n, sum(f.degree for f in fs))
-    ints = [[int(c * d) for c in f.coeffs] for f, d in zip(fs, scale)]
     values = [[sum(c * l ** j for j, c in enumerate(cs, start=1)) for l in range(top + 1)]
               for cs in ints]
     tables, total = {}, 0
@@ -158,18 +149,10 @@ def s_mobius_route(fs: Sequence[ZeroConstPoly], n: int) -> Fraction:
                 deg = min(n, sum(fs[i - 1].degree for i in block))
                 tables[block] = differences(
                     [math.prod(values[i - 1][l] for i in block) for l in range(deg + 1)])
-            prod = _binomial_convolution(prod, tables[block], n)
+            prod = convolve(prod, tables[block], n, binomial=True)
         if n < len(prod):
             total += mobius_top(sigma) * prod[n]
     return Fraction(total, math.prod(scale))
-
-
-def _binomial_convolution(a: list, b: list, top: int) -> list:
-    """c_m = sum_j C(m, j) a_j b_(m-j) for m <= top: the product of exponential
-    generating functions, cut where it vanishes."""
-    return [sum(math.comb(m, j) * a[j] * b[m - j]
-                for j in range(max(0, m - len(b) + 1), min(m, len(a) - 1) + 1))
-            for m in range(min(top, len(a) + len(b) - 2) + 1)]
 
 
 def s_closed_form(fs: Sequence[ZeroConstPoly], n: int):

@@ -24,8 +24,8 @@ from typing import Sequence
 import mpmath as mp
 
 from .errors import RootConvergenceError
-from .scalars import (DEFAULT_DIGITS, EXACT, FLOAT64, MPF, binom, common_kind, dot, exp, kind_of,
-                      promote_ints, to_mpf, work)
+from .scalars import (DEFAULT_DIGITS, EXACT, FLOAT64, MPF, binom, common_kind, convolve, exp,
+                      kind_of, promote_ints, to_mpf, work)
 from .series import PowerSeries
 
 _ROOT_MAX_ITER = 200
@@ -77,10 +77,10 @@ class MonicPoly:
         """Expand the root multiset into coefficients.
 
         prod (x - lam) is taken by a balanced product tree: the linear
-        factors are multiplied pairwise, each output coefficient of a merge
-        one ``dot``.  Exact when the roots are rational; mpf roots are
-        expanded at ``digits + 10`` and binary64 roots at 30 digits, each
-        rounded once at the end to its kind.
+        factors are multiplied pairwise, each merge one ``convolve``.  Exact
+        when the roots are rational; mpf roots are expanded at ``digits + 10``
+        and binary64 roots at 30 digits, each rounded once at the end to its
+        kind.
         """
         roots = tuple(roots)
         kind = common_kind(roots, "from_roots")
@@ -137,17 +137,9 @@ def _product_tree(roots: Sequence, one) -> tuple:
     neighbouring factors pairwise; an odd one out waits for the next round."""
     polys = [(one, -lam * one) for lam in roots]
     while len(polys) > 1:
-        merged = [_poly_mul(a, b) for a, b in zip(polys[::2], polys[1::2])]
+        merged = [convolve(a, b) for a, b in zip(polys[::2], polys[1::2])]
         polys = merged + polys[len(merged) * 2:]
     return polys[0]
-
-
-def _poly_mul(a: tuple, b: tuple) -> tuple:
-    """Product of two coefficient tuples, one ``dot`` per coefficient."""
-    nb, rb = len(b), b[::-1]
-    # c_k = sum_i a_i b_(k-i); rb[nb-1-k+i] is b_(k-i)
-    return tuple(dot(a[max(0, k - nb + 1):k + 1], rb[max(0, nb - 1 - k):len(a) + nb - 1 - k])
-                 for k in range(len(a) + nb - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +251,7 @@ def boxplus(p: MonicPoly, q: MonicPoly, digits: int = DEFAULT_DIGITS) -> MonicPo
     """
     kind, ap, aq = _binary_op_atilde(p, q, "boxplus", digits)
     with work(kind, digits):
-        out = [dot([binom(k, i) * ap[i] for i in range(k + 1)], aq[k::-1])
-               for k in range(p.degree + 1)]
+        out = convolve(ap, aq, p.degree, binomial=True)
     return from_normalized(out, digits=digits)
 
 
@@ -506,12 +497,7 @@ def newton_maclaurin_check(p: MonicPoly, digits: int = DEFAULT_DIGITS) -> Newton
         newton_holds = all(m >= -eps for m in margins)
         equality = all(abs(m) <= eps for m in margins)
 
-        trailing = 0
-        for a in reversed(at):
-            if a == 0:
-                trailing += 1
-            else:
-                break
+        trailing = next(i for i, a in enumerate(reversed(at)) if a != 0)  # atilde_0 = 1
 
         chain = []
         for i in range(1, d + 1 - trailing):

@@ -11,8 +11,10 @@ Kinds are never mixed silently: ``common_kind`` refuses heterogeneous
 inputs, and promotion happens only through ``promote_ints`` and ``to_mpf``.
 Every per-kind decision lives here: the precision scope (``work``), the
 exponential (``exp``), the dot product under every series coefficient
-(``dot``), conversion into mpmath (``to_mpf``), printing (``format_scalar``)
-and the common denominator of exact block weights (``integer_weights``).
+(``dot``), the one coefficient product, truncated or binomial (``convolve``),
+conversion into mpmath (``to_mpf``), printing (``format_scalar``) and the
+common denominator that puts exact values on ints (``integer_scaled``, and
+``integer_weights`` for block weights).
 """
 
 from __future__ import annotations
@@ -85,22 +87,28 @@ def to_mpf(x, digits: int = DEFAULT_DIGITS):
         return mp.mpc(x)
 
 
+def integer_scaled(values: Sequence) -> tuple[list, int]:
+    """Exact values as the ints v * D, with D the lcm of their denominators, and
+    D; any other kind (read once, from the set of value types) comes back
+    unchanged with D = 1, as does a ring element that is not a scalar."""
+    values = list(values)
+    if not set(map(type, values)) <= {int, Fraction}:
+        return values, 1
+    D = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (D // v.denominator) for v in values], D
+
+
 def integer_weights(weights: Sequence) -> tuple[list, int]:
     """Block weights put over one common denominator, for sums over P(n).
 
-    ``weights[s - 1]`` is the weight w_s of a block of size s.  When every
-    weight is exact, the result is the ints w_s * D^s and D, the lcm of the
-    denominators: a product of scaled weights over the blocks of a partition
-    of [n] is D^n times the product of the weights, so a block-multiplicative
-    sum over P(n) runs on ints and divides by D^n once.  Any other kind, or a
-    ring element that is not a scalar, comes back unchanged with D = 1.
+    ``weights[s - 1]`` is the weight w_s of a block of size s.  Exact weights
+    become the ints w_s * D^s and D (``integer_scaled``): a product of scaled
+    weights over the blocks of a partition of [n] is D^n times the product of
+    the weights, so a block-multiplicative sum over P(n) runs on ints and
+    divides by D^n once.  Other values come back unchanged with D = 1.
     """
-    weights = list(weights)
-    if not all(isinstance(w, (int, Fraction)) for w in weights):
-        return weights, 1
-    D = math.lcm(*(w.denominator for w in weights))
-    return [w.numerator * (D // w.denominator) * D ** (s - 1)
-            for s, w in enumerate(weights, start=1)], D
+    ints, D = integer_scaled(weights)
+    return ([w * D ** (s - 1) for s, w in enumerate(ints, start=1)] if D > 1 else ints), D
 
 
 def exp(x):
@@ -127,7 +135,7 @@ def dot(xs: Sequence, ys: Sequence, start=None):
     """
     if not xs:
         return 0 if start is None else start
-    types = {*map(type, xs), *map(type, ys)} | ({int} if start is None else {type(start)})
+    types = {*map(type, xs), *map(type, ys), int if start is None else type(start)}
     if types == {int}:
         return sum(map(operator.mul, xs, ys), 0 if start is None else start)
     if types <= {int, Fraction}:
@@ -146,6 +154,28 @@ def dot(xs: Sequence, ys: Sequence, start=None):
         if x and y:
             acc += x * y
     return acc
+
+
+def convolve(a: Sequence, b: Sequence, top: int | None = None, binomial: bool = False) -> tuple:
+    """c_k = sum_{i+j=k} a_i b_j for k <= top (default: the full product), one
+    ``dot`` per c_k with i ascending; ``binomial`` weights each term by C(k, i),
+    formed in kind as C(k, i) * a_i: the product of exponential generating
+    functions.  Ints alone give ints; with any ``Fraction``, each operand goes
+    on ints (``integer_scaled``) and each c_k is divided once, to a ``Fraction``.
+    """
+    types = {*map(type, a), *map(type, b)}
+    exact = Fraction in types and types <= {int, Fraction}
+    if exact:
+        (a, Da), (b, Db) = integer_scaled(a), integer_scaled(b)
+    na, nb, rb = len(a), len(b), b[::-1]
+    out = []
+    for k in range(na + nb - 1 if top is None else min(top + 1, na + nb - 1)):
+        lo = max(0, k - nb + 1)
+        xs = a[lo:k + 1]
+        if binomial:
+            xs = [math.comb(k, i) * x for i, x in enumerate(xs, start=lo)]
+        out.append(dot(xs, rb[nb - 1 - k + lo:na + nb - 1 - k]))  # rb[nb-1-j] is b_j
+    return tuple(Fraction(c, Da * Db) for c in out) if exact else tuple(out)
 
 
 def format_scalar(x, digits: int = DEFAULT_DIGITS) -> str:

@@ -10,9 +10,10 @@ W(z) = sum_j w_j z^j / j! with w_0 = 1:
 Both take O(n^2) coefficient operations instead of a walk over P(n) or its
 block-size profiles; ``partitions.block_sum`` is that walk, kept as the
 literal oracle of both.  Coefficients may be exact rationals, mpf or binary64
-values.  Every coefficient of a product, ``exp`` or ``log`` is one call of
-``scalars.dot``, the single inner loop: one rounding per mpf coefficient,
-one reduction per exact one.
+values.  A product is ``scalars.convolve`` cut at the common order; every
+coefficient of a product, ``exp`` or ``log`` is one call of ``scalars.dot``,
+the single inner loop: one rounding per mpf coefficient, one division or
+reduction per exact one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .scalars import dot, exp
+from .scalars import convolve, dot, exp
 
 
 @dataclass(frozen=True)
@@ -58,9 +59,7 @@ class PowerSeries:
         return PowerSeries(tuple(self.coeff(j) + other.coeff(j) for j in range(n + 1)))
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        return PowerSeries(tuple(dot(a[: k + 1], b[k::-1]) for k in range(n + 1)))
+        return PowerSeries(convolve(self.coeffs, other.coeffs, min(self.order, other.order)))
 
     def exp(self) -> "PowerSeries":
         """exp of the series; the constant term goes through the scalar exp,

@@ -187,8 +187,22 @@ def log_literal(f) -> list:
 
 
 def boxplus_literal(ap, aq) -> list:
-    """atilde_k = sum_{i+j=k} C(k,i) atilde_i(p) atilde_j(q), summed by ``sum``."""
+    """atilde_k = sum_{i+j=k} C(k,i) atilde_i(p) atilde_j(q), summed by ``sum``.
+
+    With mpf input each C(k,i) atilde_i(p) is rounded at the ambient
+    precision, multiplied by atilde_j(q) exactly, and the sum is rounded once.
+    """
     from math import comb
 
-    return [sum([comb(k, i) * ap[i] * aq[k - i] for i in range(k + 1)])
-            for k in range(len(ap))]
+    import mpmath as mp
+
+    out = []
+    for k in range(len(ap)):
+        terms = [(comb(k, i) * ap[i], aq[k - i]) for i in range(k + 1)]
+        if isinstance(ap[0], mp.mpf):
+            with mp.workdps(3 * mp.mp.dps):
+                prods = [x * y for x, y in terms]
+            out.append(mp.fsum(prods))
+        else:
+            out.append(sum([x * y for x, y in terms]))
+    return out

@@ -71,10 +71,10 @@ class TestZeroConstPoly:
     def test_binomial_basis(self):
         assert c(1).coeffs == (Fraction(1),)
         assert c(2).coeffs == (Fraction(-1, 2), Fraction(1, 2))
-        for m in range(1, 7):
+        for m in range(1, 13):
             f = c(m)
-            assert f.lead == Fraction(1, math.factorial(m))
-            for n in range(0, 9):
+            assert f.degree == m and f.lead == Fraction(1, math.factorial(m))
+            for n in range(0, 2 * m + 1):
                 assert f(n) == math.comb(n, m)
 
 

@@ -284,8 +284,12 @@ class TestBoxplus:
             real = [MonicPoly.from_roots([rng.uniform(-2, 2) for _ in range(d)]) for _ in range(2)]
             cplx = [MonicPoly.from_roots([complex(rng.uniform(-2, 2), rng.uniform(-1, 1))
                                           for _ in range(d)]) for _ in range(2)]
-            for p, q in (exact, real, cplx):
-                want = boxplus_literal(normalized_coeffs(p), normalized_coeffs(q))
+            with mp.workdps(50):
+                mpf = [MonicPoly.from_roots([mp.mpf(rng.uniform(-2, 2)) / 3 for _ in range(d)])
+                       for _ in range(2)]
+            for p, q in (exact, real, cplx, mpf):
+                with mp.workdps(50):  # boxplus' default digits
+                    want = boxplus_literal(normalized_coeffs(p), normalized_coeffs(q))
                 assert boxplus(p, q).coeffs == from_normalized(want).coeffs
 
     def test_real_rootedness_preserved_numerically(self):

@@ -6,8 +6,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from finfree.scalars import (EXACT, FLOAT64, MPF, csum, differences, dot, exp, format_scalar,
-                             integer_weights, to_mpf, work)
+from finfree.scalars import (EXACT, FLOAT64, MPF, convolve, csum, differences, dot, exp,
+                             format_scalar, integer_scaled, integer_weights, to_mpf, work)
 
 
 class TestExp:
@@ -197,10 +197,88 @@ class TestIntegerWeights:
             third = mp.mpf(1) / 3
         ring = object()
         for weights in ([third, 2], [0.25, 1], [1j, Fraction(1, 2)], [ring, 1]):
-            ints, D = integer_weights(weights)
-            assert D == 1
-            assert len(ints) == len(weights)
-            assert all(a is b for a, b in zip(ints, weights))
+            for scale in (integer_weights, integer_scaled):
+                ints, D = scale(weights)
+                assert D == 1
+                assert len(ints) == len(weights)
+                assert all(a is b for a, b in zip(ints, weights))
+
+    def test_integer_scaled_puts_exact_values_on_ints(self):
+        ints, D = integer_scaled([Fraction(1, 6), 2, Fraction(-3, 4), 0])
+        assert D == 12 and ints == [2, 24, -9, 0] and all(type(v) is int for v in ints)
+
+
+def convolve_literal(a, b, top=None, binomial=False) -> list:
+    """c_k = sum_{i+j=k} [C(k, i)] a_i b_j for k <= top by a double loop, i
+    ascending, from the first left factor times 0, skipping pairs with a zero
+    factor; mpf products are taken exactly and each c_k is rounded once."""
+    last = len(a) + len(b) - 2 if top is None else min(top, len(a) + len(b) - 2)
+    pairs = [[] for _ in range(last + 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j <= last:
+                pairs[i + j].append((math.comb(i + j, i) * x if binomial else x, y))
+    out = []
+    for terms in pairs:
+        if any(isinstance(v, mp.mpf) for v in a):
+            with mp.workdps(3 * mp.mp.dps):
+                prods = [x * y for x, y in terms]
+            out.append(mp.fsum(prods))
+            continue
+        acc = terms[0][0] * 0
+        for x, y in terms:
+            if x and y:
+                acc += x * y
+        out.append(acc)
+    return out
+
+
+class TestConvolve:
+    @staticmethod
+    def assert_same(got, want):
+        # one type per coefficient, equal values, and for binary64 equal bits
+        assert type(got) is tuple and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert type(g) is type(w) and g == w and repr(g) == repr(w)
+
+    @staticmethod
+    def operands(rng, kind, n):
+        def draw():
+            if rng.random() < 0.3:
+                return {"int": 0, "fraction": Fraction(0), "float": 0.0, "complex": 0j,
+                        "mpf": mp.mpf(0)}[kind]
+            u = rng.uniform(-2, 2)
+            return {"int": rng.randint(-9, 9),
+                    "fraction": Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                    "float": u / 3, "complex": complex(u, rng.uniform(-1, 1)) / 3,
+                    "mpf": mp.mpf(u) / 3}[kind]
+        return [draw() for _ in range(n)]
+
+    def test_matches_the_double_loop_in_every_kind(self):
+        rng = random.Random(2024)
+        with mp.workdps(30):
+            for kind in ("int", "fraction", "float", "complex", "mpf"):
+                for na, nb in ((1, 1), (4, 4), (5, 8), (9, 3)):
+                    a, b = self.operands(rng, kind, na), self.operands(rng, kind, nb)
+                    full = na + nb - 2
+                    for top in (None, 0, full // 2, full, full + 3):
+                        for binomial in (False, True):
+                            self.assert_same(convolve(a, b, top, binomial=binomial),
+                                             convolve_literal(a, b, top, binomial))
+
+    def test_exact_kinds(self):
+        rng = random.Random(2025)
+        ints = [rng.randint(-9, 9) for _ in range(6)]
+        fracs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(5)]
+        for binomial in (False, True):
+            assert all(type(c) is int for c in convolve(ints, ints[::-1], binomial=binomial))
+            # any Fraction operand gives Fractions, also where the value is whole
+            mixed = convolve(ints, fracs + [Fraction(2)], binomial=binomial)
+            assert all(type(c) is Fraction for c in mixed)
+            assert list(mixed) == convolve_literal([Fraction(v) for v in ints], fracs + [2],
+                                                   binomial=binomial)
+        # whole Fractions have D = 1 and still come back as Fractions
+        self.assert_same(convolve((Fraction(1),), (Fraction(-3), 2)), [Fraction(-3), Fraction(2)])
 
 
 class TestDifferences:
