@@ -136,10 +136,14 @@ def _cmd_partitions(args) -> str:
     if args.count_only:
         return str(sum(1 for _ in stream))
     if args.format == "json":
-        return json.dumps([[list(b) for b in p.blocks] for p in stream])
-    lines = [
-        "|".join(",".join(str(x) for x in b) for b in p.blocks) for p in stream
-    ]
+        return json.dumps([p.blocks for p in stream])
+    texts: dict[tuple[int, ...], str] = {}  # each distinct block is formatted once
+    lines = []
+    for p in stream:
+        for b in p.blocks:
+            if b not in texts:
+                texts[b] = ",".join(map(str, b))
+        lines.append("|".join(map(texts.__getitem__, p.blocks)))
     return "\n".join(lines)
 
 

@@ -23,7 +23,7 @@ from itertools import zip_longest
 from numbers import Rational
 from typing import Sequence
 
-from .partitions import DEFAULT_PARTITION_CAP, block_sum, enumerate_partitions, mobius_top
+from .partitions import DEFAULT_PARTITION_CAP, block_sum, mobius_top, partition_masks
 from .scalars import (DEFAULT_DIGITS, binom, convolve, differences, exp, integer_scaled, kind_of,
                       work)
 
@@ -112,14 +112,14 @@ def s_bruteforce(fs: Sequence[ZeroConstPoly], n: int,
                  cap: int = DEFAULT_PARTITION_CAP) -> Fraction:
     """The literal partition sum, exactly."""
     _check_input(fs, n)
-    lattice = enumerate_partitions(n, cap=cap)  # refuses before the tables are built
+    lattice = partition_masks(n, cap=cap)  # refuses before the tables are built
     # per-size values of each f_i as ints over its denominator D_i: each factor
     # sum_V f_i(|V|) is then D_i times its value, and each term prod_i D_i times
     tables, scale = zip(*(integer_scaled([f(s) for s in range(n + 1)]) for f in fs))
     total = 0
     for pi in lattice:
-        sizes = [len(b) for b in pi.blocks]
-        term = mobius_top(pi)
+        sizes = [mask.bit_count() for mask in pi]
+        term = mobius_top(len(pi))
         for tab in tables:
             term *= sum(tab[s] for s in sizes)
         total += term
@@ -142,16 +142,19 @@ def s_mobius_route(fs: Sequence[ZeroConstPoly], n: int) -> Fraction:
     values = [[sum(c * l ** j for j, c in enumerate(cs, start=1)) for l in range(top + 1)]
               for cs in ints]
     tables, total = {}, 0
-    for sigma in enumerate_partitions(len(fs)):
-        prod = [1]
-        for block in sigma.blocks:
+    for sigma in partition_masks(len(fs)):
+        for block in sigma:
             if block not in tables:
-                deg = min(n, sum(fs[i - 1].degree for i in block))
+                members = [i for i in range(len(fs)) if block >> i & 1]
+                deg = min(n, sum(fs[i].degree for i in members))
                 tables[block] = differences(
-                    [math.prod(values[i - 1][l] for i in block) for l in range(deg + 1)])
+                    [math.prod(values[i][l] for i in members) for l in range(deg + 1)])
+        # the product starts from the first block's table, which has no entry past n
+        prod = tables[sigma[0]]
+        for block in sigma[1:]:
             prod = convolve(prod, tables[block], n, binomial=True)
         if n < len(prod):
-            total += mobius_top(sigma) * prod[n]
+            total += mobius_top(len(sigma)) * prod[n]
     return Fraction(total, math.prod(scale))
 
 
@@ -192,14 +195,10 @@ def composition_identity(n: int, k: int) -> tuple[Fraction, Fraction]:
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
-    left = 0
-    for pi in enumerate_partitions(n - 1):
-        if pi.num_blocks != k:
-            continue
-        term = 1
-        for b in pi.blocks:
-            term *= math.factorial(len(b))
-        left += term
+    lattice = partition_masks(n - 1)
+    fact = [math.factorial(s) for s in range(n)]
+    left = sum(math.prod(fact[mask.bit_count()] for mask in pi)
+               for pi in lattice if len(pi) == k)
     left = Fraction(left, math.factorial(n - 1))
     right = Fraction(binom(n - 2, k - 1), math.factorial(k))
     return left, right

@@ -1,15 +1,19 @@
 """Set-partition lattice P(n).
 
-Enumeration (restricted-growth-string order), refinement order,
-closed-form Mobius functions, non-crossing filtering, the literal
-block-multiplicative sums over P(n) (``block_sum``) and over the tuples of
-P(n)^m that join to 1_n (``join_sum``), and brute-force counting of the
-covering / essential / interval-join tuple families together with their
-closed-form counterparts.
+Enumeration (restricted-growth-string order), the closed-form Mobius value
+mu(pi, 1_n), non-crossing filtering, the literal block-multiplicative sums
+over P(n) (``block_sum``) and over the tuples of P(n)^m that join to 1_n
+(``join_sum``), and brute-force counting of the covering / essential /
+interval-join tuple families together with their closed-form counterparts.
 
-The join condition is connectivity: blocks are bitmasks, and a family joins
-to 1_n when its block masks fold into one component covering [n]
-(``_joins_to_top``).  This module is the one place that knows the encoding.
+A partition is encoded as a tuple of block bitmasks (bit x-1 for element x),
+ordered by their minimum; one walk (``partition_masks``) yields P(n) in that
+encoding, and every sum and count here reads it: block sizes are
+``int.bit_count``, and a family joins to 1_n when its block masks fold into
+one component covering [n] (``_joins_to_top``).  The identity oracles of
+``identities`` read the same tuples through ``partition_masks``.
+``SetPartition`` exists only at the public edge: ``enumerate_partitions``
+and ``interval_partition`` return it, for the CLI, the tests and callers.
 
 Everything here is exact integer arithmetic on immutable values, except
 ``block_sum`` and ``join_sum``, which sum in the kind of their weights.
@@ -128,40 +132,82 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
-def enumerate_partitions(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[SetPartition]:
-    """All partitions of [n], in restricted-growth-string lexicographic order.
+def _walk(n: int) -> Iterator[tuple[int, ...]]:
+    """All partitions of [n] as tuples of block masks, in restricted-growth-
+    string lexicographic order (Knuth, TAOCP 4A, 7.2.1.5, Algorithm H).
 
-    The stream starts at 1_n (string 00...0) and ends at 0_n (string 012...).
-    Each call owns an independent cursor.
-
-    Blocks are built incrementally: element x joins each open block in turn
-    (label 0, 1, ...) and then opens a new one, so every block is increasing
-    and the blocks stay ordered by their minimum.  Each partition is thus
-    canonical by construction and skips validation.  ``n`` and the cap are
-    checked at the call, not when the walk is first advanced.
+    The labels of elements 1..n-1 advance in place: the rightmost one below
+    its bound (one more than the largest label before it) moves to the next
+    block, and the ones after it go back to block 0.  Element n is placed
+    inline, in each open block and then in a new one.  Blocks are ordered by
+    their minimum.
     """
+    if n == 1:
+        yield (1,)
+        return
+    m = n - 1
+    last = 1 << m
+    labels = [0] * m
+    bound = [1] * m
+    blocks = [last - 1]
+    while True:
+        for i, b in enumerate(blocks):
+            blocks[i] = b | last
+            yield tuple(blocks)
+            blocks[i] = b
+        yield (*blocks, last)
+        j = m - 1
+        while labels[j] == bound[j]:
+            j -= 1
+        if j == 0:
+            return
+        a = labels[j]
+        bit = 1 << j
+        blocks[a] ^= bit
+        a += 1
+        labels[j] = a
+        if a == len(blocks):
+            blocks.append(bit)
+        else:
+            blocks[a] |= bit
+        num_blocks = max(bound[j], a + 1)
+        for k in range(j + 1, m):
+            if labels[k]:
+                blocks[labels[k]] ^= 1 << k
+                blocks[0] |= 1 << k
+                labels[k] = 0
+            bound[k] = num_blocks
+        del blocks[num_blocks:]
+
+
+def partition_masks(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[tuple[int, ...]]:
+    """All partitions of [n], each a tuple of block bitmasks (bit x-1 for
+    element x) ordered by their minimum, in the order of
+    ``enumerate_partitions``.  ``n`` and the cap are checked at the call, not
+    when the walk is first advanced."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if n > cap:
         raise CapExceededError("partition enumeration", n, cap)
+    return _walk(n)
 
-    make = SetPartition._canonical
-    blocks: list[tuple[int, ...]] = [(1,)]
 
-    def rec(x: int) -> Iterator[SetPartition]:
-        if x > n:
-            yield make(n, tuple(blocks))
-            return
-        for i in range(len(blocks)):
-            b = blocks[i]
-            blocks[i] = b + (x,)
-            yield from rec(x + 1)
-            blocks[i] = b
-        blocks.append((x,))
-        yield from rec(x + 1)
-        blocks.pop()
+def enumerate_partitions(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[SetPartition]:
+    """All partitions of [n], in restricted-growth-string lexicographic order.
 
-    return rec(2)
+    The stream starts at 1_n (string 00...0) and ends at 0_n (string 012...).
+    Each call owns an independent cursor.  It is ``partition_masks`` with
+    each block mask looked up in a table of element tuples, so every
+    partition is canonical by construction and skips validation; ``n`` and
+    the cap are checked at the call, by ``partition_masks``.
+    """
+    walk = partition_masks(n, cap)
+    table = [()] * (1 << n)  # the elements of each mask, increasing
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        table[mask] = (low.bit_length(), *table[mask ^ low])
+    get, make = table.__getitem__, SetPartition._canonical
+    return (make(n, tuple(map(get, masks))) for masks in walk)
 
 
 def is_noncrossing(pi: SetPartition) -> bool:
@@ -189,24 +235,8 @@ def enumerate_noncrossing(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[
 
 
 # ---------------------------------------------------------------------------
-# order and connectivity
+# connectivity
 # ---------------------------------------------------------------------------
-
-def _check_same_ground(pi: SetPartition, sigma: SetPartition) -> None:
-    if pi.n != sigma.n:
-        raise ValueError(f"partitions live on different ground sets ({pi.n} vs {sigma.n})")
-
-
-def is_refinement(pi: SetPartition, sigma: SetPartition) -> bool:
-    """True iff pi <= sigma, i.e. every block of pi sits inside a block of sigma."""
-    _check_same_ground(pi, sigma)
-    owner = sigma.block_of()
-    for b in pi.blocks:
-        first = owner[b[0]]
-        if any(owner[x] != first for x in b[1:]):
-            return False
-    return True
-
 
 def _mask(block: Sequence[int]) -> int:
     """A block as a bitmask: bit x-1 set for element x."""
@@ -236,52 +266,12 @@ def _joins_to_top(comps: Sequence[int], masks: Iterable[int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Mobius functions
+# Mobius function
 # ---------------------------------------------------------------------------
 
-def mobius(pi: SetPartition, sigma: SetPartition) -> int:
-    """Mobius value of the interval [pi, sigma] in P(n).
-
-    Closed form: a block of sigma containing c blocks of pi contributes
-    (-1)^(c-1) (c-1)!, and the interval value is the product over blocks.
-    """
-    if not is_refinement(pi, sigma):
-        raise ValueError("mobius(pi, sigma) requires pi <= sigma")
-    owner = sigma.block_of()
-    per_block = [0] * sigma.num_blocks
-    for b in pi.blocks:
-        per_block[owner[b[0]]] += 1
-    out = 1
-    for c in per_block:
-        out *= (-1) ** (c - 1) * math.factorial(c - 1)
-    return out
-
-
-def mobius_top(pi: SetPartition) -> int:
-    """mu(pi, 1_n) = (-1)^(|pi|-1) (|pi|-1)!."""
-    r = pi.num_blocks
+def mobius_top(r: int) -> int:
+    """mu(pi, 1_n) = (-1)^(r-1) (r-1)! for a partition pi with r blocks."""
     return (-1) ** (r - 1) * math.factorial(r - 1)
-
-
-def mobius_recursive(pi: SetPartition, sigma: SetPartition) -> int:
-    """Interval Mobius value by direct recursion; slow, kept as a test oracle
-    up to n = 6."""
-    _check_same_ground(pi, sigma)
-    lattice = enumerate_partitions(pi.n, cap=6)
-    if not is_refinement(pi, sigma):
-        raise ValueError("mobius_recursive(pi, sigma) requires pi <= sigma")
-    interval = [rho for rho in lattice if is_refinement(pi, rho) and is_refinement(rho, sigma)]
-    # defining recursion mu(pi,rho) = -sum over pi <= lo < rho, evaluated
-    # bottom-up (more blocks first, since finer partitions come first)
-    interval.sort(key=lambda r: -r.num_blocks)
-    mu: dict[SetPartition, int] = {}
-    for rho in interval:
-        if rho == pi:
-            mu[rho] = 1
-            continue
-        mu[rho] = -sum(mu[lo] for lo in interval
-                       if lo != rho and lo in mu and is_refinement(lo, rho))
-    return mu[sigma]
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +297,10 @@ def block_sum(weights: Sequence, n: int, signed: bool = False,
     exact = all(isinstance(w, int) for w in ws)
     total, terms = 0, []
     with work(common_kind(ws, "block_sum"), digits):
-        for pi in enumerate_partitions(n):
-            term = mobius_top(pi) if signed else 1
-            for b in pi.blocks:
-                term = term * ws[len(b) - 1]
+        for masks in partition_masks(n):
+            term = mobius_top(len(masks)) if signed else 1
+            for mask in masks:
+                term = term * ws[mask.bit_count() - 1]
             if exact:
                 total += term
             else:
@@ -325,25 +315,24 @@ def join_sum(weights: Sequence[Sequence], n: int, digits: int = DEFAULT_DIGITS):
 
     The literal oracle of the pi-sum of ``cumulants.boxtimes_cumulants``;
     m = len(weights).  Each factor's block products are tabled once, in
-    ``enumerate_partitions`` order, which refuses n > 6: the tuples number
+    ``partition_masks`` order, which refuses n > 6: the tuples number
     Bell(n)^m.  Exact weights are put on ints over one denominator per factor
     (``integer_weights``) and the sum comes back as a ``Fraction``; any other
     kind is multiplied at ``digits`` and summed by ``csum``.
     """
     if not weights or any(len(ws) < n for ws in weights):
         raise ValueError(f"need the weights of block sizes 1..{n} for each factor")
-    parts = list(enumerate_partitions(n, cap=6))
+    parts = list(partition_masks(n, cap=6))
     scaled = [integer_weights(ws[:n]) for ws in weights]
     flat = [w for ws, _ in scaled for w in ws]
     exact = all(isinstance(w, int) for w in flat)
-    masks = [[_mask(b) for b in pi.blocks] for pi in parts]
     total, terms = 0, []
     with work(common_kind(flat, "join_sum"), digits):
-        tables = [[math.prod((ws[len(b) - 1] for b in pi.blocks), start=1) for pi in parts]
-                  for ws, _ in scaled]
+        tables = [[math.prod((ws[mask.bit_count() - 1] for mask in masks), start=1)
+                   for masks in parts] for ws, _ in scaled]
         for combo in product(range(len(parts)), repeat=len(tables)):
-            if not _joins_to_top(masks[combo[0]],
-                                 chain.from_iterable(masks[j] for j in combo[1:])):
+            if not _joins_to_top(parts[combo[0]],
+                                 chain.from_iterable(parts[j] for j in combo[1:])):
                 continue
             term = math.prod(table[j] for table, j in zip(tables, combo))
             if exact:
@@ -483,10 +472,9 @@ def count_join_full(sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP) -> int:
     _check_positive(sizes=sizes)
     M = sum(sizes)
     num_blocks = M - (len(sizes) - 1)
-    lattice = enumerate_partitions(M, cap=cap)
+    lattice = partition_masks(M, cap=cap)
     base_masks = [_mask(b) for b in interval_partition(sizes).blocks]
-    return sum(_joins_to_top(base_masks, map(_mask, sigma.blocks))
-               for sigma in lattice if sigma.num_blocks == num_blocks)
+    return sum(_joins_to_top(base_masks, sigma) for sigma in lattice if len(sigma) == num_blocks)
 
 
 def count_join_full_closed(sizes: Sequence[int]) -> int:

@@ -4,9 +4,10 @@ These deliberately avoid the package's own code paths: different
 enumeration algorithm, graph-based join, textbook recurrences.
 """
 
+import math
 from fractions import Fraction
 
-from finfree.partitions import SetPartition
+from finfree.partitions import SetPartition, enumerate_partitions
 
 
 def bell_oracle(n: int) -> int:
@@ -61,6 +62,61 @@ def join_bfs(*parts: SetPartition) -> SetPartition:
         seen |= comp
         blocks.append(sorted(comp))
     return SetPartition(n, blocks)
+
+
+def _check_same_ground(pi: SetPartition, sigma: SetPartition) -> None:
+    if pi.n != sigma.n:
+        raise ValueError(f"partitions live on different ground sets ({pi.n} vs {sigma.n})")
+
+
+def is_refinement(pi: SetPartition, sigma: SetPartition) -> bool:
+    """True iff pi <= sigma, i.e. every block of pi sits inside a block of sigma."""
+    _check_same_ground(pi, sigma)
+    owner = sigma.block_of()
+    for b in pi.blocks:
+        first = owner[b[0]]
+        if any(owner[x] != first for x in b[1:]):
+            return False
+    return True
+
+
+def mobius(pi: SetPartition, sigma: SetPartition) -> int:
+    """Mobius value of the interval [pi, sigma] in P(n).
+
+    Closed form: a block of sigma containing c blocks of pi contributes
+    (-1)^(c-1) (c-1)!, and the interval value is the product over blocks.
+    """
+    if not is_refinement(pi, sigma):
+        raise ValueError("mobius(pi, sigma) requires pi <= sigma")
+    owner = sigma.block_of()
+    per_block = [0] * sigma.num_blocks
+    for b in pi.blocks:
+        per_block[owner[b[0]]] += 1
+    out = 1
+    for c in per_block:
+        out *= (-1) ** (c - 1) * math.factorial(c - 1)
+    return out
+
+
+def mobius_recursive(pi: SetPartition, sigma: SetPartition) -> int:
+    """Interval Mobius value by direct recursion; slow, kept as the oracle of
+    ``mobius`` up to n = 6."""
+    _check_same_ground(pi, sigma)
+    lattice = enumerate_partitions(pi.n, cap=6)
+    if not is_refinement(pi, sigma):
+        raise ValueError("mobius_recursive(pi, sigma) requires pi <= sigma")
+    interval = [rho for rho in lattice if is_refinement(pi, rho) and is_refinement(rho, sigma)]
+    # defining recursion mu(pi,rho) = -sum over pi <= lo < rho, evaluated
+    # bottom-up (more blocks first, since finer partitions come first)
+    interval.sort(key=lambda r: -r.num_blocks)
+    mu: dict[SetPartition, int] = {}
+    for rho in interval:
+        if rho == pi:
+            mu[rho] = 1
+            continue
+        mu[rho] = -sum(mu[lo] for lo in interval
+                       if lo != rho and lo in mu and is_refinement(lo, rho))
+    return mu[sigma]
 
 
 def _mobius_top(num_blocks: int) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -34,6 +35,18 @@ class TestPartitionsCommand:
         code, out, _ = run(capsys, "--format", "json", "partitions", "--n", "2")
         assert code == 0
         assert json.loads(out) == [[[1, 2]], [[1], [2]]]
+
+    def test_stream_bytes_pinned(self, capsys):
+        # sha256 of the output of the restricted-growth-string walk over SetPartition
+        pins = {
+            ("--format", "json", "partitions", "--n", "9"):
+                "aa903dab5e6ac12da0f0418230d0995dc7185c758cf2d5f84f290eaca60c25c0",
+            ("--format", "csv", "partitions", "--n", "7", "--noncrossing"):
+                "b5751f1bba0d1ca73ae84f9bdf27155756c4102dcd826879c1cb1fa3ba885209",
+        }
+        for argv, digest in pins.items():
+            code, out, _ = run(capsys, *argv)
+            assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_cap_exit_code(self, capsys):
         code, _, err = run(capsys, "partitions", "--n", "13", "--count-only")

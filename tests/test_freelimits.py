@@ -170,7 +170,7 @@ class TestSYLimits:
             for n in range(1, 9):
                 with mp.workdps(50):
                     total = mp.fsum(
-                        mobius_top(pi)
+                        mobius_top(pi.num_blocks)
                         * mp.exp(-tt * kk * sum(math.comb(len(b), 2) for b in pi.blocks))
                         for pi in enumerate_partitions(n))
                     ref = (-1) ** (n - 1) * total / (tt ** (n - 1) * math.factorial(n - 1))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finfree import partitions
 from finfree.errors import CapExceededError
 from finfree.identities import (
     ZeroConstPoly,
@@ -127,6 +128,16 @@ class TestSBruteforce:
         with pytest.raises(CapExceededError):
             s_bruteforce([x(2)], 10 ** 7)
         assert time.perf_counter() - start < 1.0
+
+    def test_oracles_refuse_before_any_partition_is_made(self, monkeypatch):
+        walked = []
+        monkeypatch.setattr(partitions, "_walk", lambda n: walked.append(n) or iter(()))
+        with pytest.raises(CapExceededError, match="size 13 exceeds the cap 12"):
+            s_bruteforce([x(2), c(3)], 13)
+        for k in (1, 5, 13):
+            with pytest.raises(CapExceededError, match="size 13 exceeds the cap 12"):
+                composition_identity(14, k)
+        assert walked == []
 
     def test_monomial_cube(self):
         assert s_bruteforce([x(3)], 3) == 6  # = closed form 2! * 1 * 3 * 1

@@ -26,14 +26,13 @@ from finfree.partitions import (
     _joins_to_top,
     _mask,
     interval_partition,
-    is_refinement,
-    mobius,
-    mobius_recursive,
     mobius_top,
+    partition_masks,
 )
 from finfree.series import PowerSeries
 
-from .oracles import bell_oracle, catalan_oracle, join_bfs, partitions_by_insertion
+from .oracles import (bell_oracle, catalan_oracle, is_refinement, join_bfs, mobius,
+                      mobius_recursive, partitions_by_insertion)
 
 
 def rgs_partitions(draw_n=st.integers(min_value=1, max_value=7)):
@@ -118,6 +117,17 @@ class TestEnumeration:
                 for pp in partitions_by_insertion(n)
             }
             assert ours == oracle
+
+    def test_mask_walk_matches_insertion_oracle_in_order(self):
+        for n in range(1, 9):
+            walk = list(partition_masks(n))
+            assert walk == [tuple(sum(1 << (x - 1) for x in b) for b in pp)
+                            for pp in partitions_by_insertion(n)]
+            for masks in walk:
+                assert all(a & b == 0 for a, b in combinations(masks, 2))
+                assert sum(masks) == (1 << n) - 1  # disjoint, so they cover [n]
+                lows = [m & -m for m in masks]
+                assert lows == sorted(lows)  # ordered by their minimum
 
     def test_equals_validated_construction(self):
         for n in range(1, 9):
@@ -207,11 +217,11 @@ class TestLattice:
         for n in range(1, 6):
             top = SetPartition.top(n)
             for p in enumerate_partitions(n):
-                assert mobius(p, top) == mobius_top(p)
+                assert mobius(p, top) == mobius_top(p.num_blocks)
                 assert mobius(SetPartition.bottom(n), p) == math.prod(
                     (-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in p.blocks
                 )
-                assert mobius_top(p) == (-1) ** (p.num_blocks - 1) * math.factorial(
+                assert mobius_top(p.num_blocks) == (-1) ** (p.num_blocks - 1) * math.factorial(
                     p.num_blocks - 1
                 )
 
@@ -235,11 +245,11 @@ class TestLattice:
             top = SetPartition.top(n)
             parts = list(enumerate_partitions(n))
             for p in parts:
-                s = sum(mobius_top(sig) for sig in parts if is_refinement(p, sig))
+                s = sum(mobius_top(sig.num_blocks) for sig in parts if is_refinement(p, sig))
                 assert s == (1 if p == top else 0)
         # [pi, 1_n] is isomorphic to P(|pi|), so larger n reduce to sums over P(r)
         for r in range(1, 9):
-            s = sum(mobius_top(rho) for rho in enumerate_partitions(r))
+            s = sum(mobius_top(rho.num_blocks) for rho in enumerate_partitions(r))
             assert s == (1 if r == 1 else 0)
 
     def test_mobius_inversion_roundtrip(self):
@@ -313,8 +323,7 @@ class TestBlockSum:
             assert block_sum([1] * n, n) == bell_oracle(n)
             assert block_sum([1] * n, n, signed=True) == (1 if n == 1 else 0)
             # weight 1 on singletons only: the one partition 0_n
-            assert block_sum([1] + [0] * (n - 1), n, signed=True) == mobius_top(
-                SetPartition.bottom(n))
+            assert block_sum([1] + [0] * (n - 1), n, signed=True) == mobius_top(n)
 
     def test_exact_matches_series(self):
         rng = random.Random(61)

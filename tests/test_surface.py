@@ -13,8 +13,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # public names kept without such a use, with the reason
 EXEMPT = {
-    "mobius_recursive": "the oracle of mobius",
-    "mobius": "the interval function that mobius_top specialises at 1_n",
     "bell_number": "a perfbench leaf helper, named there as a string",
     "phi_alpha": "the root-power map Phi_alpha",
 }
