@@ -105,7 +105,7 @@ def _finite(name: str, v) -> float:
     """A t or sigma value, parsed like a polynomial-literal scalar ("3/4" too)."""
     try:
         return float(_parse_scalar(v))
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, TypeError) as exc:  # TypeError: a complex value
         raise ValueError(f"{name} must be finite numbers: {exc}") from None
 
 

@@ -1,7 +1,7 @@
 """Set-partition lattice P(n).
 
 Enumeration (restricted-growth-string order), the closed-form Mobius value
-mu(pi, 1_n), non-crossing filtering, the literal block-multiplicative sums
+mu(pi, 1_n), the non-crossing partitions, the literal block-multiplicative sums
 over P(n) (``block_sum``) and over the tuples of P(n)^m that join to 1_n
 (``join_sum``), and brute-force counting of the covering / essential /
 interval-join tuple families together with their closed-form counterparts.
@@ -11,9 +11,11 @@ ordered by their minimum; one walk (``partition_masks``) yields P(n) in that
 encoding, and every sum and count here reads it: block sizes are
 ``int.bit_count``, and a family joins to 1_n when its block masks fold into
 one component covering [n] (``_joins_to_top``).  The identity oracles of
-``identities`` read the same tuples through ``partition_masks``.
-``SetPartition`` exists only at the public edge: ``enumerate_partitions``
-and ``interval_partition`` return it, for the CLI, the tests and callers.
+``identities`` read the same tuples through ``partition_masks``, and the
+non-crossing partitions are the walk's tuples that pass a mask scan
+(``_noncrossing``).  ``SetPartition`` exists only at the public edge: it is
+built only for what ``enumerate_partitions`` and ``enumerate_noncrossing``
+return, for the CLI, the tests and callers.
 
 Everything here is exact integer arithmetic on immutable values, except
 ``block_sum`` and ``join_sum``, which sum in the kind of their weights.
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import accumulate, chain, combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError
@@ -104,14 +106,6 @@ class SetPartition:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    def block_of(self) -> dict[int, int]:
-        """Map element -> index of its block."""
-        out: dict[int, int] = {}
-        for i, b in enumerate(self.blocks):
-            for x in b:
-                out[x] = i
-        return out
-
     def __repr__(self) -> str:
         body = "|".join(",".join(str(x) for x in b) for b in self.blocks)
         return f"SetPartition({self.n}: {body})"
@@ -120,17 +114,6 @@ class SetPartition:
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
-
-def bell_number(n: int) -> int:
-    """Bell number via the triangle recurrence."""
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]
-
 
 def _walk(n: int) -> Iterator[tuple[int, ...]]:
     """All partitions of [n] as tuples of block masks, in restricted-growth-
@@ -192,16 +175,13 @@ def partition_masks(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[tuple[
     return _walk(n)
 
 
-def enumerate_partitions(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[SetPartition]:
-    """All partitions of [n], in restricted-growth-string lexicographic order.
+def _as_set_partitions(n: int, walk: Iterable[tuple[int, ...]]) -> Iterator[SetPartition]:
+    """The mask tuples of ``walk`` as ``SetPartition``s of [n].
 
-    The stream starts at 1_n (string 00...0) and ends at 0_n (string 012...).
-    Each call owns an independent cursor.  It is ``partition_masks`` with
-    each block mask looked up in a table of element tuples, so every
-    partition is canonical by construction and skips validation; ``n`` and
-    the cap are checked at the call, by ``partition_masks``.
+    Each block mask is looked up in a table of element tuples built for this
+    call, so every partition is canonical by construction and skips
+    validation.
     """
-    walk = partition_masks(n, cap)
     table = [()] * (1 << n)  # the elements of each mask, increasing
     for mask in range(1, 1 << n):
         low = mask & -mask
@@ -210,38 +190,49 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[S
     return (make(n, tuple(map(get, masks))) for masks in walk)
 
 
-def is_noncrossing(pi: SetPartition) -> bool:
-    """No a<b<c<d with a,c in one block and b,d in another.
+def enumerate_partitions(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[SetPartition]:
+    """All partitions of [n], in restricted-growth-string lexicographic order.
 
-    Single left-to-right scan with a stack of open blocks: a block may only
-    be continued while it is the innermost open one.
+    The stream starts at 1_n (string 00...0) and ends at 0_n (string 012...).
+    Each call owns an independent cursor.  It is ``partition_masks`` mapped
+    to ``SetPartition``; ``n`` and the cap are checked at the call, by
+    ``partition_masks``.
     """
-    owner = pi.block_of()
+    return _as_set_partitions(n, partition_masks(n, cap))
+
+
+def _noncrossing(masks: tuple[int, ...]) -> bool:
+    """No a<b<c<d with a,c in one block and b,d in another, for block masks
+    ordered by their minimum.
+
+    The blocks are met in that order, with a stack of the blocks still open
+    at the current block's minimum, innermost on top; those that closed
+    before it (no element above the minimum) are popped.  The block passes
+    only if it lies strictly between two consecutive elements of the
+    innermost open block, which then holds nothing from its minimum to its
+    maximum.
+    """
     stack: list[int] = []
-    for x in range(1, pi.n + 1):
-        b = owner[x]
-        if x == pi.blocks[b][0]:
-            stack.append(b)
-        elif stack[-1] != b:
-            return False
-        if x == pi.blocks[b][-1]:
+    for mask in masks:
+        low = mask & -mask
+        while stack and stack[-1] < low:
             stack.pop()
+        if stack and stack[-1] & ((1 << mask.bit_length()) - low):
+            return False
+        stack.append(mask)
     return True
 
 
 def enumerate_noncrossing(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[SetPartition]:
-    """Non-crossing partitions of [n], filtered out of the full stream."""
-    return filter(is_noncrossing, enumerate_partitions(n, cap=cap))
+    """Non-crossing partitions of [n], in the order of ``enumerate_partitions``:
+    the walk's mask tuples that pass ``_noncrossing``, mapped to
+    ``SetPartition``."""
+    return _as_set_partitions(n, filter(_noncrossing, partition_masks(n, cap)))
 
 
 # ---------------------------------------------------------------------------
 # connectivity
 # ---------------------------------------------------------------------------
-
-def _mask(block: Sequence[int]) -> int:
-    """A block as a bitmask: bit x-1 set for element x."""
-    return sum(1 << (x - 1) for x in block)
-
 
 def _joins_to_top(comps: Sequence[int], masks: Iterable[int]) -> bool:
     """True iff the partition of [n] with the block masks ``comps``, joined
@@ -348,16 +339,11 @@ def join_sum(weights: Sequence[Sequence], n: int, digits: int = DEFAULT_DIGITS):
 # tuple-family counting
 # ---------------------------------------------------------------------------
 
-def interval_partition(lengths: Sequence[int]) -> SetPartition:
-    """Consecutive intervals of the given lengths, covering [sum(lengths)]."""
-    if not lengths or any(l < 1 for l in lengths):
-        raise ValueError("lengths must be positive")
-    blocks = []
-    start = 1
-    for l in lengths:
-        blocks.append(tuple(range(start, start + l)))
-        start += l
-    return SetPartition(start - 1, blocks)
+def _interval_masks(lengths: Sequence[int]) -> list[int]:
+    """The block masks of the consecutive intervals of [sum(lengths)] with
+    the given (positive) lengths, from 1 up."""
+    ends = list(accumulate(lengths, initial=0))
+    return [(1 << b) - (1 << a) for a, b in zip(ends, ends[1:])]
 
 
 def _check_positive(**groups: Sequence[int]) -> None:
@@ -371,7 +357,8 @@ def _subset_pools(n: int, sizes: tuple, cap: int, what: str) -> list[list[int]]:
     """For each size m, all m-subsets of [n] as bitmasks; refused past the cap."""
     if n > cap:
         raise CapExceededError(what, n, cap)
-    return [[_mask(c) for c in combinations(range(1, n + 1), m)] for m in sizes]
+    bits = [1 << x for x in range(n)]
+    return [[sum(c) for c in combinations(bits, m)] for m in sizes]
 
 
 def _count_connected(comps: list[int], pools: list[list[int]]) -> int:
@@ -448,7 +435,7 @@ def count_T(sizes: Sequence[int], lengths: Sequence[int],
     lengths = tuple(lengths)
     _check_lengths(sizes, lengths)
     pools = _subset_pools(sum(lengths), sizes, cap, "interval-join tuple count")
-    return _count_connected([_mask(b) for b in interval_partition(lengths).blocks], pools)
+    return _count_connected(_interval_masks(lengths), pools)
 
 
 def count_T_closed(sizes: Sequence[int], lengths: Sequence[int]) -> int:
@@ -464,8 +451,9 @@ def count_T_closed(sizes: Sequence[int], lengths: Sequence[int]) -> int:
 def count_join_full(sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP) -> int:
     """Partitions of [M] joining the size-interval partition to 1_M.
 
-    Counts sigma in P(M) with sigma v interval_partition(sizes) = 1_M and
-    M-(k-1) blocks, the largest block count at which such sigma exist.
+    Counts sigma in P(M) with M-(k-1) blocks, the largest block count at
+    which such sigma exist, whose join with the interval partition of
+    ``sizes`` is 1_M.
     Brute force over P(M); ``count_join_full_closed`` is the formula.
     """
     sizes = tuple(sizes)
@@ -473,8 +461,8 @@ def count_join_full(sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP) -> int:
     M = sum(sizes)
     num_blocks = M - (len(sizes) - 1)
     lattice = partition_masks(M, cap=cap)
-    base_masks = [_mask(b) for b in interval_partition(sizes).blocks]
-    return sum(_joins_to_top(base_masks, sigma) for sigma in lattice if len(sigma) == num_blocks)
+    intervals = _interval_masks(sizes)
+    return sum(_joins_to_top(intervals, sigma) for sigma in lattice if len(sigma) == num_blocks)
 
 
 def count_join_full_closed(sizes: Sequence[int]) -> int:

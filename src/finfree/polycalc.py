@@ -603,6 +603,11 @@ def _parse_scalar(v):
             return Fraction(v)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {v!r}") from None
+        except ValueError:
+            z = complex(v)  # binary64 complex, as ``_scalar_to_json`` writes it
+        if not cmath.isfinite(z):
+            raise ValueError(f"non-finite scalar {v!r}")
+        return z
     raise ValueError(f"cannot parse scalar {v!r}")
 
 
@@ -668,4 +673,6 @@ def _scalar_to_json(v):
                             'give the input as exact strings, such as "1e400"')
     if isinstance(v, mp.mpf):
         return mp.nstr(v, 17)
+    if isinstance(v, complex):
+        return repr(v).strip("()")  # a string that complex() reads back
     return float(v)

@@ -6,6 +6,7 @@ enumeration algorithm, graph-based join, textbook recurrences.
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 from finfree.partitions import SetPartition, enumerate_partitions
 
@@ -64,6 +65,18 @@ def join_bfs(*parts: SetPartition) -> SetPartition:
     return SetPartition(n, blocks)
 
 
+def _owner(blocks) -> dict[int, int]:
+    """Element -> index of its block."""
+    return {x: i for i, b in enumerate(blocks) for x in b}
+
+
+def noncrossing_by_quadruples(blocks) -> bool:
+    """The definition: no a<b<c<d with a,c in one block and b,d in another."""
+    owner = _owner(blocks)
+    return not any(owner[a] == owner[c] != owner[b] == owner[d]
+                   for a, b, c, d in combinations(range(1, len(owner) + 1), 4))
+
+
 def _check_same_ground(pi: SetPartition, sigma: SetPartition) -> None:
     if pi.n != sigma.n:
         raise ValueError(f"partitions live on different ground sets ({pi.n} vs {sigma.n})")
@@ -72,7 +85,7 @@ def _check_same_ground(pi: SetPartition, sigma: SetPartition) -> None:
 def is_refinement(pi: SetPartition, sigma: SetPartition) -> bool:
     """True iff pi <= sigma, i.e. every block of pi sits inside a block of sigma."""
     _check_same_ground(pi, sigma)
-    owner = sigma.block_of()
+    owner = _owner(sigma.blocks)
     for b in pi.blocks:
         first = owner[b[0]]
         if any(owner[x] != first for x in b[1:]):
@@ -88,7 +101,7 @@ def mobius(pi: SetPartition, sigma: SetPartition) -> int:
     """
     if not is_refinement(pi, sigma):
         raise ValueError("mobius(pi, sigma) requires pi <= sigma")
-    owner = sigma.block_of()
+    owner = _owner(sigma.blocks)
     per_block = [0] * sigma.num_blocks
     for b in pi.blocks:
         per_block[owner[b[0]]] += 1

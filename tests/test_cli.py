@@ -8,7 +8,7 @@ import time
 from finfree import cli
 from finfree.cumulants import finite_cumulants
 from finfree.errors import RootConvergenceError
-from finfree.polycalc import MonicPoly
+from finfree.polycalc import MonicPoly, boxplus, boxtimes, boxtimes_pow, poly_from_json
 
 
 def run(capsys, *argv):
@@ -43,6 +43,8 @@ class TestPartitionsCommand:
                 "aa903dab5e6ac12da0f0418230d0995dc7185c758cf2d5f84f290eaca60c25c0",
             ("--format", "csv", "partitions", "--n", "7", "--noncrossing"):
                 "b5751f1bba0d1ca73ae84f9bdf27155756c4102dcd826879c1cb1fa3ba885209",
+            ("--format", "json", "partitions", "--n", "8", "--noncrossing"):
+                "657de94280a9841211c21b9741096769c2840956d22843dcc718a700e1be23ce",
         }
         for argv, digest in pins.items():
             code, out, _ = run(capsys, *argv)
@@ -215,6 +217,18 @@ class TestConvCommand:
         assert code == 0
         assert json.loads(out)["coeffs"] == [1, -4, 2]
 
+    def test_angle_literals_print_complex_coefficients_that_read_back(self, capsys):
+        p, q = {"angles": [0.5, 1.0]}, {"angles": [0.3, 2.0]}
+        cases = {("boxplus", "--q", json.dumps(q)): boxplus(poly_from_json(p), poly_from_json(q)),
+                 ("boxtimes", "--q", json.dumps(q)): boxtimes(poly_from_json(p), poly_from_json(q)),
+                 ("pow", "--m", "3"): boxtimes_pow(poly_from_json(p), 3)}
+        for (op, *rest), expect in cases.items():
+            code, out, _ = run(capsys, "conv", op, "--p", json.dumps(p), *rest)
+            assert code == 0
+            literal = json.loads(out)
+            assert all(isinstance(c, str) for c in literal["coeffs"][1:])
+            assert poly_from_json(literal).coeffs == expect.coeffs
+
     def test_conv_and_invert_print_a_literal_in_either_format(self, capsys):
         # the printed literal is the input format of the other commands
         for argv in (("conv", "boxplus", "--p", '{"coeffs": [1, -2, 0]}',
@@ -252,8 +266,11 @@ class TestConvCommand:
 
     def test_non_finite_input_exit_2(self, capsys):
         # json reads NaN, Infinity and 1e400 as floats; none of them is a scalar
+        # a string that is no rational is read as a binary64 complex, whose
+        # parts must be finite too
         for field, literal in (("coeffs", "[1, 0.5, NaN]"), ("roots", "[1.0, Infinity]"),
-                               ("angles", "[0.5, -1e400]")):
+                               ("angles", "[0.5, -1e400]"), ("coeffs", '[1, 0.5, "nan"]'),
+                               ("coeffs", '[1, "infj", 0]'), ("roots", '["1+1e400j", 1]')):
             p = '{"%s": %s}' % (field, literal)
             code, out, err = run(capsys, "conv", "boxplus", "--p", p, "--q", '{"roots": [1.0, 2.0]}')
             assert code == 2 and out == "" and f"{field}: non-finite" in err

@@ -73,6 +73,11 @@ class TestConfig:
             ExperimentConfig(kind="fms", d=[10], t=[1.0, math.inf])
         with pytest.raises(ValueError, match="sigma must be finite"):
             ExperimentConfig(kind="multclt", m=[10], sigma=math.nan)
+        # a literal scalar may be complex; t and sigma are real
+        with pytest.raises(ValueError, match="t grid entries must be finite"):
+            ExperimentConfig(kind="fms", d=[10], t=["1+1j"])
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            ExperimentConfig(kind="multclt", m=[10], sigma="1j")
 
     def test_int_grids_take_only_integers(self):
         cfg = ExperimentConfig(kind="fms", d=[10], t=[1], n_max=2)

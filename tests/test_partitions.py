@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from finfree.errors import CapExceededError
 from finfree.partitions import (
     SetPartition,
-    bell_number,
     block_sum,
     count_R,
     count_S,
@@ -22,17 +21,15 @@ from finfree.partitions import (
     count_join_full_closed,
     enumerate_noncrossing,
     enumerate_partitions,
-    is_noncrossing,
     _joins_to_top,
-    _mask,
-    interval_partition,
+    _noncrossing,
     mobius_top,
     partition_masks,
 )
 from finfree.series import PowerSeries
 
 from .oracles import (bell_oracle, catalan_oracle, is_refinement, join_bfs, mobius,
-                      mobius_recursive, partitions_by_insertion)
+                      mobius_recursive, noncrossing_by_quadruples, partitions_by_insertion)
 
 
 def rgs_partitions(draw_n=st.integers(min_value=1, max_value=7)):
@@ -58,13 +55,17 @@ def join_families(draw):
     if cuts is None:
         return n, parts, None
     ends = [x for x, cut in enumerate(cuts, start=1) if cut] + [n]
-    return n, parts, interval_partition([b - a for a, b in zip([0] + ends, ends)])
+    return n, parts, SetPartition(n, [range(a + 1, b + 1) for a, b in zip([0] + ends, ends)])
+
+
+def _masks(p):
+    """The block masks of a partition: bit x-1 set for element x."""
+    return [sum(1 << (x - 1) for x in b) for b in p.blocks]
 
 
 def _joins(*parts):
     """The mask fold on a family of partitions of one [n]."""
-    return _joins_to_top([_mask(b) for b in parts[0].blocks],
-                         [_mask(b) for p in parts[1:] for b in p.blocks])
+    return _joins_to_top(_masks(parts[0]), [m for p in parts[1:] for m in _masks(p)])
 
 
 def _partition_of_rgs(rgs):
@@ -90,10 +91,6 @@ class TestEnumeration:
         # frozen from the Bell-number recurrence oracle
         assert bell_oracle(10) == 115975
         assert sum(1 for _ in enumerate_partitions(10)) == 115975
-
-    def test_bell_helper_matches_oracle(self):
-        for n in range(1, 14):
-            assert bell_number(n) == bell_oracle(n)
 
     def test_rgs_lexicographic_order(self):
         got = [p.blocks for p in enumerate_partitions(3)]
@@ -139,7 +136,7 @@ class TestEnumeration:
         for n in range(1, 9):
             strings = []
             for p in enumerate_partitions(n):
-                owner = p.block_of()
+                owner = {x: i for i, b in enumerate(p.blocks) for x in b}
                 strings.append(tuple(owner[x] for x in range(1, n + 1)))
             assert len(strings) == bell_oracle(n)
             assert all(a < b for a, b in zip(strings, strings[1:]))
@@ -289,7 +286,7 @@ class TestNonCrossing:
 
     def test_canonical_crossing_excluded(self):
         crossing = SetPartition(4, [(1, 3), (2, 4)])
-        assert not is_noncrossing(crossing)
+        assert not _noncrossing(tuple(_masks(crossing)))
         assert crossing not in set(enumerate_noncrossing(4))
 
     def test_counts_match_catalan(self):
@@ -297,15 +294,24 @@ class TestNonCrossing:
             assert sum(1 for _ in enumerate_noncrossing(n)) == catalan_oracle(n)
 
     def test_noncrossing_matches_quadruple_definition(self):
-        def naive(pi):
-            owner = pi.block_of()
-            for a, b, c, d in combinations(range(1, pi.n + 1), 4):
-                if owner[a] == owner[c] and owner[b] == owner[d] and owner[a] != owner[b]:
-                    return False
-            return True
+        # the walk and the insertion oracle list P(n) in the same order
+        for n in range(1, 9):
+            for masks, blocks in zip(partition_masks(n), partitions_by_insertion(n),
+                                     strict=True):
+                assert _noncrossing(masks) == noncrossing_by_quadruples(blocks)
 
-        for p in enumerate_partitions(6):
-            assert is_noncrossing(p) == naive(p)
+    def test_builds_only_the_noncrossing_partitions(self, monkeypatch):
+        built = []
+        make = SetPartition._canonical.__func__
+
+        def counted(cls, n, blocks):
+            built.append(n)
+            return make(cls, n, blocks)
+
+        monkeypatch.setattr(SetPartition, "_canonical", classmethod(counted))
+        for n in range(1, 10):
+            built.clear()
+            assert len(list(enumerate_noncrossing(n))) == len(built) == catalan_oracle(n)
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +500,9 @@ class TestJoinAll:
     def test_empty_family_is_bottom(self):
         # nothing folded onto 0_n leaves 0_n, which is 1_n only for n = 1
         for n in range(1, 6):
-            bottom = [_mask(b) for b in SetPartition.bottom(n).blocks]
-            assert _joins_to_top(bottom, []) == (n == 1)
+            assert _joins_to_top(_masks(SetPartition.bottom(n)), []) == (n == 1)
             assert _joins(SetPartition.bottom(n)) == (n == 1)
-        assert _joins_to_top([_mask(range(1, 5))], [])
+        assert _joins_to_top([0b1111], [])
 
     def test_three_way(self):
         parts = [

@@ -13,7 +13,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # public names kept without such a use, with the reason
 EXEMPT = {
-    "bell_number": "a perfbench leaf helper, named there as a string",
     "phi_alpha": "the root-power map Phi_alpha",
 }
 
