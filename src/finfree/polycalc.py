@@ -80,7 +80,11 @@ class MonicPoly:
         factors are multiplied pairwise, each merge one ``convolve``.  Exact
         when the roots are rational; mpf roots are expanded at ``digits + 10``
         and binary64 roots at 30 digits, each rounded once at the end to its
-        kind.
+        kind.  A merge of real mpf factors is one big-int multiply, each
+        coefficient rounded once from its exact value; it keeps one ``dot``
+        per coefficient where the exponents of a merge spread over more than
+        8 times the working precision in bits, as with roots of magnitudes
+        far apart, or where a factor is complex.
         """
         roots = tuple(roots)
         kind = common_kind(roots, "from_roots")
@@ -405,12 +409,17 @@ def _aberth(work, tol, max_iter, start=None):
     best_residual = math.inf
     converged = False
     for _ in range(max_iter):
+        # the residual first: a converged sweep computes no offsets
+        evals = [horner(z) for z in pts]
         residual = 0.0
+        for z, (val, _) in zip(pts, evals):
+            residual = max(residual, float(abs(val) / coeff_scale(z)))
+        best_residual = min(best_residual, residual)
+        if residual <= float(tol):
+            converged = True
+            break
         offsets = []
-        for i, z in enumerate(pts):
-            val, der = horner(z)
-            scale = coeff_scale(z)
-            residual = max(residual, float(abs(val) / scale))
+        for i, (z, (val, der)) in enumerate(zip(pts, evals)):
             if val == 0:
                 offsets.append(val * 0)
                 continue
@@ -418,10 +427,6 @@ def _aberth(work, tol, max_iter, start=None):
             s = sum(1 / (z - pts[j]) for j in range(dd) if j != i)
             denom = 1 - w * s
             offsets.append(w / denom if denom != 0 else w)
-        best_residual = min(best_residual, residual)
-        if residual <= float(tol):
-            converged = True
-            break
         pts = [z - o for z, o in zip(pts, offsets)]
     if not converged:
         raise RootConvergenceError(max_iter, best_residual)
@@ -648,6 +653,8 @@ def poly_from_json(obj: dict, digits: int | None = None) -> MonicPoly:
     elif reps[0] == "roots":
         p = MonicPoly.from_roots(values, digits=digits or DEFAULT_DIGITS)
     else:
+        if any(isinstance(v, complex) for v in values):
+            raise ValueError("angles: an angle must be a real number")
         p = MonicPoly.from_angles([float(v) for v in values])
     if "degree" in obj and _positive_int("degree", obj["degree"]) != p.degree:
         raise ValueError(

@@ -11,10 +11,12 @@ Kinds are never mixed silently: ``common_kind`` refuses heterogeneous
 inputs, and promotion happens only through ``promote_ints`` and ``to_mpf``.
 Every per-kind decision lives here: the precision scope (``work``), the
 exponential (``exp``), the dot product under every series coefficient
-(``dot``), the one coefficient product, truncated or binomial (``convolve``),
-conversion into mpmath (``to_mpf``), printing (``format_scalar``) and the
-common denominator that puts exact values on ints (``integer_scaled``, and
-``integer_weights`` for block weights).
+(``dot``), the one coefficient product, truncated or binomial (``convolve``,
+one big-int multiply for real mpf operands), conversion into mpmath
+(``to_mpf``), printing (``format_scalar``) and the common denominator that
+puts exact values on ints (``integer_scaled``, and ``integer_weights`` for
+block weights).  This is the one module that reads mpf values as their
+mantissa and exponent.
 """
 
 from __future__ import annotations
@@ -157,25 +159,103 @@ def dot(xs: Sequence, ys: Sequence, start=None):
 
 
 def convolve(a: Sequence, b: Sequence, top: int | None = None, binomial: bool = False) -> tuple:
-    """c_k = sum_{i+j=k} a_i b_j for k <= top (default: the full product), one
-    ``dot`` per c_k with i ascending; ``binomial`` weights each term by C(k, i),
-    formed in kind as C(k, i) * a_i: the product of exponential generating
-    functions.  Ints alone give ints; with any ``Fraction``, each operand goes
-    on ints (``integer_scaled``) and each c_k is divided once, to a ``Fraction``.
+    """c_k = sum_{i+j=k} a_i b_j for k <= top (default: the full product);
+    ``binomial`` weights each term by C(k, i), formed in kind as C(k, i) * a_i:
+    the product of exponential generating functions.
+
+    The route is read from the operands, with no option.  A product of real
+    mpf operands (ints allowed among them) is packed: each operand goes on
+    ints over one power of two (``_dyadic``), the two are multiplied as one
+    int each (``_kronecker``), and each c_k is read back exactly and rounded
+    once at the ambient precision (``mp.fdot`` does the same, save that it
+    drops a term more than 2 * prec bits below its running sum).  It keeps
+    ``dot`` when it is binomial, when an operand holds inf or nan, or when
+    the exponent spans of the two operands add up to more than
+    ``_PACK_SPAN * prec`` bits: past that the slots are so wide that one
+    ``dot`` per c_k is faster on all but long operands, and a limit point at
+    t = 1e308 would ask for ints of gigabits.  Every other product is one ``dot`` per c_k with i
+    ascending.  Ints alone give ints; with any ``Fraction``, each operand goes
+    on ints (``integer_scaled``) and each c_k is divided once, to a
+    ``Fraction``.  Exact products keep ``dot``: packed, their binomial weights
+    would need a factorial scaling that widens every slot, and CPython
+    multiplies big ints by Karatsuba, with no FFT.
     """
+    na, nb = len(a), len(b)
+    n_out = na + nb - 1 if top is None else min(top + 1, na + nb - 1)
     types = {*map(type, a), *map(type, b)}
+    if not binomial and na and nb and mp.mpf in types and types <= {mp.mpf, int}:
+        da, db = _dyadic(a[:n_out]), _dyadic(b[:n_out])
+        if da and db and da[2] + db[2] <= _PACK_SPAN * mp.mp.prec:
+            return _kronecker(da, db, n_out)
     exact = Fraction in types and types <= {int, Fraction}
     if exact:
         (a, Da), (b, Db) = integer_scaled(a), integer_scaled(b)
-    na, nb, rb = len(a), len(b), b[::-1]
+    rb = b[::-1]
     out = []
-    for k in range(na + nb - 1 if top is None else min(top + 1, na + nb - 1)):
+    for k in range(n_out):
         lo = max(0, k - nb + 1)
         xs = a[lo:k + 1]
         if binomial:
             xs = [math.comb(k, i) * x for i, x in enumerate(xs, start=lo)]
         out.append(dot(xs, rb[nb - 1 - k + lo:na + nb - 1 - k]))  # rb[nb-1-j] is b_j
     return tuple(Fraction(c, Da * Db) for c in out) if exact else tuple(out)
+
+
+# the widest packed product: its two exponent spans add up to at most this
+# many times the ambient precision in bits (measured crossover in ROADMAP item 5)
+_PACK_SPAN = 8
+
+
+def _dyadic(values: Sequence) -> tuple | None:
+    """Real mpf or int values v_i = m_i 2^(e_i) as the pairs (m_i, e_i), then
+    e0, the least exponent of a nonzero value, and the span, the bit length
+    of the largest m_i 2^(e_i - e0): the dyadic counterpart of
+    ``integer_scaled``, shifted onto 2^e0 only once the span is accepted.
+    None when a value is inf or nan."""
+    pairs = []
+    for x in values:
+        if type(x) is int:
+            pairs.append((x, 0))
+            continue
+        sign, man, e, _ = x._mpf_
+        if not man and e:  # inf or nan
+            return None
+        pairs.append((-int(man) if sign else int(man), e))
+    live = [(e, e + m.bit_length()) for m, e in pairs if m]
+    if not live:
+        return pairs, 0, 0
+    e0 = min(e for e, _ in live)
+    return pairs, e0, max(t for _, t in live) - e0
+
+
+def _kronecker(da: tuple, db: tuple, n_out: int) -> tuple:
+    """The first ``n_out`` coefficients of the product of two ``_dyadic``
+    operands by one big-int multiply (Kronecker substitution), each the exact
+    sum rounded once at the ambient precision.
+
+    Each operand goes on the ints m_i 2^(e_i - e0), all below 2^span.  Every
+    c_k is a sum of at most min(len) products of such ints, so a slot of
+    span_a + span_b + bitlen(min(len)) + 2 bits, rounded up to whole bytes,
+    holds it with its sign.  Operands and product go in and out through
+    bytes, each slot biased by half its range so that every slot is
+    nonnegative.
+    """
+    (pa, ea, sa), (pb, eb, sb) = da, db
+    width = (sa + sb + min(len(pa), len(pb)).bit_length() + 2 + 7) // 8
+    half = 1 << (8 * width - 1)
+    unit = half.to_bytes(width, "little")
+
+    def pack(pairs, e0):
+        raw = b"".join(((m << (e - e0) if m else 0) + half).to_bytes(width, "little")
+                       for m, e in pairs)
+        return int.from_bytes(raw, "little") - int.from_bytes(unit * len(pairs), "little")
+
+    nbytes = width * n_out
+    c = pack(pa, ea) * pack(pb, eb) + int.from_bytes(unit * n_out, "little")
+    raw = (c & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little")
+    e = ea + eb
+    return tuple(mp.mpf((int.from_bytes(raw[i:i + width], "little") - half, e))
+                 for i in range(0, nbytes, width))
 
 
 def format_scalar(x, digits: int = DEFAULT_DIGITS) -> str:

@@ -10,10 +10,11 @@ W(z) = sum_j w_j z^j / j! with w_0 = 1:
 Both take O(n^2) coefficient operations instead of a walk over P(n) or its
 block-size profiles; ``partitions.block_sum`` is that walk, kept as the
 literal oracle of both.  Coefficients may be exact rationals, mpf or binary64
-values.  A product is ``scalars.convolve`` cut at the common order; every
-coefficient of a product, ``exp`` or ``log`` is one call of ``scalars.dot``,
-the single inner loop: one rounding per mpf coefficient, one division or
-reduction per exact one.
+values.  A product is ``scalars.convolve`` cut at the common order: one
+big-int multiply for real mpf series, one ``scalars.dot`` per coefficient
+otherwise.  Every coefficient of ``exp`` or ``log`` is one call of
+``scalars.dot``, the single inner loop.  Each way, an mpf coefficient is
+rounded once and an exact one divided or reduced once.
 """
 
 from __future__ import annotations

@@ -275,6 +275,13 @@ class TestConvCommand:
             code, out, err = run(capsys, "conv", "boxplus", "--p", p, "--q", '{"roots": [1.0, 2.0]}')
             assert code == 2 and out == "" and f"{field}: non-finite" in err
 
+    def test_complex_angle_exit_2(self, capsys):
+        # a string that is no rational reads as a complex scalar, which no angle is
+        for angles in ('["1j"]', '[0.5, "1+0j"]'):
+            p = '{"angles": %s}' % angles
+            code, out, err = run(capsys, "conv", "boxplus", "--p", p, "--q", '{"angles": [2, 1]}')
+            assert code == 2 and out == "" and "angles: an angle must be a real number" in err
+
     def test_zero_denominator_exit_2(self, capsys):
         code, out, err = run(capsys, "conv", "boxplus", "--p", '{"coeffs": [1, "1/0"]}',
                              "--q", '{"coeffs": [1, 1]}')

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -95,6 +96,29 @@ class TestRepresentation:
                     man, exp2 = c.man_exp  # |c| = man * 2^exp2, exactly
                     scaled = (-1 if c < 0 else 1) * man * Fraction(2) ** exp2 * scale ** k
                     assert abs(scaled - e) <= tol * b
+
+    def test_from_roots_bits_pinned(self):
+        # sha256 of the coefficients' (sign, man, exp, bc) tuples, and of the
+        # binary64 coefficients' hex, taken from one dot per coefficient
+        def mpf_bits(coeffs):
+            tuples = [tuple(int(v) for v in c._mpf_) for c in coeffs]
+            return hashlib.sha256(repr(tuples).encode()).hexdigest()
+
+        rng = random.Random(400)
+        with mp.workdps(50):
+            narrow = [mp.mpf(rng.uniform(0.05, 1)) for _ in range(400)]
+        rng = random.Random(401)
+        with mp.workdps(50):
+            wide = [mp.mpf(10) ** rng.uniform(-30, 30) for _ in range(400)]
+        rng = random.Random(402)
+        f64 = [rng.uniform(-2, 2) for _ in range(400)]
+        assert mpf_bits(MonicPoly.from_roots(narrow).coeffs) == (
+            "f3bbbd5a1e8aff577172b82812af524eef2c5a60b9e4c3c5aedfa1a3551336b7")
+        assert mpf_bits(MonicPoly.from_roots(wide).coeffs) == (
+            "a9bbb4deea89b51243d77d83cfb106b246ad300680d60797fa33778c9812ccd4")
+        f64_hex = repr([c.hex() for c in MonicPoly.from_roots(f64).coeffs])
+        assert hashlib.sha256(f64_hex.encode()).hexdigest() == (
+            "8459f5ae92af31b831798090bb4a64e4d3a5ac312d25d58304fbe0242a170bb9")
 
     def test_normalized_roundtrip_exact(self):
         rng = random.Random(11)

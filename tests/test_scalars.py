@@ -1,11 +1,13 @@
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from finfree import scalars
 from finfree.scalars import (EXACT, FLOAT64, MPF, convolve, csum, differences, dot, exp,
                              format_scalar, integer_scaled, integer_weights, to_mpf, work)
 
@@ -208,10 +210,36 @@ class TestIntegerWeights:
         assert D == 12 and ints == [2, 24, -9, 0] and all(type(v) is int for v in ints)
 
 
-def convolve_literal(a, b, top=None, binomial=False) -> list:
+def _man_exp(v) -> tuple:
+    """An int or a finite mpf v as the ints (m, e) with v = m * 2^e exactly."""
+    if type(v) is int:
+        return v, 0
+    man, exp = v.man_exp
+    return (-man if v < 0 else man), exp
+
+
+def _exact_sum(terms):
+    """sum x * y over the pairs, products and sum exact, rounded once at the
+    ambient precision; the products are summed per exponent, then shifted onto
+    the least one."""
+    by_exp = {}
+    for x, y in terms:
+        (mx, ex), (my, ey) = _man_exp(x), _man_exp(y)
+        if mx and my:
+            by_exp[ex + ey] = by_exp.get(ex + ey, 0) + mx * my
+    if not by_exp:
+        return mp.mpf(0)
+    e0 = min(by_exp)
+    return mp.mpf((sum(m << (e - e0) for e, m in by_exp.items()), e0))
+
+
+def convolve_literal(a, b, top=None, binomial=False, exact=False) -> list:
     """c_k = sum_{i+j=k} [C(k, i)] a_i b_j for k <= top by a double loop, i
     ascending, from the first left factor times 0, skipping pairs with a zero
-    factor; mpf products are taken exactly and each c_k is rounded once."""
+    factor.  With any mpf factor the products are exact and each c_k is
+    rounded once: from ``mp.fsum``, which, like ``mp.fdot`` inside ``dot``,
+    drops a term more than 2 * prec bits below its running sum, or, with
+    ``exact``, from the exact sum (non-finite terms keep ``mp.fsum``)."""
     last = len(a) + len(b) - 2 if top is None else min(top, len(a) + len(b) - 2)
     pairs = [[] for _ in range(last + 1)]
     for i, x in enumerate(a):
@@ -220,7 +248,10 @@ def convolve_literal(a, b, top=None, binomial=False) -> list:
                 pairs[i + j].append((math.comb(i + j, i) * x if binomial else x, y))
     out = []
     for terms in pairs:
-        if any(isinstance(v, mp.mpf) for v in a):
+        if any(isinstance(v, mp.mpf) for v in (*a, *b)):
+            if exact and all(mp.isfinite(v) for term in terms for v in term):
+                out.append(_exact_sum(terms))
+                continue
             with mp.workdps(3 * mp.mp.dps):
                 prods = [x * y for x, y in terms]
             out.append(mp.fsum(prods))
@@ -279,6 +310,115 @@ class TestConvolve:
                                                    binomial=binomial)
         # whole Fractions have D = 1 and still come back as Fractions
         self.assert_same(convolve((Fraction(1),), (Fraction(-3), 2)), [Fraction(-3), Fraction(2)])
+
+
+    @staticmethod
+    def record_packing(monkeypatch) -> list:
+        """Lengths of the operands of every call of the packing helper."""
+        calls, pack = [], scalars._kronecker
+
+        def recorder(da, db, n_out):
+            calls.append((len(da[0]), len(db[0])))
+            return pack(da, db, n_out)
+        monkeypatch.setattr(scalars, "_kronecker", recorder)
+        return calls
+
+    def test_packed_lengths_match_the_double_loop(self, monkeypatch):
+        calls = self.record_packing(monkeypatch)
+        rng = random.Random(2026)
+        with mp.workdps(30):
+            for na, nb in ((33, 40), (201, 201), (40, 33), (2, 1)):
+                a, b = self.operands(rng, "mpf", na), self.operands(rng, "mpf", nb)
+                a[-1] = -2  # ints may sit among the mpf values
+                full = na + nb - 2
+                for top in (None, 0, full // 3, full, full + 3):
+                    self.assert_same(convolve(a, b, top), convolve_literal(a, b, top, exact=True))
+                    assert len(calls) == 1
+                    calls.clear()
+
+    def test_spans_either_side_of_the_bound(self, monkeypatch):
+        calls = self.record_packing(monkeypatch)
+        rng = random.Random(2027)
+        with mp.workdps(30):
+            bound = scalars._PACK_SPAN * mp.mp.prec
+            a, b = self.operands(rng, "mpf", 9), self.operands(rng, "mpf", 6)
+            a[2], b[4] = mp.mpf(5) / 7, mp.mpf(-3) / 11
+
+            def spans(shift):
+                wide = a[:2] + [mp.ldexp(a[2], shift)] + a[3:]
+                return wide, scalars._dyadic(wide)[2] + scalars._dyadic(b)[2]
+            # past a few hundred bits the shifted value sets the top of a's span
+            start = 300
+            edge = start + bound - spans(start)[1]
+            for shift, packed in ((0, True), (edge - 200, True), (edge, True),
+                                  (edge + 1, False), (edge + 500, False)):
+                wide, total = spans(shift)
+                assert (total <= bound) is packed
+                for top in (None, 30):  # no cut: a cut can narrow the span
+                    for x, y in ((wide, b), (b, wide)):
+                        self.assert_same(convolve(x, y, top),
+                                         convolve_literal(x, y, top, exact=packed))
+                assert len(calls) == (4 if packed else 0)
+                calls.clear()
+
+    def test_zero_operand_and_non_finite_values(self, monkeypatch):
+        calls = self.record_packing(monkeypatch)
+        rng = random.Random(2028)
+        with mp.workdps(30):
+            zeros, b = [mp.mpf(0)] * 5, self.operands(rng, "mpf", 7)
+            for top in (None, 0, 3, 20):
+                for x, y in ((zeros, b), (b, zeros), (zeros, zeros[:2])):
+                    got = convolve(x, y, top)
+                    self.assert_same(got, convolve_literal(x, y, top, exact=True))
+                    assert all(c == 0 for c in got)
+            # a zero among values of positive exponent, whose least exponent e0 > 0
+            whole = [mp.mpf(0), mp.mpf(2), mp.mpf(12), mp.mpf(0)]
+            self.assert_same(convolve(whole, whole), convolve_literal(whole, whole, exact=True))
+            assert len(calls) == 13
+            calls.clear()
+            finite = [mp.mpf(1) / 7, mp.mpf(-5) / 3, 2]
+            for bad in (mp.inf, -mp.inf, mp.nan):
+                a = [mp.mpf(1) / 3, bad, mp.mpf(2)]
+                for x, y in ((a, finite), (finite, a)):
+                    got, want = convolve(x, y), convolve_literal(x, y)
+                    assert [type(c) for c in got] == [mp.mpf] * 5
+                    assert [repr(c) for c in got] == [repr(c) for c in want]
+            assert calls == []
+
+    def test_far_apart_exponents_keep_dot(self, monkeypatch):
+        calls = self.record_packing(monkeypatch)
+        with mp.workdps(30):
+            far = [mp.mpf("1e-100000"), 1] * 100
+            near = self.operands(random.Random(2029), "mpf", 7)
+            for b in (near, far[::-1]):
+                self.assert_same(convolve(far, b), convolve_literal(far, b))
+        assert calls == []
+
+    def test_bound_checked_before_any_shift(self):
+        # packed, 1e-100000000 beside 1 would shift 1 by 3.3e8 bits: a 41 MB int
+        with mp.workdps(30):
+            a, b = [mp.mpf("1e-100000000"), 1], [mp.mpf(1) / 3]
+            tracemalloc.start()
+            try:
+                got = convolve(a, b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            self.assert_same(got, convolve_literal(a, b))
+        assert peak < 2 ** 20
+
+    def test_packed_sum_is_the_correctly_rounded_exact_sum(self, monkeypatch):
+        calls = self.record_packing(monkeypatch)
+        with mp.workdps(15):
+            a = [mp.mpf(1)] * 3
+            b = [mp.mpf(-1), mp.mpf(1), mp.ldexp(mp.mpf(1), -300)]
+            got = convolve(a, b)
+            self.assert_same(got, convolve_literal(a, b, exact=True))
+            assert got[2] == mp.ldexp(mp.mpf(1), -300)
+            # mp.fdot drops the 2^-300 more than 2 * prec bits below its
+            # running sum, which then cancels to 0
+            assert dot(a, b[::-1]) == 0
+        assert len(calls) == 1
 
 
 class TestDifferences:

@@ -1,9 +1,13 @@
-"""Every public top-level name in ``src/finfree`` has a use beyond its own tests.
+"""Two checks on the surface of ``src/finfree``.
 
-A name counts as used when it is referenced, as a Name, an Attribute or an
-import alias, in its own module outside its definition, in another finfree
-module (re-exports in ``__init__`` do not count), in ``perfbench/`` or in the
-acceptance suite.  A public name that nothing else needs is dead surface.
+Every public top-level name has a use beyond its own tests.  A name counts
+as used when it is referenced, as a Name, an Attribute or an import alias, in
+its own module outside its definition, in another finfree module (re-exports
+in ``__init__`` do not count), in ``perfbench/`` or in the acceptance suite.
+A public name that nothing else needs is dead surface.
+
+mpmath's internal representation, the raw mpf and mpc tuples and
+``mpmath.libmp``, is read in ``scalars`` alone, the one scalar layer.
 """
 
 import ast
@@ -57,3 +61,32 @@ def test_every_public_name_is_used():
                     unused.append(f"{stem}.{name}")
     assert not unused, f"public names with no use outside their tests: {unused}"
     assert set(EXEMPT) <= defined, f"stale exemptions: {set(EXEMPT) - defined}"
+
+
+# mpmath's internal representation: the raw tuples and the low-level library
+MPMATH_INTERNALS = {"_mpf_", "_mpc_", "libmp"}
+
+
+def test_mpmath_internals_stay_in_scalars():
+    """Only ``scalars`` reads mpf and mpc values as tuples or calls
+    ``mpmath.libmp``: every other module goes through the one scalar layer."""
+    found = []
+    for path in sorted((ROOT / "src" / "finfree").glob("*.py")):
+        if path.name == "scalars.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = (node.module or "").split(".")
+            elif isinstance(node, ast.alias):
+                names = node.name.split(".")
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Constant):
+                names = [node.value]  # getattr(x, "_mpf_")
+            else:
+                continue
+            for name in MPMATH_INTERNALS.intersection(names):
+                found.append(f"{path.stem}:{node.lineno}: {name}")
+    assert not found, f"mpmath internals outside scalars: {found}"
