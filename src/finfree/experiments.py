@@ -296,10 +296,12 @@ def _law_points(atilde, law, power=None):
 
     The family's normalized coefficients are atilde(d, t, k, w); given
     ``power``, they are atilde(d, 1, k) ** m at m = power(d, t) >= 0, and m
-    is recorded in the row.
+    is recorded in the row.  The law does not depend on d: its column is
+    computed once per t, when that t is first reached.
     """
     def points(cfg: ExperimentConfig, w: int, notes: list):
         n_max = cfg.n_max
+        refs = {}
         for d in cfg.d:
             for t in cfg.t:
                 if power is None:
@@ -310,8 +312,10 @@ def _law_points(atilde, law, power=None):
                         raise ValueError(f"{cfg.kind} needs t >= 0, got t={t}")
                     with mp.workdps(w):
                         at = [to_mpf(atilde(d, 1, k), w) ** m for k in range(n_max + 1)]
-                yield (d, m, t, cumulants_from_atilde(d, at, n_max, digits=w),
-                       [law(n, t, w) for n in range(1, n_max + 1)])
+                values = cumulants_from_atilde(d, at, n_max, digits=w)
+                if t not in refs:
+                    refs[t] = [law(n, t, w) for n in range(1, n_max + 1)]
+                yield d, m, t, values, refs[t]
     return points
 
 

@@ -80,11 +80,12 @@ class MonicPoly:
         factors are multiplied pairwise, each merge one ``convolve``.  Exact
         when the roots are rational; mpf roots are expanded at ``digits + 10``
         and binary64 roots at 30 digits, each rounded once at the end to its
-        kind.  A merge of real mpf factors is one big-int multiply, each
-        coefficient rounded once from its exact value; it keeps one ``dot``
-        per coefficient where the exponents of a merge spread over more than
-        8 times the working precision in bits, as with roots of magnitudes
-        far apart, or where a factor is complex.
+        kind.  Each mpf coefficient of a merge is rounded once from its
+        exact value: a merge of real mpf factors is one big-int multiply,
+        and it keeps one ``dot`` per coefficient where the spans of its
+        factors add up to more than prec + 128 bitlen(n) bits (n the shorter
+        factor's length), as with roots of magnitudes far apart, or where a
+        factor is complex.
         """
         roots = tuple(roots)
         kind = common_kind(roots, "from_roots")
@@ -201,35 +202,6 @@ def dilate(p: MonicPoly, c, digits: int = DEFAULT_DIGITS) -> MonicPoly:
         coeffs[0] = p.coeffs[0]
         roots = tuple(r * c for r in p.roots) if p.roots is not None else None
     return MonicPoly(tuple(coeffs), roots=roots)
-
-
-def phi_alpha(p: MonicPoly, alpha, digits: int | None = None) -> MonicPoly:
-    """Map each nonnegative root to its alpha-th power (0^alpha := 0)."""
-    if p.roots is None:
-        raise ValueError(
-            "root-power map needs the root representation; call roots_of first"
-        )
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
-    if any(r < 0 for r in p.roots):
-        raise ValueError("root-power map requires nonnegative roots")
-    if alpha == 1:
-        return p
-    kind = common_kind(p.roots, "phi_alpha")
-    if kind == MPF and digits is None:
-        digits = DEFAULT_DIGITS
-    if digits is not None:
-        with mp.workdps(digits):
-            new = tuple(
-                mp.mpf(0) if r == 0
-                else mp.exp(to_mpf(alpha, digits) * mp.log(to_mpf(r, digits)))
-                for r in p.roots
-            )
-        return MonicPoly.from_roots(new, digits=digits)
-    if isinstance(alpha, int):
-        return MonicPoly.from_roots([r ** alpha for r in promote_ints(p.roots, kind)])
-    new = tuple(0.0 if r == 0 else float(r) ** float(alpha) for r in p.roots)
-    return MonicPoly.from_roots(new)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,14 @@ Kinds are never mixed silently: ``common_kind`` refuses heterogeneous
 inputs, and promotion happens only through ``promote_ints`` and ``to_mpf``.
 Every per-kind decision lives here: the precision scope (``work``), the
 exponential (``exp``), the dot product under every series coefficient
-(``dot``), the one coefficient product, truncated or binomial (``convolve``,
-one big-int multiply for real mpf operands), conversion into mpmath
-(``to_mpf``), printing (``format_scalar``) and the common denominator that
-puts exact values on ints (``integer_scaled``, and ``integer_weights`` for
-block weights).  This is the one module that reads mpf values as their
-mantissa and exponent.
+(``dot``, for mp terms one exact integer accumulator rounded once), the one
+coefficient product, truncated or binomial (``convolve``, one big-int
+multiply for real mpf operands), conversion into mpmath (``to_mpf``),
+printing (``format_scalar``) and the common denominator that puts exact
+values on ints (``integer_scaled``, and ``integer_weights`` for block
+weights).  This is the one module that reads mpf values as their mantissa
+and exponent (``read``): every mpf sum of products it returns is the exact
+sum rounded once.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp
 
 EXACT = "exact"
 MPF = "mpf"
@@ -131,13 +134,25 @@ def dot(xs: Sequence, ys: Sequence, start=None):
     The kind is read once per call, from the set of operand types: ints
     alone give an int; ints and ``Fraction``s are summed on ints over one
     running denominator and reduced once, to a ``Fraction``; any mpf or mpc
-    goes through ``mp.fdot`` (exact products, one rounding at the ambient
-    precision); anything else is added left to right from ``start``, or
-    ``xs[0] * 0``, as ``acc += x * y``, skipping pairs with a zero factor.
+    gives the correctly rounded exact sum at the ambient precision, an mpf,
+    or an mpc when a term is complex.  Each mp term is read as m * 2^e,
+    the products are summed on ints over one power of two and rounded once
+    (``_exact_dot``), and complex terms go by real and imaginary part.  Real
+    mpf operands may come as their reads (``read``), so that a caller who
+    dots the same values many times reads each mantissa once; a read
+    operand alone gives an mpf too.  An inf or a nan that meets no zero
+    factor decides the sum by mpf arithmetic.  Anything else is added left
+    to right from ``start``, or ``xs[0] * 0``, as ``acc += x * y``, skipping
+    pairs with a zero factor.
     """
     if not xs:
         return 0 if start is None else start
-    types = {*map(type, xs), *map(type, ys), int if start is None else type(start)}
+    types = {*map(type, xs), *map(type, ys)}
+    if types == {tuple} and not isinstance(start, (mp.mpc, complex)):
+        s = (0, 0) if start is None else _pair(start)
+        if s[1] is not None:
+            return _rounded(_exact_dot(xs, ys, s))
+    types.add(int if start is None else type(start))
     if types == {int}:
         return sum(map(operator.mul, xs, ys), 0 if start is None else start)
     if types <= {int, Fraction}:
@@ -149,13 +164,163 @@ def dot(xs: Sequence, ys: Sequence, start=None):
                 g = math.gcd(den, q)
                 num, den = num * (q // g) + p * (den // g), den * (q // g)
         return Fraction(num, den)
-    if mp.mpf in types or mp.mpc in types:
-        return mp.fdot(xs, ys) if start is None else mp.fdot([start, *xs], [1, *ys])
+    if mp.mpc in types or (complex in types and types & {mp.mpf, tuple}):
+        (a, b), (c, d) = _parts(xs), _parts(ys)
+        sr, si = _parts([0 if start is None else start])
+        # (a + bi)(c + di) = ac - bd + (ad + bc)i
+        neg_b = [(-m, e) for m, e in b]
+        return mp.mpc(_round_reads(a + neg_b, c + d, sr[0]), _round_reads(a + b, d + c, si[0]))
+    if types & {mp.mpf, tuple}:
+        return _round_reads([*map(_pair, xs)], [*map(_pair, ys)],
+                            (0, 0) if start is None else _pair(start))
     acc = xs[0] * 0 if start is None else start
     for x, y in zip(xs, ys):
         if x and y:
             acc += x * y
     return acc
+
+
+def read(values: Sequence) -> list:
+    """Real mpf values, with any ints among them, as their exact reads for
+    ``dot``: the pairs (m, e) of ints with value m * 2^e.  Values with no
+    mpf among them, or with an mpc, an inf or a nan, come back as they are."""
+    pairs, mpf = [], False
+    for v in values:
+        if type(v) is int:
+            pairs.append((v, 0))
+        elif type(v) is mp.mpf and (pair := _pair(v))[1] is not None:
+            pairs.append(pair)
+            mpf = True
+        else:
+            return list(values)
+    return pairs if mpf else list(values)
+
+
+def _pair(x) -> tuple:
+    """A real value (a read pair is itself) as the ints (m, e) with
+    x = m * 2^e: an int is (x, 0), any other value goes through mpmath's
+    conversion (exact for a float, rounded for a ``Fraction``, as in mpf
+    arithmetic).  An inf or a nan is (x, None)."""
+    if type(x) is tuple:
+        return x
+    if type(x) is int:
+        return x, 0
+    if type(x) is not mp.mpf:
+        x = mp.mp.convert(x)
+    sign, man, e, _ = x._mpf_
+    if not man and e:
+        return x, None
+    return (-int(man) if sign else int(man)), e
+
+
+def _parts(values: Sequence) -> tuple:
+    """The reads of the real and of the imaginary parts of the values."""
+    re, im = [], []
+    for v in values:
+        if type(v) in (mp.mpc, complex):
+            v = mp.mpc(v)
+            re.append(_pair(v.real))
+            im.append(_pair(v.imag))
+        else:
+            re.append(_pair(v))
+            im.append((0, 0))
+    return re, im
+
+
+def _round_reads(xs: Sequence, ys: Sequence, s: tuple):
+    """s + sum xs[i] * ys[i] over reads, rounded once: an mpf.  A pair with a
+    zero factor adds nothing; an inf or a nan among the other factors decides
+    the sum, which no finite term (here its mantissa) can change."""
+    live = [(x, y) for x, y in zip(xs, ys) if x[0] and y[0]]
+    if s[1] is None or any(x[1] is None or y[1] is None for x, y in live):
+        return mp.fsum([x[0] * y[0] for x, y in live] + [s[0]])
+    return _rounded(_exact_dot(xs, ys, s))
+
+
+def _rounded(pair: tuple) -> mp.mpf:
+    """m * 2^e for the pair (m, e), rounded once at the ambient precision."""
+    return mp.mp.make_mpf(from_man_exp(*pair, *mp.mp._prec_rounding))
+
+
+# the widest sum kept on one int: the exponents of its terms span at most
+# this many times the ambient precision in bits.  Below it one wide int costs
+# less than ``_far_sum``'s sort (measured on products of roots 10^+-30 and
+# 10^+-300 apart); past it ``_far_sum`` keeps every int small
+_SUM_SPAN = 256
+
+
+def _exact_dot(xs: Sequence, ys: Sequence, s: tuple) -> tuple:
+    """A pair (M, E) of ints whose value M * 2^E rounds, at the ambient
+    precision, as s + sum xs[i] * ys[i] over finite reads does.
+
+    While the exponents of the products span at most ``_SUM_SPAN`` times the
+    precision, that is the exact sum, kept on one int over the least exponent
+    met so far.  Past that bound, before any wider shift, the products go to
+    ``_far_sum``.
+    """
+    acc, lo = s
+    hi = lo
+    bound = _SUM_SPAN * mp.mp.prec
+    for (mx, ex), (my, ey) in zip(xs, ys):
+        if mx and my:
+            e = ex + ey
+            if not acc:
+                acc, lo, hi = mx * my, e, e
+            elif e >= lo:
+                if e - lo > bound:
+                    break
+                acc += mx * my << (e - lo)
+                if e > hi:
+                    hi = e
+            else:
+                if hi - e > bound:
+                    break
+                acc = (acc << (lo - e)) + mx * my
+                lo = e
+    else:
+        return acc, lo
+    terms = [(mx * my, ex + ey) for (mx, ex), (my, ey) in zip(xs, ys) if mx and my]
+    return _far_sum(terms + [s] if s[0] else terms)
+
+
+def _far_sum(terms: list) -> tuple:
+    """The pair (M, E) of ``_exact_dot`` for the terms m * 2^e, given as
+    pairs (m, e) with m != 0, when they lie far apart: no int is wider than a
+    cluster of overlapping terms (Demmel-Hida 2003; Rump-Ogita-Oishi 2008).
+
+    With the terms sorted by their top bit t = e + bitlen(m), the head is
+    the run from the top down to the first term whose top lies g bits below
+    every exponent in the run and g + prec + 3 bits below the run's top,
+    with g = bitlen(len(terms)).  The rest then sums to less than 2^(t + g)
+    in magnitude.  The head's exact sum H lies on the grid 2^E, the largest
+    power of two no more than the head's least exponent and prec + 3 bits
+    below H's top bit.  If E >= t + g, every rounding boundary near H + rest
+    is a multiple of 2^E, none lies strictly within 2^E of H, and H + rest
+    rounds as H plus the sign of the rest's sum times 2^(E - 2): the rest
+    folds in as a sticky bit, its sign found the same way.  If not, the head
+    cancelled, and its sum joins the rest as one term (the count falls by at
+    least one).  With no such gap, every term overlaps its neighbours within
+    g + prec + 3 bits and the sum is taken whole.
+    """
+    prec = mp.mp.prec
+    while True:
+        g = len(terms).bit_length()
+        tops = sorted(((e + m.bit_length(), m, e) for m, e in terms), reverse=True)
+        top, _, lo = tops[0]
+        for j in range(1, len(tops)):
+            t, _, e = tops[j]
+            if t + g <= lo and t + g + prec + 3 <= top:
+                break
+            lo = min(lo, e)
+        else:
+            return sum(m << (e - lo) for _, m, e in tops), lo
+        head = sum(m << (e - lo) for _, m, e in tops[:j])
+        grid = min(lo, lo + head.bit_length() - prec - 3)
+        rest = [(m, e) for _, m, e in tops[j:]]
+        if head and grid >= t + g:
+            sign = _far_sum(rest)[0]
+            return (head << (lo - grid)) * 4 + (sign > 0) - (sign < 0), grid - 2
+        terms = [(head, lo)] + rest if head else rest
 
 
 def convolve(a: Sequence, b: Sequence, top: int | None = None, binomial: bool = False) -> tuple:
@@ -167,26 +332,30 @@ def convolve(a: Sequence, b: Sequence, top: int | None = None, binomial: bool = 
     mpf operands (ints allowed among them) is packed: each operand goes on
     ints over one power of two (``_dyadic``), the two are multiplied as one
     int each (``_kronecker``), and each c_k is read back exactly and rounded
-    once at the ambient precision (``mp.fdot`` does the same, save that it
-    drops a term more than 2 * prec bits below its running sum).  It keeps
+    once at the ambient precision, the value ``dot`` gives too.  It keeps
     ``dot`` when it is binomial, when an operand holds inf or nan, or when
-    the exponent spans of the two operands add up to more than
-    ``_PACK_SPAN * prec`` bits: past that the slots are so wide that one
-    ``dot`` per c_k is faster on all but long operands, and a limit point at
-    t = 1e308 would ask for ints of gigabits.  Every other product is one ``dot`` per c_k with i
-    ascending.  Ints alone give ints; with any ``Fraction``, each operand goes
-    on ints (``integer_scaled``) and each c_k is divided once, to a
-    ``Fraction``.  Exact products keep ``dot``: packed, their binomial weights
-    would need a factorial scaling that widens every slot, and CPython
-    multiplies big ints by Karatsuba, with no FFT.
+    the spans of the two operands add up to more than ``_pack_span`` of the
+    shorter one's length: past that one ``dot`` per c_k is faster, and a
+    limit point at t = 1e308 would ask for ints of gigabits.  Every other
+    product is one ``dot`` per c_k with i ascending.  With any mpf or mpc
+    operand, the operands are read once (``read``) and every c_k is an mpf,
+    or an mpc, also where its terms are all ints.  Ints alone give ints; with
+    any ``Fraction``, each operand goes on ints (``integer_scaled``) and each
+    c_k is divided once, to a ``Fraction``.  Exact products keep ``dot``:
+    packed, their binomial weights would need a factorial scaling that widens
+    every slot, and CPython multiplies big ints by Karatsuba, with no FFT.
     """
     na, nb = len(a), len(b)
     n_out = na + nb - 1 if top is None else min(top + 1, na + nb - 1)
     types = {*map(type, a), *map(type, b)}
-    if not binomial and na and nb and mp.mpf in types and types <= {mp.mpf, int}:
-        da, db = _dyadic(a[:n_out]), _dyadic(b[:n_out])
-        if da and db and da[2] + db[2] <= _PACK_SPAN * mp.mp.prec:
-            return _kronecker(da, db, n_out)
+    zero = None
+    if types & {mp.mpf, mp.mpc}:
+        zero = mp.mpc(0) if mp.mpc in types else mp.mpf(0)  # each c_k's start
+        a, b = (a if binomial else read(a)), read(b)
+        if not binomial and na and nb and types <= {mp.mpf, int}:
+            da, db = _dyadic(a[:n_out]), _dyadic(b[:n_out])
+            if da and db and da[2] + db[2] <= _pack_span(min(len(da[0]), len(db[0]))):
+                return _kronecker(da, db, n_out)
     exact = Fraction in types and types <= {int, Fraction}
     if exact:
         (a, Da), (b, Db) = integer_scaled(a), integer_scaled(b)
@@ -197,30 +366,28 @@ def convolve(a: Sequence, b: Sequence, top: int | None = None, binomial: bool = 
         xs = a[lo:k + 1]
         if binomial:
             xs = [math.comb(k, i) * x for i, x in enumerate(xs, start=lo)]
-        out.append(dot(xs, rb[nb - 1 - k + lo:na + nb - 1 - k]))  # rb[nb-1-j] is b_j
+        out.append(dot(xs, rb[nb - 1 - k + lo:na + nb - 1 - k], zero))  # rb[nb-1-j] is b_j
     return tuple(Fraction(c, Da * Db) for c in out) if exact else tuple(out)
 
 
-# the widest packed product: its two exponent spans add up to at most this
-# many times the ambient precision in bits (measured crossover in ROADMAP item 5)
-_PACK_SPAN = 8
+def _pack_span(n: int) -> int:
+    """The widest packed product, in bits of its two operands' spans added
+    up, when the shorter operand holds n values: prec + 128 bitlen(n).  That
+    follows the crossover against ``dot`` measured at 103, 203 and 435 bits
+    of precision for n from 2 to 201 (ROADMAP item 4); past it one ``dot``
+    per c_k is faster."""
+    return mp.mp.prec + 128 * n.bit_length()
 
 
 def _dyadic(values: Sequence) -> tuple | None:
-    """Real mpf or int values v_i = m_i 2^(e_i) as the pairs (m_i, e_i), then
-    e0, the least exponent of a nonzero value, and the span, the bit length
-    of the largest m_i 2^(e_i - e0): the dyadic counterpart of
-    ``integer_scaled``, shifted onto 2^e0 only once the span is accepted.
-    None when a value is inf or nan."""
-    pairs = []
-    for x in values:
-        if type(x) is int:
-            pairs.append((x, 0))
-            continue
-        sign, man, e, _ = x._mpf_
-        if not man and e:  # inf or nan
-            return None
-        pairs.append((-int(man) if sign else int(man), e))
+    """Real mpf or int values, or their reads, v_i = m_i 2^(e_i) as the
+    pairs (m_i, e_i), then e0, the least exponent of a nonzero value, and the
+    span, the bit length of the largest m_i 2^(e_i - e0): the dyadic
+    counterpart of ``integer_scaled``, shifted onto 2^e0 only once the span
+    is accepted.  None when a value is inf or nan."""
+    pairs = [_pair(x) for x in values]
+    if any(e is None for _, e in pairs):
+        return None
     live = [(e, e + m.bit_length()) for m, e in pairs if m]
     if not live:
         return pairs, 0, 0

@@ -13,8 +13,11 @@ literal oracle of both.  Coefficients may be exact rationals, mpf or binary64
 values.  A product is ``scalars.convolve`` cut at the common order: one
 big-int multiply for real mpf series, one ``scalars.dot`` per coefficient
 otherwise.  Every coefficient of ``exp`` or ``log`` is one call of
-``scalars.dot``, the single inner loop.  Each way, an mpf coefficient is
-rounded once and an exact one divided or reduced once.
+``scalars.dot``, the single inner loop; both keep their input coefficients
+and each coefficient they produce as read by ``scalars.read``, so a real mpf
+mantissa is read once per series, not once per ``dot``.  Each way, an mpf
+sum of products is the exact sum rounded once and an exact one is divided or
+reduced once.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .scalars import convolve, dot, exp
+from .scalars import convolve, dot, exp, read
 
 
 @dataclass(frozen=True)
@@ -66,10 +69,12 @@ class PowerSeries:
         """exp of the series; the constant term goes through the scalar exp,
         so an exact series needs constant term 0."""
         # g' = u' g with g_0 = exp(u_0):  g_j = (1/j) sum_{i=1..j} i u_i g_{j-i}
-        iu = [i * c for i, c in enumerate(self.coeffs)]
+        iu = read([i * c for i, c in enumerate(self.coeffs)])
         g = [exp(self.coeffs[0])]
+        rg = read(g)
         for j in range(1, self.order + 1):
-            g.append(dot(iu[1: j + 1], g[::-1]) / j)
+            g.append(dot(iu[1: j + 1], rg[::-1]) / j)
+            rg += read(g[j:])
         return PowerSeries(tuple(g))
 
     def log(self) -> "PowerSeries":
@@ -78,9 +83,10 @@ class PowerSeries:
             raise ValueError("series log needs constant term 1")
         f = self.coeffs
         # g' = f'/f, i.e. j f_j = sum_{i=1..j} i g_i f_{j-i} with f_0 = 1
+        rf = read(f)
         g = [f[0] * 0]
-        neg_ig = []  # -i g_i for i = 1..j-1
+        neg_ig = []  # -i g_i for i = 1..j-1, as read
         for j in range(1, self.order + 1):
-            g.append(dot(neg_ig, f[j - 1: 0: -1], start=j * f[j]) / j)
-            neg_ig.append(-j * g[j])
+            g.append(dot(neg_ig, rf[j - 1: 0: -1], start=j * f[j]) / j)
+            neg_ig += read([-j * g[j]])
         return PowerSeries(tuple(g))

@@ -6,7 +6,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from finfree.cumulants import finite_cumulants, laguerre_hat
+from finfree import experiments
+from finfree.cumulants import finite_cumulants, hermite_unitary_atilde, laguerre_hat
 from finfree.errors import PrecisionBudgetError
 from finfree.experiments import (
     MAX_WORKING_DIGITS,
@@ -24,6 +25,7 @@ from finfree.polycalc import (
     dilate,
     poly_to_json,
 )
+from finfree.freelimits import sigma_cumulant
 from finfree.scalars import format_scalar
 
 
@@ -226,6 +228,19 @@ class TestKappaFamilies:
         cfg = ExperimentConfig(kind="laguerre", d=[40], t=[0.5], n_max=2)
         tab = run_experiment(cfg)
         assert all(r.m == 20 for r in tab.rows)
+
+    def test_law_column_once_per_t(self, monkeypatch):
+        cfg = ExperimentConfig(kind="hermite", d=[10, 20, 40], t=[0.5, 1.0], n_max=3)
+        want = run_experiment(cfg).rows
+        calls = []
+
+        def law(n, t, w):
+            calls.append((n, t))
+            return sigma_cumulant(n, t, w)
+        monkeypatch.setitem(experiments._KINDS, "hermite",
+                            (("d", "t"), experiments._law_points(hermite_unitary_atilde, law)))
+        assert run_experiment(cfg).rows == want
+        assert sorted(calls) == sorted((n, t) for t in (0.5, 1.0) for n in (1, 2, 3))
 
     def test_laguerre_huge_t_runs(self):
         # m = round(t d) from the decimal t: an exact int past the binary64 range

@@ -22,7 +22,6 @@ from finfree.polycalc import (
     from_normalized,
     newton_maclaurin_check,
     normalized_coeffs,
-    phi_alpha,
     poly_from_json,
     poly_to_json,
     roots_of,
@@ -240,39 +239,6 @@ class TestDilate:
                 for i, (a, b) in enumerate(zip(getattr(p, field), got)):
                     expect = a * (mp.mpf(1) / 3) ** (i if field == "coeffs" else 1)
                     assert abs(b - expect) <= mp.mpf("1e-45") * abs(expect)
-
-
-class TestPhiMaps:
-    def test_alpha_one_is_identity(self):
-        p = MonicPoly.from_roots([Fraction(1, 2), 3])
-        assert phi_alpha(p, 1) is p
-
-    def test_square_roots(self):
-        p = MonicPoly.from_roots([4, 9])
-        q = phi_alpha(p, 0.5)
-        assert sorted(q.roots) == [2.0, 3.0]
-        assert q.coeffs == (1.0, -5.0, 6.0)
-
-    def test_zero_root_convention(self):
-        p = MonicPoly.from_roots([0, 4])
-        q = phi_alpha(p, 0.5)
-        assert sorted(q.roots) == [0.0, 2.0]
-
-    def test_needs_roots(self):
-        p = MonicPoly.from_coeffs([1, -2, 1])
-        with pytest.raises(ValueError, match="roots"):
-            phi_alpha(p, 0.5)
-
-    def test_rejects_negative_roots(self):
-        p = MonicPoly.from_roots([-1, 2])
-        with pytest.raises(ValueError):
-            phi_alpha(p, 0.5)
-
-    def test_digits_on_rational_roots(self):
-        p = MonicPoly.from_roots([Fraction(1, 4), 9, 0])
-        q = phi_alpha(p, Fraction(1, 2), digits=30)
-        assert all(isinstance(r, mp.mpf) for r in q.roots)
-        assert q.roots == (mp.mpf("0.5"), mp.mpf(3), mp.mpf(0))
 
 
 class TestBoxplus:

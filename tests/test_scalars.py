@@ -9,7 +9,7 @@ import pytest
 
 from finfree import scalars
 from finfree.scalars import (EXACT, FLOAT64, MPF, convolve, csum, differences, dot, exp,
-                             format_scalar, integer_scaled, integer_weights, to_mpf, work)
+                             format_scalar, integer_scaled, integer_weights, read, to_mpf, work)
 
 
 class TestExp:
@@ -96,6 +96,95 @@ class TestDot:
         assert zero == 0 and type(zero) is int
         half = Fraction(1, 2)
         assert dot([], [], start=half) is half
+
+    @staticmethod
+    def assert_exact(xs, ys, start=None, want=None):
+        """dot, on the values and on their reads, is the exact sum rounded
+        once (``want``, or else from the exact sum), in kind, and allocates
+        under 1 MiB."""
+        if want is None:
+            cplx = any(isinstance(v, mp.mpc) for v in (*xs, *ys, start))
+            terms = list(zip(xs, ys)) + ([] if start is None else [(start, 1)])
+            want = _exact_rounded(terms, cplx)
+        for x, y in ((xs, ys), (read(xs), read(ys))):
+            tracemalloc.start()
+            try:
+                got = dot(x, y, start)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert type(got) is type(want) and got == want, (got, want)
+            assert peak < 2 ** 20
+
+    def test_mpf_is_the_exact_sum_rounded_once(self):
+        one, two = mp.mpf(1), mp.mpf(2)
+        with mp.workdps(15):
+            prec = mp.mp.prec
+            ulp, tiny = mp.ldexp(one, -prec), mp.ldexp(one, -2 * prec - 1)
+            huge, far = mp.mpf("1e308"), mp.mpf("1e-100000")
+            self.assert_exact([1, 1, 1], [mp.ldexp(one, -300), 1, -1])  # mp.fdot returns 0
+            # cancellation, with the survivor 2 * prec bits below the head
+            self.assert_exact([huge, one / 3, -huge, tiny], [1, 3, 1, 1])
+            self.assert_exact([huge, far, -huge], [1, 1, 1])
+            self.assert_exact([one / 3, one / 7], [3, -7], start=far)
+            # ties to even, and ties broken by a term far below them
+            self.assert_exact([one, ulp], [1, 1])
+            self.assert_exact([1 + 2 * ulp, ulp], [1, 1])
+            for below in (tiny, -tiny, far, -far, mp.ldexp(one, -10 ** 6)):
+                self.assert_exact([one, ulp, below], [1, 1, 1])
+                self.assert_exact([one, below], [ulp, 1], start=one)
+            # sticky terms whose own sum cancels, and heads that cancel down to
+            # a term below them, or to within prec bits of one
+            self.assert_exact([one, far, -far, mp.ldexp(far, -prec)], [1, 1, 1, 1])
+            self.assert_exact([huge, ulp, -huge, far], [1, 1, 1, 1])
+            self.assert_exact([one, 2 * ulp - 1, mp.ldexp(one / 3, -82), far], [1, 1, 1, 1])
+            # 2^-332192979 beside 1 on one int would take 41 MB
+            vast = mp.mpf("1e-100000000")
+            for xs, want in (([one, vast], one), ([one, ulp, vast], 1 + 2 * ulp),
+                             ([one, ulp, -vast], one), ([one, vast, -one], vast)):
+                self.assert_exact(xs, [1] * len(xs), want=want)
+            self.assert_exact([huge, mp.mpf("1e-300"), -huge, far, two], [1, 1, 1, 1, -far])
+            # terms of both signs spread over 1e308 .. 1e-100000
+            rng = random.Random(14)
+            for _ in range(40):
+                values = [mp.ldexp(mp.mpf(rng.uniform(-1, 1)) / 3,
+                                   rng.choice([0, 1023, -prec, -2 * prec, -332193]) + rng.randint(-9, 9))
+                          for _ in range(rng.randint(1, 9))]
+                values += [-v for v in values[:rng.randint(0, len(values))]]
+                rng.shuffle(values)
+                self.assert_exact(values, [rng.choice([1, 3, one / 5]) for _ in values],
+                                  start=rng.choice([None, one / 7, far]))
+            # complex terms go by real and imaginary part
+            i = mp.mpc(0, 1)
+            self.assert_exact([1 + 2 * i, far - 3 * i, huge * i], [3 - i, two, 1 + far * i],
+                              start=-huge * i)
+            self.assert_exact([1 + i, 2], [1 - i, 0.5])
+
+    def test_read_operands(self):
+        with mp.workdps(30):
+            third = mp.mpf(1) / 3
+            man, exp = third.man_exp
+            assert read([third, -2, mp.mpf(0)]) == [(man, exp), (-2, 0), (0, 0)]
+            # with no mpf, or with an mpc, an inf or a nan, the values come back
+            for values in ([1, 2], [Fraction(1, 3)], [third, mp.mpc(1, 1)], [third, mp.inf],
+                           [mp.nan], [0.5, third]):
+                assert read(values) == values
+            # a read operand alone gives an mpf
+            got = dot(read([mp.mpf(2), 3]), [4, 5])
+            assert type(got) is mp.mpf and got == 23
+
+    def test_non_finite_terms(self):
+        with mp.workdps(30):
+            third, inf = mp.mpf(1) / 3, mp.inf
+            # an inf that meets a zero adds nothing, and the rest stays exact
+            got = dot([mp.mpf(0), third, 1], [inf, 3, mp.ldexp(mp.mpf(1), -400)])
+            assert got == _exact_rounded([(third, 3), (1, mp.ldexp(mp.mpf(1), -400))])
+            assert dot([inf, third], [-2, 3]) == -inf
+            assert dot([third], [3], start=inf) == inf
+            assert dot(read([third]), [3], start=-inf) == -inf
+            assert mp.isnan(dot([inf, inf], [1, -1]))
+            assert mp.isnan(dot([mp.nan, third], [1, 1]))
+            assert dot([mp.mpc(inf, 0), 1], [1, 1]) == mp.mpc(inf, 0)
 
 
 class TestCsum:
@@ -218,28 +307,58 @@ def _man_exp(v) -> tuple:
     return (-man if v < 0 else man), exp
 
 
-def _exact_sum(terms):
-    """sum x * y over the pairs, products and sum exact, rounded once at the
-    ambient precision; the products are summed per exponent, then shifted onto
-    the least one."""
+def _exact(terms) -> Fraction:
+    """sum x * y over the pairs of ints and finite mpf values, as a Fraction.
+
+    The products m 2^e are summed per exponent, then put over the least one:
+    exponents like 2^-664000 cost a shift per distinct exponent."""
     by_exp = {}
     for x, y in terms:
         (mx, ex), (my, ey) = _man_exp(x), _man_exp(y)
-        if mx and my:
-            by_exp[ex + ey] = by_exp.get(ex + ey, 0) + mx * my
+        by_exp[ex + ey] = by_exp.get(ex + ey, 0) + mx * my
     if not by_exp:
-        return mp.mpf(0)
+        return Fraction(0)
     e0 = min(by_exp)
-    return mp.mpf((sum(m << (e - e0) for e, m in by_exp.items()), e0))
+    total = sum(m << (e - e0) for e, m in by_exp.items())
+    return Fraction(total << e0) if e0 >= 0 else Fraction(total, 1 << -e0)
 
 
-def convolve_literal(a, b, top=None, binomial=False, exact=False) -> list:
+def _round_once(q: Fraction):
+    """The rational q rounded to the nearest mpf at the ambient precision,
+    ties to even, by integer division alone."""
+    if not q:
+        return mp.mpf(0)
+    prec = mp.mp.prec
+    num, den = abs(q.numerator), q.denominator
+    e = num.bit_length() - den.bit_length() - prec - 2  # the quotient has prec + 2 or 3 bits
+    m, r = divmod(num << -e if e < 0 else num, den if e < 0 else den << e)
+    extra = m.bit_length() - prec
+    m, low, half = m >> extra, m & ((1 << extra) - 1), 1 << (extra - 1)
+    if low > half or (low == half and (r or m & 1)):
+        m += 1
+    return mp.mpf((m if q > 0 else -m, e + extra))
+
+
+def _exact_rounded(terms, cplx=False):
+    """sum x * y over the pairs, products and sum exact, rounded once at the
+    ambient precision: an mpf, or with ``cplx`` an mpc whose real and
+    imaginary parts are each rounded once."""
+    if not cplx:
+        return _round_once(_exact(terms))
+    parts = [((mp.mpc(x).real, mp.mpc(x).imag), (mp.mpc(y).real, mp.mpc(y).imag))
+             for x, y in terms]
+    re = _exact([(a, c) for (a, _), (c, _) in parts]) - _exact([(b, d) for (_, b), (_, d) in parts])
+    im = _exact([(a, d) for (a, _), (_, d) in parts]) + _exact([(b, c) for (_, b), (c, _) in parts])
+    return mp.mpc(_round_once(re), _round_once(im))
+
+
+def convolve_literal(a, b, top=None, binomial=False) -> list:
     """c_k = sum_{i+j=k} [C(k, i)] a_i b_j for k <= top by a double loop, i
     ascending, from the first left factor times 0, skipping pairs with a zero
-    factor.  With any mpf factor the products are exact and each c_k is
-    rounded once: from ``mp.fsum``, which, like ``mp.fdot`` inside ``dot``,
-    drops a term more than 2 * prec bits below its running sum, or, with
-    ``exact``, from the exact sum (non-finite terms keep ``mp.fsum``)."""
+    factor.  With any mpf or mpc factor, C(k, i) a_i is rounded in kind, the
+    products and their sum are exact (``_exact``), and each c_k is rounded
+    once (``_round_once``); with an inf or a nan, the products are summed by
+    ``mp.fsum``."""
     last = len(a) + len(b) - 2 if top is None else min(top, len(a) + len(b) - 2)
     pairs = [[] for _ in range(last + 1)]
     for i, x in enumerate(a):
@@ -247,10 +366,11 @@ def convolve_literal(a, b, top=None, binomial=False, exact=False) -> list:
             if i + j <= last:
                 pairs[i + j].append((math.comb(i + j, i) * x if binomial else x, y))
     out = []
+    cplx = any(isinstance(v, mp.mpc) for v in (*a, *b))
     for terms in pairs:
-        if any(isinstance(v, mp.mpf) for v in (*a, *b)):
-            if exact and all(mp.isfinite(v) for term in terms for v in term):
-                out.append(_exact_sum(terms))
+        if cplx or any(isinstance(v, mp.mpf) for v in (*a, *b)):
+            if all(mp.isfinite(v) for term in terms for v in term):
+                out.append(_exact_rounded(terms, cplx))
                 continue
             with mp.workdps(3 * mp.mp.dps):
                 prods = [x * y for x, y in terms]
@@ -332,7 +452,7 @@ class TestConvolve:
                 a[-1] = -2  # ints may sit among the mpf values
                 full = na + nb - 2
                 for top in (None, 0, full // 3, full, full + 3):
-                    self.assert_same(convolve(a, b, top), convolve_literal(a, b, top, exact=True))
+                    self.assert_same(convolve(a, b, top), convolve_literal(a, b, top))
                     assert len(calls) == 1
                     calls.clear()
 
@@ -340,8 +460,8 @@ class TestConvolve:
         calls = self.record_packing(monkeypatch)
         rng = random.Random(2027)
         with mp.workdps(30):
-            bound = scalars._PACK_SPAN * mp.mp.prec
             a, b = self.operands(rng, "mpf", 9), self.operands(rng, "mpf", 6)
+            bound = scalars._pack_span(6)
             a[2], b[4] = mp.mpf(5) / 7, mp.mpf(-3) / 11
 
             def spans(shift):
@@ -357,9 +477,39 @@ class TestConvolve:
                 for top in (None, 30):  # no cut: a cut can narrow the span
                     for x, y in ((wide, b), (b, wide)):
                         self.assert_same(convolve(x, y, top),
-                                         convolve_literal(x, y, top, exact=packed))
+                                         convolve_literal(x, y, top))
                 assert len(calls) == (4 if packed else 0)
                 calls.clear()
+
+    def test_bound_reads_the_shorter_length(self, monkeypatch):
+        calls = self.record_packing(monkeypatch)
+        rng = random.Random(2030)
+        with mp.workdps(30):
+            short, long, other = (self.operands(rng, "mpf", n) for n in (2, 40, 40))
+            short[0], long[0], other[0] = mp.mpf(1) / 3, mp.mpf(-5) / 7, mp.mpf(3) / 11
+            # spans past the bound of two values and within that of 40
+            shift = (scalars._pack_span(2) + scalars._pack_span(40)) // 2 - 2 * mp.mp.prec
+            long[-1] = mp.ldexp(mp.mpf(2) / 3, shift)
+            for x in (short, other):
+                total = scalars._dyadic(long)[2] + scalars._dyadic(x)[2]
+                assert scalars._pack_span(2) < total <= scalars._pack_span(40)
+            self.assert_same(convolve(short, long), convolve_literal(short, long))
+            assert calls == []
+            self.assert_same(convolve(other, long), convolve_literal(other, long))
+            assert calls == [(40, 40)]
+
+    def test_any_mp_operand_gives_mp_coefficients(self):
+        with mp.workdps(30):
+            got = convolve([mp.mpf(2), 1], [mp.mpf(3), 1], binomial=True)
+            self.assert_same(got, [mp.mpf(6), mp.mpf(5), mp.mpf(2)])
+            # exponents too far apart to pack, and a last coefficient of ints
+            far = [mp.mpf("1e-100000"), 1]
+            for a, b in ((far, [1, 2]), ([1, 2], far)):
+                got = convolve(a, b)
+                self.assert_same(got, convolve_literal(a, b))
+                assert got[-1] == 2
+            got = convolve([mp.mpc(1, 1), 1], [1, 1])
+            self.assert_same(got, [mp.mpc(1, 1), mp.mpc(2, 1), mp.mpc(1)])
 
     def test_zero_operand_and_non_finite_values(self, monkeypatch):
         calls = self.record_packing(monkeypatch)
@@ -369,11 +519,11 @@ class TestConvolve:
             for top in (None, 0, 3, 20):
                 for x, y in ((zeros, b), (b, zeros), (zeros, zeros[:2])):
                     got = convolve(x, y, top)
-                    self.assert_same(got, convolve_literal(x, y, top, exact=True))
+                    self.assert_same(got, convolve_literal(x, y, top))
                     assert all(c == 0 for c in got)
             # a zero among values of positive exponent, whose least exponent e0 > 0
             whole = [mp.mpf(0), mp.mpf(2), mp.mpf(12), mp.mpf(0)]
-            self.assert_same(convolve(whole, whole), convolve_literal(whole, whole, exact=True))
+            self.assert_same(convolve(whole, whole), convolve_literal(whole, whole))
             assert len(calls) == 13
             calls.clear()
             finite = [mp.mpf(1) / 7, mp.mpf(-5) / 3, 2]
@@ -404,7 +554,8 @@ class TestConvolve:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            self.assert_same(got, convolve_literal(a, b))
+            # each c_k is one product, which mpf multiplication rounds once
+            self.assert_same(got, [x * b[0] for x in a])
         assert peak < 2 ** 20
 
     def test_packed_sum_is_the_correctly_rounded_exact_sum(self, monkeypatch):
@@ -413,11 +564,11 @@ class TestConvolve:
             a = [mp.mpf(1)] * 3
             b = [mp.mpf(-1), mp.mpf(1), mp.ldexp(mp.mpf(1), -300)]
             got = convolve(a, b)
-            self.assert_same(got, convolve_literal(a, b, exact=True))
+            self.assert_same(got, convolve_literal(a, b))
             assert got[2] == mp.ldexp(mp.mpf(1), -300)
-            # mp.fdot drops the 2^-300 more than 2 * prec bits below its
-            # running sum, which then cancels to 0
-            assert dot(a, b[::-1]) == 0
+            # the 2^-300 lies more than 2 * prec bits below the running sum,
+            # which then cancels; mp.fdot drops it and returns 0
+            assert dot(a, b[::-1]) == mp.ldexp(mp.mpf(1), -300)
         assert len(calls) == 1
 
 

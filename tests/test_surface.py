@@ -1,4 +1,4 @@
-"""Two checks on the surface of ``src/finfree``.
+"""Three checks on the surface of ``src/finfree``.
 
 Every public top-level name has a use beyond its own tests.  A name counts
 as used when it is referenced, as a Name, an Attribute or an import alias, in
@@ -7,7 +7,8 @@ in ``__init__`` do not count), in ``perfbench/`` or in the acceptance suite.
 A public name that nothing else needs is dead surface.
 
 mpmath's internal representation, the raw mpf and mpc tuples and
-``mpmath.libmp``, is read in ``scalars`` alone, the one scalar layer.
+``mpmath.libmp``, is read in ``scalars`` alone, the one scalar layer; and no
+module names ``mp.fdot``, whose sums are not rounded once from the exact value.
 """
 
 import ast
@@ -16,9 +17,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # public names kept without such a use, with the reason
-EXEMPT = {
-    "phi_alpha": "the root-power map Phi_alpha",
-}
+EXEMPT: dict = {}
 
 
 def _refs(stmts) -> set:
@@ -67,26 +66,39 @@ def test_every_public_name_is_used():
 MPMATH_INTERNALS = {"_mpf_", "_mpc_", "libmp"}
 
 
+def _names(path: Path):
+    """(line, name) for every name a module uses: as a Name, an Attribute, an
+    import or a string constant, such as getattr(x, "_mpf_")."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".")
+        elif isinstance(node, ast.alias):
+            names = node.name.split(".")
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Constant):
+            names = [node.value]
+        else:
+            continue
+        for name in names:
+            yield getattr(node, "lineno", 0), name
+
+
 def test_mpmath_internals_stay_in_scalars():
     """Only ``scalars`` reads mpf and mpc values as tuples or calls
     ``mpmath.libmp``: every other module goes through the one scalar layer."""
-    found = []
-    for path in sorted((ROOT / "src" / "finfree").glob("*.py")):
-        if path.name == "scalars.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom):
-                names = (node.module or "").split(".")
-            elif isinstance(node, ast.alias):
-                names = node.name.split(".")
-            elif isinstance(node, ast.Attribute):
-                names = [node.attr]
-            elif isinstance(node, ast.Name):
-                names = [node.id]
-            elif isinstance(node, ast.Constant):
-                names = [node.value]  # getattr(x, "_mpf_")
-            else:
-                continue
-            for name in MPMATH_INTERNALS.intersection(names):
-                found.append(f"{path.stem}:{node.lineno}: {name}")
+    found = [f"{path.stem}:{line}: {name}"
+             for path in sorted((ROOT / "src" / "finfree").glob("*.py")) if path.name != "scalars.py"
+             for line, name in _names(path) if name in MPMATH_INTERNALS]
     assert not found, f"mpmath internals outside scalars: {found}"
+
+
+def test_no_module_names_fdot():
+    """Every mp sum of products goes through the exact accumulator of
+    ``scalars.dot``: no module names ``fdot``, whose sum drops a term more
+    than 2 * prec bits below its running sum."""
+    found = [f"{path.stem}:{line}" for path in sorted((ROOT / "src" / "finfree").glob("*.py"))
+             for line, name in _names(path) if name == "fdot"]
+    assert not found, f"fdot named in src: {found}"
