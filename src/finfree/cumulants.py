@@ -76,7 +76,7 @@ def cumulants_from_atilde(d: int, atilde: Sequence, n_max: int,
         if grouped:
             log = PowerSeries.egf(atilde).log()
             return [(-d) ** (n - 1) * n * log.coeff(n) for n in range(1, n_max + 1)]
-        return [(-d) ** (n - 1) * block_sum(atilde[1:], n, signed=True, digits=digits)
+        return [(-d) ** (n - 1) * block_sum(atilde[1:], n, signed=True)
                 / math.factorial(n - 1) for n in range(1, n_max + 1)]
 
 
@@ -155,11 +155,11 @@ def boxtimes_cumulants(ps: Sequence[MonicPoly], n: int, method: str = "pi-sum",
         us = [[(-1) ** (b - 1) * math.factorial(b - 1) * ks[b - 1] / d ** (b - 1)
                for b in range(1, n + 1)] for ks in kappas]
         if method == "pi-sum":
-            W = [math.prod(block_sum(u, s, digits=digits) for u in us)
+            W = [math.prod(block_sum(u, s) for u in us)
                  for s in range(n, 0, -1)]
-            total = block_sum(W[::-1], n, signed=True, digits=digits)
+            total = block_sum(W[::-1], n, signed=True)
         elif method == "join-sum":
-            total = join_sum(us, n, digits=digits)
+            total = join_sum(us, n)
         else:
             raise ValueError(f"unknown method {method!r}")
 

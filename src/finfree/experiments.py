@@ -32,7 +32,7 @@ from .errors import PrecisionBudgetError
 from .freelimits import lambda_cumulant, pi_cumulant, sigma_cumulant, sy_limit_t, sy_limit_zero
 from .polycalc import (MonicPoly, _parse_scalar, _positive_int, normalized_coeffs,
                        poly_from_json)
-from .scalars import format_scalar, to_mpf
+from .scalars import dot, format_scalar, to_mpf
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +339,11 @@ def _clt_points(atilde, unitary: bool):
         if d < 2:
             raise ValueError(f"hypothesis violation: the CLT needs degree d >= 2, got {d}")
         with mp.workdps(w):
-            mean = mp.fsum(thetas) / d
+            mean = dot(thetas, [1] * d) / d
             if abs(mean) > 1e-12:
                 raise ValueError(f"hypothesis violation: CLT input must be centered "
                                  f"(mean exponent {float(mean):.3e})")
-            t = mp.fsum(v * v for v in thetas) / (d - 1)
+            t = dot(thetas, thetas) / (d - 1)
         refs = [atilde(d, t, k, w) for k in range(1, d + 1)]
         for m in cfg.m:
             with mp.workdps(w):
@@ -358,7 +358,7 @@ def _lln_points(cfg: ExperimentConfig, w: int, notes: list):
     thetas = _clt_thetas(cfg, False, w)
     d = len(thetas)
     with mp.workdps(w):
-        alpha = mp.fsum(thetas) / d
+        alpha = dot(thetas, [1] * d) / d
         refs = [mp.exp(alpha * k) for k in range(1, d + 1)]
     for m in cfg.m:
         with mp.workdps(w):

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .scalars import DEFAULT_DIGITS, binom, to_mpf
+from .scalars import DEFAULT_DIGITS, binom, dot, to_mpf
 from .series import PowerSeries
 
 
@@ -64,10 +64,8 @@ def lambda_moment(n: int, t, digits: int = DEFAULT_DIGITS):
         raise ValueError("need n >= 1 and t >= 0")
     with mp.workdps(digits):
         tt = to_mpf(t, digits)
-        total = mp.mpf(0)
-        for k in range(n):
-            total += mp.mpf(n) ** (k - 1) / math.factorial(k) * binom(n, k + 1) * tt ** k
-        return mp.exp(n * tt / 2) * total
+        coeffs = [mp.mpf(n) ** (k - 1) / math.factorial(k) * binom(n, k + 1) for k in range(n)]
+        return mp.exp(n * tt / 2) * dot(coeffs, [tt ** k for k in range(n)])
 
 
 def pi_cumulant(n: int, t, digits: int = DEFAULT_DIGITS):

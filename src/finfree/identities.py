@@ -24,8 +24,8 @@ from numbers import Rational
 from typing import Sequence
 
 from .partitions import DEFAULT_PARTITION_CAP, block_sum, mobius_top, partition_masks
-from .scalars import (DEFAULT_DIGITS, binom, convolve, differences, exp, integer_scaled, kind_of,
-                      work)
+from .scalars import (DEFAULT_DIGITS, binom, common_kind, convolve, differences, exp,
+                      integer_scaled, work)
 
 
 @dataclass(frozen=True)
@@ -181,9 +181,10 @@ def faa_di_bruno_exp(derivs: Sequence, u0, n: int):
     ``derivs[j-1]`` must hold the j-th derivative of u at the point; the
     result is  (sum over partitions pi of [n] of prod_V derivs[|V|-1]) *
     exp(u0), the sum taken by ``block_sum``.  exp(u0) is taken in the kind
-    of u0, so an exact u0 must be 0; mpf input is worked at ``DEFAULT_DIGITS``.
+    of u0, so an exact u0 must be 0.  The sum, exp(u0) and their product are
+    worked in the common kind of ``derivs`` and u0, mpf at ``DEFAULT_DIGITS``.
     """
-    with work(kind_of(u0), DEFAULT_DIGITS):
+    with work(common_kind([*derivs, u0], "faa_di_bruno_exp"), DEFAULT_DIGITS):
         return block_sum(derivs, n) * exp(u0)
 
 

@@ -18,7 +18,8 @@ built only for what ``enumerate_partitions`` and ``enumerate_noncrossing``
 return, for the CLI, the tests and callers.
 
 Everything here is exact integer arithmetic on immutable values, except
-``block_sum`` and ``join_sum``, which sum in the kind of their weights.
+``block_sum`` and ``join_sum``, which sum in the kind of their weights, an
+mpf sum at the ambient precision: the caller's precision scope sets it.
 Brute-force enumerations are guarded by explicit caps because Bell numbers
 grow fast: Bell(12) is already about 4.2 million.  This module is the one
 place that refuses: each enumeration checks its size against its cap when
@@ -35,8 +36,8 @@ from itertools import accumulate, chain, combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError
-from .scalars import (DEFAULT_DIGITS, binom, common_kind, csum, differences, integer_weights,
-                      multinomial, work)
+from .scalars import (EXACT, binom, common_kind, differences, dot, integer_weights,
+                      multinomial)
 
 DEFAULT_PARTITION_CAP = 12
 DEFAULT_TUPLE_CAP = 8
@@ -269,38 +270,37 @@ def mobius_top(r: int) -> int:
 # block-multiplicative sums
 # ---------------------------------------------------------------------------
 
-def block_sum(weights: Sequence, n: int, signed: bool = False,
-              digits: int = DEFAULT_DIGITS):
+def block_sum(weights: Sequence, n: int, signed: bool = False):
     """sum over pi in P(n) of prod_{V in pi} weights[|V| - 1], each term times
     mu(pi, 1_n) when ``signed`` is set.
 
     The literal oracle of ``series``: with W(z) = 1 + sum_s weights[s-1] z^s / s!
     the unsigned sum is n! [z^n] exp(W(z) - 1) and the signed one n! [z^n]
     log W(z).  Exact weights are summed on ints over one common denominator
-    (``integer_weights``) and the sum comes back as a ``Fraction``; any other
-    kind is multiplied at ``digits`` and summed by ``csum``.
+    (``integer_weights``) and the sum comes back as a ``Fraction``; the terms
+    of any other kind are one ``dot``, rounded, like every product here, at
+    the ambient precision: an mpf sum is the exact sum rounded once.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if len(weights) < n:
         raise ValueError(f"need the weights of block sizes 1..{n}, got {len(weights)}")
     ws, D = integer_weights(weights[:n])
-    exact = all(isinstance(w, int) for w in ws)
+    exact = common_kind(ws, "block_sum") == EXACT
     total, terms = 0, []
-    with work(common_kind(ws, "block_sum"), digits):
-        for masks in partition_masks(n):
-            term = mobius_top(len(masks)) if signed else 1
-            for mask in masks:
-                term = term * ws[mask.bit_count() - 1]
-            if exact:
-                total += term
-            else:
-                terms.append(term)
+    for masks in partition_masks(n):
+        term = mobius_top(len(masks)) if signed else 1
+        for mask in masks:
+            term = term * ws[mask.bit_count() - 1]
+        if exact:
+            total += term
+        else:
+            terms.append(term)
     # a product of scaled weights over the blocks of pi is D^n times its value
-    return Fraction(total, D ** n) if exact else csum(terms, digits=digits)
+    return Fraction(total, D ** n) if exact else dot(terms, [1] * len(terms))
 
 
-def join_sum(weights: Sequence[Sequence], n: int, digits: int = DEFAULT_DIGITS):
+def join_sum(weights: Sequence[Sequence], n: int):
     """sum over tuples (sigma_1,...,sigma_m) in P(n)^m whose join is 1_n of
     prod_i prod_{V in sigma_i} weights[i][|V| - 1].
 
@@ -308,31 +308,29 @@ def join_sum(weights: Sequence[Sequence], n: int, digits: int = DEFAULT_DIGITS):
     m = len(weights).  Each factor's block products are tabled once, in
     ``partition_masks`` order, which refuses n > 6: the tuples number
     Bell(n)^m.  Exact weights are put on ints over one denominator per factor
-    (``integer_weights``) and the sum comes back as a ``Fraction``; any other
-    kind is multiplied at ``digits`` and summed by ``csum``.
+    (``integer_weights``) and the sum comes back as a ``Fraction``; the terms
+    of any other kind are one ``dot`` at the ambient precision, as in
+    ``block_sum``.
     """
     if not weights or any(len(ws) < n for ws in weights):
         raise ValueError(f"need the weights of block sizes 1..{n} for each factor")
     parts = list(partition_masks(n, cap=6))
     scaled = [integer_weights(ws[:n]) for ws in weights]
-    flat = [w for ws, _ in scaled for w in ws]
-    exact = all(isinstance(w, int) for w in flat)
+    exact = common_kind([w for ws, _ in scaled for w in ws], "join_sum") == EXACT
+    tables = [[math.prod((ws[mask.bit_count() - 1] for mask in masks), start=1)
+               for masks in parts] for ws, _ in scaled]
     total, terms = 0, []
-    with work(common_kind(flat, "join_sum"), digits):
-        tables = [[math.prod((ws[mask.bit_count() - 1] for mask in masks), start=1)
-                   for masks in parts] for ws, _ in scaled]
-        for combo in product(range(len(parts)), repeat=len(tables)):
-            if not _joins_to_top(parts[combo[0]],
-                                 chain.from_iterable(parts[j] for j in combo[1:])):
-                continue
-            term = math.prod(table[j] for table, j in zip(tables, combo))
-            if exact:
-                total += term
-            else:
-                terms.append(term)
+    for combo in product(range(len(parts)), repeat=len(tables)):
+        if not _joins_to_top(parts[combo[0]], chain.from_iterable(parts[j] for j in combo[1:])):
+            continue
+        term = math.prod(table[j] for table, j in zip(tables, combo))
+        if exact:
+            total += term
+        else:
+            terms.append(term)
     # factor i's table entries are D_i^n times their value
     return (Fraction(total, math.prod(D for _, D in scaled) ** n) if exact
-            else csum(terms, digits=digits))
+            else dot(terms, [1] * len(terms)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from typing import Sequence
 import mpmath as mp
 
 from .errors import RootConvergenceError
-from .scalars import (DEFAULT_DIGITS, EXACT, FLOAT64, MPF, binom, common_kind, convolve, exp,
-                      kind_of, promote_ints, to_mpf, work)
+from .scalars import (DEFAULT_DIGITS, EXACT, FLOAT64, MPF, binom, common_kind, convolve, dot,
+                      exp, kind_of, promote_ints, to_mpf, work)
 from .series import PowerSeries
 
 _ROOT_MAX_ITER = 200
@@ -551,7 +551,7 @@ def empirical_moments(p: MonicPoly, N: int, digits: int | None = None) -> list:
             atoms = promote_ints(atoms, kind)
             if p.angles is not None:
                 atoms = [exp(1j * a) for a in atoms]
-            return [sum(a ** k for a in atoms) / d for k in range(1, N + 1)]
+            return [dot([a ** k for a in atoms], [1] * d) / d for k in range(1, N + 1)]
     coeffs = p.coeffs
     if digits is not None:
         coeffs = [to_mpf(c, digits) for c in coeffs]
@@ -647,6 +647,8 @@ def _scalar_to_json(v):
         return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if isinstance(v, int):
         return v
+    if isinstance(v, mp.mpc):
+        v = complex(v)  # written as a binary64 complex, as poly_from_json reads it
     if not mp.isfinite(v):
         raise OverflowError(f"non-finite coefficient {v} past the binary64 range; "
                             'give the input as exact strings, such as "1e400"')

@@ -1,4 +1,4 @@
-"""Scalar kinds and cancellation-safe helpers.
+"""Scalar kinds and the one sum kernel.
 
 Three scalar kinds are used throughout the package:
 
@@ -10,9 +10,9 @@ Three scalar kinds are used throughout the package:
 Kinds are never mixed silently: ``common_kind`` refuses heterogeneous
 inputs, and promotion happens only through ``promote_ints`` and ``to_mpf``.
 Every per-kind decision lives here: the precision scope (``work``), the
-exponential (``exp``), the dot product under every series coefficient
-(``dot``, for mp terms one exact integer accumulator rounded once), the one
-coefficient product, truncated or binomial (``convolve``, one big-int
+exponential (``exp``), the dot product under every series coefficient and
+every mp sum (``dot``, for mp terms one exact integer accumulator rounded once),
+the one coefficient product, truncated or binomial (``convolve``, one big-int
 multiply for real mpf operands), conversion into mpmath (``to_mpf``),
 printing (``format_scalar``) and the common denominator that puts exact
 values on ints (``integer_scaled``, and ``integer_weights`` for block
@@ -233,7 +233,7 @@ def _round_reads(xs: Sequence, ys: Sequence, s: tuple):
     the sum, which no finite term (here its mantissa) can change."""
     live = [(x, y) for x, y in zip(xs, ys) if x[0] and y[0]]
     if s[1] is None or any(x[1] is None or y[1] is None for x, y in live):
-        return mp.fsum([x[0] * y[0] for x, y in live] + [s[0]])
+        return sum((x[0] * y[0] for x, y in live), s[0])
     return _rounded(_exact_dot(xs, ys, s))
 
 
@@ -478,23 +478,3 @@ def multinomial(n: int, parts: Sequence[int]) -> int:
         out //= math.factorial(p)
     return out
 
-
-def csum(values: Sequence, digits: int = DEFAULT_DIGITS):
-    """Cancellation-safe sum dispatched on scalar kind.
-
-    Exact values are summed exactly; mpmath terms go through ``mp.fsum``
-    (single final rounding); binary64 terms through ``math.fsum``, correctly
-    rounded, the real and imaginary parts of complex terms separately.
-    """
-    values = list(values)
-    if not values:
-        return 0
-    kind = common_kind(values, "csum")
-    if kind == EXACT:
-        return sum(values)
-    if kind == MPF:
-        with mp.workdps(digits):
-            return mp.fsum(values)
-    if any(isinstance(v, complex) for v in values):
-        return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
-    return math.fsum(values)

@@ -307,14 +307,16 @@ class TestFaaDiBruno:
 
 
     def test_mpf_worked_at_default_digits(self):
-        # sum and exp(u0) both at 50 digits, whatever the ambient precision
+        # sum and exp(u0) both at 50 digits, whatever the ambient precision,
+        # also when u0 is the exact 0
         with mp.workdps(50):
             derivs = [mp.mpf(1) / 3, mp.mpf(2) / 7, mp.mpf(1) / 11]
-            u0 = mp.mpf(1) / 2
-        got = faa_di_bruno_exp(derivs, u0, 3)
-        with mp.workdps(80):
-            expect = faa_di_bruno_literal(derivs, 3) * mp.exp(u0)
-            assert abs(got - expect) <= mp.mpf("1e-45") * abs(expect)
+            half = mp.mpf(1) / 2
+        for u0 in (half, 0):
+            got = faa_di_bruno_exp(derivs, u0, 3)
+            with mp.workdps(80):
+                expect = faa_di_bruno_literal(derivs, 3) * mp.exp(u0)
+                assert abs(got - expect) <= mp.mpf("1e-45") * abs(expect)
 
 
 class TestCompositionIdentity:

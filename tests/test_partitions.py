@@ -21,6 +21,7 @@ from finfree.partitions import (
     count_join_full_closed,
     enumerate_noncrossing,
     enumerate_partitions,
+    join_sum,
     _joins_to_top,
     _noncrossing,
     mobius_top,
@@ -348,11 +349,19 @@ class TestBlockSum:
         with mp.workdps(50):
             ws = [mp.mpf(rng.randint(-9, 9)) / 7 for _ in range(n)]
             ref = _egf(ws, n).log().coeff(n) * math.factorial(n)
-        got = block_sum(ws, n, signed=True, digits=50)
+            got = block_sum(ws, n, signed=True)
         assert isinstance(got, mp.mpf) and abs(got - ref) <= mp.mpf("1e-45") * abs(ref)
         fl = [float(w) for w in ws]
         got = block_sum(fl, n, signed=True)
         assert isinstance(got, float) and abs(got - float(ref)) <= 1e-12 * abs(float(ref))
+
+    def test_mpf_terms_sum_exactly_rounded_once(self):
+        # the terms cancel to a value 400 bits below them; a sum that drops
+        # a term far below its running sum returns 0
+        with mp.workdps(50):
+            tiny = mp.ldexp(mp.mpf(1), -200)
+            assert block_sum([mp.mpf(1), tiny ** 2, mp.mpf(-1)], 3) == 3 * tiny ** 2
+            assert join_sum([[mp.mpf(1), mp.mpf(-1)], [tiny, mp.mpf(-1)]], 2) == -tiny ** 2
 
     def test_needs_a_weight_per_block_size(self):
         with pytest.raises(ValueError):

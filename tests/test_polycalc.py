@@ -603,6 +603,7 @@ class TestJson:
     def test_to_json_writes_angles_else_coeffs(self):
         with mp.workdps(30):
             mroots = [mp.mpf(1) / 3, mp.mpf(2)]
+        mpc_poly = MonicPoly.from_coeffs(MonicPoly.from_angles(["0.3", "-1.1"], digits=30).coeffs)
         cases = [
             (MonicPoly.from_coeffs([1, Fraction(-3, 2), 2]),
              {"degree": 2, "coeffs": [1, "-3/2", 2]}),
@@ -615,9 +616,14 @@ class TestJson:
             (MonicPoly.from_angles([0.5, -0.5]), {"degree": 2, "angles": [0.5, -0.5]}),
             (MonicPoly.from_angles([0.5, -0.25], digits=40),
              {"degree": 2, "angles": [0.5, -0.25]}),
+            (mpc_poly, {"degree": 2, "coeffs": ["1+0j", "-1.4089326105511835+0.5956871534000958j",
+                                                "0.6967067093471654-0.7173560908995228j"]}),
         ]
         for p, want in cases:
             assert poly_to_json(p) == want
+        # an mpc coefficient is written as the binary64 complex that reads back
+        back = poly_from_json(poly_to_json(mpc_poly))
+        assert back.coeffs == tuple(complex(c) for c in mpc_poly.coeffs)
 
     def test_bad_literals(self):
         with pytest.raises(ValueError):

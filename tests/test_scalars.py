@@ -8,7 +8,7 @@ import mpmath as mp
 import pytest
 
 from finfree import scalars
-from finfree.scalars import (EXACT, FLOAT64, MPF, convolve, csum, differences, dot, exp,
+from finfree.scalars import (EXACT, FLOAT64, MPF, convolve, differences, dot, exp,
                              format_scalar, integer_scaled, integer_weights, read, to_mpf, work)
 
 
@@ -185,28 +185,6 @@ class TestDot:
             assert mp.isnan(dot([inf, inf], [1, -1]))
             assert mp.isnan(dot([mp.nan, third], [1, 1]))
             assert dot([mp.mpc(inf, 0), 1], [1, 1]) == mp.mpc(inf, 0)
-
-
-class TestCsum:
-    def test_binary64_compensated(self):
-        # the plain left-to-right sum loses the 1.0 to rounding
-        terms = [1e16, 1.0, -1e16]
-        assert sum(terms) == 0.0
-        assert csum(terms) == 1.0
-        assert csum([1.0, 1e100, 1.0, -1e100]) == 2.0
-
-    def test_complex_compensated_per_part(self):
-        terms = [1e16 + 1e16j, 1.0, 1j, -1e16 - 1e16j]
-        assert sum(terms) == 0j
-        got = csum(terms)
-        assert isinstance(got, complex) and got == 1 + 1j
-
-    def test_exact_and_mpf(self):
-        assert csum([Fraction(1, 3), Fraction(2, 3), 1]) == 2
-        with mp.workdps(15):
-            got = csum([mp.mpf(10) ** 30, mp.mpf(1), -mp.mpf(10) ** 30], digits=40)
-        assert got == 1
-        assert csum([]) == 0
 
 
 class TestWork:

@@ -8,7 +8,7 @@ A public name that nothing else needs is dead surface.
 
 mpmath's internal representation, the raw mpf and mpc tuples and
 ``mpmath.libmp``, is read in ``scalars`` alone, the one scalar layer; and no
-module names ``mp.fdot``, whose sums are not rounded once from the exact value.
+module names ``fsum`` or ``fdot``: ``scalars.dot`` is the one sum kernel.
 """
 
 import ast
@@ -95,10 +95,11 @@ def test_mpmath_internals_stay_in_scalars():
     assert not found, f"mpmath internals outside scalars: {found}"
 
 
-def test_no_module_names_fdot():
-    """Every mp sum of products goes through the exact accumulator of
-    ``scalars.dot``: no module names ``fdot``, whose sum drops a term more
-    than 2 * prec bits below its running sum."""
-    found = [f"{path.stem}:{line}" for path in sorted((ROOT / "src" / "finfree").glob("*.py"))
-             for line, name in _names(path) if name == "fdot"]
-    assert not found, f"fdot named in src: {found}"
+def test_no_module_names_fsum_or_fdot():
+    """Every sum, of products or of terms, is one ``scalars.dot``, whose mp
+    sums are exact and rounded once: no module names ``fsum`` or ``fdot``.
+    mpmath's drop a term more than 2 * prec bits below the running sum."""
+    found = [f"{path.stem}:{line}: {name}"
+             for path in sorted((ROOT / "src" / "finfree").glob("*.py"))
+             for line, name in _names(path) if name in ("fsum", "fdot")]
+    assert not found, f"fsum or fdot named in src: {found}"
