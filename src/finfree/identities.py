@@ -23,7 +23,7 @@ from itertools import zip_longest
 from numbers import Rational
 from typing import Sequence
 
-from .partitions import DEFAULT_PARTITION_CAP, block_sum, mobius_top, partition_masks
+from .partitions import block_sum, mobius_top, partition_masks
 from .scalars import (DEFAULT_DIGITS, binom, common_kind, convolve, differences, exp,
                       integer_scaled, work)
 
@@ -108,11 +108,10 @@ def _check_input(fs: Sequence[ZeroConstPoly], n: int) -> None:
         raise ValueError("n must be >= 1")
 
 
-def s_bruteforce(fs: Sequence[ZeroConstPoly], n: int,
-                 cap: int = DEFAULT_PARTITION_CAP) -> Fraction:
+def s_bruteforce(fs: Sequence[ZeroConstPoly], n: int) -> Fraction:
     """The literal partition sum, exactly."""
     _check_input(fs, n)
-    lattice = partition_masks(n, cap=cap)  # refuses before the tables are built
+    lattice = partition_masks(n)  # refuses before the tables are built
     # per-size values of each f_i as ints over its denominator D_i: each factor
     # sum_V f_i(|V|) is then D_i times its value, and each term prod_i D_i times
     tables, scale = zip(*(integer_scaled([f(s) for s in range(n + 1)]) for f in fs))

@@ -11,11 +11,12 @@ ordered by their minimum; one walk (``partition_masks``) yields P(n) in that
 encoding, and every sum and count here reads it: block sizes are
 ``int.bit_count``, and a family joins to 1_n when its block masks fold into
 one component covering [n] (``_joins_to_top``).  The identity oracles of
-``identities`` read the same tuples through ``partition_masks``, and the
-non-crossing partitions are the walk's tuples that pass a mask scan
-(``_noncrossing``).  ``SetPartition`` exists only at the public edge: it is
-built only for what ``enumerate_partitions`` and ``enumerate_noncrossing``
-return, for the CLI, the tests and callers.
+``identities`` read the same tuples through ``partition_masks``.  The walk
+inserts element n into each partition of [n-1]; a second walk of the same
+shape inserts it only where no crossing arises, and lists the non-crossing
+partitions without visiting the rest of P(n).  ``SetPartition`` exists only
+at the public edge: it is built only for what ``enumerate_partitions`` and
+``enumerate_noncrossing`` return, for the CLI, the tests and callers.
 
 Everything here is exact integer arithmetic on immutable values, except
 ``block_sum`` and ``join_sum``, which sum in the kind of their weights, an
@@ -117,62 +118,58 @@ class SetPartition:
 # ---------------------------------------------------------------------------
 
 def _walk(n: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of [n] as tuples of block masks, in restricted-growth-
-    string lexicographic order (Knuth, TAOCP 4A, 7.2.1.5, Algorithm H).
-
-    The labels of elements 1..n-1 advance in place: the rightmost one below
-    its bound (one more than the largest label before it) moves to the next
-    block, and the ones after it go back to block 0.  Element n is placed
-    inline, in each open block and then in a new one.  Blocks are ordered by
-    their minimum.
-    """
+    """All partitions of [n] as tuples of block masks ordered by their
+    minimum, in restricted-growth-string lexicographic order: element n joins
+    each block of each partition of [n-1] in turn, then opens its own block.
+    The walk recurses n levels deep."""
     if n == 1:
         yield (1,)
         return
-    m = n - 1
-    last = 1 << m
-    labels = [0] * m
-    bound = [1] * m
-    blocks = [last - 1]
-    while True:
-        for i, b in enumerate(blocks):
+    last = 1 << (n - 1)
+    for parent in _walk(n - 1):
+        blocks = list(parent)
+        for i, b in enumerate(parent):
             blocks[i] = b | last
             yield tuple(blocks)
             blocks[i] = b
-        yield (*blocks, last)
-        j = m - 1
-        while labels[j] == bound[j]:
-            j -= 1
-        if j == 0:
-            return
-        a = labels[j]
-        bit = 1 << j
-        blocks[a] ^= bit
-        a += 1
-        labels[j] = a
-        if a == len(blocks):
-            blocks.append(bit)
-        else:
-            blocks[a] |= bit
-        num_blocks = max(bound[j], a + 1)
-        for k in range(j + 1, m):
-            if labels[k]:
-                blocks[labels[k]] ^= 1 << k
-                blocks[0] |= 1 << k
-                labels[k] = 0
-            bound[k] = num_blocks
-        del blocks[num_blocks:]
+        yield (*parent, last)
+
+
+def _noncrossing_walk(n: int) -> Iterator[tuple[int, ...]]:
+    """NC(n) in the order of ``_walk``, by the same insertion: element n may
+    join a block only when no earlier block (one with a smaller minimum) ends
+    after it.  Non-crossing blocks nest or lie apart, so that is one running
+    maximum of ``bit_length``."""
+    if n == 1:
+        yield (1,)
+        return
+    last = 1 << (n - 1)
+    for parent in _noncrossing_walk(n - 1):
+        blocks = list(parent)
+        reach = 0  # the largest end among the blocks before b
+        for i, b in enumerate(parent):
+            end = b.bit_length()
+            if end > reach:
+                blocks[i] = b | last
+                yield tuple(blocks)
+                blocks[i] = b
+                reach = end
+        yield (*parent, last)
+
+
+def _check_size(n: int, cap: int) -> None:
+    """Refuse ``n`` at the call, before a walk is made."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    if n > cap:
+        raise CapExceededError("partition enumeration", n, cap)
 
 
 def partition_masks(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[tuple[int, ...]]:
     """All partitions of [n], each a tuple of block bitmasks (bit x-1 for
     element x) ordered by their minimum, in the order of
-    ``enumerate_partitions``.  ``n`` and the cap are checked at the call, not
-    when the walk is first advanced."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if n > cap:
-        raise CapExceededError("partition enumeration", n, cap)
+    ``enumerate_partitions``.  ``n`` and the cap are checked at the call."""
+    _check_size(n, cap)
     return _walk(n)
 
 
@@ -196,39 +193,17 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[S
 
     The stream starts at 1_n (string 00...0) and ends at 0_n (string 012...).
     Each call owns an independent cursor.  It is ``partition_masks`` mapped
-    to ``SetPartition``; ``n`` and the cap are checked at the call, by
-    ``partition_masks``.
+    to ``SetPartition``; ``n`` and the cap are checked at the call.
     """
     return _as_set_partitions(n, partition_masks(n, cap))
 
 
-def _noncrossing(masks: tuple[int, ...]) -> bool:
-    """No a<b<c<d with a,c in one block and b,d in another, for block masks
-    ordered by their minimum.
-
-    The blocks are met in that order, with a stack of the blocks still open
-    at the current block's minimum, innermost on top; those that closed
-    before it (no element above the minimum) are popped.  The block passes
-    only if it lies strictly between two consecutive elements of the
-    innermost open block, which then holds nothing from its minimum to its
-    maximum.
-    """
-    stack: list[int] = []
-    for mask in masks:
-        low = mask & -mask
-        while stack and stack[-1] < low:
-            stack.pop()
-        if stack and stack[-1] & ((1 << mask.bit_length()) - low):
-            return False
-        stack.append(mask)
-    return True
-
-
 def enumerate_noncrossing(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[SetPartition]:
     """Non-crossing partitions of [n], in the order of ``enumerate_partitions``:
-    the walk's mask tuples that pass ``_noncrossing``, mapped to
-    ``SetPartition``."""
-    return _as_set_partitions(n, filter(_noncrossing, partition_masks(n, cap)))
+    ``_noncrossing_walk`` mapped to ``SetPartition``.  ``n`` and the cap are
+    checked at the call; P(n) is not walked."""
+    _check_size(n, cap)
+    return _as_set_partitions(n, _noncrossing_walk(n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-These deliberately avoid the package's own code paths: different
-enumeration algorithm, graph-based join, textbook recurrences.
+These deliberately avoid the package's own code paths: enumeration on
+element lists, a stack scan for crossings, graph-based join, textbook
+recurrences.
 """
 
 import math
@@ -75,6 +76,28 @@ def noncrossing_by_quadruples(blocks) -> bool:
     owner = _owner(blocks)
     return not any(owner[a] == owner[c] != owner[b] == owner[d]
                    for a, b, c, d in combinations(range(1, len(owner) + 1), 4))
+
+
+def noncrossing_by_stack(masks: tuple[int, ...]) -> bool:
+    """No a<b<c<d with a,c in one block and b,d in another, for block masks
+    ordered by their minimum.
+
+    The blocks are met in that order, with a stack of the blocks still open
+    at the current block's minimum, innermost on top; those that closed
+    before it (no element above the minimum) are popped.  The block passes
+    only if it lies strictly between two consecutive elements of the
+    innermost open block, which then holds nothing from its minimum to its
+    maximum.
+    """
+    stack: list[int] = []
+    for mask in masks:
+        low = mask & -mask
+        while stack and stack[-1] < low:
+            stack.pop()
+        if stack and stack[-1] & ((1 << mask.bit_length()) - low):
+            return False
+        stack.append(mask)
+    return True
 
 
 def _check_same_ground(pi: SetPartition, sigma: SetPartition) -> None:

@@ -118,10 +118,6 @@ class TestSBruteforce:
         with pytest.raises(CapExceededError):
             s_bruteforce([x(1)], 13)
 
-    def test_cap_reaches_the_enumeration(self):
-        with pytest.raises(CapExceededError, match="cap 4"):
-            s_bruteforce([x(2)], 5, cap=4)
-
     def test_cap_checked_before_the_tables(self):
         # ten million Fractions per polynomial would be built if the check waited
         start = time.perf_counter()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finfree import partitions
 from finfree.errors import CapExceededError
 from finfree.partitions import (
     SetPartition,
@@ -23,14 +24,14 @@ from finfree.partitions import (
     enumerate_partitions,
     join_sum,
     _joins_to_top,
-    _noncrossing,
     mobius_top,
     partition_masks,
 )
 from finfree.series import PowerSeries
 
 from .oracles import (bell_oracle, catalan_oracle, is_refinement, join_bfs, mobius,
-                      mobius_recursive, noncrossing_by_quadruples, partitions_by_insertion)
+                      mobius_recursive, noncrossing_by_quadruples, noncrossing_by_stack,
+                      partitions_by_insertion)
 
 
 def rgs_partitions(draw_n=st.integers(min_value=1, max_value=7)):
@@ -287,7 +288,7 @@ class TestNonCrossing:
 
     def test_canonical_crossing_excluded(self):
         crossing = SetPartition(4, [(1, 3), (2, 4)])
-        assert not _noncrossing(tuple(_masks(crossing)))
+        assert not noncrossing_by_stack(tuple(_masks(crossing)))
         assert crossing not in set(enumerate_noncrossing(4))
 
     def test_counts_match_catalan(self):
@@ -299,7 +300,24 @@ class TestNonCrossing:
         for n in range(1, 9):
             for masks, blocks in zip(partition_masks(n), partitions_by_insertion(n),
                                      strict=True):
-                assert _noncrossing(masks) == noncrossing_by_quadruples(blocks)
+                assert noncrossing_by_stack(masks) == noncrossing_by_quadruples(blocks)
+
+    def test_equals_the_quadruple_filter_of_all_partitions(self):
+        for n in range(1, 9):
+            assert list(enumerate_noncrossing(n)) == [
+                p for p in enumerate_partitions(n) if noncrossing_by_quadruples(p.blocks)]
+
+    def test_masks_equal_the_stack_filter_of_the_walk_in_order(self):
+        for n in range(1, 11):
+            assert [tuple(_masks(p)) for p in enumerate_noncrossing(n)] == list(
+                filter(noncrossing_by_stack, partition_masks(n)))
+
+    def test_never_walks_all_partitions(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"walked P({n})")
+
+        monkeypatch.setattr(partitions, "_walk", refuse)
+        assert sum(1 for _ in enumerate_noncrossing(10)) == catalan_oracle(10) == 16796
 
     def test_builds_only_the_noncrossing_partitions(self, monkeypatch):
         built = []
