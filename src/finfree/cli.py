@@ -135,16 +135,19 @@ def _cmd_partitions(args) -> str:
     )
     if args.count_only:
         return str(sum(1 for _ in stream))
-    if args.format == "json":
-        return json.dumps([p.blocks for p in stream])
-    texts: dict[tuple[int, ...], str] = {}  # each distinct block is formatted once
-    lines = []
+    # each distinct block is formatted once and every row is joined from the
+    # block texts; json comes out as json.dumps of the block lists would write it
+    as_json = args.format == "json"
+    wrap = "[{}]".format if as_json else str
+    elem_sep, block_sep, row_sep = (", ", ", ", ", ") if as_json else (",", "|", "\n")
+    texts: dict[tuple[int, ...], str] = {}
+    rows = []
     for p in stream:
         for b in p.blocks:
             if b not in texts:
-                texts[b] = ",".join(map(str, b))
-        lines.append("|".join(map(texts.__getitem__, p.blocks)))
-    return "\n".join(lines)
+                texts[b] = wrap(elem_sep.join(map(str, b)))
+        rows.append(wrap(block_sep.join(map(texts.__getitem__, p.blocks))))
+    return wrap(row_sep.join(rows))
 
 
 def _cmd_identity(args) -> str:

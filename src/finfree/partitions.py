@@ -10,13 +10,18 @@ A partition is encoded as a tuple of block bitmasks (bit x-1 for element x),
 ordered by their minimum; one walk (``partition_masks``) yields P(n) in that
 encoding, and every sum and count here reads it: block sizes are
 ``int.bit_count``, and a family joins to 1_n when its block masks fold into
-one component covering [n] (``_joins_to_top``).  The identity oracles of
-``identities`` read the same tuples through ``partition_masks``.  The walk
-inserts element n into each partition of [n-1]; a second walk of the same
-shape inserts it only where no crossing arises, and lists the non-crossing
-partitions without visiting the rest of P(n).  ``SetPartition`` exists only
-at the public edge: it is built only for what ``enumerate_partitions`` and
-``enumerate_noncrossing`` return, for the CLI, the tests and callers.
+one component covering [n].  That fold (``_fold``) is the one connectivity
+test: ``_joins_to_top`` applies it to one family, and the tuple-family counts
+apply it to states.  They count the tuples of subsets level by level by the
+state their prefixes reach (``_count_states``), the components folded so far
+(the union, for the covering count), not tuple by tuple.  The identity
+oracles of ``identities`` read the same tuples through ``partition_masks``.
+The walk inserts element n into each partition of [n-1]; a second walk of
+the same shape inserts it only where no crossing arises, and lists the
+non-crossing partitions without visiting the rest of P(n).  ``SetPartition``
+exists only at the public edge: it is built only for what
+``enumerate_partitions`` and ``enumerate_noncrossing`` return, for the CLI,
+the tests and callers.
 
 Everything here is exact integer arithmetic on immutable values, except
 ``block_sum`` and ``join_sum``, which sum in the kind of their weights, an
@@ -210,15 +215,14 @@ def enumerate_noncrossing(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[
 # connectivity
 # ---------------------------------------------------------------------------
 
-def _joins_to_top(comps: Sequence[int], masks: Iterable[int]) -> bool:
-    """True iff the partition of [n] with the block masks ``comps``, joined
-    with the blocks ``masks``, is 1_n.
+def _fold(comps: Iterable[int], masks: Iterable[int]) -> list[int]:
+    """The disjoint connected components left when the blocks ``masks`` are
+    folded, one by one, into the components ``comps``.
 
-    The join of partitions is the connectivity closure of their blocks.
-    Each mask is folded into the disjoint connected components met so far,
-    starting from the blocks of ``comps``; these cover [n], so the join is
-    1_n exactly when one component is left.  This is the one test of that
-    condition in the package.
+    The join of partitions is the connectivity closure of their blocks: each
+    mask absorbs every component it meets and takes their place as one.  This
+    is the one connectivity test in the package; ``_joins_to_top``,
+    ``join_sum`` and ``_count_connected`` read it.
     """
     for mask in masks:
         rest = []
@@ -229,7 +233,14 @@ def _joins_to_top(comps: Sequence[int], masks: Iterable[int]) -> bool:
                 rest.append(c)
         rest.append(mask)
         comps = rest
-    return len(comps) == 1
+    return comps
+
+
+def _joins_to_top(comps: Sequence[int], masks: Iterable[int]) -> bool:
+    """True iff the partition of [n] with the block masks ``comps``, joined
+    with the blocks ``masks``, is 1_n: the components of ``comps`` cover [n],
+    so the join is 1_n exactly when ``_fold`` leaves one."""
+    return len(_fold(comps, masks)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +305,22 @@ def join_sum(weights: Sequence[Sequence], n: int):
     exact = common_kind([w for ws, _ in scaled for w in ws], "join_sum") == EXACT
     tables = [[math.prod((ws[mask.bit_count() - 1] for mask in masks), start=1)
                for masks in parts] for ws, _ in scaled]
+    # the tuples in lexicographic order; each head (sigma_1,...,sigma_{m-1})
+    # is folded, and its weight multiplied, once for all its last factors
+    *heads, last = tables
+    bottom = [1 << x for x in range(n)]
     total, terms = 0, []
-    for combo in product(range(len(parts)), repeat=len(tables)):
-        if not _joins_to_top(parts[combo[0]], chain.from_iterable(parts[j] for j in combo[1:])):
-            continue
-        term = math.prod(table[j] for table, j in zip(tables, combo))
-        if exact:
-            total += term
-        else:
-            terms.append(term)
+    for head in product(range(len(parts)), repeat=len(heads)):
+        comps = _fold(bottom, chain.from_iterable(parts[j] for j in head))
+        weight = math.prod(table[j] for table, j in zip(heads, head))
+        for masks, w in zip(parts, last):
+            if not _joins_to_top(comps, masks):
+                continue
+            term = weight * w
+            if exact:
+                total += term
+            else:
+                terms.append(term)
     # factor i's table entries are D_i^n times their value
     return (Fraction(total, math.prod(D for _, D in scaled) ** n) if exact
             else dot(terms, [1] * len(terms)))
@@ -334,10 +352,35 @@ def _subset_pools(n: int, sizes: tuple, cap: int, what: str) -> list[list[int]]:
     return [[sum(c) for c in combinations(bits, m)] for m in sizes]
 
 
+def _count_states(start, pools: list[list[int]], step) -> dict:
+    """The tuples of masks, one from each pool in turn, counted by the state
+    they reach from ``start`` when ``step(state, mask)`` folds each mask in:
+    a dict from each state to its number of tuples.  Each pool folds each
+    state reached so far once, not each prefix."""
+    states = {start: 1}
+    for pool in pools:
+        nxt: dict = {}
+        for state, ways in states.items():
+            for mask in pool:
+                key = step(state, mask)
+                nxt[key] = nxt.get(key, 0) + ways
+        states = nxt
+    return states
+
+
 def _count_connected(comps: list[int], pools: list[list[int]]) -> int:
     """Tuples, one block mask from each pool, whose join with the partition
-    of [n] with the block masks ``comps`` is 1_n."""
-    return sum(_joins_to_top(comps, tup) for tup in product(*pools))
+    of [n] with the block masks ``comps`` is 1_n.
+
+    The prefixes are counted by their components, a sorted tuple of disjoint
+    masks; the last mask completes the join exactly when it meets every
+    component left.
+    """
+    states = _count_states(tuple(sorted(comps)), pools[:-1],
+                           lambda state, mask: tuple(sorted(_fold(state, (mask,)))))
+    last = pools[-1]
+    return sum(ways * sum(all(mask & c for c in state) for mask in last)
+               for state, ways in states.items())
 
 
 def count_R(n: int, sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP,
@@ -360,15 +403,8 @@ def count_R(n: int, sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP,
     if any(m > n for m in sizes):
         return 0
     pools = _subset_pools(n, sizes, cap, "covering-tuple count")
-    full = (1 << n) - 1
-    count = 0
-    for tup in product(*pools):
-        u = 0
-        for w in tup:
-            u |= w
-        if u == full:
-            count += 1
-    return count
+    # the tuples counted by their union
+    return _count_states(0, pools, int.__or__).get((1 << n) - 1, 0)
 
 
 def count_S(n: int, sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP) -> int:

@@ -2,14 +2,16 @@
 
 These deliberately avoid the package's own code paths: enumeration on
 element lists, a stack scan for crossings, graph-based join, textbook
-recurrences.
+recurrences.  The one exception is the tuple-count oracle
+``connected_by_product``: it lists every tuple, where the package counts by
+state, but tests each with the package's join fold.
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from finfree.partitions import SetPartition, enumerate_partitions
+from finfree.partitions import SetPartition, _joins_to_top, enumerate_partitions
 
 
 def bell_oracle(n: int) -> int:
@@ -98,6 +100,34 @@ def noncrossing_by_stack(masks: tuple[int, ...]) -> bool:
             return False
         stack.append(mask)
     return True
+
+
+def subset_pools(n: int, sizes) -> list[list[int]]:
+    """For each size m, every m-subset of [n] as a bitmask (none when m > n)."""
+    return [[sum(1 << (x - 1) for x in c) for c in combinations(range(1, n + 1), m)]
+            for m in sizes]
+
+
+def connected_by_product(comps, n: int, sizes) -> int:
+    """Literal oracle of the connected tuple counts (``count_S``, ``count_T``):
+    every tuple (W_1,...,W_k), |W_i| = sizes[i], is listed and tested one by
+    one for a join with the partition of [n] with block masks ``comps`` that
+    is 1_n.  The join test is the package's fold, itself checked against
+    ``join_bfs``."""
+    return sum(_joins_to_top(comps, tup) for tup in product(*subset_pools(n, sizes)))
+
+
+def covering_by_product(n: int, sizes) -> int:
+    """Literal oracle of ``count_R``: every tuple of subsets with the given
+    sizes, listed and tested one by one for a union equal to [n]."""
+    full = (1 << n) - 1
+    total = 0
+    for tup in product(*subset_pools(n, sizes)):
+        union = 0
+        for w in tup:
+            union |= w
+        total += union == full
+    return total
 
 
 def _check_same_ground(pi: SetPartition, sigma: SetPartition) -> None:

@@ -45,6 +45,14 @@ class TestPartitionsCommand:
                 "b5751f1bba0d1ca73ae84f9bdf27155756c4102dcd826879c1cb1fa3ba885209",
             ("--format", "json", "partitions", "--n", "8", "--noncrossing"):
                 "657de94280a9841211c21b9741096769c2840956d22843dcc718a700e1be23ce",
+            ("--format", "csv", "partitions", "--n", "8"):
+                "438df3f67a4dd291bf123c5aeaef1489186685a4481cdb7a5b924757d28b5727",
+            ("--format", "json", "partitions", "--n", "1"):
+                "695d4de79bd0f215a776bbd4c2d6c9cff51c435197d7a13c950a89b423be8451",
+            ("--format", "csv", "partitions", "--n", "1"):
+                "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+            ("--format", "json", "partitions", "--n", "10", "--noncrossing"):
+                "235ea8c54f9f2594d5eaf84dbea2564d8985756c551d9de352b8ddf7d0589131",
         }
         for argv, digest in pins.items():
             code, out, _ = run(capsys, *argv)

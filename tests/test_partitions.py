@@ -2,7 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import mpmath as mp
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from finfree import partitions
 from finfree.errors import CapExceededError
+from finfree.identities import ZeroConstPoly, s_bruteforce
 from finfree.partitions import (
     SetPartition,
     block_sum,
@@ -29,9 +30,9 @@ from finfree.partitions import (
 )
 from finfree.series import PowerSeries
 
-from .oracles import (bell_oracle, catalan_oracle, is_refinement, join_bfs, mobius,
-                      mobius_recursive, noncrossing_by_quadruples, noncrossing_by_stack,
-                      partitions_by_insertion)
+from .oracles import (bell_oracle, catalan_oracle, connected_by_product, covering_by_product,
+                      is_refinement, join_bfs, mobius, mobius_recursive,
+                      noncrossing_by_quadruples, noncrossing_by_stack, partitions_by_insertion)
 
 
 def rgs_partitions(draw_n=st.integers(min_value=1, max_value=7)):
@@ -450,6 +451,42 @@ class TestTupleCounts:
 
     def test_count_T_symmetric_in_sizes(self):
         assert count_T((3, 2), (1, 2, 1, 1)) == count_T((2, 3), (1, 2, 1, 1))
+
+    def test_counts_equal_the_literal_tuple_oracles(self):
+        # every instance with n <= 6 and k <= 3: repeated sizes, k = 1, and
+        # sizes past n, where no tuple exists
+        for k in (1, 2, 3):
+            for sizes in combinations_with_replacement_sizes(k, 7):
+                for n in range(1, 7):
+                    assert count_R(n, sizes) == covering_by_product(n, sizes)
+                    assert count_S(n, sizes) == connected_by_product(
+                        [1 << x for x in range(n)], n, sizes)
+        cases = 0
+        for k in (1, 2, 3):
+            for sizes in product(range(1, 7), repeat=k):
+                for lengths in compositions_up_to(sum(sizes) - (k - 1), 6):
+                    expect = connected_by_product(partitions._interval_masks(lengths),
+                                                  sum(lengths), sizes)
+                    assert count_T(sizes, lengths) == expect
+                    cases += 1
+        assert cases > 200
+
+    def test_counts_past_the_product_loop(self):
+        # tuples the product loop listed one by one number 28^4 and 84^3 here
+        def timed(count, *args):
+            start = time.perf_counter()
+            value = count(*args)
+            assert time.perf_counter() - start < 0.25
+            return value
+
+        for sizes, slots in (((2, 2, 2, 2), 5), ((3, 3, 3), 7)):
+            for lengths in compositions_up_to(slots, 8):
+                if sum(lengths) == 8:
+                    assert timed(count_T, sizes, lengths) == count_T_closed(sizes, lengths)
+        for sizes in ((1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 1), (2, 2, 2, 2)):
+            fam = [ZeroConstPoly.binomial_basis(m) for m in sizes]
+            for n in range(1, 9):
+                assert timed(count_S, n, sizes) == s_bruteforce(fam, n)
 
     def test_non_positive_inputs_rejected(self):
         bad = [
