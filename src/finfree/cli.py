@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import nullcontext
 
 from .cumulants import CumulantVector, coeffs_from_cumulants, finite_cumulants
 from .errors import CapExceededError, PrecisionBudgetError, RootConvergenceError
@@ -29,6 +30,7 @@ from .partitions import (
     count_join_full_closed,
     enumerate_noncrossing,
     enumerate_partitions,
+    mask_elements,
 )
 from .polycalc import (_parse_scalar, _positive_int, boxplus, boxtimes, boxtimes_pow,
                        poly_from_json, poly_to_json)
@@ -69,11 +71,11 @@ def _load_json_arg(text: str):
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    """Write ``text`` to ``out`` or stdout, newline-terminated, without a copy."""
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
+        fh.write(text)
+        if not text.endswith("\n"):
+            fh.write("\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -140,13 +142,13 @@ def _cmd_partitions(args) -> str:
     as_json = args.format == "json"
     wrap = "[{}]".format if as_json else str
     elem_sep, block_sep, row_sep = (", ", ", ", ", ") if as_json else (",", "|", "\n")
-    texts: dict[tuple[int, ...], str] = {}
+    texts: dict[int, str] = {}  # keyed by block mask
     rows = []
     for p in stream:
-        for b in p.blocks:
-            if b not in texts:
-                texts[b] = wrap(elem_sep.join(map(str, b)))
-        rows.append(wrap(block_sep.join(map(texts.__getitem__, p.blocks))))
+        for m in p.masks:
+            if m not in texts:
+                texts[m] = wrap(elem_sep.join(map(str, mask_elements(m))))
+        rows.append(wrap(block_sep.join(map(texts.__getitem__, p.masks))))
     return wrap(row_sep.join(rows))
 
 

@@ -18,10 +18,10 @@ state their prefixes reach (``_count_states``), the components folded so far
 oracles of ``identities`` read the same tuples through ``partition_masks``.
 The walk inserts element n into each partition of [n-1]; a second walk of
 the same shape inserts it only where no crossing arises, and lists the
-non-crossing partitions without visiting the rest of P(n).  ``SetPartition``
-exists only at the public edge: it is built only for what
-``enumerate_partitions`` and ``enumerate_noncrossing`` return, for the CLI,
-the tests and callers.
+non-crossing partitions without visiting the rest of P(n).  ``SetPartition``,
+the public value, holds the same masks and derives its element tuples
+(``mask_elements``); ``enumerate_partitions`` and ``enumerate_noncrossing``
+are the two walks mapped to it, with nothing tabled per element.
 
 Everything here is exact integer arithmetic on immutable values, except
 ``block_sum`` and ``join_sum``, which sum in the kind of their weights, an
@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, chain, combinations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -53,51 +54,54 @@ DEFAULT_TUPLE_CAP = 8
 # domain types
 # ---------------------------------------------------------------------------
 
+def mask_elements(mask: int) -> tuple[int, ...]:
+    """The elements of the block with bitmask ``mask`` (bit x-1 for element x), increasing."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length())
+        mask &= mask - 1
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class SetPartition:
-    """A partition of {1,...,n} in canonical form.
-
-    Blocks are stored sorted internally and ordered by their minimum, so two
-    equal partitions always compare and hash equal.
+    """A partition of {1,...,n}, held as its block bitmasks (bit x-1 for
+    element x) ordered by their minimum, as ``partition_masks`` yields them,
+    so equal partitions compare and hash equal.  ``blocks``, the increasing
+    element tuples in the same order, is derived from the masks.
     """
 
     n: int
-    blocks: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
 
     def __init__(self, n: int, blocks: Sequence[Sequence[int]]):
-        canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
+        if n < 1:
+            raise ValueError(f"ground-set size must be positive, got {n}")
+        seen, masks = 0, []
+        for b in blocks:
+            mask = 0
+            for x in b:
+                if not 1 <= x <= n:
+                    raise ValueError(f"element {x} outside 1..{n}")
+                if (seen | mask) >> (x - 1) & 1:
+                    raise ValueError(f"element {x} appears in two blocks")
+                mask |= 1 << (x - 1)
+            if not mask:
+                raise ValueError("empty block in partition")
+            seen |= mask
+            masks.append(mask)
+        if seen != (1 << n) - 1:
+            raise ValueError("blocks do not cover the ground set")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", canon)
-        self._validate()
+        object.__setattr__(self, "masks", tuple(sorted(masks, key=lambda m: m & -m)))
 
     @classmethod
-    def _canonical(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> "SetPartition":
-        """Trusted constructor for blocks already in canonical form.
-
-        The caller guarantees that ``blocks`` are increasing tuples, ordered
-        by their minimum, that partition {1,...,n}; nothing is sorted or
-        validated.
-        """
+    def _canonical(cls, n: int, masks: tuple[int, ...]) -> "SetPartition":
+        """Trusted constructor: ``masks`` partition [n], ordered by their minimum."""
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "masks", masks)
         return self
-
-    def _validate(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"ground-set size must be positive, got {self.n}")
-        seen: set[int] = set()
-        for b in self.blocks:
-            if not b:
-                raise ValueError("empty block in partition")
-            for x in b:
-                if not 1 <= x <= self.n:
-                    raise ValueError(f"element {x} outside 1..{self.n}")
-                if x in seen:
-                    raise ValueError(f"element {x} appears in two blocks")
-                seen.add(x)
-        if len(seen) != self.n:
-            raise ValueError("blocks do not cover the ground set")
 
     @classmethod
     def bottom(cls, n: int) -> "SetPartition":
@@ -107,11 +111,15 @@ class SetPartition:
     @classmethod
     def top(cls, n: int) -> "SetPartition":
         """1_n: a single block."""
-        return cls(n, [tuple(range(1, n + 1))])
+        return cls(n, [range(1, n + 1)])
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(mask_elements, self.masks))
 
     @property
     def num_blocks(self) -> int:
-        return len(self.blocks)
+        return len(self.masks)
 
     def __repr__(self) -> str:
         body = "|".join(",".join(str(x) for x in b) for b in self.blocks)
@@ -178,21 +186,6 @@ def partition_masks(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[tuple[
     return _walk(n)
 
 
-def _as_set_partitions(n: int, walk: Iterable[tuple[int, ...]]) -> Iterator[SetPartition]:
-    """The mask tuples of ``walk`` as ``SetPartition``s of [n].
-
-    Each block mask is looked up in a table of element tuples built for this
-    call, so every partition is canonical by construction and skips
-    validation.
-    """
-    table = [()] * (1 << n)  # the elements of each mask, increasing
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        table[mask] = (low.bit_length(), *table[mask ^ low])
-    get, make = table.__getitem__, SetPartition._canonical
-    return (make(n, tuple(map(get, masks))) for masks in walk)
-
-
 def enumerate_partitions(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[SetPartition]:
     """All partitions of [n], in restricted-growth-string lexicographic order.
 
@@ -200,7 +193,7 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[S
     Each call owns an independent cursor.  It is ``partition_masks`` mapped
     to ``SetPartition``; ``n`` and the cap are checked at the call.
     """
-    return _as_set_partitions(n, partition_masks(n, cap))
+    return map(partial(SetPartition._canonical, n), partition_masks(n, cap))
 
 
 def enumerate_noncrossing(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[SetPartition]:
@@ -208,7 +201,7 @@ def enumerate_noncrossing(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[
     ``_noncrossing_walk`` mapped to ``SetPartition``.  ``n`` and the cap are
     checked at the call; P(n) is not walked."""
     _check_size(n, cap)
-    return _as_set_partitions(n, _noncrossing_walk(n))
+    return map(partial(SetPartition._canonical, n), _noncrossing_walk(n))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 from finfree import cli
 from finfree.cumulants import finite_cumulants
@@ -53,6 +54,10 @@ class TestPartitionsCommand:
                 "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
             ("--format", "json", "partitions", "--n", "10", "--noncrossing"):
                 "235ea8c54f9f2594d5eaf84dbea2564d8985756c551d9de352b8ddf7d0589131",
+            ("--format", "csv", "partitions", "--n", "9"):
+                "03fb576786b895c7ad39378a40e9b1e321392787bfcee21052005790c7e5e1d6",
+            ("--format", "csv", "partitions", "--n", "9", "--noncrossing"):
+                "25cfdbf5275bdd2d0d8d7a2f0236806a45ae373e2d9cedbb11be824d50164b69",
         }
         for argv, digest in pins.items():
             code, out, _ = run(capsys, *argv)
@@ -516,3 +521,16 @@ def test_cli_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_emit_writes_the_text_without_copying_it(tmp_path):
+    text = "1,2|3\n" * 900_000 + "1|2|3"  # about 5 MB, no final newline
+    dest = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        cli._emit(text, str(dest))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * len(text)
+    assert dest.read_bytes() == (text + "\n").encode()

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -61,14 +62,9 @@ def join_families(draw):
     return n, parts, SetPartition(n, [range(a + 1, b + 1) for a, b in zip([0] + ends, ends)])
 
 
-def _masks(p):
-    """The block masks of a partition: bit x-1 set for element x."""
-    return [sum(1 << (x - 1) for x in b) for b in p.blocks]
-
-
 def _joins(*parts):
     """The mask fold on a family of partitions of one [n]."""
-    return _joins_to_top(_masks(parts[0]), [m for p in parts[1:] for m in _masks(p)])
+    return _joins_to_top(parts[0].masks, [m for p in parts[1:] for m in p.masks])
 
 
 def _partition_of_rgs(rgs):
@@ -159,6 +155,36 @@ class TestEnumeration:
         next(a)
         next(a)
         assert next(b) == SetPartition.top(4)
+
+    def test_first_partition_at_n64_needs_no_table(self):
+        # nothing of size 2^n is built: the first partition is one walk step
+        for enumerate_ in (enumerate_partitions, enumerate_noncrossing):
+            tracemalloc.start()
+            try:
+                first = next(enumerate_(64, cap=64))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert first == SetPartition.top(64) and first.masks == ((1 << 64) - 1,)
+            assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("n, blocks, message", [
+    (0, [], "ground-set size must be positive, got 0"),
+    (3, [(1, 2, 3), ()], "empty block in partition"),
+    (3, [(0, 1), (2, 3)], "element 0 outside 1..3"),
+    (3, [(1, 2), (3, 4)], "element 4 outside 1..3"),
+    (3, [(1, 2), (2, 3)], "element 2 appears in two blocks"),
+    (3, [(1, 1, 2), (3,)], "element 1 appears in two blocks"),
+    (3, [(1, 3)], "blocks do not cover the ground set"),
+])
+def test_set_partition_refusals(n, blocks, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SetPartition(n, blocks)
+    # the order of blocks and of elements is not part of the value
+    p, q = SetPartition(4, [(4, 2), (3, 1)]), SetPartition(4, [(1, 3), (2, 4)])
+    assert p == q and hash(p) == hash(q) and p.blocks == ((1, 3), (2, 4))
+    assert repr(p) == "SetPartition(4: 1,3|2,4)"
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +315,7 @@ class TestNonCrossing:
 
     def test_canonical_crossing_excluded(self):
         crossing = SetPartition(4, [(1, 3), (2, 4)])
-        assert not noncrossing_by_stack(tuple(_masks(crossing)))
+        assert not noncrossing_by_stack(crossing.masks)
         assert crossing not in set(enumerate_noncrossing(4))
 
     def test_counts_match_catalan(self):
@@ -310,7 +336,7 @@ class TestNonCrossing:
 
     def test_masks_equal_the_stack_filter_of_the_walk_in_order(self):
         for n in range(1, 11):
-            assert [tuple(_masks(p)) for p in enumerate_noncrossing(n)] == list(
+            assert [p.masks for p in enumerate_noncrossing(n)] == list(
                 filter(noncrossing_by_stack, partition_masks(n)))
 
     def test_never_walks_all_partitions(self, monkeypatch):
@@ -564,7 +590,7 @@ class TestJoinAll:
     def test_empty_family_is_bottom(self):
         # nothing folded onto 0_n leaves 0_n, which is 1_n only for n = 1
         for n in range(1, 6):
-            assert _joins_to_top(_masks(SetPartition.bottom(n)), []) == (n == 1)
+            assert _joins_to_top(SetPartition.bottom(n).masks, []) == (n == 1)
             assert _joins(SetPartition.bottom(n)) == (n == 1)
         assert _joins_to_top([0b1111], [])
 
