@@ -11,8 +11,8 @@ ordered by their minimum; one walk (``partition_masks``) yields P(n) in that
 encoding, and every sum and count here reads it: block sizes are
 ``int.bit_count``, and a family joins to 1_n when its block masks fold into
 one component covering [n].  That fold (``_fold``) is the one connectivity
-test: ``_joins_to_top`` applies it to one family, and the tuple-family counts
-apply it to states.  They count the tuples of subsets level by level by the
+test: ``_joins_to_top`` applies it to one family, ``join_sum`` and the
+tuple-family counts to states: they sum the tuples level by level by the
 state their prefixes reach (``_count_states``), the components folded so far
 (the union, for the covering count), not tuple by tuple.  The identity
 oracles of ``identities`` read the same tuples through ``partition_masks``.
@@ -23,9 +23,9 @@ the public value, holds the same masks and derives its element tuples
 (``mask_elements``); ``enumerate_partitions`` and ``enumerate_noncrossing``
 are the two walks mapped to it, with nothing tabled per element.
 
-Everything here is exact integer arithmetic on immutable values, except
-``block_sum`` and ``join_sum``, which sum in the kind of their weights, an
-mpf sum at the ambient precision: the caller's precision scope sets it.
+Everything here is integer arithmetic on immutable values; ``block_sum``
+and ``join_sum`` sum on ints too, and ``scalars.integer_weights`` takes their
+total back to the weights' kind, rounded once at the ambient precision.
 Brute-force enumerations are guarded by explicit caps because Bell numbers
 grow fast: Bell(12) is already about 4.2 million.  This module is the one
 place that refuses: each enumeration checks its size against its cap when
@@ -37,14 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, combinations, product
+from itertools import accumulate, combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError
-from .scalars import (EXACT, binom, common_kind, differences, dot, integer_weights,
-                      multinomial)
+from .scalars import binom, differences, integer_weights, multinomial
 
 DEFAULT_PARTITION_CAP = 12
 DEFAULT_TUPLE_CAP = 8
@@ -214,8 +212,8 @@ def _fold(comps: Iterable[int], masks: Iterable[int]) -> list[int]:
 
     The join of partitions is the connectivity closure of their blocks: each
     mask absorbs every component it meets and takes their place as one.  This
-    is the one connectivity test in the package; ``_joins_to_top``,
-    ``join_sum`` and ``_count_connected`` read it.
+    is the one connectivity test in the package; ``_joins_to_top`` and
+    ``_count_connected`` read it.
     """
     for mask in masks:
         rest = []
@@ -255,28 +253,21 @@ def block_sum(weights: Sequence, n: int, signed: bool = False):
 
     The literal oracle of ``series``: with W(z) = 1 + sum_s weights[s-1] z^s / s!
     the unsigned sum is n! [z^n] exp(W(z) - 1) and the signed one n! [z^n]
-    log W(z).  Exact weights are summed on ints over one common denominator
-    (``integer_weights``) and the sum comes back as a ``Fraction``; the terms
-    of any other kind are one ``dot``, rounded, like every product here, at
-    the ambient precision: an mpf sum is the exact sum rounded once.
+    log W(z).  One loop adds the terms on one int (``integer_weights``), and
+    the total goes back to the weights' kind once: a ``Fraction``, or the
+    exact sum rounded once to an mpf (at the ambient precision) or to binary64.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    lattice = partition_masks(n)  # refuses n < 1, and n past the cap, first
     if len(weights) < n:
         raise ValueError(f"need the weights of block sizes 1..{n}, got {len(weights)}")
-    ws, D = integer_weights(weights[:n])
-    exact = common_kind(ws, "block_sum") == EXACT
-    total, terms = 0, []
-    for masks in partition_masks(n):
+    (ws,), back = integer_weights(weights[:n])
+    total = 0
+    for masks in lattice:
         term = mobius_top(len(masks)) if signed else 1
         for mask in masks:
             term = term * ws[mask.bit_count() - 1]
-        if exact:
-            total += term
-        else:
-            terms.append(term)
-    # a product of scaled weights over the blocks of pi is D^n times its value
-    return Fraction(total, D ** n) if exact else dot(terms, [1] * len(terms))
+        total += term
+    return back(total, n)
 
 
 def join_sum(weights: Sequence[Sequence], n: int):
@@ -284,39 +275,20 @@ def join_sum(weights: Sequence[Sequence], n: int):
     prod_i prod_{V in sigma_i} weights[i][|V| - 1].
 
     The literal oracle of the pi-sum of ``cumulants.boxtimes_cumulants``;
-    m = len(weights).  Each factor's block products are tabled once, in
-    ``partition_masks`` order, which refuses n > 6: the tuples number
-    Bell(n)^m.  Exact weights are put on ints over one denominator per factor
-    (``integer_weights``) and the sum comes back as a ``Fraction``; the terms
-    of any other kind are one ``dot`` at the ambient precision, as in
-    ``block_sum``.
+    m = len(weights).  Factor i's partitions (``partition_masks``, which
+    refuses n > 6) enter ``_count_connected`` as their non-singleton blocks,
+    weighted by their block products on ints: the tuples are summed by the
+    components they reach, and the int total goes back to the weights' kind
+    once, as in ``block_sum``.
     """
     if not weights or any(len(ws) < n for ws in weights):
         raise ValueError(f"need the weights of block sizes 1..{n} for each factor")
     parts = list(partition_masks(n, cap=6))
-    scaled = [integer_weights(ws[:n]) for ws in weights]
-    exact = common_kind([w for ws, _ in scaled for w in ws], "join_sum") == EXACT
-    tables = [[math.prod((ws[mask.bit_count() - 1] for mask in masks), start=1)
-               for masks in parts] for ws, _ in scaled]
-    # the tuples in lexicographic order; each head (sigma_1,...,sigma_{m-1})
-    # is folded, and its weight multiplied, once for all its last factors
-    *heads, last = tables
-    bottom = [1 << x for x in range(n)]
-    total, terms = 0, []
-    for head in product(range(len(parts)), repeat=len(heads)):
-        comps = _fold(bottom, chain.from_iterable(parts[j] for j in head))
-        weight = math.prod(table[j] for table, j in zip(heads, head))
-        for masks, w in zip(parts, last):
-            if not _joins_to_top(comps, masks):
-                continue
-            term = weight * w
-            if exact:
-                total += term
-            else:
-                terms.append(term)
-    # factor i's table entries are D_i^n times their value
-    return (Fraction(total, math.prod(D for _, D in scaled) ** n) if exact
-            else dot(terms, [1] * len(terms)))
+    tables, back = integer_weights(*(ws[:n] for ws in weights))
+    pools = [[(tuple(m for m in masks if m & (m - 1)),
+               math.prod(ws[m.bit_count() - 1] for m in masks)) for masks in parts]
+             for ws in tables]
+    return back(_count_connected([1 << x for x in range(n)], pools), len(weights) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -337,42 +309,44 @@ def _check_positive(**groups: Sequence[int]) -> None:
             raise ValueError(f"{name} must be positive, got {tuple(values)}")
 
 
-def _subset_pools(n: int, sizes: tuple, cap: int, what: str) -> list[list[int]]:
-    """For each size m, all m-subsets of [n] as bitmasks; refused past the cap."""
+def _subset_pools(n: int, sizes: tuple, cap: int, what: str) -> list[list[tuple]]:
+    """For each size m, all m-subsets W of [n] as the pairs ((W,), 1) of
+    ``_count_states``, W a bitmask; refused past the cap."""
     if n > cap:
         raise CapExceededError(what, n, cap)
     bits = [1 << x for x in range(n)]
-    return [[sum(c) for c in combinations(bits, m)] for m in sizes]
+    return [[((sum(c),), 1) for c in combinations(bits, m)] for m in sizes]
 
 
-def _count_states(start, pools: list[list[int]], step) -> dict:
-    """The tuples of masks, one from each pool in turn, counted by the state
-    they reach from ``start`` when ``step(state, mask)`` folds each mask in:
-    a dict from each state to its number of tuples.  Each pool folds each
-    state reached so far once, not each prefix."""
+def _count_states(start, pools: list[list[tuple]], step) -> dict:
+    """The tuples taking one (blocks, weight) pair from each pool in turn,
+    summed by the state they reach from ``start`` when ``step(state, blocks)``
+    folds each pair's block masks in: a dict from each state to the sum of
+    the products of its tuples' weights (their number, for weights 1).  Each
+    pool folds each state reached so far once, not each prefix."""
     states = {start: 1}
     for pool in pools:
         nxt: dict = {}
         for state, ways in states.items():
-            for mask in pool:
-                key = step(state, mask)
-                nxt[key] = nxt.get(key, 0) + ways
+            for blocks, weight in pool:
+                key = step(state, blocks)
+                nxt[key] = nxt.get(key, 0) + ways * weight
         states = nxt
     return states
 
 
-def _count_connected(comps: list[int], pools: list[list[int]]) -> int:
-    """Tuples, one block mask from each pool, whose join with the partition
-    of [n] with the block masks ``comps`` is 1_n.
+def _count_connected(comps: list[int], pools: list[list[tuple]]):
+    """The sum of the weight products of the tuples, one (blocks, weight)
+    pair from each pool, whose blocks joined with the partition of [n] with
+    the block masks ``comps`` give 1_n.
 
-    The prefixes are counted by their components, a sorted tuple of disjoint
-    masks; the last mask completes the join exactly when it meets every
-    component left.
+    The prefixes are summed by their components, a sorted tuple of disjoint
+    masks (``_count_states``); the last pool is only tested for a join of
+    1_n, with no state kept.
     """
     states = _count_states(tuple(sorted(comps)), pools[:-1],
-                           lambda state, mask: tuple(sorted(_fold(state, (mask,)))))
-    last = pools[-1]
-    return sum(ways * sum(all(mask & c for c in state) for mask in last)
+                           lambda state, blocks: tuple(sorted(_fold(state, blocks))))
+    return sum(ways * sum(w for blocks, w in pools[-1] if _joins_to_top(state, blocks))
                for state, ways in states.items())
 
 
@@ -397,7 +371,7 @@ def count_R(n: int, sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP,
         return 0
     pools = _subset_pools(n, sizes, cap, "covering-tuple count")
     # the tuples counted by their union
-    return _count_states(0, pools, int.__or__).get((1 << n) - 1, 0)
+    return _count_states(0, pools, lambda union, blocks: union | blocks[0]).get((1 << n) - 1, 0)
 
 
 def count_S(n: int, sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP) -> int:

@@ -14,11 +14,12 @@ exponential (``exp``), the dot product under every series coefficient and
 every mp sum (``dot``, for mp terms one exact integer accumulator rounded once),
 the one coefficient product, truncated or binomial (``convolve``, one big-int
 multiply for real mpf operands), conversion into mpmath (``to_mpf``),
-printing (``format_scalar``) and the common denominator that puts exact
-values on ints (``integer_scaled``, and ``integer_weights`` for block
-weights).  This is the one module that reads mpf values as their mantissa
-and exponent (``read``): every mpf sum of products it returns is the exact
-sum rounded once.
+printing (``format_scalar``), the common denominator that puts exact
+values on ints (``integer_scaled``) and the unit that puts block weights on
+ints and takes their sum back to its kind once (``integer_weights``).  This
+is the one module that reads mpf values as their mantissa and exponent
+(``read``): every mpf sum of products it returns is the exact sum rounded
+once.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import math
 import operator
 from contextlib import nullcontext
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp
@@ -103,17 +104,40 @@ def integer_scaled(values: Sequence) -> tuple[list, int]:
     return [v.numerator * (D // v.denominator) for v in values], D
 
 
-def integer_weights(weights: Sequence) -> tuple[list, int]:
-    """Block weights put over one common denominator, for sums over P(n).
+def integer_weights(*factors: Sequence) -> tuple[list, Callable]:
+    """Block weights on ints over one unit u, for sums over P(n), and ``back``.
 
-    ``weights[s - 1]`` is the weight w_s of a block of size s.  Exact weights
-    become the ints w_s * D^s and D (``integer_scaled``): a product of scaled
-    weights over the blocks of a partition of [n] is D^n times the product of
-    the weights, so a block-multiplicative sum over P(n) runs on ints and
-    divides by D^n once.  Other values come back unchanged with D = 1.
+    In each factor, the weight w of a block of size s becomes the int w / u^s:
+    u = 1/D for exact weights, D the lcm of their denominators, and u = 2^E
+    for real mpf and binary64 ones, read as the dyadics m * 2^e they are
+    (``_pair``), E the least floor(e / s).  A product of weights whose block
+    sizes add up to N is an int times u^N; ``back(total, N)`` takes a sum of
+    such ints to the kind once: a ``Fraction``, or the exact sum rounded once,
+    to an mpf at the ambient precision or to binary64.  Complex, inf and nan
+    weights come back as they are, to be summed in their own kind, rounding
+    at each operation, and ``back`` returns that sum.  Mixed kinds raise.
     """
-    ints, D = integer_scaled(weights)
-    return ([w * D ** (s - 1) for s, w in enumerate(ints, start=1)] if D > 1 else ints), D
+    kind = common_kind([w for ws in factors for w in ws], "block weights")
+    if kind == EXACT:
+        D = math.lcm(*(w.denominator for ws in factors for w in ws))
+        return ([[w.numerator * (D // w.denominator) * D ** (s - 1) for s, w in enumerate(ws, 1)]
+                 for ws in factors], lambda total, N: Fraction(total, D ** N))
+    pairs = [[_pair(w) if type(w) in (int, float, mp.mpf) else (w, None) for w in ws]
+             for ws in factors]
+    if any(e is None for ps in pairs for _, e in ps):
+        return list(factors), lambda total, N: total
+    E = min((e // s for ps in pairs for s, (m, e) in enumerate(ps, 1) if m), default=0)
+    ints = [[m << (e - s * E) if m else 0 for s, (m, e) in enumerate(ps, 1)] for ps in pairs]
+    return ints, lambda total, N: (_rounded if kind == MPF else _nearest_float)((total, E * N))
+
+
+def _nearest_float(pair: tuple) -> float:
+    """The pair (m, e) as m * 2^e rounded once to binary64 (int division does), or +-inf."""
+    m, e = pair
+    try:
+        return (m << max(e, 0)) / (1 << max(-e, 0))
+    except OverflowError:
+        return math.inf if m > 0 else -math.inf
 
 
 def exp(x):

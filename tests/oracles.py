@@ -2,16 +2,16 @@
 
 These deliberately avoid the package's own code paths: enumeration on
 element lists, a stack scan for crossings, graph-based join, textbook
-recurrences.  The one exception is the tuple-count oracle
-``connected_by_product``: it lists every tuple, where the package counts by
-state, but tests each with the package's join fold.
+recurrences.  The exceptions are the tuple oracles ``connected_by_product``
+and ``join_sum_by_product``: they list every tuple, where the package sums
+by state, but test each with the package's join fold.
 """
 
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
-from finfree.partitions import SetPartition, _joins_to_top, enumerate_partitions
+from finfree.partitions import SetPartition, _fold, _joins_to_top, enumerate_partitions
 
 
 def bell_oracle(n: int) -> int:
@@ -115,6 +115,27 @@ def connected_by_product(comps, n: int, sizes) -> int:
     is 1_n.  The join test is the package's fold, itself checked against
     ``join_bfs``."""
     return sum(_joins_to_top(comps, tup) for tup in product(*subset_pools(n, sizes)))
+
+
+def join_sum_by_product(weights, n: int):
+    """Literal oracle of ``join_sum``: every tuple (sigma_1,...,sigma_m) of
+    P(n)^m, m = len(weights), is listed and tested for a join of 1_n, and
+    prod_i prod_{V in sigma_i} weights[i][|V| - 1] is added in the weights'
+    own arithmetic.  Each head (sigma_1,...,sigma_{m-1}) is folded, and its
+    weight multiplied, once for all its last factors."""
+    parts = [p.masks for p in enumerate_partitions(n)]
+    tables = [[math.prod(ws[m.bit_count() - 1] for m in masks) for masks in parts]
+              for ws in weights]
+    *heads, last = tables
+    bottom = [1 << x for x in range(n)]
+    total = 0
+    for head in product(range(len(parts)), repeat=len(heads)):
+        comps = _fold(bottom, chain.from_iterable(parts[j] for j in head))
+        weight = math.prod(table[j] for table, j in zip(heads, head))
+        for masks, w in zip(parts, last):
+            if _joins_to_top(comps, masks):
+                total += weight * w
+    return total
 
 
 def covering_by_product(n: int, sizes) -> int:

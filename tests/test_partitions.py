@@ -32,7 +32,7 @@ from finfree.partitions import (
 from finfree.series import PowerSeries
 
 from .oracles import (bell_oracle, catalan_oracle, connected_by_product, covering_by_product,
-                      is_refinement, join_bfs, mobius, mobius_recursive,
+                      is_refinement, join_bfs, join_sum_by_product, mobius, mobius_recursive,
                       noncrossing_by_quadruples, noncrossing_by_stack, partitions_by_insertion)
 
 
@@ -413,6 +413,100 @@ class TestBlockSum:
             block_sum([Fraction(1)], 2)
         with pytest.raises(ValueError):
             block_sum([Fraction(1)], 0)
+
+
+class TestJoinSum:
+    def test_equals_the_per_tuple_oracle(self):
+        rng = random.Random(66)
+        for m in (1, 2, 3):
+            for n in range(1, 6):
+                ws = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+                      for _ in range(m)]
+                got = join_sum(ws, n)
+                assert type(got) is Fraction and got == join_sum_by_product(ws, n), (m, n)
+
+    def test_three_factors_at_the_cap_take_under_half_a_second(self):
+        rng = random.Random(67)
+        ws = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(6)]
+              for _ in range(3)]
+        start = time.perf_counter()
+        join_sum(ws, 6)
+        assert time.perf_counter() - start < 0.5
+
+
+def _draws(rng, count: int, kind: str) -> list:
+    """``count`` signed weights p/q, mpf at 50 digits or binary64."""
+    with mp.workdps(50):
+        ws = [mp.mpf(rng.randint(-9, 9)) / rng.randint(1, 7) for _ in range(count)]
+    return ws if kind == "mpf" else [float(w) for w in ws]
+
+
+def _exact(w) -> Fraction:
+    """The exact value of a binary64 or mpf weight."""
+    if isinstance(w, float):
+        return Fraction(w)
+    man, e = w.man_exp
+    return Fraction(-man if w < 0 else man) * Fraction(2) ** e
+
+
+def _rounded_once(x: Fraction, kind: str):
+    """x rounded once, to an mpf at the ambient precision or to binary64."""
+    return mp.fdiv(x.numerator, x.denominator) if kind == "mpf" else float(x)
+
+
+class TestFloatKindsRoundOnce:
+    """An mpf or binary64 literal sum is the exact sum of the weights' exact
+    values, rounded once to the kind."""
+
+    def test_block_sum(self):
+        rng = random.Random(63)
+        for kind in ("mpf", "float"):
+            for n in range(1, 9):
+                ws = _draws(rng, n, kind)
+                for signed in (False, True):
+                    with mp.workdps(50):
+                        got = block_sum(ws, n, signed)
+                        want = _rounded_once(block_sum(list(map(_exact, ws)), n, signed), kind)
+                    assert type(got) is type(want) and got == want, (kind, n, signed)
+
+    def test_join_sum(self):
+        rng = random.Random(64)
+        for kind in ("mpf", "float"):
+            for m in (1, 2, 3):
+                for n in range(1, 5):
+                    ws = [_draws(rng, n, kind) for _ in range(m)]
+                    exact = join_sum_by_product([list(map(_exact, f)) for f in ws], n)
+                    with mp.workdps(50):
+                        got = join_sum(ws, n)
+                        want = _rounded_once(Fraction(exact), kind)
+                    assert type(got) is type(want) and got == want, (kind, m, n)
+
+    def test_complex_weights_sum_in_kind(self):
+        rng = random.Random(65)
+        n = 6
+        with mp.workdps(50):
+            ws = [mp.mpc(rng.randint(-9, 9), rng.randint(-9, 9)) / 7 for _ in range(n)]
+            ref = _egf(ws, n).log().coeff(n) * math.factorial(n)
+            got = block_sum(ws, n, signed=True)
+        assert isinstance(got, mp.mpc) and abs(got - ref) <= mp.mpf("1e-40") * abs(ref)
+
+    def test_factors_of_different_kinds_raise(self):
+        with mp.workdps(50):
+            with pytest.raises(TypeError, match="mixed scalar kinds"):
+                join_sum([[Fraction(1, 2), Fraction(1, 3)], [mp.mpf(1), mp.mpf(2)]], 2)
+            with pytest.raises(TypeError, match="mixed scalar kinds"):
+                join_sum([[0.5, 0.25], [mp.mpf(1), mp.mpf(2)]], 2)
+
+    def test_mpf_block_sum_streams(self):
+        with mp.workdps(50):
+            ws = [mp.mpf(1) / (k + 2) for k in range(9)]
+            tracemalloc.start()
+            try:
+                block_sum(ws, 9, signed=True)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------

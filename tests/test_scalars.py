@@ -250,27 +250,59 @@ class TestIntegerWeights:
     def test_exact_weights_round_trip(self):
         for weights in ([3, -1, 4], [Fraction(1, 2), Fraction(-2, 3), 5, Fraction(7, 4)],
                         [Fraction(-5, 6)], [0, Fraction(1, 9)]):
-            ints, D = integer_weights(weights)
-            assert D == math.lcm(*(Fraction(w).denominator for w in weights))
+            (ints,), back = integer_weights(weights)
             assert all(type(v) is int for v in ints)
-            assert [Fraction(v, D ** s) for s, v in enumerate(ints, start=1)] == weights
+            # a block of size s alone has block sizes adding up to s
+            got = [back(v, s) for s, v in enumerate(ints, start=1)]
+            assert got == weights and all(type(v) is Fraction for v in got)
 
     def test_partition_product_scales_by_d_to_the_n(self):
         weights = [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)]
-        ints, D = integer_weights(weights)
+        (ints,), back = integer_weights(weights)
         # blocks of sizes 1, 1 and 3 partition [5]
-        assert Fraction(ints[0] * ints[0] * ints[2], D ** 5) == weights[0] ** 2 * weights[2]
+        assert back(ints[0] * ints[0] * ints[2], 5) == weights[0] ** 2 * weights[2]
+
+    def test_factors_share_one_unit(self):
+        (a, b), back = integer_weights([Fraction(1, 3), 2], [Fraction(-3, 4), Fraction(5, 6)])
+        assert back(a[1] * b[0] * b[0], 4) == 2 * Fraction(-3, 4) ** 2
+
+    def test_real_float_weights_go_on_ints_and_round_once(self):
+        with mp.workdps(30):
+            ws = [mp.mpf(1) / 3, mp.mpf(-2) / 7, mp.mpf(5) / 11]
+            (ints,), back = integer_weights(ws)
+            assert all(type(v) is int for v in ints)
+            # each mpf product or sum of products is the exact value rounded once
+            assert back(ints[0] * ints[1], 3) == ws[0] * ws[1]
+            x, y, z = (Fraction(m) * Fraction(2) ** e for m, e in map(_man_exp, ws))
+            exact = x * y + z
+            want = mp.fdiv(exact.numerator, exact.denominator)
+            assert back(ints[0] * ints[1] + ints[2], 3) == want
+        fl = [0.1, -0.7, 1e300, 1e-160]
+        (ints,), back = integer_weights(fl)
+        exact = Fraction(fl[0]) * Fraction(fl[2]) + Fraction(fl[1]) * Fraction(fl[1])
+        assert back(ints[0] * ints[2] + ints[1] ** 2, 4) == float(exact)
+        assert back(ints[2] * ints[2], 6) == math.inf  # past the binary64 range
+        assert back(ints[3] * ints[3], 8) == 1e-160 * 1e-160  # subnormal, rounded once
 
     def test_other_kinds_pass_through(self):
+        # complex, inf and nan weights are summed in their own kind
+        for weights in ([1j, 2], [mp.mpc(1, 2), mp.mpf(1)], [math.inf, 0.5], [mp.mpf("nan")]):
+            (ints,), back = integer_weights(weights)
+            assert all(a is b for a, b in zip(ints, weights)) and len(ints) == len(weights)
+            assert back(weights[0], 1) is weights[0]
         with mp.workdps(30):
             third = mp.mpf(1) / 3
         ring = object()
-        for weights in ([third, 2], [0.25, 1], [1j, Fraction(1, 2)], [ring, 1]):
-            for scale in (integer_weights, integer_scaled):
-                ints, D = scale(weights)
-                assert D == 1
-                assert len(ints) == len(weights)
-                assert all(a is b for a, b in zip(ints, weights))
+        for values in ([third, 2], [0.25, 1], [1j, Fraction(1, 2)], [ring, 1]):
+            ints, D = integer_scaled(values)
+            assert D == 1 and len(ints) == len(values)
+            assert all(a is b for a, b in zip(ints, values))
+
+    def test_factors_of_different_kinds_raise(self):
+        for factors in (([Fraction(1, 2)], [0.5]), ([mp.mpf(1)], [0.5]),
+                        ([Fraction(1, 2)], [mp.mpf(1)])):
+            with pytest.raises(TypeError, match="mixed scalar kinds"):
+                integer_weights(*factors)
 
     def test_integer_scaled_puts_exact_values_on_ints(self):
         ints, D = integer_scaled([Fraction(1, 6), 2, Fraction(-3, 4), 0])

@@ -9,6 +9,8 @@ A public name that nothing else needs is dead surface.
 mpmath's internal representation, the raw mpf and mpc tuples and
 ``mpmath.libmp``, is read in ``scalars`` alone, the one scalar layer; and no
 module names ``fsum`` or ``fdot``: ``scalars.dot`` is the one sum kernel.
+``partitions`` names no scalar kind and no ``dot``: the kind decision of its
+literal sums lives in ``scalars``.
 """
 
 import ast
@@ -103,3 +105,13 @@ def test_no_module_names_fsum_or_fdot():
              for path in sorted((ROOT / "src" / "finfree").glob("*.py"))
              for line, name in _names(path) if name in ("fsum", "fdot")]
     assert not found, f"fsum or fdot named in src: {found}"
+
+
+def test_partitions_leave_the_kind_to_scalars():
+    """``block_sum`` and ``join_sum`` run one int loop each on the weights of
+    ``scalars.integer_weights``, which takes the total back to their kind:
+    ``partitions`` names no kind, no ``dot`` and no per-tuple product walk."""
+    banned = {"EXACT", "MPF", "FLOAT64", "dot", "product", "chain"}
+    found = [f"partitions:{line}: {name}"
+             for line, name in _names(ROOT / "src" / "finfree" / "partitions.py") if name in banned]
+    assert not found, f"kind decisions or tuple walks in partitions: {found}"
