@@ -16,6 +16,15 @@ cross-checking path.  The inverse is the matching series exp.
 
 The sum cancels to O(d^-(n-1)) against O(1) terms for the exponential
 families; ``experiments.working_digits`` adds the (n-1)*log10(d) digits lost.
+
+Each special family's normalized coefficients are one column
+atilde_0..atilde_k_max (``*_atilde``), built in one pass.  The normalized
+Laguerre column takes the exact ratio (d lam - k)/d, so exact values are
+the same ``Fraction``s as the falling factorials (d lam)_k / d^k; the
+unitary Laguerre column is its exact powers.  The unitary Hermite and
+exponential columns take two exps and a guard-digit recurrence, and each
+entry is rounded once to the requested digits, within 1 ulp of
+exp(-t k (d-k) / 2d), or of exp(+t k (d-k) / 2d).
 """
 
 from __future__ import annotations
@@ -30,8 +39,7 @@ import mpmath as mp
 
 from .partitions import block_sum, join_sum
 from .polycalc import MonicPoly, boxtimes, from_normalized, normalized_coeffs
-from .scalars import (DEFAULT_DIGITS, common_kind, falling, kind_of, promote_ints, to_mpf,
-                      work)
+from .scalars import DEFAULT_DIGITS, common_kind, kind_of, promote_ints, to_mpf, work
 from .series import PowerSeries
 
 
@@ -174,52 +182,69 @@ def boxtimes_fold(ps: Sequence[MonicPoly], digits: int = DEFAULT_DIGITS) -> Moni
 # special polynomial families
 # ---------------------------------------------------------------------------
 
-def laguerre_hat_atilde(d: int, lam, k: int):
-    """atilde_k of the normalized Laguerre polynomial: (d*lam)_k / d^k."""
+def laguerre_hat_atilde(d: int, lam, k_max: int) -> list:
+    """atilde_0..atilde_k_max of the normalized Laguerre polynomial,
+    (d lam)_k / d^k, by the ratio atilde_(k+1) = atilde_k (d lam - k) / d."""
+    if d < 1 or not (lam > 0 and mp.isfinite(lam)):
+        raise ValueError(f"need d >= 1 and a finite lam > 0, got d={d}, lam={lam}")
     (dk,) = promote_ints([d], kind_of(lam))
-    return falling(dk * lam, k) / dk ** k
+    col = [dk ** 0]
+    for k in range(k_max):
+        col.append(col[-1] * (dk * lam - k) / dk)
+    return col
 
 
 def laguerre_hat(d: int, lam, digits: int = DEFAULT_DIGITS) -> MonicPoly:
     """Normalized Laguerre polynomial: all finite free cumulants equal lam."""
-    if d < 1 or not lam > 0:
-        raise ValueError("need d >= 1 and lam > 0")
     with work(kind_of(lam), digits):
-        at = [laguerre_hat_atilde(d, lam, k) for k in range(d + 1)]
+        at = laguerre_hat_atilde(d, lam, d)
     return from_normalized(at, digits=digits)
 
 
-def hermite_unitary_atilde(d: int, t, k: int, digits: int = DEFAULT_DIGITS):
-    """atilde_k of the unitary Hermite polynomial: exp(-t k (d-k) / 2d)."""
+def _exp_column(d: int, t, sign: int, k_max: int, digits: int) -> list:
+    """exp(sign t k (d-k) / 2d) = q^(k(d-k)), q = exp(sign t / 2d), k = 0..k_max,
+    by the ratios q^(d-1-2k) at 2 log10(d) + 3 guard digits (the rounding of
+    q^-2 is raised to powers up to d^2/2); each entry is rounded once."""
+    if d < 1 or not (t >= 0 and mp.isfinite(t)):
+        raise ValueError(f"need d >= 1 and a finite t >= 0, got d={d}, t={t}")
+    with mp.workdps(digits + math.ceil(2 * math.log10(d)) + 3):
+        tt = to_mpf(t, mp.mp.dps)
+        ratio, step = mp.exp(sign * tt * (d - 1) / (2 * d)), mp.exp(-sign * tt / d)
+        col = [mp.mpf(1)]
+        for _ in range(k_max):
+            col.append(col[-1] * ratio)
+            ratio *= step
     with mp.workdps(digits):
-        return mp.exp(-to_mpf(t, digits) * k * (d - k) / (2 * d))
+        return [+a for a in col]
+
+
+def hermite_unitary_atilde(d: int, t, k_max: int, digits: int = DEFAULT_DIGITS) -> list:
+    """atilde_0..atilde_k_max of the unitary Hermite polynomial: exp(-t k (d-k) / 2d)."""
+    return _exp_column(d, t, -1, k_max, digits)
 
 
 def hermite_unitary(d: int, t, digits: int = DEFAULT_DIGITS) -> MonicPoly:
     """Unitary Hermite polynomial; roots on the unit circle, coefficients real."""
-    if d < 1 or t < 0:
-        raise ValueError("need d >= 1 and t >= 0")
-    at = [hermite_unitary_atilde(d, t, k, digits) for k in range(d + 1)]
-    return from_normalized(at, digits=digits)
+    return from_normalized(hermite_unitary_atilde(d, t, d, digits), digits=digits)
 
 
-def exp_poly_atilde(d: int, t, k: int, digits: int = DEFAULT_DIGITS):
-    """atilde_k of the exponential-coefficient polynomial: exp(+t k (d-k) / 2d)."""
-    with mp.workdps(digits):
-        return mp.exp(to_mpf(t, digits) * k * (d - k) / (2 * d))
+def exp_poly_atilde(d: int, t, k_max: int, digits: int = DEFAULT_DIGITS) -> list:
+    """atilde_0..atilde_k_max of the exponential-coefficient polynomial:
+    exp(+t k (d-k) / 2d)."""
+    return _exp_column(d, t, 1, k_max, digits)
 
 
 def exp_poly(d: int, t, digits: int = DEFAULT_DIGITS) -> MonicPoly:
     """The multiplicative-CLT limit polynomial at degree d, parameter t."""
-    if d < 1 or t < 0:
-        raise ValueError("need d >= 1 and t >= 0")
-    at = [exp_poly_atilde(d, t, k, digits) for k in range(d + 1)]
-    return from_normalized(at, digits=digits)
+    return from_normalized(exp_poly_atilde(d, t, d, digits), digits=digits)
 
 
-def laguerre_unitary_atilde(d: int, m: int, k: int):
-    """atilde_k of the unitary Laguerre polynomial: (1 - 2k/d)^m, exact."""
-    return Fraction(d - 2 * k, d) ** m
+def laguerre_unitary_atilde(d: int, m: int, k_max: int) -> list:
+    """atilde_0..atilde_k_max of the unitary Laguerre polynomial:
+    (1 - 2k/d)^m, exact for an int m >= 0."""
+    if d < 1 or type(m) is not int or m < 0:
+        raise ValueError(f"need d >= 1 and an int m >= 0, got d={d}, m={m!r}")
+    return [Fraction(d - 2 * k, d) ** m for k in range(k_max + 1)]
 
 
 def laguerre_unitary(d: int, m: int) -> MonicPoly:
@@ -229,8 +254,4 @@ def laguerre_unitary(d: int, m: int) -> MonicPoly:
     (Kabluchko); acceptance criterion 9 pins that statement through the
     root moments of this polynomial.
     """
-    if d < 1 or m < 0:
-        raise ValueError("need d >= 1 and m >= 0")
-    at = [laguerre_unitary_atilde(d, m, k) for k in range(d + 1)]
-    return from_normalized(at)
-
+    return from_normalized(laguerre_unitary_atilde(d, m, d))

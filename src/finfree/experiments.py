@@ -215,7 +215,7 @@ def _literal(obj) -> MonicPoly:
 def _sy_atilde_prefix(cfg: ExperimentConfig, d: int, n_max: int, notes: list):
     """Normalized-coefficient prefix of the base family for the scaled-power run."""
     if cfg.poly is None:
-        return [laguerre_hat_atilde(d, Fraction(1), i) for i in range(n_max + 1)]
+        return laguerre_hat_atilde(d, Fraction(1), n_max)
     p = _literal(cfg.poly)
     if p.degree != d:
         raise ValueError(f"input polynomial degree {p.degree} does not match d={d}")
@@ -284,7 +284,7 @@ def _sy_points(cfg: ExperimentConfig, w: int, notes: list):
         k2 = cumulants_from_atilde(d, at, 2, digits=w)[1] if n_max >= 2 else 1
         if cfg.regime == "t":
             ratio = to_mpf(Fraction(m, d), w)
-            refs = [sy_limit_t(n, ratio, k2, digits=w) for n in range(1, n_max + 1)]
+            refs = sy_limit_t(n_max, ratio, k2, digits=w)
         else:
             refs = [sy_limit_zero(n, k2, digits=w) for n in range(1, n_max + 1)]
         yield d, m, t, values, refs
@@ -294,9 +294,10 @@ def _law_points(atilde, law, power=None):
     """A fixed family against its limit law: at each (d, t), kappa_n of the
     family against law(n, t, w), n = 1..n_max.
 
-    The family's normalized coefficients are atilde(d, t, k, w); given
-    ``power``, they are atilde(d, 1, k) ** m at m = power(d, t) >= 0, and m
-    is recorded in the row.  The law does not depend on d: its column is
+    The family's normalized coefficients are the column
+    atilde(d, t, n_max, w); given ``power``, they are the column
+    atilde(d, 1, n_max), each to the m-th power at m = power(d, t) >= 0, and
+    m is recorded in the row.  The law does not depend on d: its column is
     computed once per t, when that t is first reached.
     """
     def points(cfg: ExperimentConfig, w: int, notes: list):
@@ -305,13 +306,13 @@ def _law_points(atilde, law, power=None):
         for d in cfg.d:
             for t in cfg.t:
                 if power is None:
-                    m, at = None, [atilde(d, t, k, w) for k in range(n_max + 1)]
+                    m, at = None, atilde(d, t, n_max, w)
                 else:
                     m = power(d, t)
                     if m < 0:
                         raise ValueError(f"{cfg.kind} needs t >= 0, got t={t}")
                     with mp.workdps(w):
-                        at = [to_mpf(atilde(d, 1, k), w) ** m for k in range(n_max + 1)]
+                        at = [to_mpf(a, w) ** m for a in atilde(d, 1, n_max)]
                 values = cumulants_from_atilde(d, at, n_max, digits=w)
                 if t not in refs:
                     refs[t] = [law(n, t, w) for n in range(1, n_max + 1)]
@@ -331,8 +332,8 @@ def _powered_atilde(thetas, c, m: int, unitary: bool, w: int) -> list:
 
 def _clt_points(atilde, unitary: bool):
     """Coefficientwise CLT: at each m, atilde_k of the centered input scaled
-    by 1/sqrt(m), to the m-th power, against the limit family's
-    atilde(d, d var / (d - 1), k), k = 1..d."""
+    by 1/sqrt(m), to the m-th power, against entries 1..d of the limit
+    family's column atilde(d, d var / (d - 1), d)."""
     def points(cfg: ExperimentConfig, w: int, notes: list):
         thetas = _clt_thetas(cfg, unitary, w)
         d = len(thetas)
@@ -344,7 +345,7 @@ def _clt_points(atilde, unitary: bool):
                 raise ValueError(f"hypothesis violation: CLT input must be centered "
                                  f"(mean exponent {float(mean):.3e})")
             t = dot(thetas, thetas) / (d - 1)
-        refs = [atilde(d, t, k, w) for k in range(1, d + 1)]
+        refs = atilde(d, t, d, w)[1:]
         for m in cfg.m:
             with mp.workdps(w):
                 c = 1 / mp.sqrt(m)

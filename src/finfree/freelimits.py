@@ -85,20 +85,21 @@ def pi_cumulant(n: int, t, digits: int = DEFAULT_DIGITS):
         return (-1) ** n * mp.mpf(2) ** n * tt * mp.exp(-2 * n * tt) * lag / (n - 1)
 
 
-def sy_limit_t(n: int, t, kappa2=1, digits: int = DEFAULT_DIGITS):
-    """Fixed-ratio limit of the scaled power-sequence cumulants.
+def sy_limit_t(n_max: int, t, kappa2=1, digits: int = DEFAULT_DIGITS) -> list:
+    """Fixed-ratio limits of the scaled power-sequence cumulants, n = 1..n_max.
 
     (-1)^(n-1) / (t^(n-1) (n-1)!) * sum over partitions pi of [n] of
     exp(-t sum_V C(|V|,2) kappa2) * mu(pi, 1_n).  The block weight is
-    multiplicative, so the sum is n! [z^n] log sum_j exp(-t C(j,2) kappa2) z^j/j!.
+    multiplicative, so the sum is n! [z^n] log sum_j exp(-t C(j,2) kappa2) z^j/j!,
+    and one series log of order n_max gives the whole column.
     """
-    if n < 1 or not t > 0:
-        raise ValueError("need n >= 1 and t > 0")
+    if n_max < 1 or not t > 0:
+        raise ValueError("need n_max >= 1 and t > 0")
     with mp.workdps(digits):
         tt = to_mpf(t, digits)
         k2 = to_mpf(kappa2, digits)
-        log = PowerSeries.egf([mp.exp(-tt * binom(j, 2) * k2) for j in range(n + 1)]).log()
-        return (-1) ** (n - 1) * n * log.coeff(n) / tt ** (n - 1)
+        log = PowerSeries.egf([mp.exp(-tt * binom(j, 2) * k2) for j in range(n_max + 1)]).log()
+        return [(-1) ** (n - 1) * n * log.coeff(n) / tt ** (n - 1) for n in range(1, n_max + 1)]
 
 
 def sy_limit_zero(n: int, kappa2=1, digits: int = DEFAULT_DIGITS):

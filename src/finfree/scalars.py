@@ -486,14 +486,6 @@ def differences(values: Sequence) -> list:
     return out
 
 
-def falling(a, i: int):
-    """Falling factorial a(a-1)...(a-i+1); exact when a is exact."""
-    out = 1
-    for j in range(i):
-        out = out * (a - j)
-    return out
-
-
 def multinomial(n: int, parts: Sequence[int]) -> int:
     if any(p < 0 for p in parts) or sum(parts) != n:
         raise ValueError(f"multinomial parts {tuple(parts)} do not sum to {n}")

@@ -4,14 +4,19 @@ These deliberately avoid the package's own code paths: enumeration on
 element lists, a stack scan for crossings, graph-based join, textbook
 recurrences.  The exceptions are the tuple oracles ``connected_by_product``
 and ``join_sum_by_product``: they list every tuple, where the package sums
-by state, but test each with the package's join fold.
+by state, but test each with the package's join fold; and
+``sy_limit_t_per_n``, one series log per n, where the package takes one for
+the whole column.
 """
 
 import math
 from fractions import Fraction
 from itertools import chain, combinations, product
 
+import mpmath as mp
+
 from finfree.partitions import SetPartition, _fold, _joins_to_top, enumerate_partitions
+from finfree.series import PowerSeries
 
 
 def bell_oracle(n: int) -> int:
@@ -349,3 +354,35 @@ def boxplus_literal(ap, aq) -> list:
         else:
             out.append(sum([x * y for x, y in terms]))
     return out
+
+
+# Per-entry formulas of the special families, one entry at a time, against
+# which the column builders are pinned.
+
+def laguerre_hat_falling(d: int, lam: Fraction, k: int) -> Fraction:
+    """atilde_k of the normalized Laguerre polynomial, (d lam)_k / d^k, from
+    the falling factorial written out."""
+    out = Fraction(1)
+    for j in range(k):
+        out *= d * lam - j
+    return out / Fraction(d) ** k
+
+
+def _mpf(x):
+    return mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mp.mpf(x)
+
+
+def exp_family_per_k(d: int, t, sign: int, k: int, digits: int):
+    """exp(sign t k (d-k) / 2d) as one exp at ``digits``."""
+    with mp.workdps(digits):
+        return mp.exp(sign * _mpf(t) * k * (d - k) / (2 * d))
+
+
+def sy_limit_t_per_n(n: int, t, kappa2, digits: int):
+    """The fixed-ratio limit at one n: n! [z^n] log of the block-weight egf of
+    order n, times (-1)^(n-1) / (t^(n-1) (n-1)!)."""
+    with mp.workdps(digits):
+        tt, k2 = _mpf(t), _mpf(kappa2)
+        weights = [mp.exp(-tt * math.comb(j, 2) * k2) for j in range(n + 1)]
+        log = PowerSeries.egf(weights).log()
+        return (-1) ** (n - 1) * n * log.coeffs[n] / tt ** (n - 1)

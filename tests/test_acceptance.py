@@ -379,7 +379,7 @@ def test_criterion_10_scaled_power_limits():
     row2 = [r for r in table.rows if r.n == 2][0]
     if abs(row2.value - mirrored_n2) < 0.05 * mirrored_n2:
         failures.append("finite-size value unexpectedly matches the mirrored family")
-    ref2 = sy_limit_t(2, 1.0, 1)
+    ref2 = sy_limit_t(2, 1.0, 1)[1]
     if abs(row2.reference - ref2) > mp.mpf("1e-30"):
         failures.append("regime-t reference is not the direct partition-sum evaluation")
     _report(10, "scaled-power limits: vanishing ratio <=15%@1600, fixed ratio <=5%, sign arbitration", failures)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -14,9 +15,12 @@ from finfree.cumulants import (
     coeffs_from_cumulants,
     cumulants_from_atilde,
     exp_poly,
+    exp_poly_atilde,
     finite_cumulants,
     hermite_unitary,
+    hermite_unitary_atilde,
     laguerre_hat,
+    laguerre_hat_atilde,
     laguerre_unitary,
 )
 from finfree.errors import CapExceededError
@@ -28,7 +32,7 @@ from finfree.polycalc import (
     normalized_coeffs,
 )
 
-from .oracles import cumulants_literal, log_literal
+from .oracles import cumulants_literal, exp_family_per_k, laguerre_hat_falling, log_literal
 
 
 def rational_poly(rng, d):
@@ -278,3 +282,77 @@ class TestSpecialFamilies:
             hermite_unitary(3, -1)
         with pytest.raises(ValueError):
             laguerre_unitary(3, -2)
+
+    def test_non_finite_parameters_refused(self):
+        for bad in (math.nan, math.inf, -math.inf, mp.inf):
+            for family in (hermite_unitary, exp_poly):
+                with pytest.raises(ValueError, match="finite t"):
+                    family(4, bad)
+            with pytest.raises(ValueError, match="lam"):
+                laguerre_hat(4, bad)
+
+    def test_laguerre_unitary_needs_an_int_power(self):
+        for bad in (2.5, 2.0, Fraction(2), True, -1):
+            with pytest.raises(ValueError, match="int m"):
+                laguerre_unitary(4, bad)
+        assert normalized_coeffs(laguerre_unitary(4, 2)) == (1, Fraction(1, 4), 0, Fraction(1, 4), 1)
+
+
+def _ulp(x):
+    """The unit in the last place of the mpf x at the ambient precision."""
+    return mp.ldexp(1, mp.frexp(x)[1] - mp.mp.prec)
+
+
+class TestFamilyColumns:
+    def test_laguerre_column_equals_falling_factorial(self):
+        for lam in (1, Fraction(1, 2), Fraction(7, 3), 5):
+            for d in range(1, 41):
+                col = laguerre_hat_atilde(d, lam, d)
+                assert col == [laguerre_hat_falling(d, lam, k) for k in range(d + 1)]
+                assert all(type(a) is Fraction for a in col)
+
+    def test_laguerre_hat_bits_pinned(self):
+        # sha256 of str() of each exact coefficient, taken from the per-k
+        # falling-factorial build
+        def digest(p):
+            return hashlib.sha256(repr([str(c) for c in p.coeffs]).encode()).hexdigest()
+
+        assert digest(laguerre_hat(200, 1)) == (
+            "b4c4c149b796b06be4d95184088b2c24304e3aebc6305587b8ba4eb4dc71c5c8")
+        assert digest(laguerre_hat(200, Fraction(3, 2))) == (
+            "4bea0b05a6a19154c9181660801bf8df16c3446ccf0086d71ba69ae26e960bbc")
+
+    def test_binary64_laguerre_past_the_factorial_range(self):
+        # (d lam)_d overflows binary64 at d = 200; the ratios stay near lam
+        exact = laguerre_hat(200, 1).coeffs
+        for got, want in zip(laguerre_hat(200, 1.0).coeffs, exact):
+            assert abs(got - want) <= 1e-14 * abs(want)
+
+    def test_laguerre_800_is_linear_work(self):
+        start = time.perf_counter()
+        laguerre_hat(800, 1)
+        assert time.perf_counter() - start < 0.5  # 1.2 s with a falling factorial per k
+
+    def test_exp_columns_within_one_ulp(self):
+        # each entry against one exp at three times the digits
+        for digits in (50, 130):
+            for d in (20, 200, 1000):
+                for t in (0.5, 1, 2):
+                    cols = {sign: atilde(d, t, d, digits) for sign, atilde in
+                            ((-1, hermite_unitary_atilde), (1, exp_poly_atilde))}
+                    with mp.workdps(digits):
+                        for sign, col in cols.items():
+                            for k, got in enumerate(col):
+                                ref = exp_family_per_k(d, t, sign, k, 3 * digits)
+                                assert abs(got - ref) <= _ulp(got), (digits, d, t, sign, k)
+        for atilde in (hermite_unitary_atilde, exp_poly_atilde):
+            assert atilde(200, 0, 200) == [1] * 201
+
+    def test_two_exps_per_column(self, monkeypatch):
+        calls = []
+        exp = mp.exp
+        monkeypatch.setattr(mp, "exp", lambda x: calls.append(x) or exp(x))
+        for family in (hermite_unitary, exp_poly):
+            calls.clear()
+            family(200, 1)
+            assert len(calls) <= 2  # d + 1 = 201 with one exp per entry

@@ -25,8 +25,9 @@ from finfree.polycalc import (
     dilate,
     poly_to_json,
 )
-from finfree.freelimits import sigma_cumulant
+from finfree.freelimits import sigma_cumulant, sy_limit_t
 from finfree.scalars import format_scalar
+from finfree.series import PowerSeries
 
 
 class TestConfig:
@@ -232,15 +233,35 @@ class TestKappaFamilies:
     def test_law_column_once_per_t(self, monkeypatch):
         cfg = ExperimentConfig(kind="hermite", d=[10, 20, 40], t=[0.5, 1.0], n_max=3)
         want = run_experiment(cfg).rows
-        calls = []
+        calls, columns = [], []
 
         def law(n, t, w):
             calls.append((n, t))
             return sigma_cumulant(n, t, w)
+
+        def atilde(d, t, k_max, w):
+            columns.append((d, t, k_max))
+            return hermite_unitary_atilde(d, t, k_max, w)
         monkeypatch.setitem(experiments._KINDS, "hermite",
-                            (("d", "t"), experiments._law_points(hermite_unitary_atilde, law)))
+                            (("d", "t"), experiments._law_points(atilde, law)))
         assert run_experiment(cfg).rows == want
         assert sorted(calls) == sorted((n, t) for t in (0.5, 1.0) for n in (1, 2, 3))
+        # one coefficient column per grid point, up to atilde_n_max
+        assert sorted(columns) == sorted((d, t, 3) for d in (10, 20, 40) for t in (0.5, 1.0))
+
+    def test_sy_reference_column_takes_one_series_log(self, monkeypatch):
+        logs, per_column = [], []
+        log = PowerSeries.log
+        monkeypatch.setattr(PowerSeries, "log", lambda self: logs.append(self.order) or log(self))
+
+        def reference_column(*args, **kwargs):
+            before = len(logs)
+            out = sy_limit_t(*args, **kwargs)
+            per_column.append(len(logs) - before)
+            return out
+        monkeypatch.setattr(experiments, "sy_limit_t", reference_column)
+        run_experiment(ExperimentConfig(kind="sy", d=[20], m=[20], n_max=8, regime="t"))
+        assert per_column == [1]  # n_max logs with one series per n
 
     def test_laguerre_huge_t_runs(self):
         # m = round(t d) from the decimal t: an exact int past the binary64 range

@@ -21,7 +21,7 @@ from finfree.identities import faa_di_bruno_exp
 from finfree.partitions import enumerate_noncrossing, enumerate_partitions, mobius_top
 
 from .oracles import (catalan_oracle, exp_literal, lagrange_power_oracle, log_literal,
-                      mul_literal)
+                      mul_literal, sy_limit_t_per_n)
 
 
 def close(a, b, tol):
@@ -135,20 +135,20 @@ def _t(t):
 
 class TestSYLimits:
     def test_n1(self):
-        assert close(sy_limit_t(1, 0.7, 1), 1, "1e-45")
+        assert close(sy_limit_t(1, 0.7, 1)[0], 1, "1e-45")
 
     def test_n2_closed_form(self):
         for t in (0.25, 1.0, 3.0):
             with mp.workdps(50):
                 tt = mp.mpf(t)
                 expect = (1 - mp.exp(-tt)) / tt
-            assert close(sy_limit_t(2, t, 1), expect, "1e-40")
+            assert close(sy_limit_t(2, t, 1)[1], expect, "1e-40")
 
     def test_n3_closed_form(self):
         with mp.workdps(50):
             tt = mp.mpf(1)
             expect = (mp.exp(-3 * tt) - 3 * mp.exp(-tt) + 2) / (2 * tt ** 2)
-        assert close(sy_limit_t(3, 1, 1), expect, "1e-40")
+        assert close(sy_limit_t(3, 1, 1)[2], expect, "1e-40")
 
     def test_zero_ratio_values(self):
         assert close(sy_limit_zero(3, 1), mp.mpf(3) / 2, "1e-45")
@@ -157,8 +157,7 @@ class TestSYLimits:
             assert close(sy_limit_zero(n, 1), expect, "1e-40")
 
     def test_small_t_consistency(self):
-        for n in range(1, 6):
-            a = sy_limit_t(n, 1e-3, 1)
+        for n, a in enumerate(sy_limit_t(5, 1e-3, 1), start=1):
             b = sy_limit_zero(n, 1)
             assert abs(a - b) <= 1e-2 * abs(b)
 
@@ -167,20 +166,26 @@ class TestSYLimits:
             with mp.workdps(50):
                 tt = _t(Fraction(t))
                 kk = _t(Fraction(k2))
-            for n in range(1, 9):
+            column = sy_limit_t(8, t, k2, digits=50)
+            for n, got in enumerate(column, start=1):
                 with mp.workdps(50):
                     total = mp.fsum(
                         mobius_top(pi.num_blocks)
                         * mp.exp(-tt * kk * sum(math.comb(len(b), 2) for b in pi.blocks))
                         for pi in enumerate_partitions(n))
                     ref = (-1) ** (n - 1) * total / (tt ** (n - 1) * math.factorial(n - 1))
-                got = sy_limit_t(n, t, k2, digits=50)
                 assert abs(got - ref) <= mp.mpf("1e-35") * max(1, abs(ref))
+
+    def test_column_equals_per_n_series_bit_for_bit(self):
+        for t, k2, digits in ((0.25, 1, 50), (1, 1, 50), (3, 2, 30),
+                              (Fraction(1, 3), Fraction(5, 2), 80)):
+            column = sy_limit_t(16, t, k2, digits=digits)
+            assert column == [sy_limit_t_per_n(n, t, k2, digits) for n in range(1, 17)]
 
     def test_kappa2_scaling(self):
         # kappa2 enters the n=2 value only through t*kappa2
-        a = sy_limit_t(2, 0.5, 2)
-        b = sy_limit_t(2, 1.0, 1)
+        a = sy_limit_t(2, 0.5, 2)[1]
+        b = sy_limit_t(2, 1.0, 1)[1]
         assert close(a, 2 * b, "1e-40")
 
 
