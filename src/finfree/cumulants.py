@@ -138,13 +138,13 @@ def boxtimes_cumulants(ps: Sequence[MonicPoly], n: int, method: str = "pi-sum",
     kappa_sigma(p_i), and weight by mu(pi, 1_n).  The interval [0_n, pi] is
     the product over the blocks V of pi of P(|V|), and the summand
     factorizes over the blocks of sigma, so each refinement sum is
-    prod_V w_i(|V|) with w_i(s) the ``block_sum`` over P(s) of the u_i.  The
-    whole sum is then the signed ``block_sum`` of W(s) = prod_i w_i(s).  The
-    W(s) are built from s = n down, so past the partition cap the first
-    ``block_sum`` refuses before any smaller one is summed.
+    prod_V w_i(|V|), w_i(s) = s! [z^s] exp sum_b u_i(b) z^b / b! (the sum
+    over P(s), see ``series``).  The whole sum is n! [z^n] log of
+    sum_s W(s) z^s / s!, W(s) = prod_i w_i(s): one series exp per factor and
+    one log, with no walk of P(n) and no cap on n.
 
-    ``join-sum``: the literal sum over m-tuples (sigma_1..sigma_m) whose join
-    is 1_n of prod_i prod_{V in sigma_i} u_i(|V|), by ``join_sum``.
+    ``join-sum``: the literal oracle, the sum over m-tuples (sigma_1..sigma_m)
+    whose join is 1_n of prod_i prod_{V in sigma_i} u_i(|V|), by ``join_sum``.
     Exponential in m and n; ``join_sum`` owns its cap, n <= 6.
     """
     if not ps:
@@ -152,8 +152,8 @@ def boxtimes_cumulants(ps: Sequence[MonicPoly], n: int, method: str = "pi-sum",
     d = ps[0].degree
     if any(p.degree != d for p in ps):
         raise ValueError("equal degrees required")
-    if n > d:
-        raise ValueError(f"kappa_n needs n <= d, got n={n}, d={d}")
+    if not 1 <= n <= d:
+        raise ValueError(f"kappa_n needs 1 <= n <= d, got n={n}, d={d}")
     kappas = [
         cumulants_from_atilde(d, normalized_coeffs(p, digits=digits), n, digits=digits)
         for p in ps
@@ -163,9 +163,11 @@ def boxtimes_cumulants(ps: Sequence[MonicPoly], n: int, method: str = "pi-sum",
         us = [[(-1) ** (b - 1) * math.factorial(b - 1) * ks[b - 1] / d ** (b - 1)
                for b in range(1, n + 1)] for ks in kappas]
         if method == "pi-sum":
-            W = [math.prod(block_sum(u, s) for u in us)
-                 for s in range(n, 0, -1)]
-            total = block_sum(W[::-1], n, signed=True)
+            # each exp holds w_i(s) / s!, so W(s) / s! is s!^(m-1) times their product
+            ws = [PowerSeries.egf([u[0] * 0] + u).exp().coeffs for u in us]
+            W = [math.factorial(s) ** (len(us) - 1) * math.prod(w[s] for w in ws)
+                 for s in range(n + 1)]
+            total = PowerSeries(tuple(W)).log().coeffs[n] * math.factorial(n)
         elif method == "join-sum":
             total = join_sum(us, n)
         else:

@@ -8,14 +8,16 @@ Cumulant/moment sequences of the three limit laws:
 
 plus the fixed-ratio partition-sum limit (``sy_limit_t``) and its vanishing-
 ratio limit (``sy_limit_zero``), whose cumulants (kappa2 n)^(n-1)/n! are
-those of the compound-scaling law.  The independent route to the same numbers
-is Lagrange inversion: kappa_n = [z^(n-1)] S(z)^(-n) / n applied to the
-known S-transforms, at 50-digit default precision.
+those of the compound-scaling law.  Each refuses a t (or kappa2) outside its
+closed form's range, nan and inf included.
 
 All of it runs on the truncated power series of ``series``: the fixed-ratio
-partition sum is a series log, and moments come from cumulants through the
-functional equation M(z) = 1 + sum_n kappa_n (z M(z))^n instead of a sum over
-non-crossing partitions.
+partition sum is a series log, and both inversions are one Lagrange step,
+[w^(n-1)] phi(w)^n / n taken as the exp of n log phi (``_lagrange``).  The
+independent route to the cumulants is kappa_n = [z^(n-1)] S(z)^(-n) / n on
+the known S-transforms, phi = 1/S.  Moments need no sum over non-crossing
+partitions: M(z) = 1 + sum_n kappa_n (z M(z))^n makes w = z M(z) the inverse
+of w / phi(w) with phi(w) = 1 + sum_n kappa_n w^n, so m_n = [w^n] phi^(n+1) / (n+1).
 
 A flagged discrepancy: one worked example elsewhere lists the fixed-ratio
 family with the opposite sign of t, i.e. (e^t - 1)/t instead of
@@ -32,7 +34,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .scalars import DEFAULT_DIGITS, binom, dot, to_mpf
+from .scalars import DEFAULT_DIGITS, binom, common_kind, dot, promote_ints, to_mpf, work
 from .series import PowerSeries
 
 
@@ -40,10 +42,20 @@ from .series import PowerSeries
 # closed-form cumulant and moment sequences
 # ---------------------------------------------------------------------------
 
+def _finite(x) -> bool:
+    return x is not None and bool(mp.isfinite(x))
+
+
+def _check_t(n: int, t, positive: bool = False) -> None:
+    """Refuse n < 1 and a t that is not finite and >= 0 (> 0 where ``positive``)."""
+    if n < 1 or not (_finite(t) and (t > 0 if positive else t >= 0)):
+        raise ValueError(f"need n >= 1 and a finite t {'>' if positive else '>='} 0, "
+                         f"got n={n}, t={t}")
+
+
 def lambda_cumulant(n: int, t, digits: int = DEFAULT_DIGITS):
     """kappa_n = exp(nt/2) (nt)^(n-1) / n!."""
-    if n < 1 or t < 0:
-        raise ValueError("need n >= 1 and t >= 0")
+    _check_t(n, t)
     with mp.workdps(digits):
         tt = to_mpf(t, digits)
         return mp.exp(n * tt / 2) * (n * tt) ** (n - 1) / math.factorial(n)
@@ -51,8 +63,7 @@ def lambda_cumulant(n: int, t, digits: int = DEFAULT_DIGITS):
 
 def sigma_cumulant(n: int, t, digits: int = DEFAULT_DIGITS):
     """kappa_n = exp(-nt/2) (-nt)^(n-1) / n!."""
-    if n < 1 or t < 0:
-        raise ValueError("need n >= 1 and t >= 0")
+    _check_t(n, t)
     with mp.workdps(digits):
         tt = to_mpf(t, digits)
         return mp.exp(-n * tt / 2) * (-n * tt) ** (n - 1) / math.factorial(n)
@@ -60,8 +71,7 @@ def sigma_cumulant(n: int, t, digits: int = DEFAULT_DIGITS):
 
 def lambda_moment(n: int, t, digits: int = DEFAULT_DIGITS):
     """m_n = exp(nt/2) sum_{k=0}^{n-1} n^(k-1)/k! C(n,k+1) t^k."""
-    if n < 1 or t < 0:
-        raise ValueError("need n >= 1 and t >= 0")
+    _check_t(n, t)
     with mp.workdps(digits):
         tt = to_mpf(t, digits)
         coeffs = [mp.mpf(n) ** (k - 1) / math.factorial(k) * binom(n, k + 1) for k in range(n)]
@@ -75,8 +85,7 @@ def pi_cumulant(n: int, t, digits: int = DEFAULT_DIGITS):
     adds guard digits against its cancellation (term by term it loses 17 of
     50 digits at n = 40).  The n = 1 value is e^(-2t) by convention.
     """
-    if n < 1 or not t > 0:
-        raise ValueError("need n >= 1 and t > 0")
+    _check_t(n, t, positive=True)
     with mp.workdps(digits):
         tt = to_mpf(t, digits)
         if n == 1:
@@ -93,8 +102,9 @@ def sy_limit_t(n_max: int, t, kappa2=1, digits: int = DEFAULT_DIGITS) -> list:
     multiplicative, so the sum is n! [z^n] log sum_j exp(-t C(j,2) kappa2) z^j/j!,
     and one series log of order n_max gives the whole column.
     """
-    if n_max < 1 or not t > 0:
-        raise ValueError("need n_max >= 1 and t > 0")
+    _check_t(n_max, t, positive=True)
+    if not _finite(kappa2):
+        raise ValueError(f"need a finite kappa2, got kappa2={kappa2}")
     with mp.workdps(digits):
         tt = to_mpf(t, digits)
         k2 = to_mpf(kappa2, digits)
@@ -104,8 +114,8 @@ def sy_limit_t(n_max: int, t, kappa2=1, digits: int = DEFAULT_DIGITS) -> list:
 
 def sy_limit_zero(n: int, kappa2=1, digits: int = DEFAULT_DIGITS):
     """Vanishing-ratio limit: (kappa2 n)^(n-1) / n!."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if n < 1 or not _finite(kappa2):
+        raise ValueError(f"need n >= 1 and a finite kappa2, got n={n}, kappa2={kappa2}")
     with mp.workdps(digits):
         k2 = to_mpf(kappa2, digits)
         return (k2 * n) ** (n - 1) / math.factorial(n)
@@ -123,7 +133,8 @@ def s_transform_series(kind: str, N: int, t=None,
     """Truncated S-transform of the requested limit law at 0.
 
     lambda: exp(-t(z+1/2)); sigma: exp(+t(z+1/2)); pi: exp(t/(z+1/2));
-    identity: the constant 1 (point mass at 1).
+    identity: the constant 1 (point mass at 1).  t is that of the law's
+    closed form: finite, t >= 0 for lambda and sigma, t > 0 for pi.
     """
     if N < 1:
         raise ValueError("need order N >= 1")
@@ -132,6 +143,7 @@ def s_transform_series(kind: str, N: int, t=None,
     with mp.workdps(digits):
         if kind == "identity":
             return PowerSeries.constant(mp.mpf(1), N)
+        _check_t(N, t, positive=kind == "pi")
         tt = to_mpf(t, digits)
         if kind == "lambda":
             u = PowerSeries(tuple([-tt / 2, -tt] + [mp.mpf(0)] * (N - 1)))
@@ -143,13 +155,19 @@ def s_transform_series(kind: str, N: int, t=None,
         return u.exp()
 
 
+def _lagrange(log_phi: PowerSeries, phi0, N: int) -> list:
+    """[w^(n-1)] phi(w)^n / n for n = 1..N, phi = exp(log_phi) / phi0: one exp
+    of n log_phi cut at w^(n-1) per n, about N^3/6 coefficient products in all."""
+    return [PowerSeries(tuple(n * c for c in log_phi.coeffs[:n])).exp().coeffs[n - 1]
+            / (n * phi0 ** n) for n in range(1, N + 1)]
+
+
 def lagrange_cumulants(S: PowerSeries, N: int, digits: int = DEFAULT_DIGITS) -> list:
     """Free cumulants from an S-transform by Lagrange inversion.
 
     kappa_n = (1/n!) (d/dz)^(n-1) (z/f(z))^n at 0 with f(z) = z S(z), i.e.
     the (n-1)-st coefficient of S^(-n) divided by n.  Needs S(0) != 0.
-    S^(-n) = S(0)^(-n) exp(-n log(S/S(0))), truncated at z^(n-1): one series
-    log and one exp per n, about N^3/6 products in all.
+    ``_lagrange`` with phi = 1/S, log phi = -log(S/S(0)).
     """
     s0 = S.coeffs[0]
     if s0 == 0:
@@ -158,29 +176,17 @@ def lagrange_cumulants(S: PowerSeries, N: int, digits: int = DEFAULT_DIGITS) -> 
         raise ValueError(f"series order {S.order} too small for N={N}")
     with mp.workdps(digits):
         log = PowerSeries(tuple(c / s0 for c in S.coeffs[: max(N, 1)])).log()
-        return [PowerSeries(tuple(-n * c for c in log.coeffs[:n])).exp().coeffs[n - 1]
-                / (n * s0 ** n) for n in range(1, N + 1)]
+        return _lagrange(PowerSeries(tuple(-c for c in log.coeffs)), s0, N)
 
 
 def nc_moments_from_cumulants(kappas: Sequence, N: int,
                               digits: int = DEFAULT_DIGITS) -> list:
-    """Moments m_1..m_N from free cumulants.
-
-    The moment series M(z) = 1 + sum m_n z^n solves M = 1 + sum_n kappa_n (z M)^n,
-    the non-crossing moment-cumulant formula in generating-function form
-    (Nica-Speicher, Lect. 10).  Each fixed-point sweep fixes one more
-    coefficient, so N sweeps from M = 1 give m_1..m_N.
-    """
-    if N > len(kappas):
-        raise ValueError("need kappa_1..kappa_N")
-    with mp.workdps(digits):
-        one = PowerSeries.constant(kappas[0] ** 0, N)
-        m = one
-        for _ in range(N):
-            zm = PowerSeries((m.coeffs[0] * 0,) + m.coeffs[:N])
-            # sum_n kappa_n w^n = w (kappa_1 + w (kappa_2 + ...)) at w = z M
-            r = PowerSeries.constant(kappas[N - 1], N)
-            for k in reversed(kappas[: N - 1]):
-                r = PowerSeries.constant(k, N) + zm * r
-            m = one + zm * r
-    return list(m.coeffs[1:])
+    """Moments m_1..m_N from free cumulants: m_n = [w^n] phi(w)^(n+1) / (n+1),
+    phi(w) = 1 + sum_n kappa_n w^n, by ``_lagrange`` for n = 1..N+1 with its
+    first entry, m_0 = 1, dropped.  Exact kappas give ``Fraction``s."""
+    if not kappas or N > len(kappas):
+        raise ValueError(f"need kappa_1..kappa_{max(N, 1)}, got {len(kappas)} values")
+    kind = common_kind(kappas, "nc_moments_from_cumulants")
+    with work(kind, digits):
+        ks = promote_ints(kappas, kind)
+        return _lagrange(PowerSeries((ks[0] ** 0,) + tuple(ks[:N])).log(), 1, N + 1)[1:]

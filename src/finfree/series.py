@@ -9,15 +9,14 @@ W(z) = sum_j w_j z^j / j! with w_0 = 1:
 
 Both take O(n^2) coefficient operations instead of a walk over P(n) or its
 block-size profiles; ``partitions.block_sum`` is that walk, kept as the
-literal oracle of both.  Coefficients may be exact rationals, mpf or binary64
-values.  A product is ``scalars.convolve`` cut at the common order: one
-big-int multiply for real mpf series, one ``scalars.dot`` per coefficient
-otherwise.  Every coefficient of ``exp`` or ``log`` is one call of
+literal oracle of both.  The same two operations carry Lagrange inversion
+(``freelimits``): a power phi^n of a series is exp(n log phi).  A series
+has no sum or product of its own.  Coefficients may be exact rationals, mpf
+or binary64 values.  Every coefficient of ``exp`` or ``log`` is one call of
 ``scalars.dot``, the single inner loop; both keep their input coefficients
 and each coefficient they produce as read by ``scalars.read``, so a real mpf
-mantissa is read once per series, not once per ``dot``.  Each way, an mpf
-sum of products is the exact sum rounded once and an exact one is divided or
-reduced once.
+mantissa is read once per series, not once per ``dot``.  An mpf sum of
+products is the exact sum rounded once and an exact one is reduced once.
 """
 
 from __future__ import annotations
@@ -26,15 +25,14 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .scalars import convolve, dot, exp, read
+from .scalars import dot, exp, read
 
 
 @dataclass(frozen=True)
 class PowerSeries:
     """Truncated Taylor series c_0 + c_1 z + ... + c_N z^N.
 
-    Arithmetic truncates at the common order.  Coefficients may be mpf,
-    exact rationals or binary64 values.
+    Coefficients may be mpf, exact rationals or binary64 values.
     """
 
     coeffs: tuple
@@ -57,13 +55,6 @@ class PowerSeries:
 
     def coeff(self, j: int):
         return self.coeffs[j] if j <= self.order else self.coeffs[0] * 0
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(tuple(self.coeff(j) + other.coeff(j) for j in range(n + 1)))
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        return PowerSeries(convolve(self.coeffs, other.coeffs, min(self.order, other.order)))
 
     def exp(self) -> "PowerSeries":
         """exp of the series; the constant term goes through the scalar exp,

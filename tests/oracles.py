@@ -299,19 +299,6 @@ def lagrange_power_oracle(S, N: int) -> list:
 # the multiplication and summation order the fast routes promise to keep, so
 # binary64 results can be compared with == (bit for bit).
 
-def mul_literal(a, b) -> list:
-    """Truncated product, skipping pairs with a zero factor."""
-    n = min(len(a), len(b)) - 1
-    out = [a[0] * 0] * (n + 1)
-    for i in range(n + 1):
-        if a[i] == 0:
-            continue
-        for j in range(n + 1 - i):
-            if b[j] != 0:
-                out[i + j] += a[i] * b[j]
-    return out
-
-
 def exp_literal(u, g0) -> list:
     """exp of a series with exp(u[0]) = g0: g_j = (1/j) sum_i i u_i g_{j-i}."""
     g = [g0]

@@ -23,6 +23,7 @@ from finfree.cumulants import (
     laguerre_hat_atilde,
     laguerre_unitary,
 )
+from finfree import partitions
 from finfree.errors import CapExceededError
 from finfree.polycalc import (
     MonicPoly,
@@ -202,12 +203,31 @@ class TestBoxtimesCumulants:
                 assert isinstance(got, mp.mpf)
                 assert abs(got - direct[n]) <= mp.mpf("1e-40") * abs(direct[n]), (method, n)
 
-    def test_pi_sum_past_the_cap_fails_at_once(self):
-        ps = [laguerre_hat(13, 1)] * 2
-        start = time.perf_counter()
-        with pytest.raises(CapExceededError, match="size 13"):
-            boxtimes_cumulants(ps, 13)
-        assert time.perf_counter() - start < 1.0
+    def test_pi_sum_runs_past_the_partition_cap(self):
+        # the series pi-sum walks no P(n): n = 13 and n = 40 are past the cap
+        ps = [laguerre_hat(40, 1), laguerre_hat(40, Fraction(1, 2)), laguerre_hat(40, 3)]
+        direct = finite_cumulants(boxtimes_fold(ps))
+        for n in (13, 40):
+            assert boxtimes_cumulants(ps, n) == direct[n]
+
+    def test_n_out_of_range_refused(self):
+        ps = [laguerre_hat(4, 1)] * 2
+        for method in ("pi-sum", "join-sum"):
+            for n in (0, -1, 5):
+                with pytest.raises(ValueError, match=f"got n={n}"):
+                    boxtimes_cumulants(ps, n, method=method)
+
+    def test_pi_sum_is_m_exps_and_m_plus_one_logs(self, monkeypatch, series_calls):
+        # one log per factor's cumulant transform, one exp per factor, one log
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pi-sum walked P(n)")
+        monkeypatch.setattr(partitions, "partition_masks", refuse)
+        rng = random.Random(23)
+        for m in (1, 2, 3):
+            ps = [rational_poly(rng, 6) for _ in range(m)]
+            series_calls.clear()
+            boxtimes_cumulants(ps, 6)
+            assert sorted(series_calls) == ["exp"] * m + ["log"] * (m + 1)
 
     def test_join_sum_cap(self):
         ps = [laguerre_hat(8, 1)] * 2

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -21,7 +22,7 @@ from finfree.identities import faa_di_bruno_exp
 from finfree.partitions import enumerate_noncrossing, enumerate_partitions, mobius_top
 
 from .oracles import (catalan_oracle, exp_literal, lagrange_power_oracle, log_literal,
-                      mul_literal, sy_limit_t_per_n)
+                      sy_limit_t_per_n)
 
 
 def close(a, b, tol):
@@ -29,11 +30,6 @@ def close(a, b, tol):
 
 
 class TestPowerSeries:
-    def test_mul_truncates(self):
-        a = PowerSeries((Fraction(1), Fraction(2), Fraction(3)))
-        b = PowerSeries((Fraction(1), Fraction(-1), Fraction(0)))
-        assert (a * b).coeffs == (1, 1, 1)
-
     def test_exp_of_exact_series(self):
         u = PowerSeries((Fraction(0), Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
         g = u.exp()
@@ -54,14 +50,9 @@ class TestPowerSeries:
                 return complex(v, rng.uniform(-2, 2)) if cplx else v
             for N in (1, 7, 30):
                 a = (1.0,) + tuple(draw() for _ in range(N))
-                b = tuple(draw() for _ in range(N + 1))
                 u = (0.0,) + tuple(draw() for _ in range(N))
-                assert (PowerSeries(a) * PowerSeries(b)).coeffs == tuple(mul_literal(a, b))
                 assert PowerSeries(u).exp().coeffs == tuple(exp_literal(u, 1.0))
                 assert PowerSeries(a).log().coeffs == tuple(log_literal(a))
-        # sparse factors are skipped in the product, as in the literal loop
-        a, b = (1.0, 0.0, -0.5, 0.0), (2.0, 3.0, 0.0, 0.25)
-        assert (PowerSeries(a) * PowerSeries(b)).coeffs == tuple(mul_literal(a, b))
 
 
 class TestClosedForms:
@@ -248,13 +239,21 @@ class TestLagrange:
                 for a, b in zip(got, want):
                     assert abs(a - b) <= mp.mpf("1e-45") * max(1, abs(b))
 
-    def test_takes_no_series_product(self, monkeypatch):
-        # the O(N^3) repeated-product route must not come back
-        def refuse(self, other):
-            raise AssertionError("lagrange_cumulants multiplied two series")
-        monkeypatch.setattr(PowerSeries, "__mul__", refuse)
-        ks = lagrange_cumulants(s_transform_series("lambda", 12, t=1), 12)
+    def test_one_log_and_one_exp_per_n(self, series_calls):
+        S = s_transform_series("lambda", 12, t=1)
+        series_calls.clear()
+        ks = lagrange_cumulants(S, 12)
+        assert sorted(series_calls) == ["exp"] * 12 + ["log"]
         assert close(ks[11], lambda_cumulant(12, 1), "1e-30")
+
+    def test_limit_law_columns_pinned(self):
+        # sha256 of the 50-digit reprs of the N = 40 columns at t = 1.3, as
+        # the exp(-n log(S/S(0))) route gave them before the shared Lagrange step
+        cols = [lagrange_cumulants(s_transform_series(kind, 40, t=1.3), 40)
+                for kind in ("lambda", "sigma", "pi")]
+        with mp.workdps(50):
+            digest = hashlib.sha256(repr(cols).encode()).hexdigest()
+        assert digest == "cde742be253434569511579288999c3a5c5b865ef08c065a0e4e720cdce4546a"
 
     def test_rejects_vanishing_head(self):
         with pytest.raises(ValueError):
@@ -287,6 +286,12 @@ class TestNCMoments:
             for n in range(1, 7):
                 ref = lambda_moment(n, t)
                 assert abs(ms[n - 1] - ref) <= mp.mpf("1e-25") * max(1, abs(ref))
+        for t in (0.1, 1, 2):
+            ms = nc_moments_from_cumulants([lambda_cumulant(n, t) for n in range(1, 41)], 40)
+            with mp.workdps(80):
+                for n, m in enumerate(ms, start=1):
+                    ref = lambda_moment(n, t, digits=80)
+                    assert abs(m - ref) <= mp.mpf("1e-45") * abs(ref), (t, n)
 
     def test_matches_noncrossing_partition_sum(self):
         rng = random.Random(21)
@@ -298,6 +303,52 @@ class TestNCMoments:
                     ref = mp.fsum(mp.fprod(ks[len(b) - 1] for b in sigma.blocks)
                                   for sigma in enumerate_noncrossing(n))
                     assert abs(ms[n - 1] - ref) <= mp.mpf("1e-40") * max(1, abs(ref))
+        ks = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(10)]
+        refs = [sum(math.prod(ks[m.bit_count() - 1] for m in sigma.masks)
+                    for sigma in enumerate_noncrossing(n)) for n in range(1, 11)]
+        for N in range(1, 11):
+            ms = nc_moments_from_cumulants(ks, N)
+            assert all(type(m) is Fraction for m in ms) and ms == refs[:N]
+
+    def test_one_log_and_one_exp_per_moment_and_one_more(self, series_calls):
+        ks = [lambda_cumulant(n, 1) for n in range(1, 13)]
+        ms = nc_moments_from_cumulants(ks, 12)
+        assert sorted(series_calls) == ["exp"] * 13 + ["log"]
+        assert abs(ms[11] - lambda_moment(12, 1)) <= mp.mpf("1e-40") * lambda_moment(12, 1)
+
+    def test_needs_the_cumulants(self):
+        for ks, N in (([], 0), ([], 1), ([mp.mpf(1)], 2)):
+            with pytest.raises(ValueError, match="need kappa_1"):
+                nc_moments_from_cumulants(ks, N)
+
+
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: lambda_cumulant(2, _NAN), "t"),
+    (lambda: lambda_cumulant(2, _INF), "t"),
+    (lambda: lambda_cumulant(2, -1), "t"),
+    (lambda: sigma_cumulant(2, _INF), "t"),
+    (lambda: lambda_moment(2, _INF), "t"),
+    (lambda: pi_cumulant(2, _INF), "t"),
+    (lambda: pi_cumulant(2, 0), "t"),
+    (lambda: sy_limit_t(3, _INF), "t"),
+    (lambda: sy_limit_t(3, 1, kappa2=_NAN), "kappa2"),
+    (lambda: sy_limit_zero(3, kappa2=_NAN), "kappa2"),
+    (lambda: sy_limit_zero(3, kappa2=_INF), "kappa2"),
+    (lambda: s_transform_series("lambda", 3, t=_NAN), "t"),
+    (lambda: s_transform_series("lambda", 3, t=-1), "t"),
+    (lambda: s_transform_series("sigma", 3, t=_INF), "t"),
+    (lambda: s_transform_series("pi", 3, t=0), "t"),
+    (lambda: s_transform_series("sigma", 3), "t"),
+    (lambda: s_transform_series("pi", 3, t=None), "t"),
+])
+def test_non_finite_or_out_of_range_parameters_refused(call, name):
+    # a closed form's rule: lambda and sigma need a finite t >= 0, pi and
+    # sy_limit_t a finite t > 0, kappa2 is finite; nan and inf are no result
+    with pytest.raises(ValueError, match=f"{name}="):
+        call()
 
 
 class TestPoissonFaaDiBruno:

@@ -10,7 +10,8 @@ mpmath's internal representation, the raw mpf and mpc tuples and
 ``mpmath.libmp``, is read in ``scalars`` alone, the one scalar layer; and no
 module names ``fsum`` or ``fdot``: ``scalars.dot`` is the one sum kernel.
 ``partitions`` names no scalar kind and no ``dot``: the kind decision of its
-literal sums lives in ``scalars``.
+literal sums lives in ``scalars``.  Outside ``partitions``, ``block_sum`` is
+referenced only by the labelled literal routes.
 """
 
 import ast
@@ -115,3 +116,22 @@ def test_partitions_leave_the_kind_to_scalars():
     found = [f"partitions:{line}: {name}"
              for line, name in _names(ROOT / "src" / "finfree" / "partitions.py") if name in banned]
     assert not found, f"kind decisions or tuple walks in partitions: {found}"
+
+
+def _functions(body: list, prefix: str):
+    """(qualified name, node) of the module-level functions and class methods."""
+    for stmt in body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield f"{prefix}.{stmt.name}", stmt
+        elif isinstance(stmt, ast.ClassDef):
+            yield from _functions(stmt.body, f"{prefix}.{stmt.name}")
+
+
+def test_block_sum_only_in_the_literal_routes():
+    """``partitions.block_sum`` walks P(n): outside ``partitions`` only the
+    literal cross-checks call it, the ``grouped=False`` cumulant transform and
+    ``faa_di_bruno_exp``.  Every other route is a series exp or log."""
+    found = {name for path in sorted((ROOT / "src" / "finfree").glob("*.py"))
+             if path.stem != "partitions"
+             for name, fn in _functions(_body(path), path.stem) if "block_sum" in _refs([fn])}
+    assert found == {"cumulants.cumulants_from_atilde", "identities.faa_di_bruno_exp"}, found
