@@ -4,16 +4,19 @@ Subcommands mirror the library surface: partition streams, identity
 evaluation, tuple-family counts, convolutions, cumulant transforms, and the
 limit-theorem experiment harness.  Exit codes: 0 success, 2 invalid input,
 3 cap or precision infeasibility (a binary64 overflow among them), 4 numerical
-non-convergence.
+non-convergence.  A reader that closes stdout early (``| head``) ends the
+output quietly, with 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from contextlib import nullcontext
+from itertools import islice
 
 from .cumulants import CumulantVector, coeffs_from_cumulants, finite_cumulants
 from .errors import CapExceededError, PrecisionBudgetError, RootConvergenceError
@@ -28,12 +31,12 @@ from .partitions import (
     count_T_closed,
     count_join_full,
     count_join_full_closed,
-    enumerate_noncrossing,
-    enumerate_partitions,
     mask_elements,
+    noncrossing_masks,
+    partition_masks,
 )
-from .polycalc import (_parse_scalar, _positive_int, boxplus, boxtimes, boxtimes_pow,
-                       poly_from_json, poly_to_json)
+from .polycalc import (boxplus, boxtimes, boxtimes_pow, parse_scalar, poly_from_json,
+                       poly_to_json, positive_int)
 from .scalars import format_scalar
 
 
@@ -44,7 +47,7 @@ def _parse_fs(text: str) -> list[ZeroConstPoly]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        coeffs = [_parse_scalar(tok.strip()) for tok in chunk.split(",")]
+        coeffs = [parse_scalar(tok.strip()) for tok in chunk.split(",")]
         polys.append(ZeroConstPoly(coeffs))
     if not polys:
         raise ValueError("no polynomials given")
@@ -70,12 +73,28 @@ def _load_json_arg(text: str):
         return json.load(fh)
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write ``text`` to ``out`` or stdout, newline-terminated, without a copy."""
+def _emit(text, out: str | None) -> None:
+    """Write ``text``, a str or an iterable of str chunks, to ``out`` or
+    stdout, newline-terminated, without a copy.
+
+    A write into a closed pipe (the reader stopped, as ``| head`` does) ends
+    the output quietly: the chunks are not drawn further, and the file
+    descriptor is pointed at os.devnull, so no later flush raises.
+    """
+    chunks = (text,) if isinstance(text, str) else text
     with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
+        try:
+            tail = ""
+            for chunk in chunks:
+                fh.write(chunk)
+                tail = chunk or tail
+            if not tail.endswith("\n"):
+                fh.write("\n")
+            fh.flush()
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fh.fileno())
+            os.close(devnull)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,28 +147,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _cmd_partitions(args) -> str:
+# rows joined per chunk of the partitions stream
+_ROWS_PER_CHUNK = 1024
+
+
+def _cmd_partitions(args):
     cap = DEFAULT_PARTITION_CAP if args.cap is None else args.cap
-    stream = (
-        enumerate_noncrossing(args.n, cap=cap)
-        if args.noncrossing
-        else enumerate_partitions(args.n, cap=cap)
-    )
+    walk = (noncrossing_masks if args.noncrossing else partition_masks)(args.n, cap)
     if args.count_only:
-        return str(sum(1 for _ in stream))
-    # each distinct block is formatted once and every row is joined from the
-    # block texts; json comes out as json.dumps of the block lists would write it
-    as_json = args.format == "json"
+        return str(sum(1 for _ in walk))
+    return _partition_rows(walk, args.format == "json")
+
+
+def _partition_rows(walk, as_json: bool):
+    """The text of the partitions in ``walk``, a stream of block-mask tuples,
+    in chunks of ``_ROWS_PER_CHUNK`` rows: one row per line in csv, and in
+    json what json.dumps of the list of block lists writes.  Each distinct
+    block is formatted once, on first use, and every row is joined from the
+    block texts."""
     wrap = "[{}]".format if as_json else str
     elem_sep, block_sep, row_sep = (", ", ", ", ", ") if as_json else (",", "|", "\n")
-    texts: dict[int, str] = {}  # keyed by block mask
-    rows = []
-    for p in stream:
-        for m in p.masks:
-            if m not in texts:
-                texts[m] = wrap(elem_sep.join(map(str, mask_elements(m))))
-        rows.append(wrap(block_sep.join(map(texts.__getitem__, p.masks))))
-    return wrap(row_sep.join(rows))
+
+    class BlockTexts(dict):  # block mask -> its text
+        def __missing__(self, mask):
+            text = self[mask] = wrap(elem_sep.join(map(str, mask_elements(mask))))
+            return text
+
+    block = BlockTexts().__getitem__
+    sep = "[" if as_json else ""
+    for batch in iter(lambda: list(islice(walk, _ROWS_PER_CHUNK)), []):
+        yield sep + row_sep.join([wrap(block_sep.join(map(block, p))) for p in batch])
+        sep = row_sep
+    if as_json:
+        yield "]"  # a walk yields at least one partition
 
 
 def _cmd_identity(args) -> str:
@@ -227,11 +257,11 @@ def _cmd_cumulants(args) -> str:
     if args.invert:
         if not isinstance(obj, dict) or "cumulants" not in obj or "degree" not in obj:
             raise ValueError("--invert expects {\"degree\": d, \"cumulants\": [...]}")
-        d = _positive_int("degree", obj["degree"])
+        d = positive_int("degree", obj["degree"])
         if not isinstance(obj["cumulants"], list):
             raise ValueError("cumulants must be a JSON array")
         try:
-            vals = tuple(_parse_scalar(v) for v in obj["cumulants"])
+            vals = tuple(parse_scalar(v) for v in obj["cumulants"])
         except ValueError as exc:
             raise ValueError(f"cumulants: {exc}") from None
         kv = CumulantVector(d, vals)
@@ -266,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         "limit": _cmd_limit,
     }
     try:
-        text = handlers[args.command](args)
+        _emit(handlers[args.command](args), args.out)
     except (CapExceededError, PrecisionBudgetError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -276,7 +306,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.out)
     return 0
 
 

@@ -30,8 +30,8 @@ from .cumulants import (cumulants_from_atilde, exp_poly_atilde, hermite_unitary_
                         laguerre_hat_atilde, laguerre_unitary_atilde)
 from .errors import PrecisionBudgetError
 from .freelimits import lambda_cumulant, pi_cumulant, sigma_cumulant, sy_limit_t, sy_limit_zero
-from .polycalc import (MonicPoly, _parse_scalar, _positive_int, normalized_coeffs,
-                       poly_from_json)
+from .polycalc import (MonicPoly, normalized_coeffs, parse_scalar, poly_from_json,
+                       positive_int)
 from .scalars import dot, format_scalar, to_mpf
 
 
@@ -64,11 +64,11 @@ class ExperimentConfig:
     poly: dict | None = None
 
     def __post_init__(self):
-        self.d = tuple(_positive_int("d grid entries", v) for v in _as_tuple(self.d))
-        self.m = tuple(_positive_int("m grid entries", v) for v in _as_tuple(self.m))
+        self.d = tuple(positive_int("d grid entries", v) for v in _as_tuple(self.d))
+        self.m = tuple(positive_int("m grid entries", v) for v in _as_tuple(self.m))
         self.t = tuple(_finite("t grid entries", v) for v in _as_tuple(self.t))
-        self.n_max = _positive_int("n_max", self.n_max)
-        self.precision = _positive_int("precision", self.precision)
+        self.n_max = positive_int("n_max", self.n_max)
+        self.precision = positive_int("precision", self.precision)
         if self.sigma is not None:
             self.sigma = _finite("sigma", self.sigma)
 
@@ -104,7 +104,7 @@ def _as_tuple(v):
 def _finite(name: str, v) -> float:
     """A t or sigma value, parsed like a polynomial-literal scalar ("3/4" too)."""
     try:
-        return float(_parse_scalar(v))
+        return float(parse_scalar(v))
     except (ValueError, OverflowError, TypeError) as exc:  # TypeError: a complex value
         raise ValueError(f"{name} must be finite numbers: {exc}") from None
 

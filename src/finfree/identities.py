@@ -191,14 +191,15 @@ def composition_identity(n: int, k: int) -> tuple[Fraction, Fraction]:
     """Both sides of the block-factorial partition identity.
 
     Left: sum over partitions of [n-1] with k blocks of prod_V |V|! divided
-    by (n-1)!.  Right: C(n-2, k-1) / k!.  Equality is the tested contract.
+    by (n-1)!, the k-block partitions walked alone (``partition_masks`` with
+    ``blocks``; the cap bounds n-1).  Right: C(n-2, k-1) / k!.  Equality is
+    the tested contract.
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
-    lattice = partition_masks(n - 1)
+    lattice = partition_masks(n - 1, blocks=k)
     fact = [math.factorial(s) for s in range(n)]
-    left = sum(math.prod(fact[mask.bit_count()] for mask in pi)
-               for pi in lattice if len(pi) == k)
+    left = sum(math.prod(fact[mask.bit_count()] for mask in pi) for pi in lattice)
     left = Fraction(left, math.factorial(n - 1))
     right = Fraction(binom(n - 2, k - 1), math.factorial(k))
     return left, right

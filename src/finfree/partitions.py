@@ -16,9 +16,11 @@ tuple-family counts to states: they sum the tuples level by level by the
 state their prefixes reach (``_count_states``), the components folded so far
 (the union, for the covering count), not tuple by tuple.  The identity
 oracles of ``identities`` read the same tuples through ``partition_masks``.
-The walk inserts element n into each partition of [n-1]; a second walk of
-the same shape inserts it only where no crossing arises, and lists the
-non-crossing partitions without visiting the rest of P(n).  ``SetPartition``,
+The walk inserts element n into each partition of [n-1], and asked for k
+blocks (``partition_masks(n, blocks=k)``) it visits only the partitions that
+can still end with k; a second walk of the same shape inserts it only where
+no crossing arises, and lists the non-crossing partitions without visiting
+the rest of P(n) (``noncrossing_masks``).  ``SetPartition``,
 the public value, holds the same masks and derives its element tuples
 (``mask_elements``); ``enumerate_partitions`` and ``enumerate_noncrossing``
 are the two walks mapped to it, with nothing tabled per element.
@@ -128,22 +130,32 @@ class SetPartition:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _walk(n: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of [n] as tuples of block masks ordered by their
-    minimum, in restricted-growth-string lexicographic order: element n joins
-    each block of each partition of [n-1] in turn, then opens its own block.
-    The walk recurses n levels deep."""
+def _walk(n: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of [n] with ``lo`` to ``hi`` blocks as tuples of block
+    masks ordered by their minimum, in restricted-growth-string
+    lexicographic order: element n joins each block of each partition of
+    [n-1] in turn, then opens its own block.
+
+    A parent with r blocks may take n into a block only when r >= lo, and
+    open a new one only when r < hi, so the parents walked are those with
+    max(lo-1, 1) to hi blocks: every one of them leads to a partition kept,
+    and the order is that of the full walk filtered by block count.  The
+    walk recurses n levels deep."""
     if n == 1:
-        yield (1,)
+        if lo <= 1 <= hi:
+            yield (1,)
         return
     last = 1 << (n - 1)
-    for parent in _walk(n - 1):
-        blocks = list(parent)
-        for i, b in enumerate(parent):
-            blocks[i] = b | last
-            yield tuple(blocks)
-            blocks[i] = b
-        yield (*parent, last)
+    for parent in _walk(n - 1, max(lo - 1, 1), hi):
+        r = len(parent)
+        if r >= lo:
+            blocks = list(parent)
+            for i, b in enumerate(parent):
+                blocks[i] = b | last
+                yield tuple(blocks)
+                blocks[i] = b
+        if r < hi:
+            yield (*parent, last)
 
 
 def _noncrossing_walk(n: int) -> Iterator[tuple[int, ...]]:
@@ -176,12 +188,23 @@ def _check_size(n: int, cap: int) -> None:
         raise CapExceededError("partition enumeration", n, cap)
 
 
-def partition_masks(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[tuple[int, ...]]:
+def partition_masks(n: int, cap: int = DEFAULT_PARTITION_CAP,
+                    blocks: int | None = None) -> Iterator[tuple[int, ...]]:
     """All partitions of [n], each a tuple of block bitmasks (bit x-1 for
     element x) ordered by their minimum, in the order of
-    ``enumerate_partitions``.  ``n`` and the cap are checked at the call."""
+    ``enumerate_partitions``; with ``blocks`` set, only those with that many
+    blocks, in the same order, and the walk visits no partition that cannot
+    end with that many.  ``n`` and the cap are checked at the call."""
     _check_size(n, cap)
-    return _walk(n)
+    return _walk(n, 1, n) if blocks is None else _walk(n, blocks, blocks)
+
+
+def noncrossing_masks(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[tuple[int, ...]]:
+    """The non-crossing partitions of [n] as ``partition_masks`` encodes
+    them, in its order; P(n) is not walked.  ``n`` and the cap are checked
+    at the call."""
+    _check_size(n, cap)
+    return _noncrossing_walk(n)
 
 
 def enumerate_partitions(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[SetPartition]:
@@ -196,10 +219,8 @@ def enumerate_partitions(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[S
 
 def enumerate_noncrossing(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[SetPartition]:
     """Non-crossing partitions of [n], in the order of ``enumerate_partitions``:
-    ``_noncrossing_walk`` mapped to ``SetPartition``.  ``n`` and the cap are
-    checked at the call; P(n) is not walked."""
-    _check_size(n, cap)
-    return map(partial(SetPartition._canonical, n), _noncrossing_walk(n))
+    ``noncrossing_masks`` mapped to ``SetPartition``."""
+    return map(partial(SetPartition._canonical, n), noncrossing_masks(n, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -430,15 +451,16 @@ def count_join_full(sizes: Sequence[int], cap: int = DEFAULT_TUPLE_CAP) -> int:
     Counts sigma in P(M) with M-(k-1) blocks, the largest block count at
     which such sigma exist, whose join with the interval partition of
     ``sizes`` is 1_M.
-    Brute force over P(M); ``count_join_full_closed`` is the formula.
+    Brute force over the partitions of [M] with that many blocks, walked by
+    block count (``partition_masks`` with ``blocks``), not over all of P(M);
+    the cap bounds M.  ``count_join_full_closed`` is the formula.
     """
     sizes = tuple(sizes)
     _check_positive(sizes=sizes)
     M = sum(sizes)
-    num_blocks = M - (len(sizes) - 1)
-    lattice = partition_masks(M, cap=cap)
+    lattice = partition_masks(M, cap=cap, blocks=M - (len(sizes) - 1))
     intervals = _interval_masks(sizes)
-    return sum(_joins_to_top(intervals, sigma) for sigma in lattice if len(sigma) == num_blocks)
+    return sum(_joins_to_top(intervals, sigma) for sigma in lattice)
 
 
 def count_join_full_closed(sizes: Sequence[int]) -> int:

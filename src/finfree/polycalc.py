@@ -566,7 +566,9 @@ def empirical_moments(p: MonicPoly, N: int, digits: int | None = None) -> list:
 # JSON literals (the wire format used by the CLI and config files)
 # ---------------------------------------------------------------------------
 
-def _parse_scalar(v):
+def parse_scalar(v):
+    """A JSON scalar as a number: an int, a finite float, or a string read as
+    a ``Fraction`` or else as a finite complex; a bool is refused."""
     if isinstance(v, bool):
         raise ValueError("booleans are not scalars")
     if isinstance(v, int):
@@ -588,7 +590,7 @@ def _parse_scalar(v):
     raise ValueError(f"cannot parse scalar {v!r}")
 
 
-def _positive_int(name: str, v) -> int:
+def positive_int(name: str, v) -> int:
     """A positive JSON integer; a bool or a float, even 10.0, is refused."""
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValueError(f"{name}: a JSON integer is required, got {v!r}")
@@ -615,7 +617,7 @@ def poly_from_json(obj: dict, digits: int | None = None) -> MonicPoly:
     if not isinstance(obj[reps[0]], list):
         raise ValueError(f"{reps[0]} must be a JSON array")
     try:
-        values = [_parse_scalar(v) for v in obj[reps[0]]]
+        values = [parse_scalar(v) for v in obj[reps[0]]]
     except ValueError as exc:
         raise ValueError(f"{reps[0]}: {exc}") from None
     if reps[0] == "coeffs":
@@ -628,7 +630,7 @@ def poly_from_json(obj: dict, digits: int | None = None) -> MonicPoly:
         if any(isinstance(v, complex) for v in values):
             raise ValueError("angles: an angle must be a real number")
         p = MonicPoly.from_angles([float(v) for v in values])
-    if "degree" in obj and _positive_int("degree", obj["degree"]) != p.degree:
+    if "degree" in obj and positive_int("degree", obj["degree"]) != p.degree:
         raise ValueError(
             f"declared degree {obj['degree']} does not match data ({p.degree})"
         )

@@ -534,3 +534,69 @@ def test_emit_writes_the_text_without_copying_it(tmp_path):
         tracemalloc.stop()
     assert peak <= 1.2 * len(text)
     assert dest.read_bytes() == (text + "\n").encode()
+
+
+def test_closed_pipe_ends_the_stream_quietly(capsys, monkeypatch, tmp_path):
+    # a reader that stops, as `| head` does: the first write raises
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    drawn = []
+    walk = cli.partition_masks
+    monkeypatch.setattr(cli, "partition_masks",
+                        lambda n, cap: (drawn.append(p) or p for p in walk(n, cap)))
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+        code = cli.main(["partitions", "--n", "9"])
+        # later flushes of the stream, at exit too, go nowhere
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert code == 0 and capsys.readouterr().err == ""
+    assert len(drawn) == cli._ROWS_PER_CHUNK  # the walk stopped after one chunk
+
+
+def test_closed_pipe_exits_0_without_a_traceback():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.Popen([sys.executable, "-m", "finfree.cli", "partitions", "--n", "9"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"1,2,3,4,5,6,7,8,9\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=30) == 0 and proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_partitions_stream_in_bounded_memory(tmp_path):
+    # the 115975 rows are about 5 MB of json; they are written in chunks
+    dest = tmp_path / "p10.json"
+    tracemalloc.start()
+    try:
+        code = cli.main(["--format", "json", "--out", str(dest), "partitions", "--n", "10"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 2 << 20
+    rows = json.loads(dest.read_text())
+    assert len(rows) == 115975
+    assert rows[0] == [list(range(1, 11))] and rows[-1] == [[x] for x in range(1, 11)]
+
+
+def test_count_only_formats_nothing(capsys, monkeypatch):
+    def refuse(mask):
+        raise AssertionError("a block was formatted")
+
+    monkeypatch.setattr(cli, "mask_elements", refuse)
+    for argv, count in ((("--n", "10"), "115975"), (("--n", "10", "--noncrossing"), "16796")):
+        code, out, _ = run(capsys, "partitions", *argv, "--count-only")
+        assert code == 0 and out.strip() == count
+
+
+def test_unwritable_out_exit_2(capsys, tmp_path):
+    code, out, err = run(capsys, "--out", str(tmp_path / "missing" / "p.csv"),
+                         "partitions", "--n", "3")
+    assert code == 2 and out == "" and "No such file or directory" in err

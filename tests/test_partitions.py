@@ -2,6 +2,7 @@ import math
 import random
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from finfree import partitions
 from finfree.errors import CapExceededError
-from finfree.identities import ZeroConstPoly, s_bruteforce
+from finfree.identities import ZeroConstPoly, composition_identity, s_bruteforce
 from finfree.partitions import (
     SetPartition,
     block_sum,
@@ -124,6 +125,46 @@ class TestEnumeration:
                 assert sum(masks) == (1 << n) - 1  # disjoint, so they cover [n]
                 lows = [m & -m for m in masks]
                 assert lows == sorted(lows)  # ordered by their minimum
+
+    def test_walk_by_block_count_is_the_filtered_walk_in_order(self):
+        for n in range(1, 10):
+            full = list(partition_masks(n))
+            for lo in range(1, n + 1):
+                for hi in range(lo, n + 1):
+                    assert list(partitions._walk(n, lo, hi)) == [
+                        p for p in full if lo <= len(p) <= hi]
+            for k in range(n + 2):
+                assert list(partition_masks(n, blocks=k)) == [p for p in full if len(p) == k]
+
+    def test_sums_by_block_count_visit_only_what_they_keep(self, monkeypatch):
+        # every level of the walk is recorded: a partition of [m] with r
+        # blocks is visited only when n - m more elements can end it at k
+        stirling = Counter(len(p) for p in partition_masks(8))  # S(8, k) at k
+        walk, seen = partitions._walk, []
+
+        def spy(n, lo, hi):
+            for p in walk(n, lo, hi):
+                seen.append((n, len(p)))
+                yield p
+
+        def visited(n, k):
+            assert all(k - (n - m) <= r <= k for m, r in seen), (n, k)
+            top = [r for m, r in seen if m == n]
+            seen.clear()
+            return top
+
+        monkeypatch.setattr(partitions, "_walk", spy)
+        for k in range(1, 9):
+            left, right = composition_identity(9, k)
+            assert left == right and visited(8, k) == [k] * stirling[k]
+        for sizes in ((3, 3, 2), (1, 7), (2, 2, 2, 2), (8,)):
+            assert count_join_full(sizes) == count_join_full_closed(sizes)
+            k = 8 - (len(sizes) - 1)
+            assert visited(8, k) == [k] * stirling[k]
+        assert stirling[6] == 266  # of Bell(8) = 4140
+        with pytest.raises(CapExceededError, match="size 9 exceeds the cap 8"):
+            count_join_full((4, 5))
+        assert seen == []
 
     def test_equals_validated_construction(self):
         for n in range(1, 9):

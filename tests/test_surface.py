@@ -11,7 +11,8 @@ mpmath's internal representation, the raw mpf and mpc tuples and
 module names ``fsum`` or ``fdot``: ``scalars.dot`` is the one sum kernel.
 ``partitions`` names no scalar kind and no ``dot``: the kind decision of its
 literal sums lives in ``scalars``.  Outside ``partitions``, ``block_sum`` is
-referenced only by the labelled literal routes.
+referenced only by the labelled literal routes.  No module imports a private
+(underscored) name from another.
 """
 
 import ast
@@ -20,7 +21,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # public names kept without such a use, with the reason
-EXEMPT: dict = {}
+EXEMPT: dict = {
+    "enumerate_partitions": "the SetPartition stream of P(n), exported by finfree and named "
+                            "in perfbench's tracer as a string; the CLI and the sums read "
+                            "partition_masks",
+    "enumerate_noncrossing": "the SetPartition stream of NC(n), named in perfbench's tracer "
+                             "as a string; the CLI reads noncrossing_masks",
+}
 
 
 def _refs(stmts) -> set:
@@ -116,6 +123,19 @@ def test_partitions_leave_the_kind_to_scalars():
     found = [f"partitions:{line}: {name}"
              for line, name in _names(ROOT / "src" / "finfree" / "partitions.py") if name in banned]
     assert not found, f"kind decisions or tuple walks in partitions: {found}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A leading underscore keeps a name inside its module: no finfree module
+    imports one from another, so the walks behind ``partition_masks`` and
+    ``noncrossing_masks`` stay private to ``partitions``."""
+    found = [f"{path.stem}:{node.lineno}: {alias.name}"
+             for path in sorted((ROOT / "src" / "finfree").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level or (node.module or "").split(".")[0] == "finfree")
+             for alias in node.names if alias.name.startswith("_")]
+    assert not found, f"private names imported across modules: {found}"
 
 
 def _functions(body: list, prefix: str):
