@@ -11,6 +11,7 @@ output quietly, with 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -97,7 +98,10 @@ def _emit(text, out: str | None) -> None:
             os.close(devnull)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``main``: parsing
+    leaves it unchanged, and the handlers are looked up by ``main``."""
     ap = argparse.ArgumentParser(
         prog="finfree",
         description="finite free convolution toolkit and limit-theorem harness",

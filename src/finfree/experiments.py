@@ -162,11 +162,11 @@ class ResultTable:
         }
 
 
-def _make_row(kind, d, m, t, n, value, reference, digits) -> Row:
-    with mp.workdps(digits):
-        err = abs(value - reference)
-        rel = err / abs(reference) if reference != 0 else None
-        return Row(kind, d, m, t, n, mp.re(value), mp.re(reference), err, rel)
+def _make_row(kind, d, m, t, n, value, reference) -> Row:
+    """One row, at the ambient precision (the caller's scope)."""
+    err = abs(value - reference)
+    rel = err / abs(reference) if reference != 0 else None
+    return Row(kind, d, m, t, n, mp.re(value), mp.re(reference), err, rel)
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +385,17 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Run one experiment grid; deterministic for a fixed config.
 
     The kind's point generator yields (d, m, t, values, references) per grid
-    point, at ``working_digits(cfg)``; the rows are n = 1, 2, ... of the two.
+    point, at ``working_digits(cfg)``; the rows are n = 1, 2, ... of the two,
+    made in one precision scope per point.
     """
     cfg.validate()
     w = working_digits(cfg)
     table = ResultTable(precision=cfg.precision)
     grids, points = _KINDS[cfg.kind]
     for d, m, t, values, refs in points(cfg, w, table.notes):
-        for n, (value, ref) in enumerate(zip(values, refs), start=1):
-            table.rows.append(_make_row(cfg.kind, d, m, t, n, value, ref, w))
+        with mp.workdps(w):
+            for n, (value, ref) in enumerate(zip(values, refs), start=1):
+                table.rows.append(_make_row(cfg.kind, d, m, t, n, value, ref))
     table.rows.sort(key=lambda r: (r.d, r.m or 0, r.t or 0.0, r.n))
     table.rates = fit_rate(table, grids[0])
     return table

@@ -25,7 +25,7 @@ import mpmath as mp
 
 from .errors import RootConvergenceError
 from .scalars import (DEFAULT_DIGITS, EXACT, FLOAT64, MPF, binom, common_kind, convolve, dot,
-                      exp, kind_of, promote_ints, to_mpf, work)
+                      exp, format_scalar, kind_of, promote_ints, to_mpf, work)
 from .series import PowerSeries
 
 _ROOT_MAX_ITER = 200
@@ -655,7 +655,7 @@ def _scalar_to_json(v):
         raise OverflowError(f"non-finite coefficient {v} past the binary64 range; "
                             'give the input as exact strings, such as "1e400"')
     if isinstance(v, mp.mpf):
-        return mp.nstr(v, 17)
+        return format_scalar(v, 17)
     if isinstance(v, complex):
         return repr(v).strip("()")  # a string that complex() reads back
     return float(v)

@@ -25,6 +25,7 @@ once.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from contextlib import nullcontext
@@ -456,8 +457,17 @@ def format_scalar(x, digits: int = DEFAULT_DIGITS) -> str:
     ``digits`` significant digits, rounded once from all they carry, binary64
     values as the shortest string that reads back to the same value (at most
     17 significant digits).  A non-finite value, a binary64 overflow, raises
-    ``OverflowError``.
+    ``OverflowError``.  An mpf or mpc prints as ``mp.nstr(x, digits,
+    strip_zeros=True)`` does: a finite nonzero real mpf within 2^+-3500 on
+    ints (``_mpf_text``), anything else by ``mp.nstr`` itself.
     """
+    if type(x) is mp.mpf and digits >= 1:
+        sign, man, e, bc = x._mpf_
+        if man and abs(e + bc) <= 3500:
+            try:
+                return _mpf_text(sign, man, e, bc, digits)
+            except ValueError:  # a digit string past Python's int-to-str limit
+                pass
     kind = kind_of(x)
     if kind == EXACT:
         return str(x)
@@ -467,6 +477,43 @@ def format_scalar(x, digits: int = DEFAULT_DIGITS) -> str:
     if kind == FLOAT64:
         return repr(x)
     return mp.nstr(x, digits, strip_zeros=True)
+
+
+# log2(10) as mpmath 1.3.0's to_digits_exp takes it, and 10^k, each k computed
+# once (k < digits + 1060 for the values ``_mpf_text`` takes)
+_LOG2_10 = math.log(10, 2)
+_pow10 = functools.cache((10).__pow__)
+
+
+def _mpf_text(sign: int, man: int, e: int, bc: int, dps: int) -> str:
+    """``mp.nstr`` of the mpf (-1)^sign man 2^e, man of bc bits, at dps >= 1
+    digits with zeros stripped: mpmath 1.3.0's to_digits_exp and to_str
+    replayed on ints.
+
+    |x| is floored to a fixed point of int((dps + 3) log2 10) + 10 bits and
+    that to as many decimal digits as it holds.  Digit dps + 1 rounds the
+    first dps half up, carrying through 9s.  The decimal exponent picks fixed
+    notation strictly between min(-(dps // 3), -5) and dps, and scientific
+    notation outside; trailing zeros go.
+    """
+    fixprec = max(int((dps + 3) * _LOG2_10) + 10 - e - bc, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = e + fixprec
+    text = str((man << shift if shift >= 0 else man >> -shift) * _pow10(fixdps) >> fixprec)
+    exponent = len(text) - fixdps - 1
+    head = text[:dps]
+    if len(text) > dps and text[dps] >= "5":
+        kept = head.rstrip("9")
+        if kept:
+            head = kept[:-1] + chr(ord(kept[-1]) + 1) + "0" * (dps - len(kept))
+        else:  # carried into a new power of ten
+            head, exponent = "1" + "0" * (dps - 1), exponent + 1
+    fixed = min(-(dps // 3), -5) < exponent < dps
+    if fixed and exponent < 0:
+        head = "0" * -exponent + head
+    split = exponent + 1 if fixed and exponent > 0 else 1
+    text = f"{'-' if sign else ''}{head[:split]}.{head[split:].rstrip('0') or '0'}"
+    return text if fixed else f"{text}e{exponent:+d}"
 
 
 def binom(n: int, k: int) -> int:

@@ -6,6 +6,8 @@ import sys
 import time
 import tracemalloc
 
+import mpmath as mp
+
 from finfree import cli
 from finfree.cumulants import finite_cumulants
 from finfree.errors import RootConvergenceError
@@ -97,6 +99,12 @@ class TestIdentityCommand:
     def test_rational_output(self, capsys):
         code, out, _ = run(capsys, "identity", "--fs", "1/2", "--n", "1")
         assert code == 0 and out.strip() == "1/2"
+
+    def test_output_bytes_pinned(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "identity", "--fs", "1,1/2,3;2,-1",
+                           "--n", "6")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+            "38f41b3d891ac444a2b388153833f3b80bcc934e148fe9ea4232a83c5e0fb2bd")
 
     def test_bad_poly_is_exit_2(self, capsys):
         code, _, err = run(capsys, "identity", "--fs", "0,zz", "--n", "2")
@@ -337,6 +345,12 @@ class TestCumulantsCommand:
             assert len(mantissa) <= 17
             assert float(text) == kappa
 
+    def test_output_bytes_pinned(self, capsys):
+        code, out, _ = run(capsys, "--precision", "30", "--format", "json", "cumulants",
+                           "--p", '{"roots": [0.1, 0.3, 0.2, 1.7, -2.5]}')
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+            "4db961ed53344162fee25c90ea829e0c77f73f09f17408b67533a4c401c27cf4")
+
     def test_invert_roundtrip(self, capsys):
         code, out, _ = run(
             capsys, "cumulants", "--invert",
@@ -394,7 +408,60 @@ class TestCumulantsCommand:
         assert code == 0 and json.loads(out)["coeffs"][1] == -2 * 10 ** 300
 
 
+# one config per experiment kind, hermite and fms at 80 digits
+_ANGLES = [0.3, -0.5, 0.7, -0.2, 0.1, -0.4]
+_ROOTS = [2, 0.5, 4, 0.25, 1.25, 0.8]
+LIMIT_PINS = {
+    "laguerre": dict(kind="laguerre", d=[100, 200, 400], t=[1.0], n_max=12),
+    "sy-t": dict(kind="sy", regime="t", d=[100, 200, 400], m=[100, 200, 400], n_max=10),
+    "sy-zero": dict(kind="sy", regime="zero", d=[100, 400, 1600], m=[10, 20, 40], n_max=16),
+    "hermite": dict(kind="hermite", d=[50, 100, 200, 400], t=[0.5, 1, 2], n_max=16,
+                    precision=80),
+    "fms": dict(kind="fms", d=[50, 100, 200, 400], t=[0.5, 1, 2], n_max=16, precision=80),
+    "multclt": dict(kind="multclt", m=[100, 1000, 10000], poly={"roots": _ROOTS}),
+    "uclt": dict(kind="uclt", m=[100, 1000, 10000], poly={"angles": _ANGLES}),
+    "lln": dict(kind="lln", m=[100, 1000, 10000], poly={"roots": _ROOTS}),
+}
+
+
 class TestLimitCommand:
+    def test_output_bytes_pinned(self, capsys):
+        # sha256 of the json and the csv table, as printed when every mpf
+        # went through mp.nstr
+        pins = {
+            "laguerre": ("ee662596048d1cf30033adfa7d8d559bbe3684e2b28fdc5ddef35047ac143cc0",
+                         "f7daf1043415d6a8264353dcd122cae8ece3eaee71eb6619aae2dfec791f3f56"),
+            "sy-t": ("757eea60119e7ceb19c5a4f49df9cdc051987a78cf1c28b2d8a92b72221d98da",
+                     "a895b8588a11882b30f0e7e1cf91a74dbef078bad1f43b6eda2901db08784594"),
+            "sy-zero": ("960a7267b54c659b2b460e1ddaa8e0c9b8725635fd389a878b0316389824463c",
+                        "e4ba310b5decc8cc1a40fbd9e3756596120381e0c47d0eab01a537865400b160"),
+            "hermite": ("6e3dea819e6f388f8b9649d2c4510bd45b32897d11398b3406e8f2766c2610cd",
+                        "1f5581cf295766e38b20ae488160d38e6d21254211d62e9cb9cc4862cc1584cc"),
+            "fms": ("6844ae24da09c54651526d9d46e0a0d7b60ac39cdb7007840fc188bf89a444d8",
+                    "1efb7708683db910dfa522f7b2f52bc720f2b0d2f213cade9196e3311b2717c0"),
+            "multclt": ("4016a9e143cd154e941889b99dbece82f3031e42a5aebe388b40a7afa48eedf5",
+                        "701b5e7d18cd7644c63f1d438c580140e1ff413e109d57ab0675ee4cd3928d2e"),
+            "uclt": ("fddf17d474db4d6d530a85164bd35e0ee8a999abf71af62e30a416ddd909c00d",
+                     "042f9e3eea649af15ec976d77a8a22f45df1f09a87a276e4b81ed23ce5531d7e"),
+            "lln": ("02ccce6075476265330e9513100be21f4ba1f864ae13230f309bed75edf14b8d",
+                    "6ca662326ad3ac2184139d0a36c96aea6ca37f924e8702fffc108ccf3b41ea67"),
+        }
+        assert pins.keys() == LIMIT_PINS.keys()
+        for label, digests in pins.items():
+            for fmt, digest in zip(("json", "csv"), digests):
+                code, out, _ = run(capsys, "--format", fmt, "limit", "--config",
+                                   json.dumps(LIMIT_PINS[label]))
+                assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, label
+
+    def test_real_mpf_tables_skip_mp_nstr(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mp, "nstr", lambda *a, **k: calls.append(a))
+        for fmt in ("json", "csv"):
+            code, out, _ = run(capsys, "--format", fmt, "limit", "--config",
+                               json.dumps(LIMIT_PINS["hermite"]))
+            assert code == 0 and out
+        assert calls == []
+
     def test_inline_config(self, capsys):
         code, out, _ = run(
             capsys, "limit",
@@ -498,6 +565,23 @@ class TestLimitCommand:
         assert out1 == out2
         obj = json.loads(out1)
         assert len(obj["rows"]) == 4
+
+
+def test_parser_is_built_once_and_carries_nothing_over(capsys, tmp_path):
+    cli._build_parser.cache_clear()
+    dest = tmp_path / "p.json"
+    code, out, _ = run(capsys, "--format", "json", "--out", str(dest), "--cap", "3",
+                       "partitions", "--n", "3")
+    written = dest.read_text()
+    assert code == 0 and out == "" and json.loads(written)[0] == [[1, 2, 3]]
+    # the default csv, to stdout, under the default cap, which n = 4 is within
+    code, out, _ = run(capsys, "partitions", "--n", "4")
+    assert code == 0 and out.splitlines()[:2] == ["1,2,3,4", "1,2,3|4"]
+    assert len(out.splitlines()) == 15 and dest.read_text() == written
+    code, out, _ = run(capsys, "--cap", "3", "partitions", "--n", "4", "--count-only")
+    assert code == 3 and out == ""
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 class TestExitCodes:

@@ -240,8 +240,50 @@ class TestFormatScalar:
             assert len(mantissa) <= 17
         assert complex(format_scalar(0.1 - 0.2j)) == 0.1 - 0.2j
 
+    def test_mpf_prints_as_mpmath_nstr(self):
+        """The integer printer gives, at every digit count, the string of
+        ``mp.nstr`` with zeros stripped; what it does not take (zero, values
+        past 2^+-3500, no digits, mpc, a digit string past Python's
+        int-to-str limit) goes to ``mp.nstr`` itself."""
+        rng = random.Random(1790)
+        values = []
+        with mp.workprec(500):
+            for _ in range(2500):  # mantissas of 1 to 400 bits, 10^-300 to 10^300
+                bits = rng.randint(1, 400)
+                man = rng.getrandbits(bits) | 1 << (bits - 1)
+                e = round(rng.randint(-300, 300) * math.log2(10)) - bits
+                values.append(mp.mpf((rng.choice((1, -1)) * man, e)))
+            values += [mp.mpf((m, e)) for m in (1, -3, 2 ** 300 - 1)
+                       for e in (3499, 3500, 3501, 4000, -3499, -3500, -3600, -4000)]
+            values += [mp.mpf(0), 1 - mp.mpf(2) ** -200, -(1 - mp.mpf(2) ** -200)]
+        for k in (1, 2, 3, 15, 17, 50, 80, 130):
+            with mp.workdps(k + 30):
+                # carries into a new power of ten, and both fixed/scientific
+                # switch points, met from below by such a carry
+                nines = [mp.mpf("9." + "9" * j + tail) for j in (k - 1, k, k + 1)
+                         for tail in ("5", "51")]
+                near = [mp.mpf(10) ** p * (1 - mp.mpf(2) ** -200) * s for s in (1, -1)
+                        for p in (k - 1, k, k + 1, -(k // 3), -5, -4, -6, -(k // 3) + 1)]
+                # a carry that leaves zeros in the integer part
+                near += [mp.mpf("1.2" + "9" * k) * mp.mpf(10) ** p for p in (k - 1, k - 2)]
+                # two and a quarter units of the fixed point above a half-way
+                # point: the width of the fixed point decides the rounding
+                fixprec = int((k + 3) * math.log(10, 2)) + 9
+                near += [mp.mpf("1." + "2" * (k - 1) + "5") + units * mp.mpf(2) ** -fixprec
+                         for units in (2, 0.25)]
+            for x in values + nines + near:
+                assert format_scalar(x, k) == mp.nstr(x, k, strip_zeros=True), (x, k)
+        for x, k in ((values[0], 0), (values[1], -2), (values[2], 5000)):
+            assert format_scalar(x, k) == mp.nstr(x, k, strip_zeros=True)
+
+    def test_mpc_prints_as_mpmath_nstr(self):
+        with mp.workdps(40):
+            z = mp.mpc(1, -2) / 3
+        assert format_scalar(z, 30) == mp.nstr(z, 30, strip_zeros=True)
+
     def test_non_finite_is_an_overflow(self):
-        for x in (math.inf, -math.inf, math.nan, complex(1, math.inf), mp.mpf("nan")):
+        for x in (math.inf, -math.inf, math.nan, complex(1, math.inf), mp.mpf("nan"),
+                  mp.inf, -mp.inf, mp.mpc(1, mp.inf)):
             with pytest.raises(OverflowError, match="exact strings"):
                 format_scalar(x)
 

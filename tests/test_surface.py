@@ -7,8 +7,9 @@ in ``__init__`` do not count), in ``perfbench/`` or in the acceptance suite.
 A public name that nothing else needs is dead surface.
 
 mpmath's internal representation, the raw mpf and mpc tuples and
-``mpmath.libmp``, is read in ``scalars`` alone, the one scalar layer; and no
-module names ``fsum`` or ``fdot``: ``scalars.dot`` is the one sum kernel.
+``mpmath.libmp``, is read in ``scalars`` alone, the one scalar layer, which
+alone names ``nstr``, behind its one decimal printer; and no module names
+``fsum`` or ``fdot``: ``scalars.dot`` is the one sum kernel.
 ``partitions`` names no scalar kind and no ``dot``: the kind decision of its
 literal sums lives in ``scalars``.  Outside ``partitions``, ``block_sum`` is
 referenced only by the labelled literal routes.  No module imports a private
@@ -72,8 +73,9 @@ def test_every_public_name_is_used():
     assert set(EXEMPT) <= defined, f"stale exemptions: {set(EXEMPT) - defined}"
 
 
-# mpmath's internal representation: the raw tuples and the low-level library
-MPMATH_INTERNALS = {"_mpf_", "_mpc_", "libmp"}
+# mpmath's internal representation: the raw tuples and the low-level library;
+# and its decimal printer, which ``scalars.format_scalar`` stands in front of
+MPMATH_INTERNALS = {"_mpf_", "_mpc_", "libmp", "nstr"}
 
 
 def _names(path: Path):
@@ -97,8 +99,9 @@ def _names(path: Path):
 
 
 def test_mpmath_internals_stay_in_scalars():
-    """Only ``scalars`` reads mpf and mpc values as tuples or calls
-    ``mpmath.libmp``: every other module goes through the one scalar layer."""
+    """Only ``scalars`` reads mpf and mpc values as tuples, calls
+    ``mpmath.libmp`` or names ``nstr``: every other module goes through the
+    one scalar layer, and prints through ``format_scalar``."""
     found = [f"{path.stem}:{line}: {name}"
              for path in sorted((ROOT / "src" / "finfree").glob("*.py")) if path.name != "scalars.py"
              for line, name in _names(path) if name in MPMATH_INTERNALS]
