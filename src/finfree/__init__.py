@@ -7,13 +7,10 @@ desk-scale experiment harness for the associated limit theorems.
 
 __version__ = "0.1.0"
 
-from .partitions import SetPartition, enumerate_partitions
 from .polycalc import MonicPoly, boxplus, boxtimes, boxtimes_pow, dilate
 from .cumulants import CumulantVector, coeffs_from_cumulants, finite_cumulants
 
 __all__ = [
-    "SetPartition",
-    "enumerate_partitions",
     "MonicPoly",
     "boxplus",
     "boxtimes",

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import zip_longest
 from numbers import Rational
 from typing import Sequence
 
@@ -77,14 +76,6 @@ class ZeroConstPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc * x
-
-    def __add__(self, other: "ZeroConstPoly") -> "ZeroConstPoly":
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
-        return ZeroConstPoly([a + b for a, b in pairs])
-
-    def scale(self, c) -> "ZeroConstPoly":
-        c = _as_fraction(c)
-        return ZeroConstPoly([c * a for a in self.coeffs])
 
     def __repr__(self):
         terms = [f"{c}*x^{j+1}" for j, c in enumerate(self.coeffs) if c != 0]

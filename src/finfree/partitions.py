@@ -20,10 +20,9 @@ The walk inserts element n into each partition of [n-1], and asked for k
 blocks (``partition_masks(n, blocks=k)``) it visits only the partitions that
 can still end with k; a second walk of the same shape inserts it only where
 no crossing arises, and lists the non-crossing partitions without visiting
-the rest of P(n) (``noncrossing_masks``).  ``SetPartition``,
-the public value, holds the same masks and derives its element tuples
-(``mask_elements``); ``enumerate_partitions`` and ``enumerate_noncrossing``
-are the two walks mapped to it, with nothing tabled per element.
+the rest of P(n) (``noncrossing_masks``).  Masks are the one encoding:
+nothing is tabled per element, and ``mask_elements`` reads a block's
+elements back where they are printed.
 
 Everything here is integer arithmetic on immutable values; ``block_sum``
 and ``join_sum`` sum on ints too, and ``scalars.integer_weights`` takes their
@@ -38,8 +37,6 @@ it is requested, before any element is produced, and raises
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -51,7 +48,7 @@ DEFAULT_TUPLE_CAP = 8
 
 
 # ---------------------------------------------------------------------------
-# domain types
+# encoding
 # ---------------------------------------------------------------------------
 
 def mask_elements(mask: int) -> tuple[int, ...]:
@@ -61,69 +58,6 @@ def mask_elements(mask: int) -> tuple[int, ...]:
         out.append((mask & -mask).bit_length())
         mask &= mask - 1
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class SetPartition:
-    """A partition of {1,...,n}, held as its block bitmasks (bit x-1 for
-    element x) ordered by their minimum, as ``partition_masks`` yields them,
-    so equal partitions compare and hash equal.  ``blocks``, the increasing
-    element tuples in the same order, is derived from the masks.
-    """
-
-    n: int
-    masks: tuple[int, ...]
-
-    def __init__(self, n: int, blocks: Sequence[Sequence[int]]):
-        if n < 1:
-            raise ValueError(f"ground-set size must be positive, got {n}")
-        seen, masks = 0, []
-        for b in blocks:
-            mask = 0
-            for x in b:
-                if not 1 <= x <= n:
-                    raise ValueError(f"element {x} outside 1..{n}")
-                if (seen | mask) >> (x - 1) & 1:
-                    raise ValueError(f"element {x} appears in two blocks")
-                mask |= 1 << (x - 1)
-            if not mask:
-                raise ValueError("empty block in partition")
-            seen |= mask
-            masks.append(mask)
-        if seen != (1 << n) - 1:
-            raise ValueError("blocks do not cover the ground set")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "masks", tuple(sorted(masks, key=lambda m: m & -m)))
-
-    @classmethod
-    def _canonical(cls, n: int, masks: tuple[int, ...]) -> "SetPartition":
-        """Trusted constructor: ``masks`` partition [n], ordered by their minimum."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "masks", masks)
-        return self
-
-    @classmethod
-    def bottom(cls, n: int) -> "SetPartition":
-        """0_n: all singletons."""
-        return cls(n, [(i,) for i in range(1, n + 1)])
-
-    @classmethod
-    def top(cls, n: int) -> "SetPartition":
-        """1_n: a single block."""
-        return cls(n, [range(1, n + 1)])
-
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(mask_elements, self.masks))
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.masks)
-
-    def __repr__(self) -> str:
-        body = "|".join(",".join(str(x) for x in b) for b in self.blocks)
-        return f"SetPartition({self.n}: {body})"
 
 
 # ---------------------------------------------------------------------------
@@ -191,36 +125,22 @@ def _check_size(n: int, cap: int) -> None:
 def partition_masks(n: int, cap: int = DEFAULT_PARTITION_CAP,
                     blocks: int | None = None) -> Iterator[tuple[int, ...]]:
     """All partitions of [n], each a tuple of block bitmasks (bit x-1 for
-    element x) ordered by their minimum, in the order of
-    ``enumerate_partitions``; with ``blocks`` set, only those with that many
-    blocks, in the same order, and the walk visits no partition that cannot
-    end with that many.  ``n`` and the cap are checked at the call."""
+    element x) ordered by their minimum, in restricted-growth-string
+    lexicographic order: 1_n (string 00...0) first, 0_n (string 012...)
+    last.  With ``blocks`` set, only those with that many blocks, in the same
+    order, and the walk visits no partition that cannot end with that many.
+    Each call owns an independent cursor; ``n`` and the cap are checked at
+    the call."""
     _check_size(n, cap)
     return _walk(n, 1, n) if blocks is None else _walk(n, blocks, blocks)
 
 
 def noncrossing_masks(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[tuple[int, ...]]:
     """The non-crossing partitions of [n] as ``partition_masks`` encodes
-    them, in its order; P(n) is not walked.  ``n`` and the cap are checked
-    at the call."""
+    them, in restricted-growth-string lexicographic order: 1_n first, 0_n
+    last.  P(n) is not walked.  ``n`` and the cap are checked at the call."""
     _check_size(n, cap)
     return _noncrossing_walk(n)
-
-
-def enumerate_partitions(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[SetPartition]:
-    """All partitions of [n], in restricted-growth-string lexicographic order.
-
-    The stream starts at 1_n (string 00...0) and ends at 0_n (string 012...).
-    Each call owns an independent cursor.  It is ``partition_masks`` mapped
-    to ``SetPartition``; ``n`` and the cap are checked at the call.
-    """
-    return map(partial(SetPartition._canonical, n), partition_masks(n, cap))
-
-
-def enumerate_noncrossing(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[SetPartition]:
-    """Non-crossing partitions of [n], in the order of ``enumerate_partitions``:
-    ``noncrossing_masks`` mapped to ``SetPartition``."""
-    return map(partial(SetPartition._canonical, n), noncrossing_masks(n, cap))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 These deliberately avoid the package's own code paths: enumeration on
 element lists, a stack scan for crossings, graph-based join, textbook
-recurrences.  The exceptions are the tuple oracles ``connected_by_product``
-and ``join_sum_by_product``: they list every tuple, where the package sums
-by state, but test each with the package's join fold; and
-``sy_limit_t_per_n``, one series log per n, where the package takes one for
-the whole column.
+recurrences.  A partition is passed in and out as the package encodes it, a
+tuple of block bitmasks ordered by their minimum (``masks_of``), and the
+lattice oracles read its elements back with ``mask_elements``.  The
+exceptions are the tuple oracles ``connected_by_product`` and
+``join_sum_by_product``: they list every tuple, where the package sums by
+state, but test each with the package's join fold (P(n) itself they take
+from ``partitions_by_insertion``); and ``sy_limit_t_per_n``, one series log
+per n, where the package takes one for the whole column.
 """
 
 import math
@@ -15,7 +18,7 @@ from itertools import chain, combinations, product
 
 import mpmath as mp
 
-from finfree.partitions import SetPartition, _fold, _joins_to_top, enumerate_partitions
+from finfree.partitions import _fold, _joins_to_top, mask_elements
 from finfree.series import PowerSeries
 
 
@@ -46,13 +49,29 @@ def partitions_by_insertion(n: int):
         yield smaller + [[n]]
 
 
-def join_bfs(*parts: SetPartition) -> SetPartition:
+def masks_of(blocks) -> tuple[int, ...]:
+    """The partition with the element lists ``blocks``, as block bitmasks
+    (bit x-1 for element x) ordered by their minimum."""
+    return tuple(sorted((sum(1 << (x - 1) for x in b) for b in blocks), key=lambda m: m & -m))
+
+
+def insertion_masks(n: int) -> list[tuple[int, ...]]:
+    """P(n) from ``partitions_by_insertion``, each partition as ``masks_of``."""
+    return [masks_of(pp) for pp in partitions_by_insertion(n)]
+
+
+def _ground(masks) -> int:
+    """n, for the block masks of a partition of [n]."""
+    return sum(masks).bit_length()
+
+
+def join_bfs(*parts):
     """Join of one or more partitions of [n], by breadth-first search on the
     union of their block graphs."""
-    n = parts[0].n
+    n = _ground(parts[0])
     adj: dict[int, set[int]] = {x: set() for x in range(1, n + 1)}
     for part in parts:
-        for b in part.blocks:
+        for b in map(mask_elements, part):
             for x in b:
                 adj[x].update(y for y in b if y != x)
     seen: set[int] = set()
@@ -70,7 +89,7 @@ def join_bfs(*parts: SetPartition) -> SetPartition:
                     frontier.append(y)
         seen |= comp
         blocks.append(sorted(comp))
-    return SetPartition(n, blocks)
+    return masks_of(blocks)
 
 
 def _owner(blocks) -> dict[int, int]:
@@ -128,7 +147,7 @@ def join_sum_by_product(weights, n: int):
     prod_i prod_{V in sigma_i} weights[i][|V| - 1] is added in the weights'
     own arithmetic.  Each head (sigma_1,...,sigma_{m-1}) is folded, and its
     weight multiplied, once for all its last factors."""
-    parts = [p.masks for p in enumerate_partitions(n)]
+    parts = insertion_masks(n)
     tables = [[math.prod(ws[m.bit_count() - 1] for m in masks) for masks in parts]
               for ws in weights]
     *heads, last = tables
@@ -156,23 +175,24 @@ def covering_by_product(n: int, sizes) -> int:
     return total
 
 
-def _check_same_ground(pi: SetPartition, sigma: SetPartition) -> None:
-    if pi.n != sigma.n:
-        raise ValueError(f"partitions live on different ground sets ({pi.n} vs {sigma.n})")
+def _check_same_ground(pi, sigma) -> None:
+    n, m = _ground(pi), _ground(sigma)
+    if n != m:
+        raise ValueError(f"partitions live on different ground sets ({n} vs {m})")
 
 
-def is_refinement(pi: SetPartition, sigma: SetPartition) -> bool:
+def is_refinement(pi, sigma) -> bool:
     """True iff pi <= sigma, i.e. every block of pi sits inside a block of sigma."""
     _check_same_ground(pi, sigma)
-    owner = _owner(sigma.blocks)
-    for b in pi.blocks:
+    owner = _owner(map(mask_elements, sigma))
+    for b in map(mask_elements, pi):
         first = owner[b[0]]
         if any(owner[x] != first for x in b[1:]):
             return False
     return True
 
 
-def mobius(pi: SetPartition, sigma: SetPartition) -> int:
+def mobius(pi, sigma) -> int:
     """Mobius value of the interval [pi, sigma] in P(n).
 
     Closed form: a block of sigma containing c blocks of pi contributes
@@ -180,9 +200,9 @@ def mobius(pi: SetPartition, sigma: SetPartition) -> int:
     """
     if not is_refinement(pi, sigma):
         raise ValueError("mobius(pi, sigma) requires pi <= sigma")
-    owner = _owner(sigma.blocks)
-    per_block = [0] * sigma.num_blocks
-    for b in pi.blocks:
+    owner = _owner(map(mask_elements, sigma))
+    per_block = [0] * len(sigma)
+    for b in map(mask_elements, pi):
         per_block[owner[b[0]]] += 1
     out = 1
     for c in per_block:
@@ -190,18 +210,17 @@ def mobius(pi: SetPartition, sigma: SetPartition) -> int:
     return out
 
 
-def mobius_recursive(pi: SetPartition, sigma: SetPartition) -> int:
-    """Interval Mobius value by direct recursion; slow, kept as the oracle of
-    ``mobius`` up to n = 6."""
-    _check_same_ground(pi, sigma)
-    lattice = enumerate_partitions(pi.n, cap=6)
+def mobius_recursive(pi, sigma) -> int:
+    """Interval Mobius value by direct recursion over the insertion
+    enumeration; slow, kept as the oracle of ``mobius`` up to n = 6."""
     if not is_refinement(pi, sigma):
         raise ValueError("mobius_recursive(pi, sigma) requires pi <= sigma")
-    interval = [rho for rho in lattice if is_refinement(pi, rho) and is_refinement(rho, sigma)]
+    interval = [rho for rho in insertion_masks(_ground(pi))
+                if is_refinement(pi, rho) and is_refinement(rho, sigma)]
     # defining recursion mu(pi,rho) = -sum over pi <= lo < rho, evaluated
     # bottom-up (more blocks first, since finer partitions come first)
-    interval.sort(key=lambda r: -r.num_blocks)
-    mu: dict[SetPartition, int] = {}
+    interval.sort(key=lambda r: -len(r))
+    mu: dict[tuple[int, ...], int] = {}
     for rho in interval:
         if rho == pi:
             mu[rho] = 1

@@ -40,7 +40,7 @@ class TestPartitionsCommand:
         assert json.loads(out) == [[[1, 2]], [[1], [2]]]
 
     def test_stream_bytes_pinned(self, capsys):
-        # sha256 of the output of the restricted-growth-string walk over SetPartition
+        # sha256 of the output of the restricted-growth-string walks over block masks
         pins = {
             ("--format", "json", "partitions", "--n", "9"):
                 "aa903dab5e6ac12da0f0418230d0995dc7185c758cf2d5f84f290eaca60c25c0",

@@ -19,7 +19,7 @@ from finfree.freelimits import (
     sy_limit_zero,
 )
 from finfree.identities import faa_di_bruno_exp
-from finfree.partitions import enumerate_noncrossing, enumerate_partitions, mobius_top
+from finfree.partitions import mobius_top, noncrossing_masks, partition_masks
 
 from .oracles import (catalan_oracle, exp_literal, lagrange_power_oracle, log_literal,
                       sy_limit_t_per_n)
@@ -161,9 +161,9 @@ class TestSYLimits:
             for n, got in enumerate(column, start=1):
                 with mp.workdps(50):
                     total = mp.fsum(
-                        mobius_top(pi.num_blocks)
-                        * mp.exp(-tt * kk * sum(math.comb(len(b), 2) for b in pi.blocks))
-                        for pi in enumerate_partitions(n))
+                        mobius_top(len(pi))
+                        * mp.exp(-tt * kk * sum(math.comb(m.bit_count(), 2) for m in pi))
+                        for pi in partition_masks(n))
                     ref = (-1) ** (n - 1) * total / (tt ** (n - 1) * math.factorial(n - 1))
                 assert abs(got - ref) <= mp.mpf("1e-35") * max(1, abs(ref))
 
@@ -300,12 +300,12 @@ class TestNCMoments:
             ms = nc_moments_from_cumulants(ks, 10)
             with mp.workdps(50):
                 for n in range(1, 11):
-                    ref = mp.fsum(mp.fprod(ks[len(b) - 1] for b in sigma.blocks)
-                                  for sigma in enumerate_noncrossing(n))
+                    ref = mp.fsum(mp.fprod(ks[m.bit_count() - 1] for m in sigma)
+                                  for sigma in noncrossing_masks(n))
                     assert abs(ms[n - 1] - ref) <= mp.mpf("1e-40") * max(1, abs(ref))
         ks = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(10)]
-        refs = [sum(math.prod(ks[m.bit_count() - 1] for m in sigma.masks)
-                    for sigma in enumerate_noncrossing(n)) for n in range(1, 11)]
+        refs = [sum(math.prod(ks[m.bit_count() - 1] for m in sigma)
+                    for sigma in noncrossing_masks(n)) for n in range(1, 11)]
         for N in range(1, 11):
             ms = nc_moments_from_cumulants(ks, N)
             assert all(type(m) is Fraction for m in ms) and ms == refs[:N]

@@ -15,7 +15,6 @@ from finfree import partitions
 from finfree.errors import CapExceededError
 from finfree.identities import ZeroConstPoly, composition_identity, s_bruteforce
 from finfree.partitions import (
-    SetPartition,
     block_sum,
     count_R,
     count_S,
@@ -23,18 +22,34 @@ from finfree.partitions import (
     count_T_closed,
     count_join_full,
     count_join_full_closed,
-    enumerate_noncrossing,
-    enumerate_partitions,
     join_sum,
     _joins_to_top,
+    mask_elements,
     mobius_top,
+    noncrossing_masks,
     partition_masks,
 )
 from finfree.series import PowerSeries
 
 from .oracles import (bell_oracle, catalan_oracle, connected_by_product, covering_by_product,
-                      is_refinement, join_bfs, join_sum_by_product, mobius, mobius_recursive,
-                      noncrossing_by_quadruples, noncrossing_by_stack, partitions_by_insertion)
+                      is_refinement, join_bfs, join_sum_by_product, masks_of, mobius,
+                      mobius_recursive, noncrossing_by_quadruples, noncrossing_by_stack,
+                      partitions_by_insertion)
+
+
+def top(n):
+    """1_n: one block."""
+    return ((1 << n) - 1,)
+
+
+def bottom(n):
+    """0_n: all singletons."""
+    return tuple(1 << x for x in range(n))
+
+
+def elements(p):
+    """The blocks of a partition as increasing element tuples."""
+    return tuple(map(mask_elements, p))
 
 
 def rgs_partitions(draw_n=st.integers(min_value=1, max_value=7)):
@@ -60,12 +75,12 @@ def join_families(draw):
     if cuts is None:
         return n, parts, None
     ends = [x for x, cut in enumerate(cuts, start=1) if cut] + [n]
-    return n, parts, SetPartition(n, [range(a + 1, b + 1) for a, b in zip([0] + ends, ends)])
+    return n, parts, masks_of(range(a + 1, b + 1) for a, b in zip([0] + ends, ends))
 
 
 def _joins(*parts):
     """The mask fold on a family of partitions of one [n]."""
-    return _joins_to_top(parts[0].masks, [m for p in parts[1:] for m in p.masks])
+    return _joins_to_top(parts[0], [m for p in parts[1:] for m in p])
 
 
 def _partition_of_rgs(rgs):
@@ -73,7 +88,7 @@ def _partition_of_rgs(rgs):
     groups = {}
     for i, label in enumerate(rgs, start=1):
         groups.setdefault(label, []).append(i)
-    return SetPartition(len(rgs), list(groups.values()))
+    return masks_of(groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -82,18 +97,18 @@ def _partition_of_rgs(rgs):
 
 class TestEnumeration:
     def test_n1_single_partition(self):
-        assert [p.blocks for p in enumerate_partitions(1)] == [((1,),)]
+        assert list(partition_masks(1)) == [(1,)]
 
     def test_bell_counts_small(self):
-        assert sum(1 for _ in enumerate_partitions(3)) == 5
+        assert sum(1 for _ in partition_masks(3)) == 5
 
     def test_bell_count_n10(self):
         # frozen from the Bell-number recurrence oracle
         assert bell_oracle(10) == 115975
-        assert sum(1 for _ in enumerate_partitions(10)) == 115975
+        assert sum(1 for _ in partition_masks(10)) == 115975
 
     def test_rgs_lexicographic_order(self):
-        got = [p.blocks for p in enumerate_partitions(3)]
+        got = [elements(p) for p in partition_masks(3)]
         assert got == [
             ((1, 2, 3),),
             ((1, 2), (3,)),
@@ -102,13 +117,13 @@ class TestEnumeration:
             ((1,), (2,), (3,)),
         ]
         # first element is 1_n, last is 0_n
-        stream = list(enumerate_partitions(5))
-        assert stream[0] == SetPartition.top(5)
-        assert stream[-1] == SetPartition.bottom(5)
+        stream = list(partition_masks(5))
+        assert stream[0] == top(5)
+        assert stream[-1] == bottom(5)
 
     def test_matches_insertion_oracle(self):
         for n in range(1, 9):
-            ours = {p.blocks for p in enumerate_partitions(n)}
+            ours = {elements(p) for p in partition_masks(n)}
             oracle = {
                 tuple(sorted((tuple(sorted(b)) for b in pp), key=lambda b: b[0]))
                 for pp in partitions_by_insertion(n)
@@ -166,66 +181,43 @@ class TestEnumeration:
             count_join_full((4, 5))
         assert seen == []
 
-    def test_equals_validated_construction(self):
-        for n in range(1, 9):
-            for p in enumerate_partitions(n):
-                q = SetPartition(n, p.blocks)
-                assert p == q and hash(p) == hash(q) and p.blocks == q.blocks
-
     def test_rgs_strings_strictly_increasing(self):
         for n in range(1, 9):
             strings = []
-            for p in enumerate_partitions(n):
-                owner = {x: i for i, b in enumerate(p.blocks) for x in b}
+            for p in partition_masks(n):
+                owner = {x: i for i, b in enumerate(elements(p)) for x in b}
                 strings.append(tuple(owner[x] for x in range(1, n + 1)))
             assert len(strings) == bell_oracle(n)
             assert all(a < b for a, b in zip(strings, strings[1:]))
 
     def test_cap_refused_with_message(self):
         # at the call, before any next(): a caller need not advance the stream
-        for enumerate_ in (enumerate_partitions, enumerate_noncrossing):
+        for walk in (partition_masks, noncrossing_masks):
             with pytest.raises(CapExceededError, match="size 13 exceeds the cap 12"):
-                enumerate_(13)
+                walk(13)
             with pytest.raises(CapExceededError, match="cap 4"):
-                enumerate_(5, cap=4)
-        assert sum(1 for _ in enumerate_partitions(5, cap=5)) == 52
+                walk(5, cap=4)
+        assert sum(1 for _ in partition_masks(5, cap=5)) == 52
 
     def test_streams_are_independent(self):
-        a = enumerate_partitions(4)
-        b = enumerate_partitions(4)
-        next(a)
-        next(a)
-        assert next(b) == SetPartition.top(4)
+        for walk in (partition_masks, noncrossing_masks):
+            a = walk(4)
+            b = walk(4)
+            next(a)
+            next(a)
+            assert next(b) == top(4)
 
     def test_first_partition_at_n64_needs_no_table(self):
         # nothing of size 2^n is built: the first partition is one walk step
-        for enumerate_ in (enumerate_partitions, enumerate_noncrossing):
+        for walk in (partition_masks, noncrossing_masks):
             tracemalloc.start()
             try:
-                first = next(enumerate_(64, cap=64))
+                first = next(walk(64, cap=64))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert first == SetPartition.top(64) and first.masks == ((1 << 64) - 1,)
+            assert first == ((1 << 64) - 1,)
             assert peak < 1 << 20
-
-
-@pytest.mark.parametrize("n, blocks, message", [
-    (0, [], "ground-set size must be positive, got 0"),
-    (3, [(1, 2, 3), ()], "empty block in partition"),
-    (3, [(0, 1), (2, 3)], "element 0 outside 1..3"),
-    (3, [(1, 2), (3, 4)], "element 4 outside 1..3"),
-    (3, [(1, 2), (2, 3)], "element 2 appears in two blocks"),
-    (3, [(1, 1, 2), (3,)], "element 1 appears in two blocks"),
-    (3, [(1, 3)], "blocks do not cover the ground set"),
-])
-def test_set_partition_refusals(n, blocks, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        SetPartition(n, blocks)
-    # the order of blocks and of elements is not part of the value
-    p, q = SetPartition(4, [(4, 2), (3, 1)]), SetPartition(4, [(1, 3), (2, 4)])
-    assert p == q and hash(p) == hash(q) and p.blocks == ((1, 3), (2, 4))
-    assert repr(p) == "SetPartition(4: 1,3|2,4)"
 
 
 # ---------------------------------------------------------------------------
@@ -234,73 +226,65 @@ def test_set_partition_refusals(n, blocks, message):
 
 class TestLattice:
     def test_join_examples(self):
-        a = SetPartition(3, [(1, 2), (3,)])
-        b = SetPartition(3, [(1,), (2, 3)])
+        a = masks_of([(1, 2), (3,)])
+        b = masks_of([(1,), (2, 3)])
         assert _joins(a, b) and not _joins(a, a)
-        c = SetPartition(4, [(1, 3), (2,), (4,)])
-        d = SetPartition(4, [(1,), (2, 4), (3,)])
-        assert join_bfs(c, d) == SetPartition(4, [(1, 3), (2, 4)])
+        c = masks_of([(1, 3), (2,), (4,)])
+        d = masks_of([(1,), (2, 4), (3,)])
+        assert join_bfs(c, d) == masks_of([(1, 3), (2, 4)])
         assert not _joins(c, d)
 
     def test_join_bounds(self):
-        top, bottom = SetPartition.top(5), SetPartition.bottom(5)
-        for p in enumerate_partitions(5):
-            assert _joins(p, bottom) == (p == top)
-            assert _joins(p, top)
-        assert _joins(SetPartition.bottom(1))  # 0_1 = 1_1
+        for p in partition_masks(5):
+            assert _joins(p, bottom(5)) == (p == top(5))
+            assert _joins(p, top(5))
+        assert _joins(bottom(1))  # 0_1 = 1_1
 
     @settings(max_examples=200, deadline=None)
     @given(join_families())
     def test_join_matches_bfs_oracle(self, family):
         """The mask fold says the join is 1_n exactly when the BFS join is."""
         n, parts, base = family
-        start = base or SetPartition.bottom(n)
-        assert _joins(start, *parts) == (join_bfs(start, *parts) == SetPartition.top(n))
+        start = base or bottom(n)
+        assert _joins(start, *parts) == (join_bfs(start, *parts) == top(n))
 
     @settings(max_examples=40, deadline=None)
     @given(rgs_partitions())
     def test_join_characterizes_refinement(self, a):
-        for b in enumerate_partitions(a.n):
+        for b in partition_masks(sum(a).bit_length()):
             assert is_refinement(a, b) == (join_bfs(a, b) == b)
 
     def test_is_refinement_examples(self):
-        for sigma in enumerate_partitions(4):
-            assert is_refinement(SetPartition.bottom(4), sigma)
-        assert not is_refinement(
-            SetPartition(3, [(1, 2), (3,)]), SetPartition(3, [(1, 3), (2,)])
-        )
-        assert is_refinement(
-            SetPartition(4, [(1,), (2,), (3, 4)]), SetPartition(4, [(1, 2), (3, 4)])
-        )
+        for sigma in partition_masks(4):
+            assert is_refinement(bottom(4), sigma)
+        assert not is_refinement(masks_of([(1, 2), (3,)]), masks_of([(1, 3), (2,)]))
+        assert is_refinement(masks_of([(1,), (2,), (3, 4)]), masks_of([(1, 2), (3, 4)]))
 
     def test_mobius_values(self):
-        assert mobius(SetPartition.bottom(4), SetPartition.top(4)) == -6
+        assert mobius(bottom(4), top(4)) == -6
         for n in (1, 3, 5):
-            assert mobius(SetPartition.top(n), SetPartition.top(n)) == 1
-        sigma = SetPartition(4, [(1, 2, 3), (4,)])
-        assert mobius(SetPartition.bottom(4), sigma) == 2
+            assert mobius(top(n), top(n)) == 1
+        sigma = masks_of([(1, 2, 3), (4,)])
+        assert mobius(bottom(4), sigma) == 2
 
     def test_mobius_specializations_agree(self):
         for n in range(1, 6):
-            top = SetPartition.top(n)
-            for p in enumerate_partitions(n):
-                assert mobius(p, top) == mobius_top(p.num_blocks)
-                assert mobius(SetPartition.bottom(n), p) == math.prod(
-                    (-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in p.blocks
+            for p in partition_masks(n):
+                assert mobius(p, top(n)) == mobius_top(len(p))
+                assert mobius(bottom(n), p) == math.prod(
+                    (-1) ** (m.bit_count() - 1) * math.factorial(m.bit_count() - 1) for m in p
                 )
-                assert mobius_top(p.num_blocks) == (-1) ** (p.num_blocks - 1) * math.factorial(
-                    p.num_blocks - 1
-                )
+                assert mobius_top(len(p)) == (-1) ** (len(p) - 1) * math.factorial(len(p) - 1)
 
     def test_mobius_requires_comparable(self):
-        a = SetPartition(3, [(1, 2), (3,)])
-        b = SetPartition(3, [(1, 3), (2,)])
+        a = masks_of([(1, 2), (3,)])
+        b = masks_of([(1, 3), (2,)])
         with pytest.raises(ValueError):
             mobius(a, b)
 
     def test_mobius_against_recursive_oracle(self):
         for n in range(1, 6):
-            parts = list(enumerate_partitions(n))
+            parts = list(partition_masks(n))
             for a in parts:
                 for b in parts:
                     if is_refinement(a, b):
@@ -309,24 +293,23 @@ class TestLattice:
     def test_mobius_sum_lemma(self):
         # sum over sigma >= pi of mu(sigma, 1_n) vanishes except at the top
         for n in range(1, 7):
-            top = SetPartition.top(n)
-            parts = list(enumerate_partitions(n))
+            parts = list(partition_masks(n))
             for p in parts:
-                s = sum(mobius_top(sig.num_blocks) for sig in parts if is_refinement(p, sig))
-                assert s == (1 if p == top else 0)
+                s = sum(mobius_top(len(sig)) for sig in parts if is_refinement(p, sig))
+                assert s == (1 if p == top(n) else 0)
         # [pi, 1_n] is isomorphic to P(|pi|), so larger n reduce to sums over P(r)
         for r in range(1, 9):
-            s = sum(mobius_top(rho.num_blocks) for rho in enumerate_partitions(r))
+            s = sum(mobius_top(len(rho)) for rho in partition_masks(r))
             assert s == (1 if r == 1 else 0)
 
     def test_mobius_inversion_roundtrip(self):
         rng = random.Random(20240817)
         for n in range(1, 8):
-            parts = list(enumerate_partitions(n))
+            parts = list(partition_masks(n))
             g = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in parts]
             checked = range(len(parts)) if n < 7 else rng.sample(range(len(parts)), 40)
             # r <= s iff every pair sharing a block of r shares one of s
-            pairs = [sum(1 << (i * n + j) for b in p.blocks for i, j in combinations(b, 2))
+            pairs = [sum(1 << (i * n + j) for b in elements(p) for i, j in combinations(b, 2))
                      for p in parts]
             # refinement lists (by index) of the checked partitions and of
             # everything below them; those of s <= p are found among those of p
@@ -348,20 +331,20 @@ class TestLattice:
 
 class TestNonCrossing:
     def test_n3_all_noncrossing(self):
-        assert sum(1 for _ in enumerate_noncrossing(3)) == 5
+        assert sum(1 for _ in noncrossing_masks(3)) == 5
 
     def test_n4_catalan(self):
         assert catalan_oracle(4) == 14
-        assert sum(1 for _ in enumerate_noncrossing(4)) == 14
+        assert sum(1 for _ in noncrossing_masks(4)) == 14
 
     def test_canonical_crossing_excluded(self):
-        crossing = SetPartition(4, [(1, 3), (2, 4)])
-        assert not noncrossing_by_stack(crossing.masks)
-        assert crossing not in set(enumerate_noncrossing(4))
+        crossing = masks_of([(1, 3), (2, 4)])
+        assert not noncrossing_by_stack(crossing)
+        assert crossing not in set(noncrossing_masks(4))
 
     def test_counts_match_catalan(self):
         for n in range(1, 9):
-            assert sum(1 for _ in enumerate_noncrossing(n)) == catalan_oracle(n)
+            assert sum(1 for _ in noncrossing_masks(n)) == catalan_oracle(n)
 
     def test_noncrossing_matches_quadruple_definition(self):
         # the walk and the insertion oracle list P(n) in the same order
@@ -372,12 +355,12 @@ class TestNonCrossing:
 
     def test_equals_the_quadruple_filter_of_all_partitions(self):
         for n in range(1, 9):
-            assert list(enumerate_noncrossing(n)) == [
-                p for p in enumerate_partitions(n) if noncrossing_by_quadruples(p.blocks)]
+            assert list(noncrossing_masks(n)) == [
+                p for p in partition_masks(n) if noncrossing_by_quadruples(elements(p))]
 
     def test_masks_equal_the_stack_filter_of_the_walk_in_order(self):
         for n in range(1, 11):
-            assert [p.masks for p in enumerate_noncrossing(n)] == list(
+            assert list(noncrossing_masks(n)) == list(
                 filter(noncrossing_by_stack, partition_masks(n)))
 
     def test_never_walks_all_partitions(self, monkeypatch):
@@ -385,20 +368,24 @@ class TestNonCrossing:
             raise AssertionError(f"walked P({n})")
 
         monkeypatch.setattr(partitions, "_walk", refuse)
-        assert sum(1 for _ in enumerate_noncrossing(10)) == catalan_oracle(10) == 16796
+        assert sum(1 for _ in noncrossing_masks(10)) == catalan_oracle(10) == 16796
 
     def test_builds_only_the_noncrossing_partitions(self, monkeypatch):
-        built = []
-        make = SetPartition._canonical.__func__
+        # every level of the walk is recorded: level m yields the Catalan(m)
+        # partitions of NC(m), and no crossing one
+        walk, seen = partitions._noncrossing_walk, Counter()
 
-        def counted(cls, n, blocks):
-            built.append(n)
-            return make(cls, n, blocks)
+        def spy(m):
+            for p in walk(m):
+                assert noncrossing_by_stack(p)
+                seen[m] += 1
+                yield p
 
-        monkeypatch.setattr(SetPartition, "_canonical", classmethod(counted))
+        monkeypatch.setattr(partitions, "_noncrossing_walk", spy)
         for n in range(1, 10):
-            built.clear()
-            assert len(list(enumerate_noncrossing(n))) == len(built) == catalan_oracle(n)
+            seen.clear()
+            assert sum(1 for _ in noncrossing_masks(n)) == catalan_oracle(n)
+            assert seen == {m: catalan_oracle(m) for m in range(1, n + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -725,17 +712,17 @@ class TestJoinAll:
     def test_empty_family_is_bottom(self):
         # nothing folded onto 0_n leaves 0_n, which is 1_n only for n = 1
         for n in range(1, 6):
-            assert _joins_to_top(SetPartition.bottom(n).masks, []) == (n == 1)
-            assert _joins(SetPartition.bottom(n)) == (n == 1)
+            assert _joins_to_top(bottom(n), []) == (n == 1)
+            assert _joins(bottom(n)) == (n == 1)
         assert _joins_to_top([0b1111], [])
 
     def test_three_way(self):
         parts = [
-            SetPartition(5, [(1, 2), (3,), (4,), (5,)]),
-            SetPartition(5, [(1,), (2, 3), (4,), (5,)]),
-            SetPartition(5, [(1,), (2,), (3,), (4, 5)]),
+            masks_of([(1, 2), (3,), (4,), (5,)]),
+            masks_of([(1,), (2, 3), (4,), (5,)]),
+            masks_of([(1,), (2,), (3,), (4, 5)]),
         ]
-        assert join_bfs(*parts) == SetPartition(5, [(1, 2, 3), (4, 5)])
+        assert join_bfs(*parts) == masks_of([(1, 2, 3), (4, 5)])
         assert not _joins(*parts)
-        assert _joins(*parts, SetPartition(5, [(1,), (2,), (3, 4), (5,)]))
-        assert not _joins(*parts, SetPartition(5, [(1, 3), (2,), (4, 5)]))
+        assert _joins(*parts, masks_of([(1,), (2,), (3, 4), (5,)]))
+        assert not _joins(*parts, masks_of([(1, 3), (2,), (4, 5)]))

@@ -1,10 +1,12 @@
-"""Three checks on the surface of ``src/finfree``.
+"""Checks on the surface of ``src/finfree``.
 
-Every public top-level name has a use beyond its own tests.  A name counts
-as used when it is referenced, as a Name, an Attribute or an import alias, in
-its own module outside its definition, in another finfree module (re-exports
-in ``__init__`` do not count), in ``perfbench/`` or in the acceptance suite.
-A public name that nothing else needs is dead surface.
+Every public top-level name, and every public method or property of a
+class, has a use beyond its own tests.  A name counts as used when it is
+referenced, as a Name, an Attribute or an import alias, in its own module
+outside its definition, in another finfree module (re-exports in
+``__init__`` do not count), in ``perfbench/`` or in the acceptance suite.
+Underscored names, dunders among them, are exempt.  A public name that
+nothing else needs is dead surface.
 
 mpmath's internal representation, the raw mpf and mpc tuples and
 ``mpmath.libmp``, is read in ``scalars`` alone, the one scalar layer, which
@@ -21,14 +23,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# public names kept without such a use, with the reason
-EXEMPT: dict = {
-    "enumerate_partitions": "the SetPartition stream of P(n), exported by finfree and named "
-                            "in perfbench's tracer as a string; the CLI and the sums read "
-                            "partition_masks",
-    "enumerate_noncrossing": "the SetPartition stream of NC(n), named in perfbench's tracer "
-                             "as a string; the CLI reads noncrossing_masks",
-}
+# public names kept without such a use, with the reason; a method or a
+# property is named as Class.name
+EXEMPT: dict = {}
 
 
 def _refs(stmts) -> set:
@@ -61,14 +58,26 @@ def test_every_public_name_is_used():
     external = _refs(stmt for p in outside for stmt in _body(p))
     refs = {stem: [_refs([stmt]) for stmt in body] for stem, body in modules.items()}
     defined, unused = set(), []
+
+    def check(key, qualified, used):
+        defined.add(key)
+        if not (key.rsplit(".", 1)[-1].startswith("_") or key in EXEMPT or used):
+            unused.append(qualified)
+
     for stem, body in modules.items():
         others = set().union(*(r for other, rs in refs.items() if other != stem for r in rs))
         for i, stmt in enumerate(body):
-            own = set().union(*refs[stem][:i], *refs[stem][i + 1:])
+            seen = set().union(*refs[stem][:i], *refs[stem][i + 1:], others, external)
             for name in _defined(stmt):
-                defined.add(name)
-                if not (name.startswith("_") or name in EXEMPT or name in own | others | external):
-                    unused.append(f"{stem}.{name}")
+                check(name, f"{stem}.{name}", name in seen)
+            if isinstance(stmt, ast.ClassDef):
+                # a method or property: used outside its own definition
+                members = [_refs([m]) for m in stmt.body]
+                for j, m in enumerate(stmt.body):
+                    if isinstance(m, ast.FunctionDef):
+                        key = f"{stmt.name}.{m.name}"
+                        check(key, f"{stem}.{key}",
+                              m.name in seen.union(*members[:j], *members[j + 1:]))
     assert not unused, f"public names with no use outside their tests: {unused}"
     assert set(EXEMPT) <= defined, f"stale exemptions: {set(EXEMPT) - defined}"
 
