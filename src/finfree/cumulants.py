@@ -39,7 +39,7 @@ import mpmath as mp
 
 from .partitions import block_sum, join_sum
 from .polycalc import MonicPoly, boxtimes, from_normalized, normalized_coeffs
-from .scalars import DEFAULT_DIGITS, common_kind, kind_of, promote_ints, to_mpf, work
+from .scalars import DEFAULT_DIGITS, common_kind, one_kind, to_mpf
 from .series import PowerSeries
 
 
@@ -78,14 +78,18 @@ def cumulants_from_atilde(d: int, atilde: Sequence, n_max: int,
         raise ValueError("need atilde up to index n_max")
     if atilde[0] != 1:
         raise ValueError("atilde_0 must be 1")
-    kind = common_kind(atilde[: n_max + 1], "cumulants_from_atilde")
-    with work(kind, digits):
-        atilde = promote_ints(atilde[: n_max + 1], kind)
-        if grouped:
-            log = PowerSeries.egf(atilde).log()
-            return [(-d) ** (n - 1) * n * log.coeff(n) for n in range(1, n_max + 1)]
-        return [(-d) ** (n - 1) * block_sum(atilde[1:], n, signed=True)
-                / math.factorial(n - 1) for n in range(1, n_max + 1)]
+    with mp.workdps(digits):
+        atilde = one_kind(atilde[: n_max + 1], "cumulants_from_atilde")
+        try:
+            if grouped:
+                log = PowerSeries.egf(atilde).log()
+                return [(-d) ** (n - 1) * n * log.coeff(n) for n in range(1, n_max + 1)]
+            return [(-d) ** (n - 1) * block_sum(atilde[1:], n, signed=True)
+                    / math.factorial(n - 1) for n in range(1, n_max + 1)]
+        except OverflowError:  # only binary64 fails to take an int past its range
+            raise OverflowError(
+                f"cumulants_from_atilde at d={d}, n_max={n_max}: d^(n-1) or n! is past the "
+                'binary64 range; give the input as exact strings, such as "1e400"') from None
 
 
 def finite_cumulants(p: MonicPoly, digits: int = DEFAULT_DIGITS) -> CumulantVector:
@@ -105,9 +109,8 @@ def atilde_from_cumulants(d: int, kappas: Sequence, n_max: int,
     """
     if len(kappas) < n_max:
         raise ValueError("need kappa up to n_max")
-    kind = common_kind(list(kappas[:n_max]), "atilde_from_cumulants")
-    with work(kind, digits):
-        kappas = promote_ints(kappas[:n_max], kind)
+    with mp.workdps(digits):
+        kappas = one_kind(kappas[:n_max], "atilde_from_cumulants")
         u = PowerSeries((kappas[0] * 0,) + tuple(
             (-1) ** (s - 1) * k / (s * d ** (s - 1)) for s, k in enumerate(kappas, start=1)))
         g = u.exp()
@@ -154,12 +157,14 @@ def boxtimes_cumulants(ps: Sequence[MonicPoly], n: int, method: str = "pi-sum",
         raise ValueError("equal degrees required")
     if not 1 <= n <= d:
         raise ValueError(f"kappa_n needs 1 <= n <= d, got n={n}, d={d}")
+    if method not in ("pi-sum", "join-sum"):
+        raise ValueError(f"unknown method {method!r}")
     kappas = [
         cumulants_from_atilde(d, normalized_coeffs(p, digits=digits), n, digits=digits)
         for p in ps
     ]
-    kind = common_kind([k for ks in kappas for k in ks], "boxtimes_cumulants")
-    with work(kind, digits):
+    common_kind([k for ks in kappas for k in ks], "boxtimes_cumulants")  # refuses a mix
+    with mp.workdps(digits):
         us = [[(-1) ** (b - 1) * math.factorial(b - 1) * ks[b - 1] / d ** (b - 1)
                for b in range(1, n + 1)] for ks in kappas]
         if method == "pi-sum":
@@ -168,10 +173,8 @@ def boxtimes_cumulants(ps: Sequence[MonicPoly], n: int, method: str = "pi-sum",
             W = [math.factorial(s) ** (len(us) - 1) * math.prod(w[s] for w in ws)
                  for s in range(n + 1)]
             total = PowerSeries(tuple(W)).log().coeffs[n] * math.factorial(n)
-        elif method == "join-sum":
-            total = join_sum(us, n)
         else:
-            raise ValueError(f"unknown method {method!r}")
+            total = join_sum(us, n)
 
         return total * (-d) ** (n - 1) / math.factorial(n - 1)
 
@@ -189,7 +192,7 @@ def laguerre_hat_atilde(d: int, lam, k_max: int) -> list:
     (d lam)_k / d^k, by the ratio atilde_(k+1) = atilde_k (d lam - k) / d."""
     if d < 1 or not (lam > 0 and mp.isfinite(lam)):
         raise ValueError(f"need d >= 1 and a finite lam > 0, got d={d}, lam={lam}")
-    (dk,) = promote_ints([d], kind_of(lam))
+    dk, lam = one_kind([d, lam], "laguerre_hat_atilde")
     col = [dk ** 0]
     for k in range(k_max):
         col.append(col[-1] * (dk * lam - k) / dk)
@@ -198,7 +201,7 @@ def laguerre_hat_atilde(d: int, lam, k_max: int) -> list:
 
 def laguerre_hat(d: int, lam, digits: int = DEFAULT_DIGITS) -> MonicPoly:
     """Normalized Laguerre polynomial: all finite free cumulants equal lam."""
-    with work(kind_of(lam), digits):
+    with mp.workdps(digits):
         at = laguerre_hat_atilde(d, lam, d)
     return from_normalized(at, digits=digits)
 

@@ -12,6 +12,8 @@ Numerical policy: a config's ``precision`` is the number of digits printed.
 Every point of every kind computes in mpf at one working precision derived
 from it, ``working_digits``: those digits plus the transform's cancellation
 and an m-th power's condition number, under the one bound MAX_WORKING_DIGITS.
+A run opens one precision scope at that precision, in ``run_experiment``:
+the point generators and the rows compute inside it and open none of their own.
 """
 
 from __future__ import annotations
@@ -246,8 +248,7 @@ def _clt_thetas(cfg: ExperimentConfig, unitary: bool, w: int):
                 raise ValueError("positive-root CLT input needs a root literal")
             if any(r <= 0 for r in p.roots):
                 raise ValueError("positive roots required to take logarithms")
-            with mp.workdps(w):
-                thetas = [mp.log(to_mpf(r, w)) for r in p.roots]
+            thetas = [mp.log(to_mpf(r, w)) for r in p.roots]
     elif cfg.sigma is None:
         raise ValueError(f"{cfg.kind} needs a polynomial literal or sigma")
     else:
@@ -278,9 +279,8 @@ def _sy_points(cfg: ExperimentConfig, w: int, notes: list):
             raise OverflowError(f"sy: the t column m/d = 10^{math.log10(m) - math.log10(d):.1f} "
                                 "is past the binary64 range") from None
         at = [to_mpf(a, w) for a in _sy_atilde_prefix(cfg, d, n_max, notes)]
-        with mp.workdps(w):
-            kappas = cumulants_from_atilde(d, [a ** m for a in at], n_max, digits=w)
-            values = [k / mp.mpf(m) ** (n - 1) for n, k in enumerate(kappas, start=1)]
+        kappas = cumulants_from_atilde(d, [a ** m for a in at], n_max, digits=w)
+        values = [k / mp.mpf(m) ** (n - 1) for n, k in enumerate(kappas, start=1)]
         k2 = cumulants_from_atilde(d, at, 2, digits=w)[1] if n_max >= 2 else 1
         if cfg.regime == "t":
             ratio = to_mpf(Fraction(m, d), w)
@@ -311,8 +311,7 @@ def _law_points(atilde, law, power=None):
                     m = power(d, t)
                     if m < 0:
                         raise ValueError(f"{cfg.kind} needs t >= 0, got t={t}")
-                    with mp.workdps(w):
-                        at = [to_mpf(a, w) ** m for a in atilde(d, 1, n_max)]
+                    at = [to_mpf(a, w) ** m for a in atilde(d, 1, n_max)]
                 values = cumulants_from_atilde(d, at, n_max, digits=w)
                 if t not in refs:
                     refs[t] = [law(n, t, w) for n in range(1, n_max + 1)]
@@ -323,11 +322,10 @@ def _law_points(atilde, law, power=None):
 def _powered_atilde(thetas, c, m: int, unitary: bool, w: int) -> list:
     """atilde_1..atilde_d, each to the m-th power, of the input whose
     exponents (angles when ``unitary``) are scaled by c."""
-    with mp.workdps(w):
-        xs = [v * c for v in thetas]
-        scaled = (MonicPoly.from_angles(xs, digits=w) if unitary
-                  else MonicPoly.from_roots([mp.exp(x) for x in xs], digits=w))
-        return [a ** m for a in normalized_coeffs(scaled, digits=w)[1:]]
+    xs = [v * c for v in thetas]
+    scaled = (MonicPoly.from_angles(xs, digits=w) if unitary
+              else MonicPoly.from_roots([mp.exp(x) for x in xs], digits=w))
+    return [a ** m for a in normalized_coeffs(scaled, digits=w)[1:]]
 
 
 def _clt_points(atilde, unitary: bool):
@@ -339,17 +337,14 @@ def _clt_points(atilde, unitary: bool):
         d = len(thetas)
         if d < 2:
             raise ValueError(f"hypothesis violation: the CLT needs degree d >= 2, got {d}")
-        with mp.workdps(w):
-            mean = dot(thetas, [1] * d) / d
-            if abs(mean) > 1e-12:
-                raise ValueError(f"hypothesis violation: CLT input must be centered "
-                                 f"(mean exponent {float(mean):.3e})")
-            t = dot(thetas, thetas) / (d - 1)
+        mean = dot(thetas, [1] * d) / d
+        if abs(mean) > 1e-12:
+            raise ValueError(f"hypothesis violation: CLT input must be centered "
+                             f"(mean exponent {float(mean):.3e})")
+        t = dot(thetas, thetas) / (d - 1)
         refs = atilde(d, t, d, w)[1:]
         for m in cfg.m:
-            with mp.workdps(w):
-                c = 1 / mp.sqrt(m)
-            yield d, m, None, _powered_atilde(thetas, c, m, unitary, w), refs
+            yield d, m, None, _powered_atilde(thetas, 1 / mp.sqrt(m), m, unitary, w), refs
     return points
 
 
@@ -358,13 +353,10 @@ def _lln_points(cfg: ExperimentConfig, w: int, notes: list):
     to the m-th power, against exp(k * mean exponent), k = 1..d."""
     thetas = _clt_thetas(cfg, False, w)
     d = len(thetas)
-    with mp.workdps(w):
-        alpha = dot(thetas, [1] * d) / d
-        refs = [mp.exp(alpha * k) for k in range(1, d + 1)]
+    alpha = dot(thetas, [1] * d) / d
+    refs = [mp.exp(alpha * k) for k in range(1, d + 1)]
     for m in cfg.m:
-        with mp.workdps(w):
-            c = mp.mpf(1) / m
-        yield d, m, None, _powered_atilde(thetas, c, m, False, w), refs
+        yield d, m, None, _powered_atilde(thetas, mp.mpf(1) / m, m, False, w), refs
 
 
 # kind -> (grids it sweeps, its rate fitted along the first; point generator)
@@ -385,15 +377,15 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Run one experiment grid; deterministic for a fixed config.
 
     The kind's point generator yields (d, m, t, values, references) per grid
-    point, at ``working_digits(cfg)``; the rows are n = 1, 2, ... of the two,
-    made in one precision scope per point.
+    point; the rows are n = 1, 2, ... of the two.  The generator and the rows
+    run in one precision scope, at ``working_digits(cfg)``.
     """
     cfg.validate()
     w = working_digits(cfg)
     table = ResultTable(precision=cfg.precision)
     grids, points = _KINDS[cfg.kind]
-    for d, m, t, values, refs in points(cfg, w, table.notes):
-        with mp.workdps(w):
+    with mp.workdps(w):
+        for d, m, t, values, refs in points(cfg, w, table.notes):
             for n, (value, ref) in enumerate(zip(values, refs), start=1):
                 table.rows.append(_make_row(cfg.kind, d, m, t, n, value, ref))
     table.rows.sort(key=lambda r: (r.d, r.m or 0, r.t or 0.0, r.n))

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .scalars import DEFAULT_DIGITS, binom, common_kind, dot, promote_ints, to_mpf, work
+from .scalars import DEFAULT_DIGITS, binom, dot, one_kind, to_mpf
 from .series import PowerSeries
 
 
@@ -186,7 +186,6 @@ def nc_moments_from_cumulants(kappas: Sequence, N: int,
     first entry, m_0 = 1, dropped.  Exact kappas give ``Fraction``s."""
     if not kappas or N > len(kappas):
         raise ValueError(f"need kappa_1..kappa_{max(N, 1)}, got {len(kappas)} values")
-    kind = common_kind(kappas, "nc_moments_from_cumulants")
-    with work(kind, digits):
-        ks = promote_ints(kappas, kind)
+    with mp.workdps(digits):
+        ks = one_kind(kappas, "nc_moments_from_cumulants")
         return _lagrange(PowerSeries((ks[0] ** 0,) + tuple(ks[:N])).log(), 1, N + 1)[1:]

@@ -22,9 +22,11 @@ from functools import reduce
 from numbers import Rational
 from typing import Sequence
 
+import mpmath as mp
+
 from .partitions import block_sum, mobius_top, partition_masks
 from .scalars import (DEFAULT_DIGITS, binom, common_kind, convolve, differences, exp,
-                      integer_scaled, work)
+                      integer_scaled)
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,8 @@ def faa_di_bruno_exp(derivs: Sequence, u0, n: int):
     of u0, so an exact u0 must be 0.  The sum, exp(u0) and their product are
     worked in the common kind of ``derivs`` and u0, mpf at ``DEFAULT_DIGITS``.
     """
-    with work(common_kind([*derivs, u0], "faa_di_bruno_exp"), DEFAULT_DIGITS):
+    common_kind([*derivs, u0], "faa_di_bruno_exp")  # refuses a mix
+    with mp.workdps(DEFAULT_DIGITS):
         return block_sum(derivs, n) * exp(u0)
 
 

@@ -25,7 +25,7 @@ import mpmath as mp
 
 from .errors import RootConvergenceError
 from .scalars import (DEFAULT_DIGITS, EXACT, FLOAT64, MPF, binom, common_kind, convolve, dot,
-                      exp, format_scalar, kind_of, promote_ints, to_mpf, work)
+                      exp, format_scalar, one_kind, to_mpf)
 from .series import PowerSeries
 
 _ROOT_MAX_ITER = 200
@@ -90,16 +90,13 @@ class MonicPoly:
         roots = tuple(roots)
         kind = common_kind(roots, "from_roots")
         if kind == EXACT:
-            coeffs = _product_tree(roots, Fraction(1))
-        elif kind == MPF:
-            with mp.workdps(digits + 10):
-                coeffs = _product_tree(roots, mp.mpf(1))
-            with mp.workdps(digits):
-                coeffs = tuple(+c for c in coeffs)
-        else:
-            with mp.workdps(30):
-                hi = _product_tree([to_mpf(r, 30) for r in roots], mp.mpf(1))
-            coeffs = tuple(complex(c) if isinstance(c, mp.mpc) else float(c) for c in hi)
+            return cls(_product_tree(roots, Fraction(1)), roots=roots)
+        wide = digits + 10 if kind == MPF else 30
+        with mp.workdps(wide):
+            hi = _product_tree([to_mpf(r, wide) for r in roots], mp.mpf(1))
+        with mp.workdps(digits):
+            coeffs = tuple(+c if kind == MPF else complex(c) if isinstance(c, mp.mpc) else float(c)
+                           for c in hi)
         return cls(coeffs, roots=roots)
 
     @classmethod
@@ -118,7 +115,7 @@ class MonicPoly:
             raise ValueError("degree must be >= 1")
         if any(a < -pi or a >= pi for a in angles):
             raise ValueError("angles must lie in [-pi, pi)")
-        with work(kind_of(angles[0]), digits or DEFAULT_DIGITS):
+        with mp.workdps(digits or DEFAULT_DIGITS):
             units = [exp(1j * a) for a in angles]
             # sequential, not the tree: in-kind binary64 has no final rounding to hide a reordering
             return cls(_expand(units, units[0] ** 0), angles=angles)
@@ -154,10 +151,9 @@ def _product_tree(roots: Sequence, one) -> tuple:
 def normalized_coeffs(p: MonicPoly, digits: int = DEFAULT_DIGITS) -> tuple:
     """atilde_0..atilde_d of p."""
     d = p.degree
-    kind = common_kind(p.coeffs, "normalized_coeffs")
-    with work(kind, digits):
+    with mp.workdps(digits):
         # the monic 1 is an int; promoted, atilde_0 takes the coefficients' kind
-        coeffs = promote_ints(p.coeffs, kind)
+        coeffs = one_kind(p.coeffs, "normalized_coeffs")
         return tuple((-1) ** i * a / binom(d, i) for i, a in enumerate(coeffs))
 
 
@@ -167,12 +163,9 @@ def from_normalized(atilde: Sequence, digits: int = DEFAULT_DIGITS) -> MonicPoly
     if not atilde or atilde[0] != 1:
         raise ValueError("atilde_0 must be 1")
     d = len(atilde) - 1
-    kind = common_kind(atilde, "from_normalized")
-    coeffs = []
-    with work(kind, digits):
-        for i, v in enumerate(promote_ints(atilde, kind)):
-            sign = -1 if i % 2 else 1
-            coeffs.append(sign * binom(d, i) * v)
+    with mp.workdps(digits):
+        coeffs = [(-1 if i % 2 else 1) * binom(d, i) * v
+                  for i, v in enumerate(one_kind(atilde, "from_normalized"))]
     coeffs[0] = 1
     return MonicPoly(tuple(coeffs))
 
@@ -187,13 +180,10 @@ def dilate(p: MonicPoly, c, digits: int = DEFAULT_DIGITS) -> MonicPoly:
         raise ValueError("dilation factor must be nonzero")
     if p.angles is not None:
         raise ValueError("dilation is not defined on the unit-circle flavor")
-    # the precision scope follows the data as well as c: 50-digit coefficients
-    # scaled by an exact c must not round at mpmath's ambient precision
-    kinds = {common_kind(v, "dilate") for v in (p.coeffs, p.roots) if v is not None}
-    kind = MPF if MPF in kinds else kind_of(c)
-    if kind == MPF:
+    # mpf data or an mpf c scale by c in mpf at ``digits``, so its powers stay mpf
+    if MPF in {common_kind(v, "dilate") for v in (p.coeffs, p.roots, [c]) if v is not None}:
         c = to_mpf(c, digits)
-    with work(kind, digits):
+    with mp.workdps(digits):
         acc = c ** 0
         coeffs = []
         for a in p.coeffs:
@@ -215,7 +205,8 @@ def _binary_op_atilde(p: MonicPoly, q: MonicPoly, name: str, digits: int):
         )
     ap = normalized_coeffs(p, digits=digits)
     aq = normalized_coeffs(q, digits=digits)
-    return common_kind(ap + aq, name), ap, aq
+    common_kind(ap + aq, name)  # refuses a mix of kinds
+    return ap, aq
 
 
 def boxplus(p: MonicPoly, q: MonicPoly, digits: int = DEFAULT_DIGITS) -> MonicPoly:
@@ -225,16 +216,16 @@ def boxplus(p: MonicPoly, q: MonicPoly, digits: int = DEFAULT_DIGITS) -> MonicPo
     real-rootedness of real-rooted inputs is preserved (checked in tests,
     not enforced here).
     """
-    kind, ap, aq = _binary_op_atilde(p, q, "boxplus", digits)
-    with work(kind, digits):
+    ap, aq = _binary_op_atilde(p, q, "boxplus", digits)
+    with mp.workdps(digits):
         out = convolve(ap, aq, p.degree, binomial=True)
     return from_normalized(out, digits=digits)
 
 
 def boxtimes(p: MonicPoly, q: MonicPoly, digits: int = DEFAULT_DIGITS) -> MonicPoly:
     """Finite free multiplicative convolution: diagonal on atilde."""
-    kind, ap, aq = _binary_op_atilde(p, q, "boxtimes", digits)
-    with work(kind, digits):
+    ap, aq = _binary_op_atilde(p, q, "boxtimes", digits)
+    with mp.workdps(digits):
         prod = [a * b for a, b in zip(ap, aq)]
     return from_normalized(prod, digits=digits)
 
@@ -244,7 +235,7 @@ def boxtimes_pow(p: MonicPoly, m: int, digits: int = DEFAULT_DIGITS) -> MonicPol
     if m < 1:
         raise ValueError("power must be a positive integer")
     at = normalized_coeffs(p, digits=digits)
-    with work(common_kind(at, "boxtimes_pow"), digits):
+    with mp.workdps(digits):
         powered = [a ** m for a in at]
     return from_normalized(powered, digits=digits)
 
@@ -469,7 +460,7 @@ def newton_maclaurin_check(p: MonicPoly, digits: int = DEFAULT_DIGITS) -> Newton
     elif kind == MPF:
         eps = float(mp.mpf(10) ** (-(digits - 6)))
 
-    with work(kind, digits):
+    with mp.workdps(digits):
         margins = tuple(at[i] ** 2 - at[i + 1] * at[i - 1] for i in range(1, d))
         newton_holds = all(m >= -eps for m in margins)
         equality = all(abs(m) <= eps for m in margins)
@@ -546,18 +537,16 @@ def empirical_moments(p: MonicPoly, N: int, digits: int | None = None) -> list:
     d = p.degree
     atoms = p.roots if p.roots is not None else p.angles
     if atoms is not None:
-        kind = common_kind(atoms, "empirical_moments")
-        with work(kind, digits or DEFAULT_DIGITS):
-            atoms = promote_ints(atoms, kind)
+        with mp.workdps(digits or DEFAULT_DIGITS):
+            atoms = one_kind(atoms, "empirical_moments")
             if p.angles is not None:
                 atoms = [exp(1j * a) for a in atoms]
             return [dot([a ** k for a in atoms], [1] * d) / d for k in range(1, N + 1)]
     coeffs = p.coeffs
     if digits is not None:
         coeffs = [to_mpf(c, digits) for c in coeffs]
-    kind = common_kind(coeffs, "empirical_moments")
-    with work(kind, digits or DEFAULT_DIGITS):
-        coeffs = promote_ints(coeffs, kind)
+    with mp.workdps(digits or DEFAULT_DIGITS):
+        coeffs = one_kind(coeffs, "empirical_moments")
         log = PowerSeries(tuple(coeffs[: N + 1] + [coeffs[0] * 0] * (N - d))).log()
         return [-k * log.coeff(k) / d for k in range(1, N + 1)]
 

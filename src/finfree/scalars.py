@@ -8,8 +8,10 @@ Three scalar kinds are used throughout the package:
 * ``FLOAT64`` - machine floats, for root finding and quick numerics.
 
 Kinds are never mixed silently: ``common_kind`` refuses heterogeneous
-inputs, and promotion happens only through ``promote_ints`` and ``to_mpf``.
-Every per-kind decision lives here: the precision scope (``work``), the
+inputs, and promotion happens only through ``one_kind``, which reads a value
+list's kind once and recasts its ints in it, and ``to_mpf``.  A caller opens
+its precision scope as ``mp.workdps(digits)`` whatever the kind: exact and
+binary64 arithmetic do not read it.  Every per-kind decision lives here: the
 exponential (``exp``), the dot product under every series coefficient and
 every mp sum (``dot``, for mp terms one exact integer accumulator rounded once),
 the one coefficient product, truncated or binomial (``convolve``, one big-int
@@ -28,7 +30,6 @@ import cmath
 import functools
 import math
 import operator
-from contextlib import nullcontext
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -72,16 +73,13 @@ def common_kind(values: Iterable, where: str) -> str:
     return kinds.pop()
 
 
-def promote_ints(values: Iterable, kind: str) -> list:
-    """Ints recast in ``kind``: an int divided by an int is a binary64 float."""
-    to = {EXACT: Fraction, MPF: mp.mpf}.get(kind, float)
+def one_kind(values: Iterable, where: str) -> list:
+    """The values in their common kind (``common_kind``, which refuses a mix
+    and names ``where``), each int recast in it: ints alone as ``Fraction``s,
+    since an int divided by an int is a binary64 float."""
+    values = list(values)
+    to = {EXACT: Fraction, MPF: mp.mpf}.get(common_kind(values, where), float)
     return [to(v) if isinstance(v, int) else v for v in values]
-
-
-def work(kind: str, digits: int):
-    """Precision scope: mpmath arithmetic rounds at ambient precision, so
-    every mpf computation must run inside an explicit workdps block."""
-    return mp.workdps(digits) if kind == MPF else nullcontext()
 
 
 def to_mpf(x, digits: int = DEFAULT_DIGITS):

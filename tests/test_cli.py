@@ -9,9 +9,10 @@ import tracemalloc
 import mpmath as mp
 
 from finfree import cli
-from finfree.cumulants import finite_cumulants
+from finfree.cumulants import finite_cumulants, laguerre_hat
 from finfree.errors import RootConvergenceError
-from finfree.polycalc import MonicPoly, boxplus, boxtimes, boxtimes_pow, poly_from_json
+from finfree.polycalc import (MonicPoly, boxplus, boxtimes, boxtimes_pow, poly_from_json,
+                              poly_to_json)
 
 
 def run(capsys, *argv):
@@ -398,6 +399,13 @@ class TestCumulantsCommand:
             assert code == 3 and out == "" and "exact strings" in err
         code, out, _ = run(capsys, "cumulants", "--p", '{"roots": ["1e200", "1e200"]}')
         assert code == 0 and out.splitlines() == ["kappa_1,1" + "0" * 200, "kappa_2,0"]
+
+    def test_binary64_transform_overflow_exit_3(self, capsys):
+        # 150^149 is past binary64: the transform names d and points to exact strings
+        p = json.dumps(poly_to_json(laguerre_hat(150, 1.0)))
+        code, out, err = run(capsys, "cumulants", "--p", p)
+        assert code == 3 and out == ""
+        assert "d=150" in err and "binary64 range" in err and "exact strings" in err
 
     def test_invert_overflow_exit_3(self, capsys):
         p = '{"degree": 2, "cumulants": [1e300, 1e300]}'

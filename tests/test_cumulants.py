@@ -23,7 +23,7 @@ from finfree.cumulants import (
     laguerre_hat_atilde,
     laguerre_unitary,
 )
-from finfree import partitions
+from finfree import cumulants, partitions
 from finfree.errors import CapExceededError
 from finfree.polycalc import (
     MonicPoly,
@@ -97,6 +97,16 @@ class TestTransform:
     def test_requires_n_le_d(self):
         with pytest.raises(ValueError):
             cumulants_from_atilde(2, (1, 1, 1, 1), 3)
+
+    def test_binary64_overflow_names_d(self):
+        # 200^169 is past binary64 at n = 170, and so is 171! in the egf past it
+        at = laguerre_hat_atilde(200, 1.0, 200)
+        for n_max in (170, 200):
+            with pytest.raises(OverflowError, match=f"d=200, n_max={n_max}: .* binary64 range; "
+                                                    "give the input as exact strings"):
+                cumulants_from_atilde(200, at, n_max)
+        exact = cumulants_from_atilde(200, laguerre_hat_atilde(200, Fraction(1), 200), 200)
+        assert exact == [1] * 200
 
     def test_vector_access(self):
         kv = CumulantVector(2, (Fraction(1), Fraction(2)))
@@ -228,6 +238,14 @@ class TestBoxtimesCumulants:
             series_calls.clear()
             boxtimes_cumulants(ps, 6)
             assert sorted(series_calls) == ["exp"] * m + ["log"] * (m + 1)
+
+    def test_unknown_method_refused_before_any_work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cumulants, "cumulants_from_atilde",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match="unknown method 'brute'"):
+            boxtimes_cumulants([laguerre_hat(4, 1)] * 2, 3, method="brute")
+        assert calls == []
 
     def test_join_sum_cap(self):
         ps = [laguerre_hat(8, 1)] * 2

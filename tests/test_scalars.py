@@ -8,8 +8,8 @@ import mpmath as mp
 import pytest
 
 from finfree import scalars
-from finfree.scalars import (EXACT, FLOAT64, MPF, convolve, differences, dot, exp,
-                             format_scalar, integer_scaled, integer_weights, read, to_mpf, work)
+from finfree.scalars import (convolve, differences, dot, exp, format_scalar, integer_scaled,
+                             integer_weights, one_kind, read, to_mpf)
 
 
 class TestExp:
@@ -187,18 +187,23 @@ class TestDot:
             assert dot([mp.mpc(inf, 0), 1], [1, 1]) == mp.mpc(inf, 0)
 
 
-class TestWork:
-    def test_scopes_mpf_precision(self):
-        before = mp.mp.dps
-        with work(MPF, before + 20):
-            assert mp.mp.dps == before + 20
-        assert mp.mp.dps == before
+class TestOneKind:
+    def test_ints_take_the_kind_of_their_neighbours(self):
+        with mp.workdps(30):
+            third = mp.mpf(1) / 3
+            for other, to in ((Fraction(1, 3), Fraction), (third, mp.mpf),
+                              (0.5, float), (0.5j, float), (mp.mpc(0, 1), mp.mpf)):
+                got = one_kind([2, other, -1], "here")
+                assert [type(v) for v in got] == [to, type(other), to]
+                assert got == [2, other, -1]
 
-    def test_leaves_other_kinds_alone(self):
-        before = mp.mp.dps
-        for kind in (EXACT, FLOAT64):
-            with work(kind, before + 20):
-                assert mp.mp.dps == before
+    def test_ints_alone_become_fractions(self):
+        got = one_kind((v for v in (1, -3, 10 ** 40)), "here")
+        assert got == [1, -3, 10 ** 40] and all(type(v) is Fraction for v in got)
+
+    def test_a_mix_is_refused_by_name(self):
+        with pytest.raises(TypeError, match="laguerre_hat_atilde: mixed scalar kinds"):
+            one_kind([1, Fraction(1, 2), 0.5], "laguerre_hat_atilde")
 
 
 class TestToMpf:

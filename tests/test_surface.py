@@ -13,8 +13,12 @@ mpmath's internal representation, the raw mpf and mpc tuples and
 alone names ``nstr``, behind its one decimal printer; and no module names
 ``fsum`` or ``fdot``: ``scalars.dot`` is the one sum kernel.
 ``partitions`` names no scalar kind and no ``dot``: the kind decision of its
-literal sums lives in ``scalars``.  Outside ``partitions``, ``block_sum`` is
-referenced only by the labelled literal routes.  No module imports a private
+literal sums lives in ``scalars``.  Outside ``scalars`` and ``polycalc`` no
+module names ``kind_of`` or a kind constant: a caller reads a value list's
+kind through ``scalars.one_kind`` and opens its precision scope by digits
+alone.  ``experiments`` opens that scope once, in ``run_experiment``.
+Outside ``partitions``, ``block_sum`` is referenced only by the labelled
+literal routes.  No module imports a private
 (underscored) name from another.
 """
 
@@ -135,6 +139,29 @@ def test_partitions_leave_the_kind_to_scalars():
     found = [f"partitions:{line}: {name}"
              for line, name in _names(ROOT / "src" / "finfree" / "partitions.py") if name in banned]
     assert not found, f"kind decisions or tuple walks in partitions: {found}"
+
+
+def test_kinds_are_named_in_scalars_and_polycalc_alone():
+    """Only ``scalars`` and ``polycalc`` (the root expansion, ``dilate`` and
+    the Newton-Maclaurin tolerances) branch on a kind; every other module
+    reads a value list's kind once through ``one_kind`` or ``common_kind``."""
+    banned = {"kind_of", "EXACT", "MPF", "FLOAT64"}
+    found = [f"{path.stem}:{line}: {name}"
+             for path in sorted((ROOT / "src" / "finfree").glob("*.py"))
+             if path.stem not in ("scalars", "polycalc")
+             for line, name in _names(path) if name in banned]
+    assert not found, f"kind decisions outside scalars and polycalc: {found}"
+
+
+def test_experiments_open_one_precision_scope():
+    """``run_experiment`` opens the run's one ``mp.workdps``; the point
+    generators compute inside it and name no ``workdps`` of their own."""
+    path = ROOT / "src" / "finfree" / "experiments.py"
+    (run,) = [fn for name, fn in _functions(_body(path), "experiments")
+              if name == "experiments.run_experiment"]
+    found = sorted(line for line, name in _names(path) if name == "workdps")
+    assert found and all(run.lineno <= line <= run.end_lineno for line in found), (
+        f"workdps outside run_experiment at lines {found}")
 
 
 def test_no_module_imports_a_private_name_of_another():
