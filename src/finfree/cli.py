@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -34,6 +35,7 @@ from .partitions import (
     count_join_full_closed,
     mask_elements,
     noncrossing_masks,
+    partition_count,
     partition_masks,
 )
 from .polycalc import (boxplus, boxtimes, boxtimes_pow, parse_scalar, poly_from_json,
@@ -157,9 +159,17 @@ _ROWS_PER_CHUNK = 1024
 
 def _cmd_partitions(args):
     cap = DEFAULT_PARTITION_CAP if args.cap is None else args.cap
-    walk = (noncrossing_masks if args.noncrossing else partition_masks)(args.n, cap)
     if args.count_only:
-        return str(sum(1 for _ in walk))
+        count = partition_count(args.n, cap, args.noncrossing)
+        try:
+            return str(count)
+        except ValueError:  # past Python's int-to-str digit limit
+            digits = int(count.bit_length() * math.log10(2))  # the digit count or one less
+            digits += count >= 10 ** digits
+            limit = sys.get_int_max_str_digits()
+            raise OverflowError(f"the count has {digits} decimal digits, past Python's "
+                                f"limit of {limit} for printing an int") from None
+    walk = (noncrossing_masks if args.noncrossing else partition_masks)(args.n, cap)
     return _partition_rows(walk, args.format == "json")
 
 

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .scalars import DEFAULT_DIGITS, binom, dot, one_kind, to_mpf
+from .scalars import DEFAULT_DIGITS, binom, dot, one_kind, recurrence, to_mpf
 from .series import PowerSeries
 
 
@@ -156,10 +156,10 @@ def s_transform_series(kind: str, N: int, t=None,
 
 
 def _lagrange(log_phi: PowerSeries, phi0, N: int) -> list:
-    """[w^(n-1)] phi(w)^n / n for n = 1..N, phi = exp(log_phi) / phi0: one exp
-    of n log_phi cut at w^(n-1) per n, about N^3/6 coefficient products in all."""
-    return [PowerSeries(tuple(n * c for c in log_phi.coeffs[:n])).exp().coeffs[n - 1]
-            / (n * phi0 ** n) for n in range(1, N + 1)]
+    """[w^(n-1)] phi(w)^n / n for n = 1..N, phi = exp(log_phi) / phi0: one kernel
+    pass, per n the exp recurrence on n log_phi cut at w^(n-1), one value each."""
+    return [g / (n * phi0 ** n)
+            for n, g in enumerate(recurrence(log_phi.coeffs[:N], "lagrange"), 1)]
 
 
 def lagrange_cumulants(S: PowerSeries, N: int, digits: int = DEFAULT_DIGITS) -> list:

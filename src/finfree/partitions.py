@@ -143,6 +143,19 @@ def noncrossing_masks(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[tupl
     return _noncrossing_walk(n)
 
 
+def partition_count(n: int, cap: int = DEFAULT_PARTITION_CAP, noncrossing: bool = False) -> int:
+    """How many partitions ``partition_masks`` (or ``noncrossing_masks``)
+    yields, with no walk: Bell(n), the last entry of row n of the Bell
+    triangle, or Catalan(n).  ``n`` and the cap are checked as for the walks."""
+    _check_size(n, cap)
+    if noncrossing:
+        return math.comb(2 * n, n) // (n + 1)
+    row = [1]
+    for _ in range(n - 1):
+        row = list(accumulate(row, initial=row[-1]))
+    return row[-1]
+
+
 # ---------------------------------------------------------------------------
 # connectivity
 # ---------------------------------------------------------------------------

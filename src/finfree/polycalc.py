@@ -449,9 +449,15 @@ def newton_maclaurin_check(p: MonicPoly, digits: int = DEFAULT_DIGITS) -> Newton
     the nonvanishing prefix.  Report only, never raises on violation.
     On exact input the chain is reported in binary64 (inf past its range),
     and a step binary64 cannot resolve is decided in mpf at ``digits`` and,
-    inside the mpf tolerance, exactly.
+    inside the mpf tolerance, exactly.  Complex coefficients whose imaginary
+    parts are all 0 are read as real; any other imaginary part raises.
     """
     at = normalized_coeffs(p, digits=digits)
+    bad = next((i for i, a in enumerate(at) if a.imag), None)
+    if bad is not None:
+        raise ValueError(f"newton_maclaurin_check needs real coefficients, "
+                         f"got atilde_{bad} = {at[bad]}")
+    at = [a.real for a in at]
     d = p.degree
     kind = common_kind(at, "newton_maclaurin_check")
     eps = 0.0

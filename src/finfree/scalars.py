@@ -12,8 +12,9 @@ inputs, and promotion happens only through ``one_kind``, which reads a value
 list's kind once and recasts its ints in it, and ``to_mpf``.  A caller opens
 its precision scope as ``mp.workdps(digits)`` whatever the kind: exact and
 binary64 arithmetic do not read it.  Every per-kind decision lives here: the
-exponential (``exp``), the dot product under every series coefficient and
-every mp sum (``dot``, for mp terms one exact integer accumulator rounded once),
+exponential (``exp``), the dot product under every mp sum (``dot``, for mp
+terms one exact integer accumulator rounded once), the series recurrences
+exp, log and the Lagrange step (``recurrence``, on ints for real mpf series),
 the one coefficient product, truncated or binomial (``convolve``, one big-int
 multiply for real mpf operands), conversion into mpmath (``to_mpf``),
 printing (``format_scalar``), the common denominator that puts exact
@@ -265,6 +266,29 @@ def _rounded(pair: tuple) -> mp.mpf:
     return mp.mp.make_mpf(from_man_exp(*pair, *mp.mp._prec_rounding))
 
 
+def _round(m: int, e: int, prec: int) -> tuple:
+    """The pair (m, e) rounded to prec bits, to nearest with ties to even,
+    as mpmath's ``normalize`` rounds; the mantissa may come out as 2^prec."""
+    shift = m.bit_length() - prec
+    if shift <= 0:
+        return m, e
+    n = abs(m)
+    t = n >> (shift - 1)  # the kept bits and the half bit
+    if t & 1 and (t & 2 or n & ((1 << (shift - 1)) - 1)):
+        t += 2
+    return (-(t >> 1) if m < 0 else t >> 1), e + shift
+
+
+def _div(m: int, e: int, j: int, prec: int) -> tuple:
+    """The pair (m, e) divided by the int j > 0, rounded once to prec bits:
+    the quotient to at least prec + 2 bits, and any remainder as a sticky bit
+    below it, which no rounding boundary separates from the exact quotient."""
+    s = max(prec + j.bit_length() + 2 - m.bit_length(), 0)
+    q, r = divmod(abs(m) << s, j)
+    q = q << 1 | (r > 0)
+    return _round(-q if m < 0 else q, e - s - 1, prec)
+
+
 # the widest sum kept on one int: the exponents of its terms span at most
 # this many times the ambient precision in bits.  Below it one wide int costs
 # less than ``_far_sum``'s sort (measured on products of roots 10^+-30 and
@@ -344,6 +368,88 @@ def _far_sum(terms: list) -> tuple:
             sign = _far_sum(rest)[0]
             return (head << (lo - grid)) * 4 + (sign > 0) - (sign < 0), grid - 2
         terms = [(head, lo)] + rest if head else rest
+
+
+def recurrence(c: Sequence, op: str) -> list:
+    """The coefficients of exp(c) (op "exp") or log(c) (op "log", c_0 = 1)
+    for the series c_0 + c_1 z + ... + c_N z^N, or the Lagrange step
+    [z^(n-1)] exp(n c(z)) for n = 1..N+1 (op "lagrange"), by the classical
+    recurrences g' = u'g and g' = f'/f (Brent-Kung 1978):
+
+        exp:  g_0 = exp(u_0),  g_j = (1/j) sum_{i=1..j} (i u_i) g_{j-i},
+        log:  g_0 = f_0 * 0,   g_j = (1/j) (j f_j + sum_{i=1..j-1} (-i g_i) f_{j-i}),
+
+    with u = c, or u_i = n c_i cut at z^(n-1).  Each int product, each sum
+    and each division by j is one operation of the kind, with its rounding.
+    Real mpf values, ints among them, run on ints (``_fixed``), with every
+    rounding made as mpf arithmetic makes it; only the values returned
+    become mpfs.  Past a span of ``_SUM_SPAN`` times the precision, and in
+    any other kind, each sum is one ``dot``, binary64 left to right.
+    """
+    prec = mp.mp.prec
+    reads = read(c)
+    limit = prec - 2 * len(c).bit_length()  # an int times i n stays exact
+    if not (reads and type(reads[0]) is tuple
+            and all(abs(x).bit_length() <= limit for x in c if type(x) is int)):
+        reads = None
+    if op != "lagrange":
+        return _series(c, reads, None, op == "log", prec, len(c))
+    return [_series(c[:n], reads and [_round(n * m, e, prec) for m, e in reads[:n]],
+                    n, False, prec, 1)[0] for n in range(1, len(c) + 1)]
+
+
+def _series(c: Sequence, reads, n, log: bool, prec: int, keep: int) -> list:
+    """The last ``keep`` values of ``recurrence`` on c, or on n c when n is
+    set, given the pairs (m, e) of those values as ``reads``, or None."""
+    head = c[0] * 0 if log else exp(c[0] if n is None else n * c[0])
+    ok = (len(c) < 2 or type(c[1]) is mp.mpf) if log else type(head) is mp.mpf
+    g = _fixed(reads, head, log, prec) if reads and ok else None
+    if g is None:
+        u = c if n is None else [n * x for x in c]
+        rf, g = read(u if log else [i * x for i, x in enumerate(u)]), [head]
+        G = [] if log else read(g)  # -i g_i (log) or g_i, as read
+        for j in range(1, len(u)):
+            g.append((dot(G, rf[j - 1:0:-1], start=j * u[j]) if log
+                      else dot(rf[1:j + 1], G[::-1])) / j)
+            G += read([-j * g[j]] if log else g[j:])
+    return [_rounded(x) if type(x) is tuple else x for x in g[-keep:]]
+
+
+def _fixed(reads: list, head, log: bool, prec: int) -> list | None:
+    """``_series`` on pairs, as [head, (m_1, e_1), ...], or None past the span.
+
+    rf holds i u_i (exp) or f_i (log), i = N..1, on ints over 2^ef; G holds
+    g_i (exp) or -i g_i (log, G_0 = 0) for i < j on ints over 2^lo, lo <= 0,
+    shifted when a new value lowers lo.  Step j sums rf[N-j:] times G.
+    """
+    bound, N = _SUM_SPAN * prec, len(reads) - 1
+    F = reads[1:] if log else [_round(i * m, e, prec) for i, (m, e) in enumerate(reads[1:], 1)]
+    ef = min((e for m, e in F if m), default=0)
+    if max((e + m.bit_length() for m, e in F if m), default=ef) - ef > bound:
+        return None
+    rf = [m << (e - ef) if m else 0 for m, e in reversed(F)]
+    G, lo, hi, out = [], 0, 0, [head]
+    m, e = (0, 0) if log else _pair(head)
+    for j in range(1, N + 1):
+        if m:
+            if e < lo:
+                G, lo = [*map((lo - e).__rlshift__, G)], e
+            hi = max(hi, e + m.bit_length())
+            if hi - lo > bound:
+                return None
+            m <<= e - lo
+        G.append(m)
+        acc, E = sum(map(operator.mul, rf[N - j:], G)), ef + lo
+        if log and reads[j][0]:  # j f_j lies on the grid 2^E: ef <= its exponent, lo <= 0
+            ms, es = _round(j * reads[j][0], reads[j][1], prec)
+            if es - E > bound:
+                return None
+            acc += ms << (es - E)
+        m, e = _div(*_round(acc, E, prec), j, prec)
+        out.append((m, e))
+        if log:
+            m, e = _round(-j * m, e, prec)
+    return out
 
 
 def convolve(a: Sequence, b: Sequence, top: int | None = None, binomial: bool = False) -> tuple:

@@ -12,11 +12,10 @@ block-size profiles; ``partitions.block_sum`` is that walk, kept as the
 literal oracle of both.  The same two operations carry Lagrange inversion
 (``freelimits``): a power phi^n of a series is exp(n log phi).  A series
 has no sum or product of its own.  Coefficients may be exact rationals, mpf
-or binary64 values.  Every coefficient of ``exp`` or ``log`` is one call of
-``scalars.dot``, the single inner loop; both keep their input coefficients
-and each coefficient they produce as read by ``scalars.read``, so a real mpf
-mantissa is read once per series, not once per ``dot``.  An mpf sum of
-products is the exact sum rounded once and an exact one is reduced once.
+or binary64 values; ``exp`` and ``log`` hand them to one kernel,
+``scalars.recurrence``, which runs real mpf series on ints, each sum exact
+and rounded once as mpf arithmetic rounds it, and every other kind by
+``scalars.dot``.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .scalars import dot, exp, read
+from .scalars import recurrence
 
 
 @dataclass(frozen=True)
@@ -59,25 +58,10 @@ class PowerSeries:
     def exp(self) -> "PowerSeries":
         """exp of the series; the constant term goes through the scalar exp,
         so an exact series needs constant term 0."""
-        # g' = u' g with g_0 = exp(u_0):  g_j = (1/j) sum_{i=1..j} i u_i g_{j-i}
-        iu = read([i * c for i, c in enumerate(self.coeffs)])
-        g = [exp(self.coeffs[0])]
-        rg = read(g)
-        for j in range(1, self.order + 1):
-            g.append(dot(iu[1: j + 1], rg[::-1]) / j)
-            rg += read(g[j:])
-        return PowerSeries(tuple(g))
+        return PowerSeries(tuple(recurrence(self.coeffs, "exp")))
 
     def log(self) -> "PowerSeries":
         """log of a series with constant term 1 (the result has constant term 0)."""
         if self.coeffs[0] != 1:
             raise ValueError("series log needs constant term 1")
-        f = self.coeffs
-        # g' = f'/f, i.e. j f_j = sum_{i=1..j} i g_i f_{j-i} with f_0 = 1
-        rf = read(f)
-        g = [f[0] * 0]
-        neg_ig = []  # -i g_i for i = 1..j-1, as read
-        for j in range(1, self.order + 1):
-            g.append(dot(neg_ig, rf[j - 1: 0: -1], start=j * f[j]) / j)
-            neg_ig += read([-j * g[j]])
-        return PowerSeries(tuple(g))
+        return PowerSeries(tuple(recurrence(self.coeffs, "log")))

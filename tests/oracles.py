@@ -340,6 +340,43 @@ def log_literal(f) -> list:
     return g
 
 
+# The same recurrences on real mpf values (ints allowed): each coefficient's
+# sum is taken exactly in Fraction, over products rounded in mpf as ``i * u_i``
+# rounds, and rounded once to the nearest mpf, then divided by j in mpf.  The
+# sum is dyadic, so it is rounded by the mpf constructor on its (numerator,
+# exponent) pair: mpmath converts a Fraction by rounding toward zero.
+
+def _exact_mpf(x) -> Fraction:
+    if isinstance(x, int):
+        return Fraction(x)
+    man, e = x.man_exp
+    man = -man if x < 0 else man
+    return Fraction(man << e) if e >= 0 else Fraction(man, 1 << -e)
+
+
+def _nearest_mpf(q: Fraction):
+    return mp.mpf((q.numerator, 1 - q.denominator.bit_length()))
+
+
+def exp_mpf_literal(u) -> list:
+    """exp of a real mpf series: g_0 = exp(u_0), g_j = (1/j) sum_i (i u_i) g_{j-i}."""
+    g = [mp.exp(u[0])]
+    for j in range(1, len(u)):
+        acc = sum(_exact_mpf(i * u[i]) * _exact_mpf(g[j - i]) for i in range(1, j + 1))
+        g.append(_nearest_mpf(acc) / j)
+    return g
+
+
+def log_mpf_literal(f) -> list:
+    """log of a real mpf series with f_0 = 1: g_j = (j f_j + sum_{i<j} (-i g_i) f_{j-i}) / j."""
+    g = [f[0] * 0]
+    for j in range(1, len(f)):
+        acc = _exact_mpf(j * f[j])
+        acc += sum(_exact_mpf(-i * g[i]) * _exact_mpf(f[j - i]) for i in range(1, j))
+        g.append(_nearest_mpf(acc) / j)
+    return g
+
+
 def boxplus_literal(ap, aq) -> list:
     """atilde_k = sum_{i+j=k} C(k,i) atilde_i(p) atilde_j(q), summed by ``sum``.
 

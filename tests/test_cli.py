@@ -11,8 +11,11 @@ import mpmath as mp
 from finfree import cli
 from finfree.cumulants import finite_cumulants, laguerre_hat
 from finfree.errors import RootConvergenceError
+from finfree.partitions import noncrossing_masks, partition_count, partition_masks
 from finfree.polycalc import (MonicPoly, boxplus, boxtimes, boxtimes_pow, poly_from_json,
                               poly_to_json)
+
+from .oracles import bell_oracle, catalan_oracle
 
 
 def run(capsys, *argv):
@@ -686,6 +689,30 @@ def test_count_only_formats_nothing(capsys, monkeypatch):
     for argv, count in ((("--n", "10"), "115975"), (("--n", "10", "--noncrossing"), "16796")):
         code, out, _ = run(capsys, "partitions", *argv, "--count-only")
         assert code == 0 and out.strip() == count
+
+
+def test_count_only_walks_nothing(capsys, monkeypatch):
+    walks = {flag: [sum(1 for _ in walk(n)) for n in range(1, 11)]
+             for flag, walk in (((), partition_masks), (("--noncrossing",), noncrossing_masks))}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a walk was made")
+
+    monkeypatch.setattr(cli, "partition_masks", refuse)
+    monkeypatch.setattr(cli, "noncrossing_masks", refuse)
+    for flag, counts in walks.items():
+        assert counts == [(bell_oracle if not flag else catalan_oracle)(n) for n in range(1, 11)]
+        for n, count in enumerate(counts, 1):
+            code, out, _ = run(capsys, "partitions", "--n", str(n), *flag, "--count-only")
+            assert code == 0 and out == f"{count}\n"
+    ns = range(1, 61)
+    assert [partition_count(n, cap=60) for n in ns] == [bell_oracle(n) for n in ns]
+    # Bell(1000) has 1928 digits, where the walk ran out of stack
+    code, out, _ = run(capsys, "--cap", "1000", "partitions", "--n", "1000", "--count-only")
+    assert code == 0 and out.startswith("2989901335682408421") and len(out.strip()) == 1928
+    # past Python's int-to-str limit of 4300 digits: a typed error naming the digit count
+    code, out, err = run(capsys, "--cap", "2000", "partitions", "--n", "1981", "--count-only")
+    assert code == 3 and out == "" and "4301 decimal digits" in err
 
 
 def test_unwritable_out_exit_2(capsys, tmp_path):

@@ -518,6 +518,23 @@ class TestNewtonMaclaurin:
         assert at[-1] == 0 and at[-2] == 0
         assert rep.maclaurin_holds
 
+    def test_real_polynomial_in_complex_storage(self):
+        # conjugate roots give complex coefficients with imaginary parts 0:
+        # read as real, the same report as on the real coefficients
+        real = from_normalized([1, Fraction(4, 3), 2, 4])
+        want = newton_maclaurin_check(real)
+        rep = newton_maclaurin_check(MonicPoly.from_roots([1 + 1j, 1 - 1j, 2.0]))
+        assert (rep.newton_holds, rep.maclaurin_holds) == (want.newton_holds, want.maclaurin_holds)
+        assert rep.newton_margins == pytest.approx([float(m) for m in want.newton_margins])
+        with mp.workdps(30):
+            p = MonicPoly.from_roots([mp.mpc(1, 1), mp.mpc(1, -1), mp.mpf(2)])
+        rep = newton_maclaurin_check(p, digits=30)
+        assert all(type(m) is mp.mpf for m in rep.newton_margins)
+        assert not rep.newton_holds and rep.newton_margins[0] < 0
+        for roots in ([1 + 1j, 2.0], [mp.mpc(1, 1), mp.mpf(2)]):
+            with pytest.raises(ValueError, match="atilde_1"):
+                newton_maclaurin_check(MonicPoly.from_roots(roots))
+
 
 class TestEmpirical:
     def test_point_mass(self):

@@ -629,6 +629,50 @@ class TestConvolve:
         assert len(calls) == 1
 
 
+class TestSeriesRoundings:
+    """The two roundings of the series kernel on ints, ``_round`` and
+    ``_div``, against mpf arithmetic: 40,000 roundings of a wide int, 30,000
+    products by an int (``k * x`` is mpmath's ``mpf_mul_int``) and 30,000
+    divisions by j = 1..200 (``x / j`` is its ``mpf_div``), at 8 to 402 bits.
+    The mantissas include exact ties, all-ones values that carry into a new
+    power of two, and both signs."""
+
+    @staticmethod
+    def _mantissa(rng, bits: int, prec: int) -> int:
+        shape, low = rng.randrange(4), bits - prec
+        if shape == 0:
+            m = (1 << bits) - 1  # all ones: rounding up carries
+        elif shape == 1 and low > 0:  # an exact tie: prec random bits, then 10...0
+            m = (rng.getrandbits(prec) | 1 << (prec - 1)) << low | 1 << (low - 1)
+        else:
+            m = rng.getrandbits(bits) | 1 << (bits - 1)
+        return -m if rng.random() < 0.5 else m
+
+    def test_round_matches_the_mpf_constructor(self):
+        rng = random.Random(33)
+        for prec in (8, 53, 170, 402):
+            with mp.workprec(prec):
+                for _ in range(10_000):
+                    m = self._mantissa(rng, prec + rng.randint(-3, 80), prec)
+                    e = rng.randint(-500, 500)
+                    got = scalars._round(m, e, prec)
+                    assert abs(got[0]).bit_length() <= prec or abs(got[0]) == 1 << prec
+                    assert mp.mpf(got) == mp.mpf((m, e)), (prec, m, e)
+
+    def test_products_and_quotients_match_mpf_arithmetic(self):
+        rng = random.Random(34)
+        for prec in (8, 53, 170, 402):
+            with mp.workprec(prec):
+                for _ in range(7_500):
+                    m, e = self._mantissa(rng, rng.randint(1, prec), prec), rng.randint(-500, 500)
+                    x = mp.mpf((m, e))
+                    # 3 << t times an odd m of prec bits ties when 3m has prec + 1 bits
+                    k = rng.choice([rng.randint(-200, 200) or 1, 3 << rng.randrange(8)])
+                    assert mp.mpf(scalars._round(k * m, e, prec)) == k * x, (prec, m, e, k)
+                    j = rng.randint(1, 200)
+                    assert mp.mpf(scalars._div(m, e, j, prec)) == x / j, (prec, m, e, j)
+
+
 class TestDifferences:
     def test_the_alternating_sum_on_ints(self):
         rng = random.Random(5)

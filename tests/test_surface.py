@@ -13,10 +13,12 @@ mpmath's internal representation, the raw mpf and mpc tuples and
 alone names ``nstr``, behind its one decimal printer; and no module names
 ``fsum`` or ``fdot``: ``scalars.dot`` is the one sum kernel.
 ``partitions`` names no scalar kind and no ``dot``: the kind decision of its
-literal sums lives in ``scalars``.  Outside ``scalars`` and ``polycalc`` no
-module names ``kind_of`` or a kind constant: a caller reads a value list's
-kind through ``scalars.one_kind`` and opens its precision scope by digits
-alone.  ``experiments`` opens that scope once, in ``run_experiment``.
+literal sums lives in ``scalars``.  ``series`` names neither ``dot`` nor
+``read``: every series coefficient goes through the one series kernel,
+``scalars.recurrence``.  Outside ``scalars`` and ``polycalc`` no module
+names ``kind_of`` or a kind constant: a caller reads a value list's kind
+through ``scalars.one_kind`` and opens its precision scope by digits alone.
+``experiments`` opens that scope once, in ``run_experiment``.
 Outside ``partitions``, ``block_sum`` is referenced only by the labelled
 literal routes.  No module imports a private
 (underscored) name from another.
@@ -139,6 +141,15 @@ def test_partitions_leave_the_kind_to_scalars():
     found = [f"partitions:{line}: {name}"
              for line, name in _names(ROOT / "src" / "finfree" / "partitions.py") if name in banned]
     assert not found, f"kind decisions or tuple walks in partitions: {found}"
+
+
+def test_series_coefficients_go_through_the_scalars_kernel():
+    """``PowerSeries.exp`` and ``log`` hand their coefficients to
+    ``scalars.recurrence``, which runs real mpf series on ints and every
+    other kind through ``dot``: ``series`` names neither ``dot`` nor ``read``."""
+    path = ROOT / "src" / "finfree" / "series.py"
+    found = [f"series:{line}: {name}" for line, name in _names(path) if name in ("dot", "read")]
+    assert not found, f"sums outside the series kernel: {found}"
 
 
 def test_kinds_are_named_in_scalars_and_polycalc_alone():
