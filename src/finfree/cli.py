@@ -310,6 +310,7 @@ def main(argv: list[str] | None = None) -> int:
         "limit": _cmd_limit,
     }
     try:
+        positive_int("--precision", args.precision)
         _emit(handlers[args.command](args), args.out)
     except (CapExceededError, PrecisionBudgetError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -175,8 +175,9 @@ def lagrange_cumulants(S: PowerSeries, N: int, digits: int = DEFAULT_DIGITS) -> 
     if S.order < N - 1:
         raise ValueError(f"series order {S.order} too small for N={N}")
     with mp.workdps(digits):
-        log = PowerSeries(tuple(c / s0 for c in S.coeffs[: max(N, 1)])).log()
-        return _lagrange(PowerSeries(tuple(-c for c in log.coeffs)), s0, N)
+        cs = one_kind(S.coeffs[: max(N, 1)], "series")
+        log = PowerSeries(tuple(c / cs[0] for c in cs)).log()
+        return _lagrange(PowerSeries(tuple(-c for c in log.coeffs)), cs[0], N)
 
 
 def nc_moments_from_cumulants(kappas: Sequence, N: int,

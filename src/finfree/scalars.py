@@ -20,9 +20,9 @@ multiply for real mpf operands), conversion into mpmath (``to_mpf``),
 printing (``format_scalar``), the common denominator that puts exact
 values on ints (``integer_scaled``) and the unit that puts block weights on
 ints and takes their sum back to its kind once (``integer_weights``).  This
-is the one module that reads mpf values as their mantissa and exponent
-(``read``): every mpf sum of products it returns is the exact sum rounded
-once.
+is the one module that reads mpf values as their mantissa and exponent, each
+where it is summed: every mpf sum of products it returns is the exact sum
+rounded once.
 """
 
 from __future__ import annotations
@@ -77,8 +77,13 @@ def common_kind(values: Iterable, where: str) -> str:
 def one_kind(values: Iterable, where: str) -> list:
     """The values in their common kind (``common_kind``, which refuses a mix
     and names ``where``), each int recast in it: ints alone as ``Fraction``s,
-    since an int divided by an int is a binary64 float."""
+    since an int divided by an int is a binary64 float.  Values of one
+    scalar type other than int, read from their type set, come back as
+    they are."""
     values = list(values)
+    types = set(map(type, values))
+    if len(types) == 1 and types <= {Fraction, float, complex, mp.mpf, mp.mpc}:
+        return values
     to = {EXACT: Fraction, MPF: mp.mpf}.get(common_kind(values, where), float)
     return [to(v) if isinstance(v, int) else v for v in values]
 
@@ -159,24 +164,19 @@ def dot(xs: Sequence, ys: Sequence, start=None):
     alone give an int; ints and ``Fraction``s are summed on ints over one
     running denominator and reduced once, to a ``Fraction``; any mpf or mpc
     gives the correctly rounded exact sum at the ambient precision, an mpf,
-    or an mpc when a term is complex.  Each mp term is read as m * 2^e,
-    the products are summed on ints over one power of two and rounded once
-    (``_exact_dot``), and complex terms go by real and imaginary part.  Real
-    mpf operands may come as their reads (``read``), so that a caller who
-    dots the same values many times reads each mantissa once; a read
-    operand alone gives an mpf too.  An inf or a nan that meets no zero
-    factor decides the sum by mpf arithmetic.  Anything else is added left
-    to right from ``start``, or ``xs[0] * 0``, as ``acc += x * y``, skipping
-    pairs with a zero factor.
+    or an mpc when a term is complex.  Each mp term, and each int or
+    binary64 term beside one, is read exactly as m * 2^e where it is summed,
+    the products are summed on ints and rounded once (``_round_reads``), and
+    complex terms go by real and imaginary part.  A ``Fraction`` among mp
+    terms raises ``TypeError``: it has no exact read, and rounding it first
+    would round the sum twice.  An inf or a nan that meets no zero factor
+    decides the sum by mpf arithmetic.  Anything else is added left to right
+    from ``start``, or ``xs[0] * 0``, as ``acc += x * y``, skipping pairs
+    with a zero factor.
     """
     if not xs:
         return 0 if start is None else start
-    types = {*map(type, xs), *map(type, ys)}
-    if types == {tuple} and not isinstance(start, (mp.mpc, complex)):
-        s = (0, 0) if start is None else _pair(start)
-        if s[1] is not None:
-            return _rounded(_exact_dot(xs, ys, s))
-    types.add(int if start is None else type(start))
+    types = {*map(type, xs), *map(type, ys), int if start is None else type(start)}
     if types == {int}:
         return sum(map(operator.mul, xs, ys), 0 if start is None else start)
     if types <= {int, Fraction}:
@@ -188,45 +188,29 @@ def dot(xs: Sequence, ys: Sequence, start=None):
                 g = math.gcd(den, q)
                 num, den = num * (q // g) + p * (den // g), den * (q // g)
         return Fraction(num, den)
-    if mp.mpc in types or (complex in types and types & {mp.mpf, tuple}):
+    if not types & {mp.mpf, mp.mpc}:
+        acc = xs[0] * 0 if start is None else start
+        for x, y in zip(xs, ys):
+            if x and y:
+                acc += x * y
+        return acc
+    if Fraction in types:
+        raise TypeError("dot: mixed scalar kinds ['exact', 'mpf']; convert inputs explicitly first")
+    if types & {mp.mpc, complex}:
         (a, b), (c, d) = _parts(xs), _parts(ys)
         sr, si = _parts([0 if start is None else start])
         # (a + bi)(c + di) = ac - bd + (ad + bc)i
         neg_b = [(-m, e) for m, e in b]
         return mp.mpc(_round_reads(a + neg_b, c + d, sr[0]), _round_reads(a + b, d + c, si[0]))
-    if types & {mp.mpf, tuple}:
-        return _round_reads([*map(_pair, xs)], [*map(_pair, ys)],
-                            (0, 0) if start is None else _pair(start))
-    acc = xs[0] * 0 if start is None else start
-    for x, y in zip(xs, ys):
-        if x and y:
-            acc += x * y
-    return acc
-
-
-def read(values: Sequence) -> list:
-    """Real mpf values, with any ints among them, as their exact reads for
-    ``dot``: the pairs (m, e) of ints with value m * 2^e.  Values with no
-    mpf among them, or with an mpc, an inf or a nan, come back as they are."""
-    pairs, mpf = [], False
-    for v in values:
-        if type(v) is int:
-            pairs.append((v, 0))
-        elif type(v) is mp.mpf and (pair := _pair(v))[1] is not None:
-            pairs.append(pair)
-            mpf = True
-        else:
-            return list(values)
-    return pairs if mpf else list(values)
+    return _round_reads([*map(_pair, xs)], [*map(_pair, ys)],
+                        (0, 0) if start is None else _pair(start))
 
 
 def _pair(x) -> tuple:
-    """A real value (a read pair is itself) as the ints (m, e) with
-    x = m * 2^e: an int is (x, 0), any other value goes through mpmath's
-    conversion (exact for a float, rounded for a ``Fraction``, as in mpf
-    arithmetic).  An inf or a nan is (x, None)."""
-    if type(x) is tuple:
-        return x
+    """A real int, binary64 or mpf value as the ints (m, e) with
+    x = m * 2^e, read exactly: an int is (x, 0), a float goes through
+    mpmath's conversion, which keeps its 53 bits.  An inf or a nan is
+    (x, None)."""
     if type(x) is int:
         return x, 0
     if type(x) is not mp.mpf:
@@ -252,13 +236,22 @@ def _parts(values: Sequence) -> tuple:
 
 
 def _round_reads(xs: Sequence, ys: Sequence, s: tuple):
-    """s + sum xs[i] * ys[i] over reads, rounded once: an mpf.  A pair with a
-    zero factor adds nothing; an inf or a nan among the other factors decides
-    the sum, which no finite term (here its mantissa) can change."""
+    """s + sum xs[i] * ys[i] over reads, rounded once: an mpf.
+
+    A pair with a zero factor adds nothing; an inf or a nan among the other
+    factors decides the sum, which no finite term (here its mantissa) can
+    change.  The finite products are summed exactly: on one int over their
+    least exponent while their exponents span at most ``_SUM_SPAN`` times
+    the precision, and past that, before any shift, by ``_far_sum``.
+    """
     live = [(x, y) for x, y in zip(xs, ys) if x[0] and y[0]]
     if s[1] is None or any(x[1] is None or y[1] is None for x, y in live):
         return sum((x[0] * y[0] for x, y in live), s[0])
-    return _rounded(_exact_dot(xs, ys, s))
+    terms = [(mx * my, ex + ey) for (mx, ex), (my, ey) in live] + ([s] if s[0] else [])
+    lo = min((e for _, e in terms), default=0)
+    if max((e for _, e in terms), default=lo) - lo > _SUM_SPAN * mp.mp.prec:
+        return _rounded(_far_sum(terms))
+    return _rounded((sum(m << (e - lo) for m, e in terms), lo))
 
 
 def _rounded(pair: tuple) -> mp.mpf:
@@ -296,44 +289,11 @@ def _div(m: int, e: int, j: int, prec: int) -> tuple:
 _SUM_SPAN = 256
 
 
-def _exact_dot(xs: Sequence, ys: Sequence, s: tuple) -> tuple:
-    """A pair (M, E) of ints whose value M * 2^E rounds, at the ambient
-    precision, as s + sum xs[i] * ys[i] over finite reads does.
-
-    While the exponents of the products span at most ``_SUM_SPAN`` times the
-    precision, that is the exact sum, kept on one int over the least exponent
-    met so far.  Past that bound, before any wider shift, the products go to
-    ``_far_sum``.
-    """
-    acc, lo = s
-    hi = lo
-    bound = _SUM_SPAN * mp.mp.prec
-    for (mx, ex), (my, ey) in zip(xs, ys):
-        if mx and my:
-            e = ex + ey
-            if not acc:
-                acc, lo, hi = mx * my, e, e
-            elif e >= lo:
-                if e - lo > bound:
-                    break
-                acc += mx * my << (e - lo)
-                if e > hi:
-                    hi = e
-            else:
-                if hi - e > bound:
-                    break
-                acc = (acc << (lo - e)) + mx * my
-                lo = e
-    else:
-        return acc, lo
-    terms = [(mx * my, ex + ey) for (mx, ex), (my, ey) in zip(xs, ys) if mx and my]
-    return _far_sum(terms + [s] if s[0] else terms)
-
-
 def _far_sum(terms: list) -> tuple:
-    """The pair (M, E) of ``_exact_dot`` for the terms m * 2^e, given as
-    pairs (m, e) with m != 0, when they lie far apart: no int is wider than a
-    cluster of overlapping terms (Demmel-Hida 2003; Rump-Ogita-Oishi 2008).
+    """A pair (M, E) of ints whose value M * 2^E rounds, at the ambient
+    precision, as the sum of the terms m * 2^e does, given as pairs (m, e)
+    with m != 0, when they lie far apart: no int is wider than a cluster of
+    overlapping terms (Demmel-Hida 2003; Rump-Ogita-Oishi 2008).
 
     With the terms sorted by their top bit t = e + bitlen(m), the head is
     the run from the top down to the first term whose top lies g bits below
@@ -381,16 +341,17 @@ def recurrence(c: Sequence, op: str) -> list:
 
     with u = c, or u_i = n c_i cut at z^(n-1).  Each int product, each sum
     and each division by j is one operation of the kind, with its rounding.
-    Real mpf values, ints among them, run on ints (``_fixed``), with every
-    rounding made as mpf arithmetic makes it; only the values returned
+    A series is one kind: ``one_kind`` recasts the ints among its values
+    (ints alone as ``Fraction``s) and refuses a mix of kinds, naming
+    "series".  A finite real mpf series runs on ints (``_fixed``), with
+    every rounding made as mpf arithmetic makes it; only the values returned
     become mpfs.  Past a span of ``_SUM_SPAN`` times the precision, and in
     any other kind, each sum is one ``dot``, binary64 left to right.
     """
+    c = one_kind(c, "series")
     prec = mp.mp.prec
-    reads = read(c)
-    limit = prec - 2 * len(c).bit_length()  # an int times i n stays exact
-    if not (reads and type(reads[0]) is tuple
-            and all(abs(x).bit_length() <= limit for x in c if type(x) is int)):
+    reads = [*map(_pair, c)] if set(map(type, c)) == {mp.mpf} else None
+    if reads and any(e is None for _, e in reads):
         reads = None
     if op != "lagrange":
         return _series(c, reads, None, op == "log", prec, len(c))
@@ -402,16 +363,16 @@ def _series(c: Sequence, reads, n, log: bool, prec: int, keep: int) -> list:
     """The last ``keep`` values of ``recurrence`` on c, or on n c when n is
     set, given the pairs (m, e) of those values as ``reads``, or None."""
     head = c[0] * 0 if log else exp(c[0] if n is None else n * c[0])
-    ok = (len(c) < 2 or type(c[1]) is mp.mpf) if log else type(head) is mp.mpf
-    g = _fixed(reads, head, log, prec) if reads and ok else None
+    g = _fixed(reads, head, log, prec) if reads else None
     if g is None:
         u = c if n is None else [n * x for x in c]
-        rf, g = read(u if log else [i * x for i, x in enumerate(u)]), [head]
-        G = [] if log else read(g)  # -i g_i (log) or g_i, as read
+        f, g, G = (u if log else [i * x for i, x in enumerate(u)]), [head], []
         for j in range(1, len(u)):
-            g.append((dot(G, rf[j - 1:0:-1], start=j * u[j]) if log
-                      else dot(rf[1:j + 1], G[::-1])) / j)
-            G += read([-j * g[j]] if log else g[j:])
+            if log:  # G holds -i g_i for i < j
+                g.append(dot(G, f[j - 1:0:-1], start=j * u[j]) / j)
+                G.append(-j * g[j])
+            else:
+                g.append(dot(f[1:j + 1], g[::-1]) / j)
     return [_rounded(x) if type(x) is tuple else x for x in g[-keep:]]
 
 
@@ -467,12 +428,13 @@ def convolve(a: Sequence, b: Sequence, top: int | None = None, binomial: bool = 
     shorter one's length: past that one ``dot`` per c_k is faster, and a
     limit point at t = 1e308 would ask for ints of gigabits.  Every other
     product is one ``dot`` per c_k with i ascending.  With any mpf or mpc
-    operand, the operands are read once (``read``) and every c_k is an mpf,
-    or an mpc, also where its terms are all ints.  Ints alone give ints; with
-    any ``Fraction``, each operand goes on ints (``integer_scaled``) and each
-    c_k is divided once, to a ``Fraction``.  Exact products keep ``dot``:
-    packed, their binomial weights would need a factorial scaling that widens
-    every slot, and CPython multiplies big ints by Karatsuba, with no FFT.
+    operand every c_k is an mpf, or an mpc, also where its terms are all
+    ints, and a ``Fraction`` operand raises ``TypeError`` (``dot``).  Ints
+    alone give ints; with any ``Fraction``, each operand goes on ints
+    (``integer_scaled``) and each c_k is divided once, to a ``Fraction``.
+    Exact products keep ``dot``: packed, their binomial weights would need a
+    factorial scaling that widens every slot, and CPython multiplies big
+    ints by Karatsuba, with no FFT.
     """
     na, nb = len(a), len(b)
     n_out = na + nb - 1 if top is None else min(top + 1, na + nb - 1)
@@ -480,7 +442,6 @@ def convolve(a: Sequence, b: Sequence, top: int | None = None, binomial: bool = 
     zero = None
     if types & {mp.mpf, mp.mpc}:
         zero = mp.mpc(0) if mp.mpc in types else mp.mpf(0)  # each c_k's start
-        a, b = (a if binomial else read(a)), read(b)
         if not binomial and na and nb and types <= {mp.mpf, int}:
             da, db = _dyadic(a[:n_out]), _dyadic(b[:n_out])
             if da and db and da[2] + db[2] <= _pack_span(min(len(da[0]), len(db[0]))):
@@ -509,11 +470,11 @@ def _pack_span(n: int) -> int:
 
 
 def _dyadic(values: Sequence) -> tuple | None:
-    """Real mpf or int values, or their reads, v_i = m_i 2^(e_i) as the
-    pairs (m_i, e_i), then e0, the least exponent of a nonzero value, and the
-    span, the bit length of the largest m_i 2^(e_i - e0): the dyadic
-    counterpart of ``integer_scaled``, shifted onto 2^e0 only once the span
-    is accepted.  None when a value is inf or nan."""
+    """Real mpf or int values v_i = m_i 2^(e_i) as the pairs (m_i, e_i),
+    then e0, the least exponent of a nonzero value, and the span, the bit
+    length of the largest m_i 2^(e_i - e0): the dyadic counterpart of
+    ``integer_scaled``, shifted onto 2^e0 only once the span is accepted.
+    None when a value is inf or nan."""
     pairs = [_pair(x) for x in values]
     if any(e is None for _, e in pairs):
         return None

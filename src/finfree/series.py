@@ -12,10 +12,10 @@ block-size profiles; ``partitions.block_sum`` is that walk, kept as the
 literal oracle of both.  The same two operations carry Lagrange inversion
 (``freelimits``): a power phi^n of a series is exp(n log phi).  A series
 has no sum or product of its own.  Coefficients may be exact rationals, mpf
-or binary64 values; ``exp`` and ``log`` hand them to one kernel,
-``scalars.recurrence``, which runs real mpf series on ints, each sum exact
-and rounded once as mpf arithmetic rounds it, and every other kind by
-``scalars.dot``.
+or binary64 values, one kind per series (ints among them are recast in it);
+``exp`` and ``log`` hand them to one kernel, ``scalars.recurrence``, which
+runs real mpf series on ints, each sum exact and rounded once as mpf
+arithmetic rounds it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .scalars import recurrence
+from .scalars import one_kind, recurrence
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,10 @@ class PowerSeries:
 
     @classmethod
     def egf(cls, values: Sequence) -> "PowerSeries":
-        """sum_j values[j] z^j / j!, of order len(values) - 1.
-
-        Exact values must be ``Fraction``s: an int divided by j! is a float.
-        """
-        return cls(tuple(v / math.factorial(j) for j, v in enumerate(values)))
+        """sum_j values[j] z^j / j!, of order len(values) - 1, in the one
+        kind of the values (``one_kind``: ints alone give ``Fraction``s)."""
+        return cls(tuple(v / math.factorial(j)
+                         for j, v in enumerate(one_kind(values, "series"))))
 
     def coeff(self, j: int):
         return self.coeffs[j] if j <= self.order else self.coeffs[0] * 0

@@ -608,6 +608,14 @@ class TestExitCodes:
         code, _, _ = run(capsys, "limit", "--config", "/nonexistent/cfg.json")
         assert code == 2
 
+    def test_precision_below_1_exit_2(self, capsys):
+        # refused at the edge, where a command that reads no digits ignored it
+        for digits in ("-3", "0"):
+            for argv in (("cumulants", "--p", '{"roots": [0.5, 1.5]}'),
+                         ("partitions", "--n", "3")):
+                code, out, err = run(capsys, "--precision", digits, *argv)
+                assert code == 2 and out == "" and "--precision must be positive" in err
+
 
 def test_cli_import_leaves_numpy_unloaded():
     # a fresh interpreter, so modules imported by other tests do not count

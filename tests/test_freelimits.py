@@ -56,6 +56,33 @@ class TestPowerSeries:
                 assert PowerSeries(u).exp().coeffs == tuple(exp_literal(u, 1.0))
                 assert PowerSeries(a).log().coeffs == tuple(log_literal(a))
 
+    @pytest.mark.parametrize("x, types", [
+        (Fraction(1, 3), {Fraction}), (0.25, {float}), (0.5 - 0.25j, {float, complex}),
+        (mp.mpf(1) / 3, {mp.mpf}), (mp.mpc(1, 2) / 3, {mp.mpf, mp.mpc})])
+    def test_a_series_is_one_kind(self, x, types):
+        """Ints among the values of a series are recast in its kind, so exp,
+        log and the Lagrange step return values of that kind only (a complex
+        series keeps its real head); ints alone are exact."""
+        with mp.workdps(30):
+            for got in (PowerSeries((0, x, 3, -x, 2)).exp().coeffs,
+                        PowerSeries((1, x, 2, -x, -1)).log().coeffs,
+                        lagrange_cumulants(PowerSeries((2, x, -1, x, 1)), 5, 30)):
+                assert set(map(type, got)) == types, got
+        for got in (PowerSeries((0, 1, 3)).exp().coeffs, PowerSeries((1, 2, -1)).log().coeffs,
+                    lagrange_cumulants(PowerSeries((2, 1, -1)), 3), PowerSeries.egf([1, 2, 3]).coeffs):
+            assert set(map(type, got)) == {Fraction}, got
+        assert PowerSeries.egf([1, 2, 3]).coeffs == (1, 2, Fraction(3, 2))
+
+    def test_ints_beside_mpf_values_are_mpfs(self):
+        with mp.workdps(50):
+            g1 = PowerSeries((mp.mpf(1), 2 ** 60 + 1, mp.mpf(2))).log().coeffs[1]
+            assert type(g1) is mp.mpf and g1 == 2 ** 60 + 1
+            g0 = PowerSeries((0, mp.mpf(1), 3)).exp().coeffs[0]
+            assert type(g0) is mp.mpf and g0 == 1
+            for op in (PowerSeries.exp, PowerSeries.log):
+                with pytest.raises(TypeError, match="series: mixed scalar kinds"):
+                    op(PowerSeries((1, Fraction(1, 3), mp.mpf(2))))
+
     @pytest.mark.parametrize("digits", [15, 50, 120])
     def test_mpf_matches_exact_sum_literals_bit_for_bit(self, digits, monkeypatch):
         """exp, log and both Lagrange steps on real mpf series equal the

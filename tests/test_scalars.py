@@ -9,7 +9,7 @@ import pytest
 
 from finfree import scalars
 from finfree.scalars import (convolve, differences, dot, exp, format_scalar, integer_scaled,
-                             integer_weights, one_kind, read, to_mpf)
+                             integer_weights, one_kind, to_mpf)
 
 
 class TestExp:
@@ -99,22 +99,20 @@ class TestDot:
 
     @staticmethod
     def assert_exact(xs, ys, start=None, want=None):
-        """dot, on the values and on their reads, is the exact sum rounded
-        once (``want``, or else from the exact sum), in kind, and allocates
-        under 1 MiB."""
+        """dot is the exact sum rounded once (``want``, or else from the
+        exact sum), in kind, and allocates under 1 MiB."""
         if want is None:
             cplx = any(isinstance(v, mp.mpc) for v in (*xs, *ys, start))
             terms = list(zip(xs, ys)) + ([] if start is None else [(start, 1)])
             want = _exact_rounded(terms, cplx)
-        for x, y in ((xs, ys), (read(xs), read(ys))):
-            tracemalloc.start()
-            try:
-                got = dot(x, y, start)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert type(got) is type(want) and got == want, (got, want)
-            assert peak < 2 ** 20
+        tracemalloc.start()
+        try:
+            got = dot(xs, ys, start)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(got) is type(want) and got == want, (got, want)
+        assert peak < 2 ** 20
 
     def test_mpf_is_the_exact_sum_rounded_once(self):
         one, two = mp.mpf(1), mp.mpf(2)
@@ -160,18 +158,19 @@ class TestDot:
                               start=-huge * i)
             self.assert_exact([1 + i, 2], [1 - i, 0.5])
 
-    def test_read_operands(self):
-        with mp.workdps(30):
-            third = mp.mpf(1) / 3
-            man, exp = third.man_exp
-            assert read([third, -2, mp.mpf(0)]) == [(man, exp), (-2, 0), (0, 0)]
-            # with no mpf, or with an mpc, an inf or a nan, the values come back
-            for values in ([1, 2], [Fraction(1, 3)], [third, mp.mpc(1, 1)], [third, mp.inf],
-                           [mp.nan], [0.5, third]):
-                assert read(values) == values
-            # a read operand alone gives an mpf
-            got = dot(read([mp.mpf(2), 3]), [4, 5])
-            assert type(got) is mp.mpf and got == 23
+    def test_fraction_among_mp_terms_is_refused(self):
+        # no exact read of 39 at 4 bits: rounded first toward zero to 36, the
+        # sum would come back as 36, where the exact 40 is representable
+        with mp.workprec(4):
+            with pytest.raises(TypeError, match=r"dot: mixed scalar kinds \['exact', 'mpf'\]"):
+                dot([mp.mpf(1)], [mp.mpf(1)], start=Fraction(39))
+            for xs, ys in (([mp.mpf(1), Fraction(1, 3)], [1, 1]), ([mp.mpc(1, 1)], [Fraction(1, 3)])):
+                with pytest.raises(TypeError, match="mixed scalar kinds"):
+                    dot(xs, ys)
+            # ints and floats are read exactly: 39 = 1 + 38 rounds once, to 40
+            for start in (38, 38.0):
+                got = dot([mp.mpf(1)], [mp.mpf(1)], start=start)
+                assert type(got) is mp.mpf and got == 40
 
     def test_non_finite_terms(self):
         with mp.workdps(30):
@@ -181,7 +180,7 @@ class TestDot:
             assert got == _exact_rounded([(third, 3), (1, mp.ldexp(mp.mpf(1), -400))])
             assert dot([inf, third], [-2, 3]) == -inf
             assert dot([third], [3], start=inf) == inf
-            assert dot(read([third]), [3], start=-inf) == -inf
+            assert dot([third], [3], start=-inf) == -inf
             assert mp.isnan(dot([inf, inf], [1, -1]))
             assert mp.isnan(dot([mp.nan, third], [1, 1]))
             assert dot([mp.mpc(inf, 0), 1], [1, 1]) == mp.mpc(inf, 0)
@@ -567,6 +566,12 @@ class TestConvolve:
                 assert got[-1] == 2
             got = convolve([mp.mpc(1, 1), 1], [1, 1])
             self.assert_same(got, [mp.mpc(1, 1), mp.mpc(2, 1), mp.mpc(1)])
+
+    def test_fraction_beside_mp_operand_is_refused(self):
+        with mp.workdps(30):
+            for binomial in (False, True):
+                with pytest.raises(TypeError, match="mixed scalar kinds"):
+                    convolve([mp.mpf(1), 1], [Fraction(1, 3)], binomial=binomial)
 
     def test_zero_operand_and_non_finite_values(self, monkeypatch):
         calls = self.record_packing(monkeypatch)

@@ -8,13 +8,14 @@ outside its definition, in another finfree module (re-exports in
 Underscored names, dunders among them, are exempt.  A public name that
 nothing else needs is dead surface.
 
-mpmath's internal representation, the raw mpf and mpc tuples and
-``mpmath.libmp``, is read in ``scalars`` alone, the one scalar layer, which
-alone names ``nstr``, behind its one decimal printer; and no module names
-``fsum`` or ``fdot``: ``scalars.dot`` is the one sum kernel.
+mpmath's internal representation, the raw mpf and mpc tuples, their
+public accessor ``man_exp`` and ``mpmath.libmp``, is read in ``scalars``
+alone, the one scalar layer, which alone names ``nstr``, behind its one
+decimal printer; and no module names ``fsum`` or ``fdot``: ``scalars.dot``
+is the one sum kernel.
 ``partitions`` names no scalar kind and no ``dot``: the kind decision of its
-literal sums lives in ``scalars``.  ``series`` names neither ``dot`` nor
-``read``: every series coefficient goes through the one series kernel,
+literal sums lives in ``scalars``.  ``series`` names no ``dot``: every
+series coefficient goes through the one series kernel,
 ``scalars.recurrence``.  Outside ``scalars`` and ``polycalc`` no module
 names ``kind_of`` or a kind constant: a caller reads a value list's kind
 through ``scalars.one_kind`` and opens its precision scope by digits alone.
@@ -88,9 +89,10 @@ def test_every_public_name_is_used():
     assert set(EXEMPT) <= defined, f"stale exemptions: {set(EXEMPT) - defined}"
 
 
-# mpmath's internal representation: the raw tuples and the low-level library;
-# and its decimal printer, which ``scalars.format_scalar`` stands in front of
-MPMATH_INTERNALS = {"_mpf_", "_mpc_", "libmp", "nstr"}
+# mpmath's internal representation: the raw tuples, the accessor that reads
+# an mpf as mantissa and exponent, and the low-level library; and its decimal
+# printer, which ``scalars.format_scalar`` stands in front of
+MPMATH_INTERNALS = {"_mpf_", "_mpc_", "man_exp", "libmp", "nstr"}
 
 
 def _names(path: Path):
@@ -114,9 +116,10 @@ def _names(path: Path):
 
 
 def test_mpmath_internals_stay_in_scalars():
-    """Only ``scalars`` reads mpf and mpc values as tuples, calls
-    ``mpmath.libmp`` or names ``nstr``: every other module goes through the
-    one scalar layer, and prints through ``format_scalar``."""
+    """Only ``scalars`` reads mpf and mpc values as tuples or as mantissa
+    and exponent, calls ``mpmath.libmp`` or names ``nstr``: every other
+    module goes through the one scalar layer, and prints through
+    ``format_scalar``."""
     found = [f"{path.stem}:{line}: {name}"
              for path in sorted((ROOT / "src" / "finfree").glob("*.py")) if path.name != "scalars.py"
              for line, name in _names(path) if name in MPMATH_INTERNALS]
@@ -146,9 +149,9 @@ def test_partitions_leave_the_kind_to_scalars():
 def test_series_coefficients_go_through_the_scalars_kernel():
     """``PowerSeries.exp`` and ``log`` hand their coefficients to
     ``scalars.recurrence``, which runs real mpf series on ints and every
-    other kind through ``dot``: ``series`` names neither ``dot`` nor ``read``."""
+    other kind through ``dot``: ``series`` names no ``dot``."""
     path = ROOT / "src" / "finfree" / "series.py"
-    found = [f"series:{line}: {name}" for line, name in _names(path) if name in ("dot", "read")]
+    found = [f"series:{line}: {name}" for line, name in _names(path) if name == "dot"]
     assert not found, f"sums outside the series kernel: {found}"
 
 
