@@ -25,7 +25,7 @@ import mpmath as mp
 
 from .errors import RootConvergenceError
 from .scalars import (DEFAULT_DIGITS, EXACT, FLOAT64, MPF, binom, common_kind, convolve, dot,
-                      exp, format_scalar, one_kind, to_mpf)
+                      exp, format_scalar, one_kind, product_tree, to_mpf)
 from .series import PowerSeries
 
 _ROOT_MAX_ITER = 200
@@ -76,24 +76,20 @@ class MonicPoly:
     def from_roots(cls, roots: Sequence, digits: int = DEFAULT_DIGITS) -> "MonicPoly":
         """Expand the root multiset into coefficients.
 
-        prod (x - lam) is taken by a balanced product tree: the linear
-        factors are multiplied pairwise, each merge one ``convolve``.  Exact
-        when the roots are rational; mpf roots are expanded at ``digits + 10``
-        and binary64 roots at 30 digits, each rounded once at the end to its
-        kind.  Each mpf coefficient of a merge is rounded once from its
-        exact value: a merge of real mpf factors is one big-int multiply,
-        and it keeps one ``dot`` per coefficient where the spans of its
-        factors add up to more than prec + 128 bitlen(n) bits (n the shorter
-        factor's length), as with roots of magnitudes far apart, or where a
-        factor is complex.
+        prod (x - lam) is taken by a balanced product tree
+        (``scalars.product_tree``).  Exact when the roots are rational; mpf
+        roots are expanded at ``digits + 10`` and binary64 roots at 30
+        digits, each rounded once at the end to its kind.  Each mpf
+        coefficient of a merge is rounded once from its exact value, and
+        real mpf merges stay on ints, as rounded pairs, up to the last one.
         """
         roots = tuple(roots)
         kind = common_kind(roots, "from_roots")
         if kind == EXACT:
-            return cls(_product_tree(roots, Fraction(1)), roots=roots)
+            return cls(product_tree(roots, Fraction(1)), roots=roots)
         wide = digits + 10 if kind == MPF else 30
         with mp.workdps(wide):
-            hi = _product_tree([to_mpf(r, wide) for r in roots], mp.mpf(1))
+            hi = product_tree([to_mpf(r, wide) for r in roots], mp.mpf(1))
         with mp.workdps(digits):
             coeffs = tuple(+c if kind == MPF else complex(c) if isinstance(c, mp.mpc) else float(c)
                            for c in hi)
@@ -132,16 +128,6 @@ def _expand(roots: Sequence, one) -> tuple:
             nxt.append(prev - lam * coeffs[i - 1])
         coeffs = nxt
     return tuple(coeffs)
-
-
-def _product_tree(roots: Sequence, one) -> tuple:
-    """Coefficients of prod (x - lam) in the kind of ``one``, by merging
-    neighbouring factors pairwise; an odd one out waits for the next round."""
-    polys = [(one, -lam * one) for lam in roots]
-    while len(polys) > 1:
-        merged = [convolve(a, b) for a, b in zip(polys[::2], polys[1::2])]
-        polys = merged + polys[len(merged) * 2:]
-    return polys[0]
 
 
 # ---------------------------------------------------------------------------

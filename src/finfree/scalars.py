@@ -16,13 +16,13 @@ exponential (``exp``), the dot product under every mp sum (``dot``, for mp
 terms one exact integer accumulator rounded once), the series recurrences
 exp, log and the Lagrange step (``recurrence``, on ints for real mpf series),
 the one coefficient product, truncated or binomial (``convolve``, one big-int
-multiply for real mpf operands), conversion into mpmath (``to_mpf``),
-printing (``format_scalar``), the common denominator that puts exact
-values on ints (``integer_scaled``) and the unit that puts block weights on
-ints and takes their sum back to its kind once (``integer_weights``).  This
-is the one module that reads mpf values as their mantissa and exponent, each
-where it is summed: every mpf sum of products it returns is the exact sum
-rounded once.
+multiply for real mpf operands) and the root product tree on it
+(``product_tree``, on ints between real mpf merges), conversion into mpmath
+(``to_mpf``), printing (``format_scalar``), the common denominator putting
+exact values on ints (``integer_scaled``) and the unit putting block weights
+on ints and taking their sum back to its kind once (``integer_weights``).
+It alone reads mpf values as mantissa and exponent, each where it is
+summed: every mpf sum of products is the exact sum rounded once.
 """
 
 from __future__ import annotations
@@ -416,7 +416,8 @@ def _fixed(reads: list, head, log: bool, prec: int) -> list | None:
 def convolve(a: Sequence, b: Sequence, top: int | None = None, binomial: bool = False) -> tuple:
     """c_k = sum_{i+j=k} a_i b_j for k <= top (default: the full product);
     ``binomial`` weights each term by C(k, i), formed in kind as C(k, i) * a_i:
-    the product of exponential generating functions.
+    the product of exponential generating functions.  An empty operand gives
+    the empty product, ().
 
     The route is read from the operands, with no option.  A product of real
     mpf operands (ints allowed among them) is packed: each operand goes on
@@ -431,53 +432,92 @@ def convolve(a: Sequence, b: Sequence, top: int | None = None, binomial: bool = 
     operand every c_k is an mpf, or an mpc, also where its terms are all
     ints, and a ``Fraction`` operand raises ``TypeError`` (``dot``).  Ints
     alone give ints; with any ``Fraction``, each operand goes on ints
-    (``integer_scaled``) and each c_k is divided once, to a ``Fraction``.
-    Exact products keep ``dot``: packed, their binomial weights would need a
-    factorial scaling that widens every slot, and CPython multiplies big
-    ints by Karatsuba, with no FFT.
+    (``integer_scaled``) and each c_k is divided once, to a ``Fraction``;
+    either way each c_k is one sum of int products.  In every kind the
+    weights C(k, i) are the ints of a running Pascal row (row k + 1 is row k
+    added to itself shifted by one).  Exact products are not packed: by
+    exponential generating functions they win only on Laguerre-like inputs.
     """
     na, nb = len(a), len(b)
+    if not (na and nb):
+        return ()
     n_out = na + nb - 1 if top is None else min(top + 1, na + nb - 1)
     types = {*map(type, a), *map(type, b)}
     zero = None
     if types & {mp.mpf, mp.mpc}:
         zero = mp.mpc(0) if mp.mpc in types else mp.mpf(0)  # each c_k's start
-        if not binomial and na and nb and types <= {mp.mpf, int}:
+        if not binomial and types <= {mp.mpf, int}:
             da, db = _dyadic(a[:n_out]), _dyadic(b[:n_out])
-            if da and db and da[2] + db[2] <= _pack_span(min(len(da[0]), len(db[0]))):
-                return _kronecker(da, db, n_out)
-    exact = Fraction in types and types <= {int, Fraction}
-    if exact:
+            if _packs(da, db):
+                return tuple(map(_rounded, _kronecker(da, db, n_out)))
+    exact = types <= {int, Fraction}
+    if exact and Fraction in types:
         (a, Da), (b, Db) = integer_scaled(a), integer_scaled(b)
-    rb = b[::-1]
-    out = []
+    rb, row, out = b[::-1], [1], []
     for k in range(n_out):
         lo = max(0, k - nb + 1)
-        xs = a[lo:k + 1]
+        xs, ys = a[lo:k + 1], rb[nb - 1 - k + lo:na + nb - 1 - k]  # rb[nb-1-j] is b_j
         if binomial:
-            xs = [math.comb(k, i) * x for i, x in enumerate(xs, start=lo)]
-        out.append(dot(xs, rb[nb - 1 - k + lo:na + nb - 1 - k], zero))  # rb[nb-1-j] is b_j
-    return tuple(Fraction(c, Da * Db) for c in out) if exact else tuple(out)
+            xs = [*map(operator.mul, row[lo:], xs)]
+            row = [1, *map(operator.add, row, row[1:]), 1]
+        out.append(sum(map(operator.mul, xs, ys)) if exact else dot(xs, ys, zero))
+    return tuple(Fraction(c, Da * Db) for c in out) if Fraction in types else tuple(out)
+
+
+def product_tree(roots: Sequence, one) -> tuple:
+    """Coefficients of prod (x - lam) in the kind of ``one``, by a balanced
+    product tree (von zur Gathen-Gerhard, Modern Computer Algebra, 10.1):
+    neighbouring factors merge pairwise, and an odd one out waits for the
+    next round.  Each merge gives what ``convolve`` gives, but a packed
+    merge keeps its coefficients as the list of their rounded pairs
+    (``_kronecker``), which the next merge packs as they are; only the final
+    coefficients become mpfs.  A merge past ``_pack_span``, or with a
+    complex factor, is ``convolve`` on values, the ``dot`` route."""
+    polys = [(one, -lam * one) for lam in roots]
+    while len(polys) > 1:
+        merged = [_merge(a, b) for a, b in zip(polys[::2], polys[1::2])]
+        polys = merged + polys[len(merged) * 2:]
+    return _values(polys[0])
+
+
+def _merge(a, b):
+    """The product of two factors of ``product_tree``, each a tuple of values
+    or a list of pairs, packed when both are real mpf and their spans allow."""
+    da, db = (_spanned(x) if type(x) is list else _dyadic(x) if {*map(type, x)} == {mp.mpf}
+              else None for x in (a, b))
+    if _packs(da, db):
+        return _kronecker(da, db, len(a) + len(b) - 1)
+    return convolve(_values(a), _values(b))
+
+
+def _values(poly) -> tuple:
+    return tuple(map(_rounded, poly)) if type(poly) is list else poly  # exact: pairs are rounded
+
+
+def _packs(da, db) -> bool:
+    """Whether two ``_dyadic`` operands, each None past inf or nan, go packed."""
+    return bool(da and db) and da[2] + db[2] <= _pack_span(min(len(da[0]), len(db[0])))
 
 
 def _pack_span(n: int) -> int:
     """The widest packed product, in bits of its two operands' spans added
-    up, when the shorter operand holds n values: prec + 128 bitlen(n).  That
-    follows the crossover against ``dot`` measured at 103, 203 and 435 bits
-    of precision for n from 2 to 201 (ROADMAP item 4); past it one ``dot``
-    per c_k is faster."""
-    return mp.mp.prec + 128 * n.bit_length()
+    up, when the shorter operand holds n values.  Below it packing beat one
+    ``dot`` per c_k at 103 to 700 bits of precision for n from 2 to 201; at
+    1000 bits it lost at 1280 + 128 bitlen(n) for n from 5 to 33 (ROADMAP.md)."""
+    return max(mp.mp.prec, 1024) + 128 * n.bit_length()
 
 
 def _dyadic(values: Sequence) -> tuple | None:
-    """Real mpf or int values v_i = m_i 2^(e_i) as the pairs (m_i, e_i),
-    then e0, the least exponent of a nonzero value, and the span, the bit
-    length of the largest m_i 2^(e_i - e0): the dyadic counterpart of
-    ``integer_scaled``, shifted onto 2^e0 only once the span is accepted.
-    None when a value is inf or nan."""
-    pairs = [_pair(x) for x in values]
-    if any(e is None for _, e in pairs):
-        return None
+    """Real mpf or int values v_i = m_i 2^(e_i) as ``_spanned`` pairs
+    (m_i, e_i): the dyadic counterpart of ``integer_scaled``, shifted onto
+    2^e0 only once the span is accepted.  None when a value is inf or nan."""
+    pairs = [*map(_pair, values)]
+    return None if any(e is None for _, e in pairs) else _spanned(pairs)
+
+
+def _spanned(pairs: list) -> tuple:
+    """The pairs, then e0, the least exponent of a nonzero value, and the
+    span, the bit length of the largest |m_i| 2^(e_i - e0)."""
     live = [(e, e + m.bit_length()) for m, e in pairs if m]
     if not live:
         return pairs, 0, 0
@@ -485,10 +525,11 @@ def _dyadic(values: Sequence) -> tuple | None:
     return pairs, e0, max(t for _, t in live) - e0
 
 
-def _kronecker(da: tuple, db: tuple, n_out: int) -> tuple:
+def _kronecker(da: tuple, db: tuple, n_out: int) -> list:
     """The first ``n_out`` coefficients of the product of two ``_dyadic``
     operands by one big-int multiply (Kronecker substitution), each the exact
-    sum rounded once at the ambient precision.
+    sum rounded once at the ambient precision (``_round``), as the pair
+    (m, e) of the mpf it rounds to: m odd, or (0, 0).
 
     Each operand goes on the ints m_i 2^(e_i - e0), all below 2^span.  Every
     c_k is a sum of at most min(len) products of such ints, so a slot of
@@ -510,9 +551,12 @@ def _kronecker(da: tuple, db: tuple, n_out: int) -> tuple:
     nbytes = width * n_out
     c = pack(pa, ea) * pack(pb, eb) + int.from_bytes(unit * n_out, "little")
     raw = (c & ((1 << (8 * nbytes)) - 1)).to_bytes(nbytes, "little")
-    e = ea + eb
-    return tuple(mp.mpf((int.from_bytes(raw[i:i + width], "little") - half, e))
-                 for i in range(0, nbytes, width))
+    e, prec, out = ea + eb, mp.mp.prec, []
+    for i in range(0, nbytes, width):
+        m, x = _round(int.from_bytes(raw[i:i + width], "little") - half, e, prec)
+        z = (m & -m).bit_length() - 1  # trailing zeros; -1 for m = 0
+        out.append((m >> z, x + z) if m else (0, 0))
+    return out
 
 
 def format_scalar(x, digits: int = DEFAULT_DIGITS) -> str:

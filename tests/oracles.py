@@ -399,6 +399,20 @@ def boxplus_literal(ap, aq) -> list:
     return out
 
 
+def product_tree_per_merge(roots, one) -> tuple:
+    """prod (x - lam) by the balanced product tree as it merged before its
+    real mpf factors stayed on ints: one public ``convolve`` per merge, and
+    each merge's coefficients held as values (mpfs for mpf roots) until the
+    next one."""
+    from finfree.scalars import convolve
+
+    polys = [(one, -lam * one) for lam in roots]
+    while len(polys) > 1:
+        merged = [convolve(a, b) for a, b in zip(polys[::2], polys[1::2])]
+        polys = merged + polys[len(merged) * 2:]
+    return polys[0]
+
+
 # Per-entry formulas of the special families, one entry at a time, against
 # which the column builders are pinned.
 

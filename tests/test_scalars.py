@@ -11,6 +11,8 @@ from finfree import scalars
 from finfree.scalars import (convolve, differences, dot, exp, format_scalar, integer_scaled,
                              integer_weights, one_kind, to_mpf)
 
+from .oracles import product_tree_per_merge
+
 
 class TestExp:
     def test_exact_zero_is_exact_one(self):
@@ -472,6 +474,21 @@ class TestConvolve:
                         for binomial in (False, True):
                             self.assert_same(convolve(a, b, top, binomial=binomial),
                                              convolve_literal(a, b, top, binomial))
+            # the Pascal row of the binomial weights runs past the short cases
+            for kind, na, nb, top in (("fraction", 201, 101, 200), ("int", 41, 41, None),
+                                      ("mpf", 41, 41, None)):
+                a, b = self.operands(rng, kind, na), self.operands(rng, kind, nb)
+                self.assert_same(convolve(a, b, top, binomial=True),
+                                 convolve_literal(a, b, top, True))
+
+    def test_an_empty_operand_gives_the_empty_product(self):
+        with mp.workdps(30):
+            for x in ([1, 2, 3], [Fraction(1, 3)], [1.0, 2.0], [1j], [mp.mpf(2), 1], [mp.mpc(1, 1)]):
+                for top in (None, 0, 5):
+                    for binomial in (False, True):
+                        assert convolve(x, [], top, binomial) == ()
+                        assert convolve([], x, top, binomial) == ()
+            assert convolve([], []) == ()
 
     def test_exact_kinds(self):
         rng = random.Random(2025)
@@ -498,6 +515,16 @@ class TestConvolve:
             return pack(da, db, n_out)
         monkeypatch.setattr(scalars, "_kronecker", recorder)
         return calls
+
+    def test_packed_pairs_read_as_their_mpfs(self):
+        # m odd or (0, 0), so the spans of packed pairs, and the routes they take, are the mpfs'
+        rng = random.Random(2031)
+        with mp.workdps(30):
+            cases = [([mp.mpf(2), mp.mpf(12), mp.mpf(0)], [mp.mpf(4), mp.mpf(1)])]
+            cases += [(self.operands(rng, "mpf", n), self.operands(rng, "mpf", n)) for n in (2, 9, 40)]
+            for a, b in cases:
+                pairs = scalars._kronecker(scalars._dyadic(a), scalars._dyadic(b), len(a) + len(b) - 1)
+                assert pairs == [scalars._pair(c) for c in convolve_literal(a, b)]
 
     def test_packed_lengths_match_the_double_loop(self, monkeypatch):
         calls = self.record_packing(monkeypatch)
@@ -632,6 +659,57 @@ class TestConvolve:
             # which then cancels; mp.fdot drops it and returns 0
             assert dot(a, b[::-1]) == mp.ldexp(mp.mpf(1), -300)
         assert len(calls) == 1
+
+
+class TestProductTree:
+    """``product_tree`` against the tree it replaces, which held every merge's
+    coefficients as values (``product_tree_per_merge``), bit for bit."""
+
+    @staticmethod
+    def bits(values) -> list:
+        return [(type(v), getattr(v, "_mpf_", None) or getattr(v, "_mpc_", None) or v)
+                for v in values]
+
+    @staticmethod
+    def root_sets(digits) -> dict:
+        rng = random.Random(400 + digits)
+        sets = {"narrow": [mp.mpf(rng.uniform(0.05, 1)) for _ in range(400)]}
+        rng = random.Random(401)  # the draws of the wide pin in test_polycalc
+        sets["wide"] = [mp.mpf(10) ** rng.uniform(-30, 30) for _ in range(400)]
+        third = mp.mpf(-1) / 3
+        sets["zero, negative, repeated"] = [mp.mpf(0), third, third, mp.mpf(2) / 7, mp.mpf(0),
+                                            -mp.mpf(5), third, mp.mpf(0), mp.mpf(1) / 9]
+        sets["ints among mpfs"] = [3, mp.mpf(1) / 3, -2, mp.mpf(-5) / 7, 0, mp.mpf(2) / 11, 7]
+        for n in (1, 2, 3, 5):
+            sets[f"{n} roots"] = [mp.mpf(rng.uniform(-2, 2)) / 3 for _ in range(n)]
+        sets["binary64"] = [rng.uniform(-2, 2) for _ in range(40)]
+        sets["complex"] = ([mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(6)]
+                           + [mp.mpf(rng.uniform(-1, 1)) for _ in range(9)] + [0.5 - 0.25j])
+        return sets
+
+    def test_matches_the_per_merge_tree_bit_for_bit(self, monkeypatch):
+        packed, pack = [], scalars._kronecker
+
+        def recorder(*args):
+            packed.append(1)
+            return pack(*args)
+        monkeypatch.setattr(scalars, "_kronecker", recorder)
+        for digits in (15, 50, 120):
+            with mp.workdps(digits):
+                for name, roots in self.root_sets(digits).items():
+                    want = self.bits(product_tree_per_merge(roots, mp.mpf(1)))
+                    routes, packed[:] = len(packed), []
+                    got = scalars.product_tree(roots, mp.mpf(1))
+                    assert type(got) is tuple and self.bits(got) == want, (digits, name)
+                    # the same merges packed: the pairs kept between merges span as mpfs do
+                    assert len(packed) == routes, (digits, name)
+                    if name == "wide" and digits == 50:
+                        assert 0 < routes < len(roots) - 1  # packed and dot merges both ran
+                    packed.clear()
+        roots = [Fraction(1, 3), -2, Fraction(5, 7), 0, Fraction(-1, 4)]
+        for one in (1, Fraction(1)):
+            got = scalars.product_tree(roots, one)
+            assert self.bits(got) == self.bits(product_tree_per_merge(roots, one))
 
 
 class TestSeriesRoundings:
