@@ -11,8 +11,8 @@ sum_j atilde_j z^j / j! (see ``series``), and the transform is
 
     kappa_n = (-d)^(n-1) * n * [z^n] log sum_j atilde_j z^j / j!.
 
-The literal sum over P(n), ``partitions.block_sum``, is kept as the
-cross-checking path.  The inverse is the matching series exp.
+The literal sum over P(n) by block-size profile, ``partitions.block_sum``,
+is kept as the cross-checking path.  The inverse is the matching series exp.
 
 The sum cancels to O(d^-(n-1)) against O(1) terms for the exponential
 families; ``experiments.working_digits`` adds the (n-1)*log10(d) digits lost.
@@ -70,7 +70,7 @@ def cumulants_from_atilde(d: int, atilde: Sequence, n_max: int,
     """kappa_1..kappa_n_max from atilde_0..atilde_n_max (or longer).
 
     ``grouped=True`` takes the series log of the atilde generating function;
-    ``grouped=False`` enumerates P(n) literally (cross-check path).
+    ``grouped=False`` sums P(n) literally, by block-size profile (cross-check).
     """
     if n_max > d:
         raise ValueError(f"kappa_n needs n <= d, got n={n_max}, d={d}")

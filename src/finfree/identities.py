@@ -6,7 +6,7 @@ The central object is the alternating partition sum
         prod_i ( sum over blocks V of f_i(|V|) ) * mu(pi, 1_n)
 
 for polynomials f_i with zero constant term.  This module evaluates it three
-ways: literally over P(n) (``s_bruteforce``, the capped oracle), through
+ways: by block-size profile (``s_bruteforce``, the capped oracle), through
 forward differences of the products prod_{i in B} f_i(l) and Mobius
 inversion over P(k) (``s_mobius_route``, at any n), and by the closed form
 valid at the critical order n = sum(deg f_i) - (k-1) (``s_closed_form``).
@@ -24,7 +24,7 @@ from typing import Sequence
 
 import mpmath as mp
 
-from .partitions import block_sum, mobius_top, partition_masks
+from .partitions import block_profiles, block_sum, mobius_top, partition_masks
 from .scalars import (DEFAULT_DIGITS, binom, common_kind, convolve, differences, exp,
                       integer_scaled)
 
@@ -102,16 +102,15 @@ def _check_input(fs: Sequence[ZeroConstPoly], n: int) -> None:
 
 
 def s_bruteforce(fs: Sequence[ZeroConstPoly], n: int) -> Fraction:
-    """The literal partition sum, exactly."""
+    """The literal partition sum, exactly, one term per block-size profile."""
     _check_input(fs, n)
-    lattice = partition_masks(n)  # refuses before the tables are built
+    profiles = block_profiles(n)  # refuses before the tables are built
     # per-size values of each f_i as ints over its denominator D_i: each factor
     # sum_V f_i(|V|) is then D_i times its value, and each term prod_i D_i times
     tables, scale = zip(*(integer_scaled([f(s) for s in range(n + 1)]) for f in fs))
     total = 0
-    for pi in lattice:
-        sizes = [mask.bit_count() for mask in pi]
-        term = mobius_top(len(pi))
+    for sizes, ways in profiles.items():
+        term = ways * mobius_top(len(sizes))
         for tab in tables:
             term *= sum(tab[s] for s in sizes)
         total += term
@@ -172,7 +171,7 @@ def faa_di_bruno_exp(derivs: Sequence, u0, n: int):
 
     ``derivs[j-1]`` must hold the j-th derivative of u at the point; the
     result is  (sum over partitions pi of [n] of prod_V derivs[|V|-1]) *
-    exp(u0), the sum taken by ``block_sum``.  exp(u0) is taken in the kind
+    exp(u0), summed by profile in ``block_sum``.  exp(u0) is taken in the kind
     of u0, so an exact u0 must be 0.  The sum, exp(u0) and their product are
     worked in the common kind of ``derivs`` and u0, mpf at ``DEFAULT_DIGITS``.
     """

@@ -8,14 +8,14 @@ interval-join tuple families together with their closed-form counterparts.
 
 A partition is encoded as a tuple of block bitmasks (bit x-1 for element x),
 ordered by their minimum; one walk (``partition_masks``) yields P(n) in that
-encoding, and every sum and count here reads it: block sizes are
+encoding, and the join sums and the counts here read it: block sizes are
 ``int.bit_count``, and a family joins to 1_n when its block masks fold into
 one component covering [n].  That fold (``_fold``) is the one connectivity
 test: ``_joins_to_top`` applies it to one family, ``join_sum`` and the
 tuple-family counts to states: they sum the tuples level by level by the
 state their prefixes reach (``_count_states``), the components folded so far
-(the union, for the covering count), not tuple by tuple.  The identity
-oracles of ``identities`` read the same tuples through ``partition_masks``.
+(the union, for the covering count), not tuple by tuple.  ``block_sum`` and
+``identities.s_bruteforce`` sum P(n) by block-size profile (``block_profiles``).
 The walk inserts element n into each partition of [n-1], and asked for k
 blocks (``partition_masks(n, blocks=k)``) it visits only the partitions that
 can still end with k; a second walk of the same shape inserts it only where
@@ -37,6 +37,7 @@ it is requested, before any element is produced, and raises
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from itertools import accumulate, combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -143,6 +144,25 @@ def noncrossing_masks(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[tupl
     return _noncrossing_walk(n)
 
 
+def block_profiles(n: int, cap: int = DEFAULT_PARTITION_CAP) -> dict:
+    """How many partitions of [n] have each ascending block-size profile: as
+    in the walk, x joins each block in turn or opens its own, the partitions
+    folded by profile as ``_count_states`` folds tuples.  Capped at the call."""
+    _check_size(n, cap)
+    states = {(): 1}
+    for _ in range(n):
+        nxt: dict = {}
+        for sizes, ways in states.items():
+            # a block grown to s + 1 takes the place of the last block of its
+            # size s, whose run of equal sizes ends at e: they stay ascending
+            ends = [bisect_right(sizes, s) for s in sizes]
+            for key in (*(sizes[:e - 1] + (sizes[e - 1] + 1,) + sizes[e:] for e in ends),
+                        (1, *sizes)):
+                nxt[key] = nxt.get(key, 0) + ways
+        states = nxt
+    return states
+
+
 def partition_count(n: int, cap: int = DEFAULT_PARTITION_CAP, noncrossing: bool = False) -> int:
     """How many partitions ``partition_masks`` (or ``noncrossing_masks``)
     yields, with no walk: Bell(n), the last entry of row n of the Bell
@@ -207,19 +227,20 @@ def block_sum(weights: Sequence, n: int, signed: bool = False):
 
     The literal oracle of ``series``: with W(z) = 1 + sum_s weights[s-1] z^s / s!
     the unsigned sum is n! [z^n] exp(W(z) - 1) and the signed one n! [z^n]
-    log W(z).  One loop adds the terms on one int (``integer_weights``), and
-    the total goes back to the weights' kind once: a ``Fraction``, or the
-    exact sum rounded once to an mpf (at the ambient precision) or to binary64.
+    log W(z).  One loop adds one term per profile (``block_profiles``) on one
+    int (``integer_weights``), and the total goes back to the weights' kind
+    once: a ``Fraction``, or the exact sum rounded once to an mpf (at the
+    ambient precision) or to binary64.
     """
-    lattice = partition_masks(n)  # refuses n < 1, and n past the cap, first
+    profiles = block_profiles(n)  # refuses n < 1, and n past the cap, first
     if len(weights) < n:
         raise ValueError(f"need the weights of block sizes 1..{n}, got {len(weights)}")
     (ws,), back = integer_weights(weights[:n])
     total = 0
-    for masks in lattice:
-        term = mobius_top(len(masks)) if signed else 1
-        for mask in masks:
-            term = term * ws[mask.bit_count() - 1]
+    for sizes, ways in profiles.items():
+        term = ways * mobius_top(len(sizes)) if signed else ways
+        for s in sizes:
+            term = term * ws[s - 1]
         total += term
     return back(total, n)
 

@@ -7,9 +7,9 @@ W(z) = sum_j w_j z^j / j! with w_0 = 1:
     sum_pi prod_V w_|V|                  = n! [z^n] exp(W(z) - 1),
     sum_pi mu(pi, 1_n) prod_V w_|V|      = n! [z^n] log W(z).
 
-Both take O(n^2) coefficient operations instead of a walk over P(n) or its
-block-size profiles; ``partitions.block_sum`` is that walk, kept as the
-literal oracle of both.  The same two operations carry Lagrange inversion
+Both take O(n^2) coefficient operations instead of a sum over the
+block-size profiles of P(n); ``partitions.block_sum`` is that sum, kept as
+the literal oracle of both.  The same two operations carry Lagrange inversion
 (``freelimits``): a power phi^n of a series is exp(n log phi).  A series
 has no sum or product of its own.  Coefficients may be exact rationals, mpf
 or binary64 values, one kind per series (ints among them are recast in it);

@@ -263,6 +263,19 @@ def faa_di_bruno_literal(derivs, n: int) -> Fraction:
     return total
 
 
+def block_sum_literal(weights, n: int, signed: bool = False):
+    """sum over P(n) of prod_V weights[|V|-1], each term times mu(pi, 1_n)
+    when ``signed``, one term per partition of the insertion enumeration,
+    in the weights' own arithmetic."""
+    total = 0
+    for pi in partitions_by_insertion(n):
+        term = _mobius_top(len(pi)) if signed else 1
+        for b in pi:
+            term = term * weights[len(b) - 1]
+        total = total + term
+    return total
+
+
 def cumulants_literal(d: int, atilde, n_max: int) -> list:
     """kappa_n = (-d)^(n-1)/(n-1)! sum_pi mu(pi, 1_n) prod_V atilde_|V|,
     in Fraction arithmetic, for n = 1..n_max."""

@@ -129,6 +129,18 @@ class TestSBruteforce:
         with pytest.raises(CapExceededError):
             s_bruteforce([x(2)], 10 ** 7)
         assert time.perf_counter() - start < 1.0
+        # each table entry is one call of a polynomial: none is made
+        calls = []
+
+        class Spy(ZeroConstPoly):
+            def __call__(self, v):
+                calls.append(v)
+                return super().__call__(v)
+
+        with pytest.raises(CapExceededError, match="size 10000000 exceeds the cap 12"):
+            s_bruteforce([Spy((0, 1))], 10 ** 7)
+        assert calls == []
+        assert s_bruteforce([Spy((0, 1))], 2) == 2 and calls == [0, 1, 2]
 
     def test_oracles_refuse_before_any_partition_is_made(self, monkeypatch):
         walked = []

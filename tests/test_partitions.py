@@ -15,6 +15,7 @@ from finfree import partitions
 from finfree.errors import CapExceededError
 from finfree.identities import ZeroConstPoly, composition_identity, s_bruteforce
 from finfree.partitions import (
+    block_profiles,
     block_sum,
     count_R,
     count_S,
@@ -31,10 +32,10 @@ from finfree.partitions import (
 )
 from finfree.series import PowerSeries
 
-from .oracles import (bell_oracle, catalan_oracle, connected_by_product, covering_by_product,
-                      is_refinement, join_bfs, join_sum_by_product, masks_of, mobius,
-                      mobius_recursive, noncrossing_by_quadruples, noncrossing_by_stack,
-                      partitions_by_insertion)
+from .oracles import (bell_oracle, block_sum_literal, catalan_oracle, connected_by_product,
+                      covering_by_product, is_refinement, join_bfs, join_sum_by_product,
+                      masks_of, mobius, mobius_recursive, noncrossing_by_quadruples,
+                      noncrossing_by_stack, partitions_by_insertion)
 
 
 def top(n):
@@ -198,6 +199,22 @@ class TestEnumeration:
             with pytest.raises(CapExceededError, match="cap 4"):
                 walk(5, cap=4)
         assert sum(1 for _ in partition_masks(5, cap=5)) == 52
+
+    def test_block_profiles_count_the_walk(self):
+        for n in range(1, 10):
+            profiles = block_profiles(n)
+            assert profiles == Counter(tuple(sorted(m.bit_count() for m in p))
+                                       for p in partition_masks(n)), n
+            assert sum(profiles.values()) == bell_oracle(n)
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                block_profiles(n)
+        with pytest.raises(CapExceededError, match="size 13 exceeds the cap 12") as got:
+            block_profiles(13)
+        with pytest.raises(CapExceededError) as want:
+            partition_masks(13)
+        assert str(got.value) == str(want.value)
+        assert sum(block_profiles(5, cap=5).values()) == 52
 
     def test_streams_are_independent(self):
         for walk in (partition_masks, noncrossing_masks):
@@ -435,6 +452,37 @@ class TestBlockSum:
             tiny = mp.ldexp(mp.mpf(1), -200)
             assert block_sum([mp.mpf(1), tiny ** 2, mp.mpf(-1)], 3) == 3 * tiny ** 2
             assert join_sum([[mp.mpf(1), mp.mpf(-1)], [tiny, mp.mpf(-1)]], 2) == -tiny ** 2
+
+    def test_in_kind_weights_match_the_per_partition_literal(self):
+        # exact sums equal the literal, mpf and binary64 ones are its exact
+        # value rounded once; complex, inf and nan weights are summed in kind
+        rng = random.Random(68)
+        outcomes = set()
+        for n in range(1, 7):
+            for signed in (False, True):
+                ex = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+                assert block_sum(ex, n, signed) == block_sum_literal(ex, n, signed)
+                for kind in ("mpf", "float"):
+                    ws = _draws(rng, n, kind)
+                    exact = block_sum_literal(list(map(_exact, ws)), n, signed)
+                    with mp.workdps(50):
+                        want, got = _rounded_once(exact, kind), block_sum(ws, n, signed)
+                    assert type(got) is type(want) and got == want, (kind, n, signed)
+                with mp.workdps(50):
+                    ws = [mp.mpc(rng.randint(-9, 9), rng.randint(1, 9)) / 7 for _ in range(n)]
+                    got, ref = block_sum(ws, n, signed), block_sum_literal(ws, n, signed)
+                    assert isinstance(got, mp.mpc) and abs(got - ref) <= mp.mpf("1e-40") * abs(ref)
+                    # every block size occurs, so the literal is nan or an inf
+                    for bad, s in product((mp.inf, -mp.inf, mp.nan), range(n)):
+                        for ws in (_draws(rng, n, "mpf"), _draws(rng, n, "float")):
+                            ws[s] = type(ws[0])(bad)
+                            got, ref = block_sum(ws, n, signed), block_sum_literal(ws, n, signed)
+                            if mp.isnan(ref):
+                                assert mp.isnan(got), (ws, signed)
+                            else:
+                                assert mp.isinf(ref) and got == ref, (ws, signed)
+                            outcomes.add("nan" if mp.isnan(ref) else "+inf" if ref > 0 else "-inf")
+        assert outcomes == {"nan", "+inf", "-inf"}
 
     def test_needs_a_weight_per_block_size(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,8 @@ names ``kind_of`` or a kind constant: a caller reads a value list's kind
 through ``scalars.one_kind`` and opens its precision scope by digits alone.
 ``experiments`` opens that scope once, in ``run_experiment``.
 Outside ``partitions``, ``block_sum`` is referenced only by the labelled
-literal routes.  No module imports a private
+literal routes, and it and ``s_bruteforce`` sum by block-size profile, not
+over the partitions themselves.  No module imports a private
 (underscored) name from another.
 """
 
@@ -201,10 +202,23 @@ def _functions(body: list, prefix: str):
 
 
 def test_block_sum_only_in_the_literal_routes():
-    """``partitions.block_sum`` walks P(n): outside ``partitions`` only the
-    literal cross-checks call it, the ``grouped=False`` cumulant transform and
-    ``faa_di_bruno_exp``.  Every other route is a series exp or log."""
+    """``partitions.block_sum`` sums over P(n) by block-size profile: outside
+    ``partitions`` only the literal cross-checks call it, the
+    ``grouped=False`` cumulant transform and ``faa_di_bruno_exp``.  Every
+    other route is a series exp or log."""
     found = {name for path in sorted((ROOT / "src" / "finfree").glob("*.py"))
              if path.stem != "partitions"
              for name, fn in _functions(_body(path), path.stem) if "block_sum" in _refs([fn])}
     assert found == {"cumulants.cumulants_from_atilde", "identities.faa_di_bruno_exp"}, found
+
+
+def test_literal_sums_go_by_block_profile():
+    """``block_sum`` and ``s_bruteforce`` sum one term per block-size profile
+    of ``partitions.block_profiles``, not one per partition: neither names
+    ``partition_masks``."""
+    found = {name: _refs([fn]) for stem in ("partitions", "identities")
+             for name, fn in _functions(_body(ROOT / "src" / "finfree" / f"{stem}.py"), stem)
+             if name in ("partitions.block_sum", "identities.s_bruteforce")}
+    assert set(found) == {"partitions.block_sum", "identities.s_bruteforce"}, found
+    for name, refs in found.items():
+        assert "block_profiles" in refs and "partition_masks" not in refs, name
