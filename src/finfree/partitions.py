@@ -144,11 +144,11 @@ def noncrossing_masks(n: int, cap: int = DEFAULT_PARTITION_CAP) -> Iterator[tupl
     return _noncrossing_walk(n)
 
 
-def block_profiles(n: int, cap: int = DEFAULT_PARTITION_CAP) -> dict:
+def block_profiles(n: int) -> dict:
     """How many partitions of [n] have each ascending block-size profile: as
     in the walk, x joins each block in turn or opens its own, the partitions
     folded by profile as ``_count_states`` folds tuples.  Capped at the call."""
-    _check_size(n, cap)
+    _check_size(n, DEFAULT_PARTITION_CAP)
     states = {(): 1}
     for _ in range(n):
         nxt: dict = {}

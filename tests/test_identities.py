@@ -129,7 +129,10 @@ class TestSBruteforce:
         with pytest.raises(CapExceededError):
             s_bruteforce([x(2)], 10 ** 7)
         assert time.perf_counter() - start < 1.0
-        # each table entry is one call of a polynomial: none is made
+
+    def test_oracles_refuse_before_any_partition_is_made(self, monkeypatch):
+        # s_bruteforce sums by block profile, not over a walk: it refuses
+        # before any table entry, one call of a polynomial, is made
         calls = []
 
         class Spy(ZeroConstPoly):
@@ -137,16 +140,15 @@ class TestSBruteforce:
                 calls.append(v)
                 return super().__call__(v)
 
+        with pytest.raises(CapExceededError, match="size 13 exceeds the cap 12"):
+            s_bruteforce([x(2), c(3)], 13)
         with pytest.raises(CapExceededError, match="size 10000000 exceeds the cap 12"):
             s_bruteforce([Spy((0, 1))], 10 ** 7)
         assert calls == []
         assert s_bruteforce([Spy((0, 1))], 2) == 2 and calls == [0, 1, 2]
-
-    def test_oracles_refuse_before_any_partition_is_made(self, monkeypatch):
+        # composition_identity keeps its k-block walk: none is started
         walked = []
         monkeypatch.setattr(partitions, "_walk", lambda n: walked.append(n) or iter(()))
-        with pytest.raises(CapExceededError, match="size 13 exceeds the cap 12"):
-            s_bruteforce([x(2), c(3)], 13)
         for k in (1, 5, 13):
             with pytest.raises(CapExceededError, match="size 13 exceeds the cap 12"):
                 composition_identity(14, k)
