@@ -277,20 +277,30 @@ def roots_of(p: MonicPoly, digits: int | None = None,
     coefficient magnitude at z, which stays meaningful at multiple roots.
     Raises ``RootConvergenceError`` carrying the best residual otherwise.
 
-    Without ``digits`` the iteration runs in binary64 from a circle of the
-    Fujiwara radius, to backward error 1e-13.  With ``digits`` it is a
+    Without ``digits`` the iteration runs in binary64 from the circles of the
+    Newton polygon, to backward error 1e-13, and the roots must also meet
+    Newton's first identity, sum z = -a_1, to 2^-16 of sum |z|; a non-finite
+    iterate ends it at once.  With ``digits`` it is a
     two-rung ladder: the binary64 iteration on the coefficients rounded to
     binary64, then the mpc iteration at ``digits`` digits, to backward error
     10^-(digits-5), started from the binary64 roots, where Aberth converges
-    in a few sweeps.  The mpc rung starts from the circle instead when the
-    rounded coefficients overflow binary64, when the binary64 rung does not
-    converge, or when it returns a non-finite or repeated point.  ``max_iter``
+    in a few sweeps.  The mpc rung starts from the Newton polygon instead when
+    the rounded coefficients overflow or underflow binary64, when the binary64
+    rung does not converge, or when it returns a repeated point.  ``max_iter``
     bounds the sweeps of each rung.  ``digits`` below 6 is refused: the
     tolerance would then be 1 or more, which the starting points already meet.
     """
     if digits is None:
         coeffs, zeros = _strip_zero_roots([complex(c) for c in p.coeffs])
-        return (0j,) * zeros + _aberth(coeffs, 1e-13, max_iter)
+        roots = (0j,) * zeros + _aberth(coeffs, 1e-13, max_iter)
+        # Newton's first identity, sum z = -a_1, catches the ill-conditioned
+        # roots a backward-error stop passes: off by 2e-3 and more at d = 50,
+        # where up to six equal roots miss it by less than 1e-5
+        size = sum(abs(z) for z in roots)
+        miss = abs(sum(roots) + complex(p.coeffs[1]))
+        if miss > 2.0 ** -16 * size:
+            raise RootConvergenceError(max_iter, miss / size)
+        return roots
     if digits < _MIN_ROOT_DIGITS:
         raise ValueError(f"roots_of needs digits >= {_MIN_ROOT_DIGITS}, got {digits}")
     with mp.workdps(digits):
@@ -315,10 +325,10 @@ def _strip_zero_roots(coeffs: list) -> tuple:
 def _binary64_start(coeffs: list, max_iter: int) -> list | None:
     """The binary64 roots of the mpc ``coeffs`` as mpc start points, or None
     where they cannot seed the mpc iteration: the coefficients overflow
-    binary64, the binary64 iteration does not converge, or it returns a
-    non-finite or repeated point."""
+    binary64 or the constant one rounds to 0, the binary64 iteration does not
+    converge, or it returns a non-finite or repeated point."""
     rounded = [complex(c) for c in coeffs]
-    if not all(cmath.isfinite(c) for c in rounded):
+    if not all(cmath.isfinite(c) for c in rounded) or rounded[-1] == 0:
         return None
     try:
         pts = _aberth(rounded, 1e-13, max_iter)
@@ -331,7 +341,8 @@ def _binary64_start(coeffs: list, max_iter: int) -> list | None:
 
 def _aberth(work, tol, max_iter, start=None):
     """Roots of the polynomial with coefficients ``work``, leading first,
-    iterated from the points ``start`` or, without them, from a circle."""
+    iterated from the points ``start`` or, without them, from the Newton
+    polygon.  A non-finite residual raises at once."""
     dd = len(work) - 1
     if dd < 1:
         return ()
@@ -353,16 +364,19 @@ def _aberth(work, tol, max_iter, start=None):
             s = s * az + abs(a)
         return s
 
-    pts = start if start is not None else _circle_start(work)
+    pts = start if start is not None else _polygon_start(work)
 
     best_residual = math.inf
     converged = False
-    for _ in range(max_iter):
+    for sweep in range(max_iter):
         # the residual first: a converged sweep computes no offsets
         evals = [horner(z) for z in pts]
         residual = 0.0
         for z, (val, _) in zip(pts, evals):
-            residual = max(residual, float(abs(val) / coeff_scale(z)))
+            r = float(abs(val) / coeff_scale(z))
+            if not math.isfinite(r):  # a NaN would pass max() and the test below
+                raise RootConvergenceError(sweep, best_residual)
+            residual = max(residual, r)
         best_residual = min(best_residual, residual)
         if residual <= float(tol):
             converged = True
@@ -395,19 +409,33 @@ def _aberth(work, tol, max_iter, start=None):
     return tuple(polished)
 
 
-def _circle_start(work: list) -> list:
-    """A circle of the Fujiwara radius, rotated off the symmetry axes."""
+def _polygon_start(work: list) -> list:
+    """Start points on the circles of the Newton polygon (Bini 1996).
+
+    Each edge from k0 to k1 of the upper convex hull of (k, log|q_k|), q_k the
+    nonzero coefficients of x^k, puts n = k1 - k0 points on the circle of
+    radius |q_k0 / q_k1|^(1/n), at angles 2 pi (j/n + k0/d) + 0.7.  mpc
+    coefficients take their logs and radii in mpf, so none overflows."""
     dd = len(work) - 1
-    radius = max(
-        (2 * abs(work[i])) ** (1.0 / i) if work[i] != 0 else 0.0
-        for i in range(1, dd + 1)
-    )
-    radius = float(radius) or 1.0
+    is_mp = isinstance(work[0], mp.mpc)
+    log, exp_ = (mp.log, mp.exp) if is_mp else (math.log, math.exp)
+    hull = []
+    for k, q in enumerate(reversed(work)):
+        if q == 0:
+            continue
+        pt = (k, log(abs(q)))
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (pt[1] - hull[-2][1])
+                                 >= (hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])):
+            hull.pop()
+        hull.append(pt)
     pts = []
-    for j in range(dd):
-        ang = 2 * math.pi * (j + 0.5) / dd + 0.4
-        z = radius * complex(math.cos(ang), math.sin(ang))
-        pts.append(mp.mpc(z) if isinstance(work[0], mp.mpc) else z)
+    for (k0, l0), (k1, l1) in zip(hull, hull[1:]):
+        n = k1 - k0
+        radius = exp_((l0 - l1) / n)
+        for j in range(n):
+            ang = 2 * math.pi * (j / n + k0 / dd) + 0.7
+            unit = complex(math.cos(ang), math.sin(ang))
+            pts.append(radius * (mp.mpc(unit) if is_mp else unit))
     return pts
 
 

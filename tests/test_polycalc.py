@@ -2,6 +2,7 @@ import cmath
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -448,6 +449,42 @@ class TestRoots:
         got = sorted((z.real for z in roots_of(p, digits=30)), key=float)
         for a, b in zip(got, want):
             assert abs(a - b) <= mp.mpf("1e-20") * abs(b)
+
+    def test_polygon_start_converges_in_few_sweeps(self):
+        # one Fujiwara circle took 43-50 sweeps on these families
+        rng = random.Random(79)
+        jittered = [math.cos(math.pi * (j + 0.5 + rng.uniform(-0.3, 0.3)) / 20) for j in range(20)]
+        seeded = MonicPoly.from_coeffs(MonicPoly.from_roots(jittered).coeffs)
+        for p in (hermite_unitary(20, 1), exp_poly(20, 1), laguerre_hat(20, 1), seeded):
+            zs = roots_of(p, max_iter=20)
+            assert len(zs) == 20 and all(cmath.isfinite(z) for z in zs)
+        got = sorted(z.real for z in roots_of(seeded))
+        assert got == pytest.approx(sorted(jittered), abs=1e-10)
+
+    def test_polygon_start_radii_follow_root_moduli(self):
+        want = [1e-3, 1.0, 1e3]
+        work = [complex(c) for c in MonicPoly.from_roots(want).coeffs]
+        radii = sorted(abs(z) for z in polycalc._polygon_start(work))
+        for r, m in zip(radii, want):
+            assert m / 2 <= r <= 2 * m
+
+    def test_non_finite_iterate_ends_the_iteration(self):
+        from finfree.errors import RootConvergenceError
+
+        # the residual max() used to drop NaN and report the NaN roots converged
+        started = time.perf_counter()
+        with pytest.raises(RootConvergenceError) as exc:
+            roots_of(laguerre_hat(200, 1))
+        assert time.perf_counter() - started < 1.0
+        assert exc.value.iterations < polycalc._ROOT_MAX_ITER
+
+    def test_roots_missing_newtons_first_identity_refused(self):
+        from finfree.errors import RootConvergenceError
+
+        # backward error 1e-13 is met, but the sum of the roots is off by 3e-2
+        with pytest.raises(RootConvergenceError) as exc:
+            roots_of(laguerre_hat(50, 1))
+        assert exc.value.best_residual > 2.0 ** -16
 
     def test_zero_roots_stripped(self):
         p = MonicPoly.from_coeffs([1, -3, 0, 0])  # x^3 - 3x^2
