@@ -278,10 +278,9 @@ def roots_of(p: MonicPoly, digits: int | None = None,
     Raises ``RootConvergenceError`` carrying the best residual otherwise.
 
     Without ``digits`` the iteration runs in binary64 from the circles of the
-    Newton polygon, to backward error 1e-13, and the roots must also meet
-    Newton's first identity, sum z = -a_1, to 2^-16 of sum |z|; a non-finite
-    iterate ends it at once.  With ``digits`` it is a
-    two-rung ladder: the binary64 iteration on the coefficients rounded to
+    Newton polygon, to backward error 1e-13, and the roots must meet Newton's
+    first identity, sum z = -a_1, to 2^-16 of sum |z|.  With ``digits`` it is
+    a two-rung ladder: the binary64 iteration on the coefficients rounded to
     binary64, then the mpc iteration at ``digits`` digits, to backward error
     10^-(digits-5), started from the binary64 roots, where Aberth converges
     in a few sweeps.  The mpc rung starts from the Newton polygon instead when
@@ -293,9 +292,8 @@ def roots_of(p: MonicPoly, digits: int | None = None,
     if digits is None:
         coeffs, zeros = _strip_zero_roots([complex(c) for c in p.coeffs])
         roots = (0j,) * zeros + _aberth(coeffs, 1e-13, max_iter)
-        # Newton's first identity, sum z = -a_1, catches the ill-conditioned
-        # roots a backward-error stop passes: off by 2e-3 and more at d = 50,
-        # where up to six equal roots miss it by less than 1e-5
+        # catches ill-conditioned roots that a backward-error stop passes: p_1 off
+        # by 2e-3 and more at d = 50, where six equal roots miss by under 1e-5
         size = sum(abs(z) for z in roots)
         miss = abs(sum(roots) + complex(p.coeffs[1]))
         if miss > 2.0 ** -16 * size:
@@ -340,9 +338,8 @@ def _binary64_start(coeffs: list, max_iter: int) -> list | None:
 
 
 def _aberth(work, tol, max_iter, start=None):
-    """Roots of the polynomial with coefficients ``work``, leading first,
-    iterated from the points ``start`` or, without them, from the Newton
-    polygon.  A non-finite residual raises at once."""
+    """Roots of the polynomial with coefficients ``work``, leading first, iterated
+    from the points ``start`` or the Newton polygon; a non-finite residual raises."""
     dd = len(work) - 1
     if dd < 1:
         return ()

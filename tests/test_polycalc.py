@@ -450,8 +450,17 @@ class TestRoots:
         for a, b in zip(got, want):
             assert abs(a - b) <= mp.mpf("1e-20") * abs(b)
 
+    def test_mp_path_below_binary64_range(self):
+        # a_2 and a_3 round to 0 in binary64, so the mp iteration starts from the polygon
+        want = [Fraction(k, 10 ** 200) for k in (-2, 1, 3)]
+        got = sorted((z.real for z in roots_of(MonicPoly.from_roots(want), digits=30)), key=float)
+        with mp.workdps(30):
+            for a, b in zip(got, want):
+                b = mp.mpf(b.numerator) / b.denominator
+                assert abs(a - b) <= mp.mpf("1e-20") * abs(b)
+
     def test_polygon_start_converges_in_few_sweeps(self):
-        # one Fujiwara circle took 43-50 sweeps on these families
+        # one Fujiwara circle took 44-51 sweeps on these families
         rng = random.Random(79)
         jittered = [math.cos(math.pi * (j + 0.5 + rng.uniform(-0.3, 0.3)) / 20) for j in range(20)]
         seeded = MonicPoly.from_coeffs(MonicPoly.from_roots(jittered).coeffs)
