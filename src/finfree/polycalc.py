@@ -25,7 +25,7 @@ import mpmath as mp
 
 from .errors import RootConvergenceError
 from .scalars import (DEFAULT_DIGITS, EXACT, FLOAT64, MPF, binom, common_kind, convolve, dot,
-                      exp, format_scalar, one_kind, product_tree, to_mpf)
+                      exp, format_scalar, horner, one_kind, product_tree, to_mpf)
 from .series import PowerSeries
 
 _ROOT_MAX_ITER = 200
@@ -288,9 +288,17 @@ def roots_of(p: MonicPoly, digits: int | None = None,
     rung does not converge, or when it returns a repeated point.  ``max_iter``
     bounds the sweeps of each rung.  ``digits`` below 6 is refused: the
     tolerance would then be 1 or more, which the starting points already meet.
+    Each rung evaluates p and p' by ``scalars.horner``: the mpc rung on Gaussian
+    ints cut to prec + 64 bits, each part of a value rounded once.
     """
     if digits is None:
-        coeffs, zeros = _strip_zero_roots([complex(c) for c in p.coeffs])
+        work = []
+        for i, c in enumerate(p.coeffs):
+            try:
+                work.append(complex(c))
+            except OverflowError:  # only an exact coefficient fails to take binary64
+                raise OverflowError(f"roots_of: a_{i} overflows binary64; pass digits=") from None
+        coeffs, zeros = _strip_zero_roots(work)
         roots = (0j,) * zeros + _aberth(coeffs, 1e-13, max_iter)
         # catches ill-conditioned roots that a backward-error stop passes: p_1 off
         # by 2e-3 and more at d = 50, where six equal roots miss by under 1e-5
@@ -346,19 +354,13 @@ def _aberth(work, tol, max_iter, start=None):
     if dd == 1:
         return (-work[1],)
 
-    def horner(z):
-        val = work[0]
-        der = work[0] * 0
-        for a in work[1:]:
-            der = der * z + val
-            val = val * z + a
-        return val, der
+    horner_at = horner(work)
+    mags = [abs(a) for a in work]
 
     def coeff_scale(z):
-        az = abs(z)
-        s = abs(work[0])
-        for a in work[1:]:
-            s = s * az + abs(a)
+        az, s = abs(z), mags[0]
+        for m in mags[1:]:
+            s = s * az + m
         return s
 
     pts = start if start is not None else _polygon_start(work)
@@ -367,7 +369,7 @@ def _aberth(work, tol, max_iter, start=None):
     converged = False
     for sweep in range(max_iter):
         # the residual first: a converged sweep computes no offsets
-        evals = [horner(z) for z in pts]
+        evals = [horner_at(z) for z in pts]
         residual = 0.0
         for z, (val, _) in zip(pts, evals):
             r = float(abs(val) / coeff_scale(z))
@@ -378,24 +380,29 @@ def _aberth(work, tol, max_iter, start=None):
         if residual <= float(tol):
             converged = True
             break
+        live, sums = [val != 0 for val, _ in evals], [0] * dd
+        for i in range(dd):  # sums[i] adds 1 / (z_i - z_j), j != i ascending, each formed once
+            for j in range(i + 1, dd):
+                if live[i] or live[j]:
+                    r = 1 / (pts[i] - pts[j])
+                    sums[i], sums[j] = sums[i] + r, sums[j] - r
         offsets = []
-        for i, (z, (val, der)) in enumerate(zip(pts, evals)):
+        for (val, der), s in zip(evals, sums):
             if val == 0:
                 offsets.append(val * 0)
                 continue
             w = val / der if der != 0 else val
-            s = sum(1 / (z - pts[j]) for j in range(dd) if j != i)
             denom = 1 - w * s
             offsets.append(w / denom if denom != 0 else w)
         pts = [z - o for z, o in zip(pts, offsets)]
     if not converged:
         raise RootConvergenceError(max_iter, best_residual)
 
-    # mandatory Newton polish
+    # mandatory Newton polish, its first step from the converged sweep's values
     polished = []
-    for z in pts:
+    for z, ev in zip(pts, evals):
         for _ in range(2):
-            val, der = horner(z)
+            (val, der), ev = ev or horner_at(z), None
             if der == 0 or val == 0:
                 break
             step = val / der

@@ -17,7 +17,8 @@ terms one exact integer accumulator rounded once), the series recurrences
 exp, log and the Lagrange step (``recurrence``, on ints for real mpf series),
 the one coefficient product, truncated or binomial (``convolve``, one big-int
 multiply for real mpf operands) and the root product tree on it
-(``product_tree``, on ints between real mpf merges), conversion into mpmath
+(``product_tree``, on ints between real mpf merges), Horner's rule for p
+and p' (``horner``, on Gaussian ints for mpc), conversion into mpmath
 (``to_mpf``), printing (``format_scalar``), the common denominator putting
 exact values on ints (``integer_scaled``) and the unit putting block weights
 on ints and taking their sum back to its kind once (``integer_weights``).
@@ -557,6 +558,58 @@ def _kronecker(da: tuple, db: tuple, n_out: int) -> list:
         z = (m & -m).bit_length() - 1  # trailing zeros; -1 for m = 0
         out.append((m >> z, x + z) if m else (0, 0))
     return out
+
+
+def horner(coeffs: Sequence) -> Callable:
+    """z -> (p(z), p'(z)) for p(z) = sum_i coeffs[i] z^(d-i), in the coefficients'
+    kind: finite mpc ones on Gaussian ints (``_gaussian``), each step cut to L =
+    prec + 64 bits (``_fma``), each part rounded once, near Horner's error bound
+    d 2^-L sum |a_i| |z|^(d-i) (Higham 2002, 5.1); any other kind, inf or nan in kind."""
+    coeffs, L = list(coeffs), mp.mp.prec + 64
+    reads = [_gaussian(a, L) for a in coeffs] if {*map(type, coeffs)} == {mp.mpc} else [None]
+    ints = None not in reads
+
+    def at(z):
+        zr = ints and _gaussian(z, L)
+        if not zr:
+            val, der = coeffs[0], coeffs[0] * 0
+            for a in coeffs[1:]:
+                der, val = der * z + val, val * z + a
+            return val, der
+        val, der = reads[0], (0, 0, 0)
+        for a in reads[1:]:
+            der, val = _fma(der, zr, val, L), _fma(val, zr, a, L)
+        prec, rnd = mp.mp._prec_rounding
+        return tuple(mp.mp.make_mpc((from_man_exp(x, e, prec, rnd), from_man_exp(y, e, prec, rnd)))
+                     for x, y, e in (val, der))
+    return at
+
+
+def _gaussian(v, L: int) -> tuple | None:
+    """A complex value as (X, Y, E), value (X + iY) 2^E, its parts read by ``_pair``:
+    one more than L bits below the other is floored on 2^(top - L).  None on inf or nan."""
+    (mr, er), (mi, ei) = _pair(v.real), _pair(v.imag)
+    if er is None or ei is None:
+        return None
+    er, ei = (er if mr else ei), (ei if mi else er)  # a zero part takes the other's place
+    e = max(min(er, ei), max(er + mr.bit_length(), ei + mi.bit_length()) - L)
+    return (mr << er - e if er >= e else mr >> e - er), (mi << ei - e if ei >= e
+                                                          else mi >> e - ei), e
+
+
+def _fma(x: tuple, z: tuple, b: tuple, L: int) -> tuple:
+    """x z + b on ``_gaussian`` triples, floored on 2^max(least exponent, top - L)."""
+    (xr, xi, xe), (zr, zi, ze), (br, bi, be) = x, z, b
+    pr, pi, pe = xr * zr - xi * zi, xr * zi + xi * zr, xe + ze
+    tp, tb = (abs(pr) | abs(pi)).bit_length(), (abs(br) | abs(bi)).bit_length()
+    if not tp:
+        return b
+    be = be if tb else pe  # a zero b has no exponent to meet
+    top, e = (pe + tp if pe + tp >= be + tb else be + tb), (pe if pe <= be else be)
+    e = e if e >= top - L else top - L
+    pr, pi = (pr << pe - e, pi << pe - e) if pe >= e else (pr >> e - pe, pi >> e - pe)
+    return (pr + (br << be - e), pi + (bi << be - e), e) if be >= e else (
+        pr + (br >> e - be), pi + (bi >> e - be), e)
 
 
 def format_scalar(x, digits: int = DEFAULT_DIGITS) -> str:

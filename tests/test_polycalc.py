@@ -495,6 +495,46 @@ class TestRoots:
             roots_of(laguerre_hat(50, 1))
         assert exc.value.best_residual > 2.0 ** -16
 
+    def test_binary64_roots_bits_pinned(self):
+        # sha256 of the repr of the roots, as the in-kind Horner closure of
+        # _aberth gave them before the evaluation moved to scalars.horner
+        rng = random.Random(80)
+        jittered = [math.cos(math.pi * (j + 0.5 + rng.uniform(-0.3, 0.3)) / 20) for j in range(20)]
+        pins = [
+            (hermite_unitary(20, 1),
+             "c7cb861b2e94ab86c9454d87bebd6909e6b06356b3aac67a9e0ac4c2e95ad8a9"),
+            (exp_poly(20, 1), "1cc340cef2c99784eb2649f8c190a2b7418abd87c1cecb85f548e4d4eb03f8fa"),
+            (laguerre_hat(20, 1),
+             "6a520de1629ec6b7dabc8cc23c66b525535f4c518302cbf52c22b509eb271445"),
+            (MonicPoly.from_coeffs(MonicPoly.from_roots(jittered).coeffs),
+             "b2673c2a7d166bd5ce9cfcdae776eb7db997e7cae5c12551013bed18ee5cb05b"),
+        ]
+        for p, pin in pins:
+            assert hashlib.sha256(repr(roots_of(p)).encode()).hexdigest() == pin
+
+    def test_mpc_rung_reuses_the_converged_sweep_in_its_polish(self, monkeypatch):
+        # two sweeps of 20 evaluations, then one polish evaluation per root:
+        # the first polish step takes the converged sweep's values
+        calls = {"mpc": 0, "binary64": 0}
+        real = polycalc.horner
+
+        def counting(coeffs):
+            at, key = real(coeffs), "mpc" if isinstance(coeffs[0], mp.mpc) else "binary64"
+
+            def counted(z):
+                calls[key] += 1
+                return at(z)
+            return counted
+        monkeypatch.setattr(polycalc, "horner", counting)
+        roots_of(hermite_unitary(20, 1), digits=30)
+        assert calls["mpc"] == 60 and calls["binary64"] > 0
+
+    def test_exact_coefficients_past_binary64_range_refused_without_digits(self):
+        # complex(Fraction) raised a bare "integer division result too large for a float"
+        p = MonicPoly.from_roots([-2 * 10 ** 200, 10 ** 200, 3 * 10 ** 200])
+        with pytest.raises(OverflowError, match=r"roots_of: a_2 .*pass digits="):
+            roots_of(p)
+
     def test_zero_roots_stripped(self):
         p = MonicPoly.from_coeffs([1, -3, 0, 0])  # x^3 - 3x^2
         got = sorted(z.real for z in roots_of(p))

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -8,8 +9,10 @@ import mpmath as mp
 import pytest
 
 from finfree import scalars
-from finfree.scalars import (convolve, differences, dot, exp, format_scalar, integer_scaled,
-                             integer_weights, one_kind, to_mpf)
+from finfree.cumulants import exp_poly, hermite_unitary, laguerre_hat
+from finfree.polycalc import MonicPoly
+from finfree.scalars import (convolve, differences, dot, exp, format_scalar, horner,
+                             integer_scaled, integer_weights, one_kind, to_mpf)
 
 from .oracles import product_tree_per_merge
 
@@ -754,6 +757,71 @@ class TestSeriesRoundings:
                     assert mp.mpf(scalars._round(k * m, e, prec)) == k * x, (prec, m, e, k)
                     j = rng.randint(1, 200)
                     assert mp.mpf(scalars._div(m, e, j, prec)) == x / j, (prec, m, e, j)
+
+
+class TestHorner:
+    """``horner`` on mpc coefficients, on Gaussian ints cut to prec + 64 bits,
+    against Horner's rule at 6000 digits."""
+
+    @staticmethod
+    def mpc_coeffs(p, digits) -> list:
+        return [mp.mpc(to_mpf(c, digits)) for c in p.coeffs]
+
+    def test_parts_within_the_horner_bound(self):
+        # each part of p(z) and p'(z) within 2^-prec of itself plus 2^-(prec+32)
+        # of sum |a_i| |z|^(d-i) (of sum (d-i) |a_i| |z|^(d-i-1) for p')
+        cases = [(laguerre_hat(20, 1), 1), (laguerre_hat(200, 1), 1),
+                 (hermite_unitary(200, 1), 1), (exp_poly(50, 1), 1),
+                 (MonicPoly.from_roots([10 ** 200 * k for k in range(1, 31)]), mp.mpf(10) ** 200),
+                 (MonicPoly.from_roots([Fraction(k, 10 ** 200) for k in range(1, 31)]),
+                  mp.mpf(10) ** -200)]
+        checked = 0
+        for p, scale in cases:
+            for digits in (15, 30, 100):
+                with mp.workdps(digits):
+                    coeffs, prec = self.mpc_coeffs(p, digits), mp.mp.prec
+                    at = horner(coeffs)
+                    # imaginary part 0, 1e-30 (past L bits from the real part at
+                    # 10^+-200) and of order 1 against the roots' scale
+                    points = [mp.mpc(scale * mp.mpf("1.3")),
+                              mp.mpc(scale * mp.mpf("1.3"), mp.mpf("1e-30")),
+                              scale * mp.mpc("0.7", "0.9"), scale * mp.mpc("-2.1", "0.4")]
+                    for z in points:
+                        got = at(z)
+                        # sum |a_i| |z|^(d-i) and its derivative by Horner's rule
+                        sizes = mp.polyval([abs(a) for a in coeffs], abs(z), derivative=True)
+                        with mp.workdps(6000):
+                            want = mp.polyval(coeffs, z, derivative=True)
+                            for g, w, size in zip(got, want, sizes):
+                                assert type(g) is mp.mpc
+                                for gp, wp in ((g.real, w.real), (g.imag, w.imag)):
+                                    bound = abs(wp) * 2.0 ** -prec + size * 2.0 ** -(prec + 32)
+                                    assert abs(gp - wp) <= bound, (p.degree, digits, z)
+                                    checked += 1
+        assert checked == 6 * 3 * 4 * 4
+
+    def test_far_apart_parts_stay_cheap(self):
+        # exact Gaussian ints would span 330,000 bits here and grow with d
+        with mp.workdps(30):
+            at = horner(self.mpc_coeffs(laguerre_hat(200, 1), 30))
+            z = mp.mpc(mp.mpf("1.3"), mp.mpf(10) ** -100000)
+            started = time.perf_counter()
+            val, der = at(z)
+            assert time.perf_counter() - started < 0.5
+            want = at(mp.mpc(mp.mpf("1.3")))
+            assert abs(val - want[0]) <= abs(want[0]) * mp.mpf(2) ** -90
+
+    def test_other_kinds_and_non_finite_points_run_in_kind(self):
+        # 3x^2 - 2x + 1/2 and its derivative 6x - 2, exactly, and in binary64
+        at = horner([3, -2, Fraction(1, 2)])
+        assert at(Fraction(1, 3)) == (Fraction(1, 6), 0)
+        z = 0.3 + 0.7j
+        val, der = 3.0 * z - 2.0, 0.0 * z + 3.0  # one step of the loop, rounding as it does
+        assert horner([3.0, -2.0, 0.5])(z) == (val * z + 0.5, der * z + val)
+        with mp.workdps(30):
+            val, der = horner([mp.mpc(1), mp.mpc(-2), mp.mpc(1)])(mp.mpc(mp.inf, 1))
+            assert not (mp.isfinite(val) and mp.isfinite(der))
+            assert horner([mp.mpc(1), mp.mpc(2)])(mp.mpc(0)) == (2, 1)
 
 
 class TestDifferences:
